@@ -1,8 +1,7 @@
 """Kernel backend selection.
 
 Prefers the compiled extension, falls back to pure numpy when it is not
-built.  Set VECMAP_PURE_PYTHON=1 to force the fallback (used by the
-benchmark and the parity tests).
+built.  Set VECMAP_PURE_PYTHON=1 to force the fallback.
 """
 
 import os

@@ -1,9 +1,9 @@
 """Pure-numpy fallback kernels.
 
 These mirror the compiled versions in ``_fast.pyx`` bit-for-bit for the
-Manhattan kernel: the accumulation order over point index j is identical
-(term = |dx| + |dy|, then acc += term), so both backends return the same
-floats and the same argmin ties.
+Manhattan kernel: each cost is accumulated sequentially over point index
+j (term = |dx| + |dy|, then acc += term), so both backends return the
+same floats and the same argmin ties.
 """
 
 from __future__ import annotations
@@ -27,12 +27,17 @@ def min_manhattan_over_perms(
     pred = np.ascontiguousarray(pred_pts, dtype=np.float64)
     gt = np.ascontiguousarray(gt_pts, dtype=np.float64)
     perms = np.ascontiguousarray(perms, dtype=np.int64)
-    n = gt.shape[0]
     permuted = gt[perms]  # (K, n, 2)
-    acc = np.zeros((pred.shape[0], perms.shape[0]))
-    for j in range(n):
-        d = pred[:, None, j, :] - permuted[None, :, j, :]
-        acc += np.abs(d[..., 0]) + np.abs(d[..., 1])
+    # One (P, K, n) pass, built in place: two such arrays live at once.
+    term = np.subtract(pred[:, None, :, 0], permuted[None, :, :, 0])
+    np.abs(term, out=term)
+    dy = np.subtract(pred[:, None, :, 1], permuted[None, :, :, 1])
+    np.abs(dy, out=dy)
+    term += dy
+    del dy
+    # cumsum adds left to right, so its last column equals acc += term[j]
+    # over j; np.sum would add pairwise and round differently.
+    acc = np.cumsum(term, axis=-1, out=term)[..., -1]
     best = np.argmin(acc, axis=1)
     return acc[np.arange(len(acc)), best], best
 

@@ -128,7 +128,10 @@ def cmd_match(args) -> int:
     gt_scene = read_scene(args.gt)
     _, preds = read_predictions(args.pred)
     gts_norm = [el.normalized(gt_scene.range) for el in gt_scene.elements]
-    match = hierarchical_match(preds, gts_norm)
+    try:
+        match = hierarchical_match(preds, gts_norm)
+    except ValueError as exc:
+        raise ValueError(f"{args.pred}: {exc}") from exc
     print(f"{'pred':>5} {'gt':>4} {'class':<14}{'direction':<10}{'offset':>6} {'cost':>12}")
     for pair in match.instance.pairs:
         p, g = pair

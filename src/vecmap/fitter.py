@@ -11,15 +11,28 @@ single stored point order (the fixed-permutation baseline).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from dataclasses import replace as _dc_replace
-
-from .geometry import apply_permutation
-from .losses import LossBreakdown, LossWeights, loss_gradients, total_loss
-from .matching import CostConfig, PredictedElement, hierarchical_match
+# fit calls the array core (match_arrays, loss_and_gradients).  The dataclass
+# entry points apply_permutation, hierarchical_match, total_loss and
+# loss_gradients stay bound here: perfbench/tracer.py wraps these names.
+from .geometry import ElementKind, apply_permutation  # noqa: F401
+from .losses import (  # noqa: F401
+    LossBreakdown,
+    LossWeights,
+    loss_and_gradients,
+    loss_gradients,
+    total_loss,
+)
+from .matching import (  # noqa: F401
+    CostConfig,
+    PredictedElement,
+    check_match_inputs,
+    hierarchical_match,
+    match_arrays,
+)
 from .metrics import APConfig, APReport, evaluate_ap
 from .scenegen import DEFAULT_SLOTS, MapScene
 
@@ -84,7 +97,11 @@ def fit(gt: MapScene, cfg: FitConfig = FitConfig()) -> FitTrace:
     logits = np.full((n, 3), -2.0)
 
     gts_norm = [el.normalized(gt.range) for el in gt.elements]
-    groups = [el.group() for el in gts_norm]
+    check_match_inputs(n, gts_norm, nv)
+    kinds = [el.kind for el in gts_norm]
+    classes = np.array([int(el.element_class) for el in gts_norm])
+    closed = np.array([k is ElementKind.POLYGON for k in kinds])
+    maps = [el.group().index_maps() for el in gts_norm]
     order_rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1,)))
     )
@@ -99,22 +116,23 @@ def fit(gt: MapScene, cfg: FitConfig = FitConfig()) -> FitTrace:
     eps = 1e-8
 
     trace = []
-    preds: list[PredictedElement] = []
     for t in range(1, cfg.iterations + 1):
         scores = _sigmoid(logits)
-        preds = [PredictedElement(scores=scores[i], points=points[i]) for i in range(n)]
+        # This iteration's points and scores: the final predictions if it is the last.
+        last = points, scores
         gts_iter = [
-            _dc_replace(
-                el,
-                points=apply_permutation(
-                    el.points, grp.members[int(order_rng.integers(len(grp.members)))]
-                ),
-            )
-            for el, grp in zip(gts_norm, groups)
+            el.points[m[order_rng.integers(len(m))]] for el, m in zip(gts_norm, maps)
         ]
-        match = hierarchical_match(preds, gts_iter, cost_cfg, fixed_order=fixed_order)
-        trace.append(total_loss(preds, gts_iter, match, cfg.weights, cost_cfg))
-        grads = loss_gradients(preds, gts_iter, match, cfg.weights, cost_cfg)
+        match = match_arrays(points, scores, gts_iter, kinds, classes, cost_cfg, fixed_order)
+        cols = list(match.cols)
+        aligned = np.stack(
+            [gts_iter[g][maps[g][k]] for g, k in zip(cols, match.orderings)]
+        )
+        breakdown, grads = loss_and_gradients(
+            points, scores, match.rows, classes[cols], aligned, closed[cols],
+            cfg.weights, cost_cfg,
+        )
+        trace.append(breakdown)
         g_pts = grads.d_points
         g_log = grads.d_scores * scores * (1.0 - scores)
 
@@ -126,6 +144,7 @@ def fit(gt: MapScene, cfg: FitConfig = FitConfig()) -> FitTrace:
         points = np.clip(points - lr * (m_pts / c1) / (np.sqrt(v_pts / c2) + eps), 0.0, 1.0)
         logits = logits - lr * (m_log / c1) / (np.sqrt(v_log / c2) + eps)
 
+    preds = [PredictedElement(scores=s, points=p) for p, s in zip(*last)]
     report = evaluate_ap([preds], [list(gt.elements)], APConfig(), gt.range)
     return FitTrace(
         losses=tuple(trace), final_predictions=tuple(preds), final_report=report

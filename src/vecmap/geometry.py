@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -75,8 +75,16 @@ class PermutationGroup:
     members: tuple[PermutationDescriptor, ...]
 
     def index_maps(self) -> np.ndarray:
-        """Stacked index maps, shape (len(members), n_points)."""
-        return np.stack([m.index_map(self.n_points) for m in self.members])
+        """Stacked index maps, shape (len(members), n_points); read-only."""
+        return self._index_maps
+
+    @cached_property
+    def _index_maps(self) -> np.ndarray:
+        # Cached on the instance, which permutation_group shares per (kind, n);
+        # an lru_cache keyed on the group would hash every member per lookup.
+        maps = np.stack([m.index_map(self.n_points) for m in self.members])
+        maps.flags.writeable = False
+        return maps
 
 
 @lru_cache(maxsize=None)

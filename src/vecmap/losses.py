@@ -15,7 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ElementKind, MapElement, apply_permutation
-from .matching import FOCAL_EPS, CostConfig, HierarchicalMatch, PredictedElement
+from .matching import (
+    FOCAL_EPS,
+    CostConfig,
+    HierarchicalMatch,
+    PredictedElement,
+    stack_predictions,
+)
 
 #: Edges shorter than this are treated as degenerate: cosine similarity 0.
 EDGE_NORM_FLOOR = 1e-8
@@ -46,13 +52,6 @@ class LossGradients:
     d_scores: np.ndarray  # (n_preds, 3)
 
 
-def _class_targets(preds, gts, match: HierarchicalMatch) -> np.ndarray:
-    targets = np.zeros((len(preds), 3))
-    for p, g in match.instance.pairs:
-        targets[p, int(gts[g].element_class)] = 1.0
-    return targets
-
-
 def _focal_terms(scores: np.ndarray, targets: np.ndarray, cfg: CostConfig):
     """Per-slot sigmoid focal loss and its gradient wrt the scores."""
     gamma, alpha = cfg.focal_gamma, cfg.focal_alpha
@@ -72,6 +71,101 @@ def _focal_terms(scores: np.ndarray, targets: np.ndarray, cfg: CostConfig):
     return loss, grad
 
 
+def _edge_cosines(pred: np.ndarray, aligned: np.ndarray, closed: np.ndarray):
+    """Per-edge cosine similarities and their gradient wrt predicted points.
+
+    pred and aligned are (M, n, 2); edge j runs from point j to point
+    j+1 mod n.  Polylines (``closed`` False) have no wrap-around edge: its
+    cosine and gradient are 0.
+    """
+    pe = pred - np.roll(pred, -1, axis=1)
+    ge = aligned - np.roll(aligned, -1, axis=1)
+    pn = np.linalg.norm(pe, axis=-1)
+    gn = np.linalg.norm(ge, axis=-1)
+    n = pred.shape[1]
+    ok = (pn > EDGE_NORM_FLOOR) & (gn > EDGE_NORM_FLOOR)
+    ok &= closed[:, None] | (np.arange(n) < n - 1)
+    safe_pn = np.where(ok, pn, 1.0)
+    safe_gn = np.where(ok, gn, 1.0)
+    cos = np.where(ok, (pe * ge).sum(axis=-1) / (safe_pn * safe_gn), 0.0)
+
+    # d cos / d pred_edge; degenerate edges contribute nothing.
+    dcos = ge / (safe_pn * safe_gn)[..., None] - cos[..., None] * pe / (safe_pn**2)[..., None]
+    dcos[~ok] = 0.0
+    # Point j starts edge j and ends edge j-1.
+    return cos, dcos - np.roll(dcos, 1, axis=1)
+
+
+def loss_and_gradients(
+    points: np.ndarray,
+    scores: np.ndarray,
+    rows,
+    classes,
+    aligned: np.ndarray,
+    closed: np.ndarray,
+    weights: LossWeights = LossWeights(),
+    cfg: CostConfig = CostConfig(),
+) -> tuple[LossBreakdown, LossGradients]:
+    """Weighted loss and its analytic gradient in one pass over the pairs.
+
+    points (P, n, 2) and scores (P, 3) describe the predictions.  Matched
+    pair i joins prediction ``rows[i]`` (ascending) to a ground truth of
+    class ``classes[i]`` whose points, in the matched ordering, are
+    ``aligned[i]`` (n, 2); ``closed[i]`` is True for a polygon.
+
+    The assignment is frozen; the Manhattan term uses the minimum-norm
+    subgradient (0 at exact coordinate ties).  No-object predictions get
+    zero point gradients and only the negative-target score gradient.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    closed = np.asarray(closed, dtype=bool)
+    targets = np.zeros((len(scores), 3))
+    targets[rows, np.asarray(classes, dtype=np.int64)] = 1.0
+    cls_each, d_cls = _focal_terms(scores, targets, cfg)
+
+    pred = points[rows]
+    diff = pred - aligned
+    # Per-pair sums, each over that pair's own elements, then added pair by pair.
+    p2p_each = np.abs(diff).reshape(len(rows), 2 * diff.shape[1]).sum(axis=1)
+    cos, d_dir = _edge_cosines(pred, aligned, closed)
+    # Each pair sums only its own edges (n - 1 for a polyline): summing a
+    # padded 0 as well could change numpy's pairwise rounding.
+    dir_each = np.empty(len(rows))
+    dir_each[closed] = cos[closed].sum(axis=1)
+    dir_each[~closed] = cos[~closed, :-1].sum(axis=1)
+    p2p = dir_ = 0.0
+    for a, c in zip(p2p_each.tolist(), dir_each.tolist()):
+        p2p += a
+        dir_ -= c
+    cls = float(cls_each.sum())
+    total = weights.lambda_cls * cls + weights.alpha_p2p * p2p + weights.beta_dir * dir_
+
+    d_points = np.zeros_like(points)
+    d_points[rows] += weights.alpha_p2p * np.sign(diff)
+    d_points[rows] -= weights.beta_dir * d_dir
+    return (
+        LossBreakdown(cls=cls, p2p=p2p, dir=dir_, total=total),
+        LossGradients(d_points=d_points, d_scores=weights.lambda_cls * d_cls),
+    )
+
+
+def _fused(preds, gts, match, weights=LossWeights(), cfg=CostConfig()):
+    """:func:`loss_and_gradients` on dataclass inputs."""
+    points, scores = stack_predictions(preds)
+    pairs = match.instance.pairs
+    aligned = [apply_permutation(gts[g].points, match.point_level[(p, g)].perm) for p, g in pairs]
+    return loss_and_gradients(
+        points,
+        scores,
+        [p for p, _ in pairs],
+        [int(gts[g].element_class) for _, g in pairs],
+        np.stack(aligned) if aligned else np.zeros((0,) + points.shape[1:]),
+        [gts[g].kind is ElementKind.POLYGON for _, g in pairs],
+        weights,
+        cfg,
+    )
+
+
 def classification_loss(
     preds: list[PredictedElement],
     gts: list[MapElement],
@@ -83,13 +177,7 @@ def classification_loss(
     Matched predictions get a one-hot target at the assigned class;
     no-object predictions get an all-zero target.
     """
-    scores = np.stack([p.scores for p in preds]) if preds else np.zeros((0, 3))
-    loss, _ = _focal_terms(scores, _class_targets(preds, gts, match), cfg)
-    return float(loss.sum())
-
-
-def _aligned_gt(gt: MapElement, match: HierarchicalMatch, pair) -> np.ndarray:
-    return apply_permutation(gt.points, match.point_level[pair].perm)
+    return _fused(preds, gts, match, cfg=cfg)[0].cls
 
 
 def point2point_loss(
@@ -98,37 +186,7 @@ def point2point_loss(
     match: HierarchicalMatch,
 ) -> float:
     """Summed Manhattan distance over aligned point pairs of matched elements."""
-    total = 0.0
-    for pair in match.instance.pairs:
-        p, g = pair
-        total += float(np.abs(preds[p].points - _aligned_gt(gts[g], match, pair)).sum())
-    return total
-
-
-def _edge_cosines(pred_pts: np.ndarray, gt_aligned: np.ndarray, kind: ElementKind):
-    """Per-edge cosine similarities and the gradient wrt predicted points."""
-    n = len(pred_pts)
-    n_edges = n if kind is ElementKind.POLYGON else n - 1
-    pe = pred_pts - np.roll(pred_pts, -1, axis=0)
-    ge = gt_aligned - np.roll(gt_aligned, -1, axis=0)
-    pe, ge = pe[:n_edges], ge[:n_edges]
-
-    pn = np.linalg.norm(pe, axis=1)
-    gn = np.linalg.norm(ge, axis=1)
-    ok = (pn > EDGE_NORM_FLOOR) & (gn > EDGE_NORM_FLOOR)
-    safe_pn = np.where(ok, pn, 1.0)
-    safe_gn = np.where(ok, gn, 1.0)
-    cos = np.where(ok, (pe * ge).sum(axis=1) / (safe_pn * safe_gn), 0.0)
-
-    # d cos / d pred_edge; degenerate edges contribute nothing.
-    dcos = ge / (safe_pn * safe_gn)[:, None] - cos[:, None] * pe / (safe_pn**2)[:, None]
-    dcos[~ok] = 0.0
-
-    d_points = np.zeros_like(pred_pts)
-    for j in range(n_edges):
-        d_points[j] += dcos[j]
-        d_points[(j + 1) % n] -= dcos[j]
-    return cos, d_points
+    return _fused(preds, gts, match)[0].p2p
 
 
 def edge_direction_loss(
@@ -137,14 +195,7 @@ def edge_direction_loss(
     match: HierarchicalMatch,
 ) -> float:
     """Negative summed cosine similarity between paired edges."""
-    total = 0.0
-    for pair in match.instance.pairs:
-        p, g = pair
-        cos, _ = _edge_cosines(
-            preds[p].points, _aligned_gt(gts[g], match, pair), gts[g].kind
-        )
-        total -= float(cos.sum())
-    return total
+    return _fused(preds, gts, match)[0].dir
 
 
 def total_loss(
@@ -154,11 +205,7 @@ def total_loss(
     weights: LossWeights = LossWeights(),
     cfg: CostConfig = CostConfig(),
 ) -> LossBreakdown:
-    cls = classification_loss(preds, gts, match, cfg)
-    p2p = point2point_loss(preds, gts, match)
-    dir_ = edge_direction_loss(preds, gts, match)
-    total = weights.lambda_cls * cls + weights.alpha_p2p * p2p + weights.beta_dir * dir_
-    return LossBreakdown(cls=cls, p2p=p2p, dir=dir_, total=total)
+    return _fused(preds, gts, match, weights, cfg)[0]
 
 
 def loss_gradients(
@@ -170,26 +217,6 @@ def loss_gradients(
 ) -> LossGradients:
     """Analytic gradient of the weighted total wrt predicted points and scores.
 
-    The assignment is frozen; the Manhattan term uses the minimum-norm
-    subgradient (0 at exact coordinate ties).  No-object predictions get
-    zero point gradients and only the negative-target score gradient.
+    See :func:`loss_and_gradients`.
     """
-    n_preds = len(preds)
-    if n_preds:
-        n_points = len(preds[0].points)
-        scores = np.stack([p.scores for p in preds])
-    else:
-        n_points = 0
-        scores = np.zeros((0, 3))
-    d_points = np.zeros((n_preds, n_points, 2))
-
-    _, d_cls = _focal_terms(scores, _class_targets(preds, gts, match), cfg)
-    d_scores = weights.lambda_cls * d_cls
-
-    for pair in match.instance.pairs:
-        p, g = pair
-        aligned = _aligned_gt(gts[g], match, pair)
-        d_points[p] += weights.alpha_p2p * np.sign(preds[p].points - aligned)
-        _, d_dir = _edge_cosines(preds[p].points, aligned, gts[g].kind)
-        d_points[p] -= weights.beta_dir * d_dir
-    return LossGradients(d_points=d_points, d_scores=d_scores)
+    return _fused(preds, gts, match, weights, cfg)[1]

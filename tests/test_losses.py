@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import random_element, random_prediction
+from conftest import matching_problems, random_element, random_prediction
+from vecmap.geometry import ElementClass
 from vecmap.geometry import (
     ElementKind,
     MapElement,
@@ -12,7 +14,9 @@ from vecmap.geometry import (
     permutation_group,
 )
 from vecmap.losses import (
+    EDGE_NORM_FLOOR,
     LossWeights,
+    _focal_terms,
     classification_loss,
     edge_direction_loss,
     loss_gradients,
@@ -20,6 +24,7 @@ from vecmap.losses import (
     total_loss,
 )
 from vecmap.matching import (
+    CostConfig,
     HierarchicalMatch,
     InstanceAssignment,
     PointAssignment,
@@ -286,3 +291,89 @@ class TestLossGradients:
             ):
                 rel = np.abs(a - f) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(f)))
                 assert rel.max() < 1e-4
+
+
+def _oracle_edge_cosines(pred_pts, gt_aligned, kind):
+    """One pair's edge cosines, with the gradient scattered edge by edge."""
+    n = len(pred_pts)
+    n_edges = n if kind is ElementKind.POLYGON else n - 1
+    pe = (pred_pts - np.roll(pred_pts, -1, axis=0))[:n_edges]
+    ge = (gt_aligned - np.roll(gt_aligned, -1, axis=0))[:n_edges]
+    pn = np.linalg.norm(pe, axis=1)
+    gn = np.linalg.norm(ge, axis=1)
+    ok = (pn > EDGE_NORM_FLOOR) & (gn > EDGE_NORM_FLOOR)
+    safe_pn = np.where(ok, pn, 1.0)
+    safe_gn = np.where(ok, gn, 1.0)
+    cos = np.where(ok, (pe * ge).sum(axis=1) / (safe_pn * safe_gn), 0.0)
+    dcos = ge / (safe_pn * safe_gn)[:, None] - cos[:, None] * pe / (safe_pn**2)[:, None]
+    dcos[~ok] = 0.0
+    d_points = np.zeros_like(pred_pts)
+    for j in range(n_edges):
+        d_points[j] += dcos[j]
+        d_points[(j + 1) % n] -= dcos[j]
+    return cos, d_points
+
+
+def _oracle_loss_and_gradients(preds, gts, match, weights):
+    """Each term and its gradient computed pair by pair, one pair at a time."""
+    scores = np.stack([p.scores for p in preds])
+    targets = np.zeros((len(preds), 3))
+    for p, g in match.instance.pairs:
+        targets[p, int(gts[g].element_class)] = 1.0
+    cls_slots, d_cls = _focal_terms(scores, targets, CostConfig())
+    p2p = dir_ = 0.0
+    d_points = np.zeros((len(preds),) + preds[0].points.shape)
+    for pair in match.instance.pairs:
+        p, g = pair
+        aligned = apply_permutation(gts[g].points, match.point_level[pair].perm)
+        p2p += float(np.abs(preds[p].points - aligned).sum())
+        cos, d_dir = _oracle_edge_cosines(preds[p].points, aligned, gts[g].kind)
+        dir_ -= float(cos.sum())
+        d_points[p] += weights.alpha_p2p * np.sign(preds[p].points - aligned)
+        d_points[p] -= weights.beta_dir * d_dir
+    cls = float(cls_slots.sum())
+    total = weights.lambda_cls * cls + weights.alpha_p2p * p2p + weights.beta_dir * dir_
+    return (cls, p2p, dir_, total), d_points, weights.lambda_cls * d_cls
+
+
+_WEIGHTS = st.sampled_from(
+    [LossWeights(), LossWeights(0.0, 1.5, 0.0), LossWeights(1.0, 0.0, 0.7)]
+)
+
+
+class TestFusedEqualsPerPair:
+    """total_loss, loss_gradients and the per-term losses run one fused pass."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(), weights=_WEIGHTS, fixed_order=st.booleans())
+    @pytest.mark.parametrize(
+        "classes",
+        [(ElementClass.PED_CROSSING,), (ElementClass.DIVIDER, ElementClass.BOUNDARY),
+         tuple(ElementClass)],
+        ids=["polygon", "polyline", "mixed"],
+    )
+    def test_bit_identical(self, classes, data, weights, fixed_order):
+        preds, gts = data.draw(matching_problems(classes=classes))
+        self._check(preds, gts, weights, fixed_order)
+
+    @pytest.mark.parametrize("n", [3, 8, 9, 20])
+    def test_bit_identical_random(self, rng, n):
+        # n = 8 gives polylines 7 edges, where numpy's pairwise summation
+        # would round a padded 8-term sum differently.
+        for _ in range(20):
+            gts = [random_element(rng, n_points=n) for _ in range(3)]
+            preds = [random_prediction(rng, n_points=n) for _ in range(4)]
+            self._check(preds, gts, LossWeights(), False)
+
+    @staticmethod
+    def _check(preds, gts, weights, fixed_order):
+        match = hierarchical_match(preds, gts, fixed_order=fixed_order)
+        terms, d_points, d_scores = _oracle_loss_and_gradients(preds, gts, match, weights)
+        out = total_loss(preds, gts, match, weights)
+        assert (out.cls, out.p2p, out.dir, out.total) == terms
+        grads = loss_gradients(preds, gts, match, weights)
+        np.testing.assert_array_equal(grads.d_points, d_points)
+        np.testing.assert_array_equal(grads.d_scores, d_scores)
+        assert classification_loss(preds, gts, match) == terms[0]
+        assert point2point_loss(preds, gts, match) == terms[1]
+        assert edge_direction_loss(preds, gts, match) == terms[2]

@@ -1,10 +1,12 @@
 import itertools
 import math
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import random_element, random_prediction
+from conftest import matching_problems, random_element, random_prediction
 from vecmap.geometry import (
     Direction,
     ElementClass,
@@ -19,6 +21,7 @@ from vecmap.matching import (
     PositionCost,
     PredictedElement,
     chamfer_position_cost,
+    class_cost_table,
     focal_class_cost,
     hierarchical_match,
     instance_match,
@@ -56,6 +59,35 @@ class TestFocalClassCost:
     def test_zero_score_strongly_dispreferred(self):
         cost = focal_class_cost([0.0, 0, 0], ElementClass.PED_CROSSING)
         assert cost > 5 and math.isfinite(cost)
+
+
+class TestClassCostTable:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        scores=hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(0, 6), st.just(3)),
+            elements=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+        ),
+        gamma=st.sampled_from([0.0, 0.5, 2.0, 3.0]),
+        alpha=st.sampled_from([0.01, 0.25, 0.9]),
+    )
+    def test_entries_equal_focal_class_cost(self, scores, gamma, alpha):
+        cfg = CostConfig(focal_gamma=gamma, focal_alpha=alpha)
+        table = class_cost_table(scores, cfg)
+        assert table.shape == (len(scores), 3)
+        for p in range(len(scores)):
+            for cls in ElementClass:
+                assert table[p, int(cls)] == focal_class_cost(scores[p], cls, cfg)
+
+    @pytest.mark.parametrize("gamma", [2.0, 0.5])
+    def test_entries_equal_focal_class_cost_in_bulk(self, rng, gamma):
+        # numpy's vectorized log and power differ from the scalar ones in
+        # the last ulp on a fraction of a percent of inputs: check many.
+        cfg = CostConfig(focal_gamma=gamma)
+        scores = rng.uniform(size=(5000, 3))
+        expected = [[focal_class_cost(row, cls, cfg) for cls in ElementClass] for row in scores]
+        np.testing.assert_array_equal(class_cost_table(scores, cfg), expected)
 
 
 def _oracle_point_match(pred_pts, gt):
@@ -238,6 +270,39 @@ class TestHierarchicalMatch:
         preds = [random_prediction(rng) for _ in range(6)]
         gts = [random_element(rng) for _ in range(3)]
         assert hierarchical_match(preds, gts) == hierarchical_match(preds, gts)
+
+    @settings(max_examples=80, deadline=None)
+    @given(problem=matching_problems())
+    def test_point_level_entries_equal_point_level_match(self, problem):
+        # The entries come from the cost matrix's argmin, not a second search.
+        preds, gts = problem
+        match = hierarchical_match(preds, gts)
+        assert set(match.point_level) == set(match.instance.pairs)
+        for (p, g), pa in match.point_level.items():
+            assert pa == point_level_match(preds[p].points, gts[g])
+
+
+class TestPointCountValidation:
+    @pytest.mark.parametrize("n_pred", [6, 3])
+    @pytest.mark.parametrize("entry", [instance_match, hierarchical_match])
+    def test_mismatch_rejected_with_both_counts(self, rng, entry, n_pred):
+        gts = [random_element(rng, n_points=4) for _ in range(2)]
+        preds = [random_prediction(rng, n_points=n_pred) for _ in range(3)]
+        with pytest.raises(ValueError, match=f"have {n_pred} points.* has 4"):
+            entry(preds, gts)
+
+    def test_chamfer_instance_match_allows_mismatch(self, rng):
+        gts = [random_element(rng, n_points=4)]
+        preds = [random_prediction(rng, n_points=6) for _ in range(2)]
+        cfg = CostConfig(position_cost=PositionCost.CHAMFER)
+        assert len(instance_match(preds, gts, cfg).pairs) == 1
+        with pytest.raises(ValueError, match="have 6 points"):
+            hierarchical_match(preds, gts, cfg)
+
+    def test_unequal_predictions_rejected(self, rng):
+        preds = [random_prediction(rng, n_points=4), random_prediction(rng, n_points=5)]
+        with pytest.raises(ValueError, match="differing point counts"):
+            instance_match(preds, [random_element(rng, n_points=4)])
 
 
 class TestTranslationInvariance:

@@ -165,6 +165,22 @@ class TestCliMatch:
         assert " reverse " in out
 
 
+    @pytest.mark.parametrize("n_pred", [6, 3])
+    def test_point_count_mismatch_names_prediction_file(self, tmp_path, capsys, n_pred):
+        gt_scene = generate_scene(SceneSpec(seed=2, n_points=4))
+        pred_scene = generate_scene(SceneSpec(seed=2, n_points=n_pred))
+        gt = tmp_path / "gt.scene"
+        pred = tmp_path / "pred.scene"
+        write_scene(gt, gt_scene)
+        write_scene(pred, pred_scene, predictions=perturb(pred_scene, PerturbSpec(seed=0))[:10])
+        code = main(["match", str(gt), str(pred)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert str(pred) in captured.err
+        assert f"have {n_pred} points" in captured.err and "has 4" in captured.err
+
+
 class TestCliFit:
     def test_fit_both_with_svg(self, tmp_path, capsys):
         scene = generate_scene(SceneSpec(seed=0, n_ped=1, n_divider=1, n_boundary=0))
