@@ -16,14 +16,8 @@ from .geometry import ElementClass
 from .matching import hierarchical_match
 from .metrics import APConfig, APReport, evaluate_ap
 from .scenegen import SceneSpec, generate_scene
-from .sceneio import SceneFormatError, read_predictions, read_scene, write_scene
+from .sceneio import CLASS_NAMES, SceneFormatError, read_predictions, read_scene, write_scene
 from .svgplot import convergence_svg, scene_overlay_svg
-
-_CLASS_LABELS = {
-    ElementClass.PED_CROSSING: "ped_crossing",
-    ElementClass.DIVIDER: "divider",
-    ElementClass.BOUNDARY: "boundary",
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,7 +71,7 @@ def _report_lines(report: APReport, cfg: APConfig) -> list[str]:
     for cls in ElementClass:
         for tau in cfg.thresholds:
             ap = report.per_class_per_threshold[(cls, tau)]
-            lines.append(f"{_CLASS_LABELS[cls]:<14}{tau:>6.1f}{ap:>10.3f}")
+            lines.append(f"{CLASS_NAMES[cls]:<14}{tau:>6.1f}{ap:>10.3f}")
     lines.append(f"mAP {report.mean_ap:.3f}")
     return lines
 
@@ -99,24 +93,36 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _check_range(path, scene_range, ref_path, ref_range) -> None:
+    """Reject a file whose meta.range differs from the file it is used with."""
+    if scene_range != ref_range:
+        raise SceneFormatError(
+            path, f"meta.range {scene_range} differs from {ref_path}'s {ref_range}"
+        )
+
+
 def cmd_eval(args) -> int:
     if len(args.gt) != len(args.pred):
         print("--gt and --pred need the same number of files", file=sys.stderr)
         return 1
     gt_scenes = [read_scene(p) for p in args.gt]
-    pred_scenes = [read_predictions(p)[1] for p in args.pred]
+    preds = [read_predictions(p) for p in args.pred]
+    # evaluate_ap maps every scene back to meters with the first range.
+    for gt_path, gt, pred_path, (pred, _) in zip(args.gt, gt_scenes, args.pred, preds):
+        _check_range(gt_path, gt.range, args.gt[0], gt_scenes[0].range)
+        _check_range(pred_path, pred.range, gt_path, gt.range)
     cfg = APConfig()
-    report = evaluate_ap(pred_scenes, [list(s.elements) for s in gt_scenes], cfg,
+    report = evaluate_ap([p for _, p in preds], [list(s.elements) for s in gt_scenes], cfg,
                          gt_scenes[0].range)
     print("\n".join(_report_lines(report, cfg)))
     if args.json_out:
         doc = {
             "per_class_per_threshold": [
-                {"class": _CLASS_LABELS[cls], "tau": tau, "ap": ap}
+                {"class": CLASS_NAMES[cls], "tau": tau, "ap": ap}
                 for (cls, tau), ap in report.per_class_per_threshold.items()
             ],
             "per_class_ap": {
-                _CLASS_LABELS[cls]: ap for cls, ap in report.per_class_ap.items()
+                CLASS_NAMES[cls]: ap for cls, ap in report.per_class_ap.items()
             },
             "map": report.mean_ap,
         }
@@ -126,7 +132,8 @@ def cmd_eval(args) -> int:
 
 def cmd_match(args) -> int:
     gt_scene = read_scene(args.gt)
-    _, preds = read_predictions(args.pred)
+    pred_scene, preds = read_predictions(args.pred)
+    _check_range(args.pred, pred_scene.range, args.gt, gt_scene.range)
     gts_norm = [el.normalized(gt_scene.range) for el in gt_scene.elements]
     try:
         match = hierarchical_match(preds, gts_norm)
@@ -137,7 +144,7 @@ def cmd_match(args) -> int:
         p, g = pair
         pa = match.point_level[pair]
         print(
-            f"{p:>5} {g:>4} {_CLASS_LABELS[gt_scene.elements[g].element_class]:<14}"
+            f"{p:>5} {g:>4} {CLASS_NAMES[gt_scene.elements[g].element_class]:<14}"
             f"{pa.perm.direction.value:<10}{pa.perm.offset:>6} {pa.cost:>12.6f}"
         )
     matched = {p for p, _ in match.instance.pairs}

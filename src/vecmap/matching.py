@@ -30,6 +30,7 @@ from .geometry import (
     as_points,
     permutation_group,
 )
+from .metrics import chamfer_distance as chamfer_position_cost
 
 #: Floor keeping log terms finite; also used in the classification loss.
 FOCAL_EPS = 1e-12
@@ -152,15 +153,6 @@ def point_level_match(pred_points, gt: MapElement) -> PointAssignment:
         )
     costs, best = _search(pred[None, :, :], gt.points, gt.kind)
     return PointAssignment(perm=gt.group().members[int(best[0])], cost=float(costs[0]))
-
-
-def chamfer_position_cost(pred_points, gt_points) -> float:
-    """Symmetric mean Chamfer distance (ablation alternative cost)."""
-    a = as_points(pred_points)
-    b = as_points(gt_points)
-    if len(a) == 0 or len(b) == 0:
-        raise ValueError("chamfer cost needs non-empty point sets")
-    return float(_kernels.chamfer_mean(a, b))
 
 
 @dataclass(frozen=True)

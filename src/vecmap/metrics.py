@@ -9,13 +9,16 @@ score averages over thresholds and then classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import _kernels
 from .geometry import ElementClass, MapElement, SceneRange, as_points, denormalize
-from .matching import PredictedElement
+
+if TYPE_CHECKING:  # matching imports this module for its Chamfer cost
+    from .matching import PredictedElement
 
 DEFAULT_THRESHOLDS = (0.5, 1.0, 1.5)
 
@@ -40,7 +43,7 @@ class APReport:
 
 
 def chamfer_distance(a, b) -> float:
-    """Symmetric mean Chamfer distance between two point sets (meters)."""
+    """Symmetric mean Chamfer distance between two point sets, in their units."""
     a = as_points(a)
     b = as_points(b)
     if len(a) == 0 or len(b) == 0:

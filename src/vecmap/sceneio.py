@@ -25,12 +25,12 @@ from .geometry import (
 from .matching import PredictedElement
 from .scenegen import MapScene
 
-_CLASS_NAMES = {
+CLASS_NAMES = {
     ElementClass.PED_CROSSING: "ped_crossing",
     ElementClass.DIVIDER: "divider",
     ElementClass.BOUNDARY: "boundary",
 }
-_CLASS_BY_NAME = {v: k for k, v in _CLASS_NAMES.items()}
+_CLASS_BY_NAME = {v: k for k, v in CLASS_NAMES.items()}
 _KIND_BY_NAME = {k.value: k for k in ElementKind}
 
 
@@ -70,7 +70,7 @@ def write_scene(
         for el in scene.elements:
             doc["elements"].append(
                 {
-                    "class": _CLASS_NAMES[el.element_class],
+                    "class": CLASS_NAMES[el.element_class],
                     "kind": el.kind.value,
                     "points": [[_num(x), _num(y)] for x, y in el.points],
                 }

@@ -1,17 +1,16 @@
-"""Kernel exactness: the numpy kernel against a per-point oracle, and backend parity.
+"""Kernel exactness: the numpy kernels against loop oracles, and backend parity.
 
 The Manhattan kernel is specified to accumulate each cost sequentially
 over point index j (term = |dx| + |dy|, then acc += term) and to report
-the first ordering attaining the minimum.  The oracle below is that loop,
-written out; the numpy kernel must equal it exactly.  The compiled kernel
-must equal the numpy one exactly as well; those parity tests run only
-when the extension is built.  The Chamfer kernel only guarantees
-agreement to within floating-point reassociation noise.
+the first ordering attaining the minimum.  The Chamfer kernel takes each
+point's nearest squared distance dx*dx + dy*dy, its sqrt, and sums those
+in point order before dividing by the count.  The oracles below are those
+loops, written out; the numpy kernels must equal them exactly.  The
+compiled kernels must equal the numpy ones exactly as well; those parity
+tests run only when the extension is built.
 """
 
-import subprocess
-import sys
-from pathlib import Path
+import math
 
 import numpy as np
 import pytest
@@ -78,6 +77,43 @@ def test_pure_first_minimum_wins():
     assert best[0] == 0 and costs[0] == 4.0
 
 
+def _chamfer_loop_oracle(a, b):
+    """The compiled Chamfer loop in Python floats: first minimum, then sqrt."""
+
+    def directed(src, dst):
+        acc = 0.0
+        for x, y in src.tolist():
+            m = -1.0
+            for u, v in dst.tolist():
+                dx, dy = x - u, y - v
+                d2 = dx * dx + dy * dy
+                if m < 0.0 or d2 < m:
+                    m = d2
+            acc += math.sqrt(m)
+        return acc / len(src)
+
+    return 0.5 * (directed(a, b) + directed(b, a))
+
+
+def _chamfer_cases(rng, n, count):
+    """Point-set pairs of n and 1..40 points over scales 1e-3 to 1e4; odd
+    cases sit on a quarter grid, where many nearest distances tie exactly."""
+    for i in range(count):
+        a = rng.uniform(size=(n, 2))
+        b = rng.uniform(size=(int(rng.integers(1, 41)), 2))
+        if i % 2:
+            a, b = np.round(a * 4) / 4, np.round(b * 4) / 4
+        scale = 10.0 ** rng.uniform(-3, 4)
+        yield a * scale, b * scale
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 20, 40])
+def test_pure_chamfer_equals_loop_oracle(n, rng):
+    for a, b in _chamfer_cases(rng, n, 40):
+        assert _pure.chamfer_mean(a, b) == _chamfer_loop_oracle(a, b)
+        assert _pure.chamfer_mean(b, a) == _chamfer_loop_oracle(b, a)
+
+
 @needs_fast
 @pytest.mark.parametrize("kind", [ElementKind.POLYLINE, ElementKind.POLYGON])
 @pytest.mark.parametrize("n", [3, 7, 20])
@@ -108,27 +144,13 @@ def test_manhattan_tie_break_identical(rng):
 
 @needs_fast
 def test_chamfer_close(rng):
-    for _ in range(50):
-        a = rng.uniform(size=(rng.integers(1, 30), 2)) * 40
-        b = rng.uniform(size=(rng.integers(1, 30), 2)) * 40
-        assert _pure.chamfer_mean(a, b) == pytest.approx(
-            _fast.chamfer_mean(a, b), abs=1e-12
-        )
+    for n in (1, 2, 7, 20, 40):
+        for a, b in _chamfer_cases(rng, n, 40):
+            assert _pure.chamfer_mean(a, b) == _fast.chamfer_mean(a, b)
 
 
 def test_dispatch_exports_one_backend():
-    assert kernels.BACKEND in ("pure", "compiled")
-    assert callable(kernels.min_manhattan_over_perms)
-    assert callable(kernels.chamfer_mean)
-
-
-def test_pure_env_forces_fallback():
-    # The child imports vecmap from wherever this process found it.
-    src = Path(vecmap.__file__).resolve().parents[1]
-    out = subprocess.run(
-        [sys.executable, "-c", "import vecmap; print(vecmap.KERNEL_BACKEND)"],
-        capture_output=True,
-        text=True,
-        env={"VECMAP_PURE_PYTHON": "1", "PATH": "/usr/bin:/bin", "PYTHONPATH": str(src)},
-    )
-    assert out.stdout.strip() == "pure", out.stderr
+    assert kernels.BACKEND == ("pure" if _fast is None else "compiled")
+    assert vecmap.KERNEL_BACKEND == kernels.BACKEND
+    assert kernels.min_manhattan_over_perms is (_fast or _pure).min_manhattan_over_perms
+    assert kernels.chamfer_mean is (_fast or _pure).chamfer_mean

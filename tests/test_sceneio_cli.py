@@ -81,6 +81,22 @@ def _generate(tmp_path, name="gt.scene", seed=7):
     return out
 
 
+def _set_range(path, scene_range):
+    doc = json.loads(path.read_text())
+    doc["meta"]["range"] = scene_range
+    path.write_text(json.dumps(doc))
+
+
+def _own_points_files(tmp_path, seed=4):
+    """A ground-truth file and a prediction file holding its own points."""
+    scene = generate_scene(SceneSpec(seed=seed))
+    gt = tmp_path / f"gt{seed}.scene"
+    pred = tmp_path / f"pred{seed}.scene"
+    write_scene(gt, scene)
+    write_scene(pred, scene, predictions=perturb(scene, PerturbSpec(seed=0)))
+    return gt, pred
+
+
 class TestCliGenerate:
     def test_writes_seven_elements(self, tmp_path):
         out = _generate(tmp_path)
@@ -129,6 +145,30 @@ class TestCliEval:
         doc = json.loads(report.read_text())
         assert doc["map"] == 1.0
 
+    def test_prediction_range_mismatch_names_file(self, tmp_path, capsys):
+        gt, pred = _own_points_files(tmp_path)
+        assert main(["eval", "--gt", str(gt), "--pred", str(pred)]) == 0
+        assert "mAP 1.000" in capsys.readouterr().out
+        # Read with this range, the points land elsewhere in meters.
+        _set_range(pred, [-20, 20, -40, 40])
+        code = main(["eval", "--gt", str(gt), "--pred", str(pred)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert str(pred) in captured.err and "meta.range" in captured.err
+
+    def test_ground_truth_range_mismatch_names_file(self, tmp_path, capsys):
+        gt_a, pred_a = _own_points_files(tmp_path, seed=4)
+        gt_b, pred_b = _own_points_files(tmp_path, seed=5)
+        _set_range(gt_b, [-20, 20, -40, 40])
+        _set_range(pred_b, [-20, 20, -40, 40])
+        code = main(["eval", "--gt", str(gt_a), str(gt_b),
+                     "--pred", str(pred_a), str(pred_b)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert str(gt_b) in captured.err and "meta.range" in captured.err
+
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         code = main(["eval", "--gt", str(tmp_path / "nope.scene"),
                      "--pred", str(tmp_path / "nope2.scene")])
@@ -164,6 +204,14 @@ class TestCliMatch:
         assert code == 0
         assert " reverse " in out
 
+    def test_range_mismatch_names_prediction_file(self, tmp_path, capsys):
+        gt, pred = _own_points_files(tmp_path)
+        _set_range(pred, [-20, 20, -40, 40])
+        code = main(["match", str(gt), str(pred)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert str(pred) in captured.err and "meta.range" in captured.err
 
     @pytest.mark.parametrize("n_pred", [6, 3])
     def test_point_count_mismatch_names_prediction_file(self, tmp_path, capsys, n_pred):
