@@ -2,6 +2,7 @@
 
 Uses the compiled extension when it is built, else the pure-numpy
 kernels.  Both return the same bits, so the choice changes speed only.
+``chamfer_matrix``, the all-pairs Chamfer kernel, is numpy on both.
 """
 
 from . import _pure
@@ -15,5 +16,6 @@ except ImportError:
 
 min_manhattan_over_perms = _impl.min_manhattan_over_perms
 chamfer_mean = _impl.chamfer_mean
+chamfer_matrix = _pure.chamfer_matrix
 
-__all__ = ["min_manhattan_over_perms", "chamfer_mean", "BACKEND"]
+__all__ = ["min_manhattan_over_perms", "chamfer_mean", "chamfer_matrix", "BACKEND"]

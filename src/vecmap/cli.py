@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .fitter import FitConfig, FitMode, fit, trace_table
@@ -118,7 +119,8 @@ def cmd_eval(args) -> int:
     if args.json_out:
         doc = {
             "per_class_per_threshold": [
-                {"class": CLASS_NAMES[cls], "tau": tau, "ap": ap}
+                {"class": CLASS_NAMES[cls], "tau": tau, "ap": ap,
+                 **asdict(report.counts[(cls, tau)])}
                 for (cls, tau), ap in report.per_class_per_threshold.items()
             ],
             "per_class_ap": {

@@ -30,7 +30,7 @@ from .geometry import (
     as_points,
     permutation_group,
 )
-from .metrics import chamfer_distance as chamfer_position_cost
+from .metrics import chamfer_distance as chamfer_position_cost, chamfer_distances
 
 #: Floor keeping log terms finite; also used in the classification loss.
 FOCAL_EPS = 1e-12
@@ -174,13 +174,13 @@ def _costs(points, scores, gt_points, gt_kinds, gt_classes, cfg, fixed_order):
     """Class + position cost matrix (P, G), plus per ground truth the
     (costs, best ordering) of the order-free point2point search, else None."""
     cost = class_cost_table(scores, cfg)[:, list(gt_classes)]
+    if cfg.position_cost is PositionCost.CHAMFER:
+        cost += chamfer_distances(points, gt_points)
+        return cost, [None] * len(gt_points)
     searches = []
     for g, (gt_pts, kind) in enumerate(zip(gt_points, gt_kinds)):
         search = None
-        if cfg.position_cost is PositionCost.CHAMFER:
-            for p in range(len(points)):
-                cost[p, g] += chamfer_position_cost(points[p], gt_pts)
-        elif fixed_order:
+        if fixed_order:
             identity = np.arange(len(gt_pts))[None, :]
             pos, _ = _kernels.min_manhattan_over_perms(points, gt_pts, identity)
             cost[:, g] += pos

@@ -4,16 +4,19 @@ The Manhattan kernel is specified to accumulate each cost sequentially
 over point index j (term = |dx| + |dy|, then acc += term) and to report
 the first ordering attaining the minimum.  The Chamfer kernel takes each
 point's nearest squared distance dx*dx + dy*dy, its sqrt, and sums those
-in point order before dividing by the count.  The oracles below are those
-loops, written out; the numpy kernels must equal them exactly.  The
-compiled kernels must equal the numpy ones exactly as well; those parity
-tests run only when the extension is built.
+in point order before dividing by the count; ``chamfer_matrix`` does so
+for every pair of two stacks, and each entry must equal ``chamfer_mean``
+of its pair.  The oracles below are those loops, written out; the numpy
+kernels must equal them exactly.  The compiled kernels must equal the
+numpy ones exactly as well; those parity tests run only when the
+extension is built.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vecmap
 import vecmap._kernels as kernels
@@ -114,6 +117,53 @@ def test_pure_chamfer_equals_loop_oracle(n, rng):
         assert _pure.chamfer_mean(b, a) == _chamfer_loop_oracle(b, a)
 
 
+def _assert_matrix_equals_pairwise(a, b):
+    got = _pure.chamfer_matrix(a, b)
+    assert got.shape == (len(a), len(b))
+    for p in range(len(a)):
+        for g in range(len(b)):
+            assert got[p, g] == _pure.chamfer_mean(a[p], b[g]), (p, g)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 20, 40])
+def test_chamfer_matrix_equals_chamfer_mean_on_cases(n, rng):
+    # One stack of all n-point sets, at mixed scales and on and off the grid,
+    # against each partner alone: P = 1 and G = 1 both, n != m mostly.
+    cases = list(_chamfer_cases(rng, n, 40))
+    stack = np.stack([a for a, _ in cases])
+    for _, b in cases:
+        _assert_matrix_equals_pairwise(stack, b[None])
+        _assert_matrix_equals_pairwise(b[None], stack)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_pred=st.integers(1, 6),
+    n_gt=st.integers(1, 6),
+    n=st.integers(1, 40),
+    m=st.integers(1, 40),
+    grid=st.booleans(),
+    log_scale=st.floats(-3, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chamfer_matrix_equals_chamfer_mean(n_pred, n_gt, n, m, grid, log_scale, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(size=(n_pred, n, 2))
+    b = rng.uniform(size=(n_gt, m, 2))
+    if grid:
+        a, b = np.round(a * 4) / 4, np.round(b * 4) / 4
+    _assert_matrix_equals_pairwise(a * 10.0**log_scale, b * 10.0**log_scale)
+
+
+def test_chamfer_matrix_blocks_a_scene(rng):
+    # 50 x 7 pairs of 20-point sets: more than four blocks of squared
+    # distances, so the kernel's row loop runs at least five times.
+    a = np.round(rng.uniform(size=(50, 20, 2)) * 8) / 8
+    b = np.round(rng.uniform(size=(7, 20, 2)) * 8) / 8
+    assert 20 * 20 * 50 * 7 > 4 * _pure._CHAMFER_BLOCK
+    _assert_matrix_equals_pairwise(a, b)
+
+
 @needs_fast
 @pytest.mark.parametrize("kind", [ElementKind.POLYLINE, ElementKind.POLYGON])
 @pytest.mark.parametrize("n", [3, 7, 20])
@@ -154,3 +204,4 @@ def test_dispatch_exports_one_backend():
     assert vecmap.KERNEL_BACKEND == kernels.BACKEND
     assert kernels.min_manhattan_over_perms is (_fast or _pure).min_manhattan_over_perms
     assert kernels.chamfer_mean is (_fast or _pure).chamfer_mean
+    assert kernels.chamfer_matrix is _pure.chamfer_matrix

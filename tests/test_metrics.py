@@ -1,15 +1,28 @@
+from types import SimpleNamespace
+
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from vecmap.geometry import (
+    KIND_FOR_CLASS,
     ElementClass,
     ElementKind,
     MapElement,
     SceneRange,
+    denormalize,
     normalize,
 )
 from vecmap.matching import PredictedElement
-from vecmap.metrics import APConfig, chamfer_distance, evaluate_ap
+from vecmap.metrics import (
+    APConfig,
+    APCounts,
+    APReport,
+    _interpolated_ap,
+    chamfer_distance,
+    evaluate_ap,
+)
 from vecmap.scenegen import PerturbSpec, SceneSpec, generate_scene, perturb
 
 
@@ -76,6 +89,8 @@ class TestEvaluateAP:
             assert report.per_class_per_threshold[
                 (ElementClass.DIVIDER, tau)
             ] == pytest.approx(51 / 101, abs=1e-9)
+            assert report.counts[(ElementClass.DIVIDER, tau)] == APCounts(tp=1, fp=1, n_gt=2)
+            assert report.counts[(ElementClass.BOUNDARY, tau)] == APCounts(tp=0, fp=0, n_gt=0)
 
     def test_scene_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -139,3 +154,203 @@ class TestEvaluateAP:
     def test_invalid_thresholds_rejected(self):
         with pytest.raises(ValueError):
             APConfig(thresholds=(1.0, 0.5))
+
+
+# A power-of-two range: dyadic coordinates survive normalize/denormalize
+# exactly, so the fixtures below hit their distances to the last bit.
+_DYADIC = SceneRange(-8.0, 8.0, -8.0, 8.0)
+
+
+def _segment(x, score):
+    """A 2-point vertical divider prediction at x meters."""
+    return _scored([[x, -1.0], [x, 1.0]], score, sr=_DYADIC)
+
+
+def _divider_segments(*xs):
+    return [_divider([[x, -1.0], [x, 1.0]]) for x in xs]
+
+
+class TestGreedyRule:
+    def test_nearest_unused_not_nearest_overall(self):
+        # The first prediction takes divider A.  The second is nearest to A
+        # (0.25 m) but A is taken; it takes B (0.75 m) instead.  The mmdet
+        # rule (nearest overall, else FP) would score it FP at every tau,
+        # giving 51/101 at 1.0 and 1.5 m.
+        gts = [_divider_segments(0.0, 1.0)]
+        preds = [[_segment(0.0, 0.9), _segment(0.25, 0.8)]]
+        report = evaluate_ap(preds, gts, APConfig(), _DYADIC)
+        cells = {t: report.per_class_per_threshold[(ElementClass.DIVIDER, t)]
+                 for t in (0.5, 1.0, 1.5)}
+        assert cells == {0.5: 51 / 101, 1.0: 1.0, 1.5: 1.0}
+        assert report.counts[(ElementClass.DIVIDER, 1.0)] == APCounts(tp=2, fp=0, n_gt=2)
+        assert report.counts[(ElementClass.DIVIDER, 0.5)] == APCounts(tp=1, fp=1, n_gt=2)
+
+    def test_strict_threshold_and_first_minimum(self):
+        # The first prediction lies exactly 0.5 m from both A and B: FP at
+        # tau = 0.5 (strict <); at 1.0 it takes A, the first of the tie, so
+        # the second prediction (0.25 m from B, 1.25 m from A) takes B.
+        gts = [_divider_segments(0.0, 1.0)]
+        preds = [[_segment(0.5, 0.9), _segment(1.25, 0.8)]]
+        report = evaluate_ap(preds, gts, APConfig(), _DYADIC)
+        cells = {t: report.per_class_per_threshold[(ElementClass.DIVIDER, t)]
+                 for t in (0.5, 1.0, 1.5)}
+        assert cells == {0.5: 25.5 / 101, 1.0: 1.0, 1.5: 1.0}
+        assert report.counts[(ElementClass.DIVIDER, 0.5)] == APCounts(tp=1, fp=1, n_gt=2)
+
+
+class TestEmptyPointSets:
+    def _scenes(self, scores):
+        empty = PredictedElement(scores=scores, points=np.empty((0, 2)))
+        gt = _divider([[0.0, -1.0], [0.0, 1.0]])
+        return [[_segment(0.0, 0.9)], [_segment(0.0, 0.9), empty]], [[gt], [gt]]
+
+    def test_scored_for_its_ground_truth_class(self):
+        preds, gts = self._scenes([0.0, 0.7, 0.0])
+        with pytest.raises(ValueError, match="scene 1: prediction 1 has an empty point set"):
+            evaluate_ap(preds, gts, APConfig(), _DYADIC)
+
+    def test_scored_only_for_a_class_without_ground_truth(self):
+        # Scored on ped_crossing only, against dividers: no distance to it is
+        # ever needed, and it is still rejected.
+        preds, gts = self._scenes([0.7, 0.0, 0.0])
+        with pytest.raises(ValueError, match="scene 1: prediction 1 has an empty point set"):
+            evaluate_ap(preds, gts, APConfig(), _DYADIC)
+
+    def test_empty_ground_truth(self):
+        gt = SimpleNamespace(element_class=ElementClass.DIVIDER, points=np.empty((0, 2)))
+        with pytest.raises(ValueError, match="scene 0: ground truth 0 has an empty point set"):
+            evaluate_ap([[]], [[gt]], APConfig(), _DYADIC)
+
+
+def _oracle_evaluate_ap(pred_scenes, gt_scenes, cfg, scene_range):
+    """The per-threshold loop evaluate_ap ran before it shared one distance
+    matrix per scene: every distance computed pair by pair, per class and
+    threshold."""
+    pooled = [
+        (si, pred.scores, denormalize(pred.points, scene_range))
+        for si, preds in enumerate(pred_scenes)
+        for pred in preds
+    ]
+    per_cell, counts = {}, {}
+    for cls in ElementClass:
+        gt_by_scene = [
+            [gt.points for gt in gts if gt.element_class is cls] for gts in gt_scenes
+        ]
+        n_gt = sum(len(g) for g in gt_by_scene)
+        candidates = [
+            (float(scores[cls]), si, pts)
+            for si, scores, pts in pooled
+            if scores[cls] > cfg.score_floor
+        ]
+        order = sorted(range(len(candidates)), key=lambda i: -candidates[i][0])
+        for tau in cfg.thresholds:
+            used = [np.zeros(len(g), dtype=bool) for g in gt_by_scene]
+            flags = []
+            for i in order:
+                _, si, pts = candidates[i]
+                best_d, best_g = np.inf, -1
+                for gi, gt_pts in enumerate(gt_by_scene[si]):
+                    if used[si][gi]:
+                        continue
+                    d = chamfer_distance(pts, gt_pts)
+                    if d < best_d:
+                        best_d, best_g = d, gi
+                if best_g >= 0 and best_d < tau:
+                    used[si][best_g] = True
+                    flags.append(True)
+                else:
+                    flags.append(False)
+            per_cell[(cls, tau)] = _interpolated_ap(flags, n_gt, cfg.interpolation_points)
+            counts[(cls, tau)] = APCounts(tp=sum(flags), fp=flags.count(False), n_gt=n_gt)
+    per_class = {
+        cls: float(np.mean([per_cell[(cls, tau)] for tau in cfg.thresholds]))
+        for cls in ElementClass
+    }
+    return APReport(per_cell, per_class, float(np.mean(list(per_class.values()))), counts)
+
+
+#: Normalized quarter-grid steps are 0.5 m in _SMALL: distances tie with
+#: each other and with the thresholds.
+_SMALL = SceneRange(-1.0, 1.0, -1.0, 1.0)
+_QUARTER = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+_EIGHTH = st.sampled_from([i / 8 for i in range(5)])  # 0.25 m apart, 1 m wide
+
+
+@st.composite
+def _point_set(draw, mode, n_min):
+    """Normalized points: a free set, or in "segments" mode a vertical
+    segment, whose distance to another is exactly the x gap in meters."""
+    if mode == "segments":
+        n = draw(st.integers(n_min, 3))
+        return np.column_stack([np.full(n, draw(_EIGHTH)), np.linspace(0.25, 0.75, n)])
+    coord = _QUARTER if mode == "quarter" else st.floats(0.0, 1.0)
+    return draw(hnp.arrays(np.float64, (draw(st.integers(n_min, 6)), 2), elements=coord))
+
+
+@st.composite
+def ap_problems(draw):
+    """Scenes of mixed classes and point counts, possibly empty on either
+    side; each prediction is free or a shifted copy of a ground truth."""
+    mode = draw(st.sampled_from(["segments", "quarter", "uniform"]))
+    shift = st.sampled_from([-0.25, 0.0, 0.25]) if mode != "uniform" else st.floats(-0.3, 0.3)
+    score = st.sampled_from([0.0, 0.3, 0.6, 0.9])  # ties, and 0 at the floor
+    pred_scenes, gt_scenes = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        gts = []
+        for _ in range(draw(st.integers(0, 4))):
+            # Segments share one class, so equidistant ground truth is common.
+            cls = ElementClass.DIVIDER if mode == "segments" else draw(st.sampled_from(list(ElementClass)))
+            kind = KIND_FOR_CLASS[cls]
+            pts = draw(_point_set(mode, 3 if kind is ElementKind.POLYGON else 2))
+            gts.append(MapElement(cls, kind, denormalize(pts, _SMALL)))
+        preds = []
+        for _ in range(draw(st.integers(0, 5))):
+            source = draw(st.integers(-1, len(gts) - 1))
+            if source < 0:
+                pts = draw(_point_set(mode, 2))
+            else:
+                base = normalize(gts[source].points, _SMALL)
+                pts = base + draw(hnp.arrays(np.float64, base.shape, elements=shift))
+            scores = draw(hnp.arrays(np.float64, 3, elements=score))
+            preds.append(PredictedElement(scores=scores, points=pts))
+        pred_scenes.append(preds)
+        gt_scenes.append(gts)
+    return pred_scenes, gt_scenes
+
+
+def _tie_problem():
+    """Dividers 0.5 m apart and a prediction midway: whether the rank-2
+    prediction, 0.25 m from the second divider and 0.75 m from the first,
+    is a TP at 0.5 m depends on which divider the first one took."""
+
+    def segment(x):
+        return np.array([[x, 0.25], [x, 0.75]])
+
+    gts = [MapElement(ElementClass.DIVIDER, ElementKind.POLYLINE,
+                      denormalize(segment(x), _SMALL)) for x in (0.0, 0.25)]
+    preds = [PredictedElement(scores=[0.0, score, 0.0], points=segment(x))
+             for x, score in ((0.125, 0.9), (0.375, 0.8))]
+    return [preds], [gts]
+
+
+class TestEvaluateAPOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(problem=ap_problems())
+    @example(problem=_tie_problem())
+    def test_equals_per_threshold_loop(self, problem):
+        pred_scenes, gt_scenes = problem
+        cfg = APConfig()
+        got = evaluate_ap(pred_scenes, gt_scenes, cfg, _SMALL)
+        assert got == _oracle_evaluate_ap(pred_scenes, gt_scenes, cfg, _SMALL)
+
+    def test_equals_per_threshold_loop_on_generated_scenes(self):
+        scenes = [generate_scene(SceneSpec(seed=s, n_points=12 + s)) for s in range(3)]
+        preds = [
+            perturb(sc, PerturbSpec(seed=s, point_noise_sigma=0.4, false_positive_count=3,
+                                    score_model="noisy_confidence"))
+            for s, sc in enumerate(scenes)
+        ]
+        gts = [list(sc.elements) for sc in scenes]
+        cfg = APConfig(score_floor=0.05)
+        got = evaluate_ap(preds, gts, cfg, scenes[0].range)
+        assert got == _oracle_evaluate_ap(preds, gts, cfg, scenes[0].range)

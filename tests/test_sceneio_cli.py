@@ -7,6 +7,7 @@ import pytest
 from vecmap.cli import main
 from vecmap.scenegen import PerturbSpec, SceneSpec, generate_scene, perturb
 from vecmap.sceneio import (
+    CLASS_NAMES,
     SceneFormatError,
     read_predictions,
     read_scene,
@@ -144,6 +145,13 @@ class TestCliEval:
         assert code == 0
         doc = json.loads(report.read_text())
         assert doc["map"] == 1.0
+        n_gt = {name: 0 for name in CLASS_NAMES.values()}
+        for el in scene.elements:
+            n_gt[CLASS_NAMES[el.element_class]] += 1
+        for cell in doc["per_class_per_threshold"]:
+            assert set(cell) == {"class", "tau", "ap", "tp", "fp", "n_gt"}
+            assert cell["tp"] == cell["n_gt"] == n_gt[cell["class"]]
+            assert cell["fp"] >= 0
 
     def test_prediction_range_mismatch_names_file(self, tmp_path, capsys):
         gt, pred = _own_points_files(tmp_path)
