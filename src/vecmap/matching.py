@@ -56,8 +56,9 @@ class PredictedElement:
         scores = np.asarray(self.scores, dtype=np.float64)
         if scores.shape != (3,):
             raise ValueError(f"expected 3 class scores, got shape {scores.shape}")
-        if np.any(scores < 0) or np.any(scores > 1):
-            raise ValueError("scores must lie in [0, 1]")
+        # Written so that NaN, which fails every comparison, is rejected too.
+        if not np.all((scores >= 0) & (scores <= 1)):
+            raise ValueError(f"scores must lie in [0, 1], got {scores.tolist()}")
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "points", as_points(self.points))
 
@@ -172,22 +173,28 @@ class ArrayMatch:
 
 def _costs(points, scores, gt_points, gt_kinds, gt_classes, cfg, fixed_order):
     """Class + position cost matrix (P, G), plus per ground truth the
-    (costs, best ordering) of the order-free point2point search, else None."""
+    (costs, best ordering) of the order-free point2point search, else None.
+
+    The point2point search makes one kernel call per element kind, over
+    every ground truth of that kind; ``fixed_order`` makes one call over
+    all ground truth with the identity ordering.
+    """
     cost = class_cost_table(scores, cfg)[:, list(gt_classes)]
+    searches = [None] * len(gt_points)
     if cfg.position_cost is PositionCost.CHAMFER:
         cost += chamfer_distances(points, gt_points)
-        return cost, [None] * len(gt_points)
-    searches = []
-    for g, (gt_pts, kind) in enumerate(zip(gt_points, gt_kinds)):
-        search = None
-        if fixed_order:
-            identity = np.arange(len(gt_pts))[None, :]
-            pos, _ = _kernels.min_manhattan_over_perms(points, gt_pts, identity)
-            cost[:, g] += pos
-        else:
-            search = _search(points, gt_pts, kind)
-            cost[:, g] += search[0]
-        searches.append(search)
+        return cost, searches
+    keys = [None if fixed_order else kind for kind in gt_kinds]
+    for key in dict.fromkeys(keys):
+        gs = [g for g, k in enumerate(keys) if k is key]
+        gts = np.stack([gt_points[g] for g in gs])
+        n = gts.shape[1]
+        maps = np.arange(n)[None, :] if key is None else permutation_group(key, n).index_maps()
+        pos, best = _kernels.manhattan_matrix(points, gts, maps)
+        cost[:, gs] += pos
+        if key is not None:
+            for i, g in enumerate(gs):
+                searches[g] = (pos[:, i], best[:, i])
     return cost, searches
 
 

@@ -2,11 +2,13 @@
 
 The Manhattan kernel is specified to accumulate each cost sequentially
 over point index j (term = |dx| + |dy|, then acc += term) and to report
-the first ordering attaining the minimum.  The Chamfer kernel takes each
-point's nearest squared distance dx*dx + dy*dy, its sqrt, and sums those
-in point order before dividing by the count; ``chamfer_matrix`` does so
-for every pair of two stacks, and each entry must equal ``chamfer_mean``
-of its pair.  The oracles below are those loops, written out; the numpy
+the first ordering attaining the minimum; ``manhattan_matrix`` does so
+for every (prediction, ground truth) pair of two stacks, and each of its
+columns must equal the oracle for that ground truth.  The Chamfer kernel
+takes each point's nearest squared distance dx*dx + dy*dy, its sqrt, and
+sums those in point order before dividing by the count; ``chamfer_matrix``
+does so for every pair of two stacks, and each entry must equal
+``chamfer_mean`` of its pair.  The oracles below are those loops, written out; the numpy
 kernels must equal them exactly.  The compiled kernels must equal the
 numpy ones exactly as well; those parity tests run only when the
 extension is built.
@@ -78,6 +80,76 @@ def test_pure_first_minimum_wins():
         center, square, _group_perms(ElementKind.POLYGON, 4)
     )
     assert best[0] == 0 and costs[0] == 4.0
+
+
+def _orderings(kind, n):
+    """The group's index maps, or the identity map alone for kind None."""
+    return np.arange(n)[None, :] if kind is None else _group_perms(kind, n)
+
+
+def _assert_manhattan_matrix_equals_oracle(pred, gts, perms):
+    costs, best = _pure.manhattan_matrix(pred, gts, perms)
+    assert costs.shape == best.shape == (len(pred), len(gts))
+    for g in range(len(gts)):
+        oracle_costs, oracle_best = _per_point_oracle(pred, gts[g], perms)
+        np.testing.assert_array_equal(costs[:, g], oracle_costs)
+        np.testing.assert_array_equal(best[:, g], oracle_best)
+
+
+@pytest.mark.parametrize(
+    "kind", [ElementKind.POLYLINE, ElementKind.POLYGON, None],
+    ids=["polyline", "polygon", "identity"],
+)
+@pytest.mark.parametrize("n", [3, 7, 20, 40])
+@pytest.mark.parametrize("grid", [False, True], ids=["uniform", "quarter-grid"])
+def test_manhattan_matrix_equals_per_point_oracle(kind, n, grid, rng):
+    perms = _orderings(kind, n)
+    for n_gts in (1, 3, 8):
+        for n_preds in (1, 6, 50):
+            pred = rng.uniform(size=(n_preds, n, 2))
+            gts = rng.uniform(size=(n_gts, n, 2))
+            if grid:
+                pred, gts = np.round(pred * 4) / 4, np.round(gts * 4) / 4
+            _assert_manhattan_matrix_equals_oracle(pred, gts, perms)
+
+
+def test_manhattan_matrix_carries_across_blocks(rng):
+    # 6 predictions x 3 polygons of 40 points, 80 orderings: the 40 point
+    # rows split into blocks with a shorter last one, and the accumulator
+    # carries from block to block.
+    n, perms = 40, _group_perms(ElementKind.POLYGON, 40)
+    step = _pure._MANHATTAN_BLOCK // (6 * 3 * len(perms))
+    assert 1 < step < n and n % step
+    pred = np.round(rng.uniform(size=(6, n, 2)) * 4) / 4
+    gts = np.round(rng.uniform(size=(3, n, 2)) * 4) / 4
+    _assert_manhattan_matrix_equals_oracle(pred, gts, perms)
+
+
+def _bad_manhattan_inputs():
+    """(pred, gts, perms) that both Manhattan entries must reject."""
+    pred, gts = np.zeros((2, 4, 2)), np.zeros((3, 4, 2))
+    perms = _group_perms(ElementKind.POLYGON, 4)
+    bad_index = perms.copy()
+    bad_index[1, 2] = 900_000
+    negative = perms.copy()
+    negative[0, 0] = -1
+    return [
+        pytest.param(np.zeros((2, 3, 2)), gts, perms, id="3 vs 4 points"),
+        pytest.param(pred, gts, np.zeros((1, 5), dtype=np.int64), id="perms too long"),
+        pytest.param(pred, gts, np.arange(4), id="perms 1-D"),
+        pytest.param(pred, gts, np.zeros((0, 4), dtype=np.int64), id="no orderings"),
+        pytest.param(pred, gts, bad_index, id="index 900000"),
+        pytest.param(pred, gts, negative, id="index -1"),
+        pytest.param(np.zeros((2, 4, 3)), gts, perms, id="points not (n, 2)"),
+    ]
+
+
+@pytest.mark.parametrize("pred, gts, perms", _bad_manhattan_inputs())
+def test_manhattan_entries_reject_bad_inputs(pred, gts, perms):
+    with pytest.raises(ValueError, match="mismatch|perms|shape"):
+        kernels.manhattan_matrix(pred, gts, perms)
+    with pytest.raises(ValueError, match="mismatch|perms|shape"):
+        kernels.min_manhattan_over_perms(pred, gts[0], perms)
 
 
 def _chamfer_loop_oracle(a, b):
@@ -176,6 +248,12 @@ def test_manhattan_costs_bit_identical(kind, n, rng):
         c_fast, b_fast = _fast.min_manhattan_over_perms(pred, gt, perms)
         np.testing.assert_array_equal(c_pure, c_fast)
         np.testing.assert_array_equal(b_pure, b_fast)
+        # The compiled matrix: one compiled call per ground truth.
+        gts = rng.uniform(size=(3, n, 2))
+        for got, want in zip(
+            kernels.manhattan_matrix(pred, gts, perms), _pure.manhattan_matrix(pred, gts, perms)
+        ):
+            np.testing.assert_array_equal(got, want)
 
 
 @needs_fast
@@ -202,6 +280,13 @@ def test_chamfer_close(rng):
 def test_dispatch_exports_one_backend():
     assert kernels.BACKEND == ("pure" if _fast is None else "compiled")
     assert vecmap.KERNEL_BACKEND == kernels.BACKEND
-    assert kernels.min_manhattan_over_perms is (_fast or _pure).min_manhattan_over_perms
     assert kernels.chamfer_mean is (_fast or _pure).chamfer_mean
     assert kernels.chamfer_matrix is _pure.chamfer_matrix
+    if _fast is None:
+        assert kernels.min_manhattan_over_perms is _pure.min_manhattan_over_perms
+        assert kernels.manhattan_matrix is _pure.manhattan_matrix
+    else:
+        # The compiled Manhattan entries are input-checking wrappers in the
+        # dispatch module around the compiled kernel.
+        for entry in (kernels.min_manhattan_over_perms, kernels.manhattan_matrix):
+            assert entry.__module__ == kernels.__name__

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import matching_problems, random_element, random_prediction
+from vecmap import _kernels
 from vecmap.geometry import (
     Direction,
     ElementClass,
@@ -20,6 +21,8 @@ from vecmap.matching import (
     CostConfig,
     PositionCost,
     PredictedElement,
+    _costs,
+    _gt_arrays,
     chamfer_position_cost,
     class_cost_table,
     focal_class_cost,
@@ -27,7 +30,15 @@ from vecmap.matching import (
     instance_match,
     manhattan_distance,
     point_level_match,
+    stack_predictions,
 )
+
+
+class TestPredictedElement:
+    @pytest.mark.parametrize("bad", [math.nan, -0.25, 1.5], ids=["nan", "negative", "above-one"])
+    def test_score_outside_unit_interval_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"scores must lie in \[0, 1\]"):
+            PredictedElement(scores=[bad, 0.5, 0.5], points=np.zeros((3, 2)))
 
 
 class TestManhattan:
@@ -280,6 +291,30 @@ class TestHierarchicalMatch:
         assert set(match.point_level) == set(match.instance.pairs)
         for (p, g), pa in match.point_level.items():
             assert pa == point_level_match(preds[p].points, gts[g])
+
+
+@settings(max_examples=80, deadline=None)
+@given(problem=matching_problems(), fixed_order=st.booleans())
+def test_grouped_costs_equal_per_ground_truth_loop(problem, fixed_order):
+    # One kernel call per kind (or one identity call) against one call per
+    # ground truth: the same cost bits and the same orderings.
+    preds, gts = problem
+    points, scores = stack_predictions(preds)
+    cfg = CostConfig()
+    cost, searches = _costs(points, scores, *_gt_arrays(gts), cfg, fixed_order)
+    table = class_cost_table(scores, cfg)
+    for g, gt in enumerate(gts):
+        if fixed_order:
+            maps = np.arange(gt.n_points)[None, :]
+        else:
+            maps = permutation_group(gt.kind, gt.n_points).index_maps()
+        pos, best = _kernels.min_manhattan_over_perms(points, gt.points, maps)
+        np.testing.assert_array_equal(cost[:, g], table[:, int(gt.element_class)] + pos)
+        if fixed_order:
+            assert searches[g] is None
+        else:
+            np.testing.assert_array_equal(searches[g][0], pos)
+            np.testing.assert_array_equal(searches[g][1], best)
 
 
 class TestPointCountValidation:

@@ -1,29 +1,46 @@
-"""The traced benchmark's bindings into the package.
+"""The benchmark's bindings into the package, and its exact outputs.
 
 ``perfbench/tracer.py`` wraps public functions under the module attributes
 their callers use.  A rename in the package that drops one of them breaks
-``perfbench/run.py --trace 1``; this test makes it fail here first.
+``perfbench/run.py --trace 1``; the first test makes it fail here first.
+``perfbench/workloads.py`` checks every op's output against the recorded
+``perfbench/reference.json``; the second test runs that check on the
+``match_dense`` inputs, so a change to matching's output bits fails here.
+Both modules are loaded from their files, read-only.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracer(monkeypatch):
+def _load(monkeypatch, name):
     # Loaded from its file without writing a bytecode cache next to it.
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_trace_target_resolves(monkeypatch):
-    tracer = _load_tracer(monkeypatch)
+    tracer = _load(monkeypatch, "tracer")
     assert tracer.TARGETS
     for name, _, module_path, attr_path in tracer.TARGETS:
         owner, attr = tracer._resolve(module_path, attr_path)
         assert callable(getattr(owner, attr, None)), f"{name}: {module_path}.{attr_path}"
+
+
+@pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
+def test_match_dense_outputs_equal_reference(monkeypatch, tmp_path, quick):
+    # Every pair, ordering and cost bit of 50 dense 40-point scenes (3
+    # small ones when quick), hashed as the benchmark records them.
+    workloads = _load(monkeypatch, "workloads")
+    workload = workloads.MatchDense(seed=0, quick=quick, workdir=tmp_path)
+    workload.setup()
+    for i in range(workload.n_inputs):
+        assert workload.check(i, workload.run(i)) is None

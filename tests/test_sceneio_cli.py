@@ -177,6 +177,18 @@ class TestCliEval:
         assert captured.out == ""
         assert str(gt_b) in captured.err and "meta.range" in captured.err
 
+    def test_nan_score_names_file_and_element(self, tmp_path, capsys):
+        gt, pred = _own_points_files(tmp_path)
+        doc = json.loads(pred.read_text())
+        doc["elements"][2]["scores"][0] = float("nan")
+        pred.write_text(json.dumps(doc))  # json writes the NaN literal
+        assert "NaN" in pred.read_text()
+        code = main(["eval", "--gt", str(gt), "--pred", str(pred)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"{pred}: elements[2]: scores must lie in [0, 1]" in captured.err
+
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         code = main(["eval", "--gt", str(tmp_path / "nope.scene"),
                      "--pred", str(tmp_path / "nope2.scene")])
