@@ -40,7 +40,14 @@ from .matching import (
     manhattan_distance,
     point_level_match,
 )
-from .metrics import APConfig, APCounts, APReport, chamfer_distance, evaluate_ap
+from .metrics import (
+    APConfig,
+    APCounts,
+    APReport,
+    ScenePredictions,
+    chamfer_distance,
+    evaluate_ap,
+)
 from .scenegen import MapScene, PerturbSpec, SceneSpec, generate_scene, perturb
 
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .fitter import FitConfig, FitMode, fit, trace_table
 from .geometry import ElementClass
-from .matching import hierarchical_match
+from .matching import PredictedElement, hierarchical_match
 from .metrics import APConfig, APReport, evaluate_ap
 from .scenegen import SceneSpec, generate_scene
 from .sceneio import CLASS_NAMES, SceneFormatError, read_predictions, read_scene, write_scene
@@ -108,13 +108,12 @@ def cmd_eval(args) -> int:
         return 1
     gt_scenes = [read_scene(p) for p in args.gt]
     preds = [read_predictions(p) for p in args.pred]
-    # evaluate_ap maps every scene back to meters with the first range.
-    for gt_path, gt, pred_path, (pred, _) in zip(args.gt, gt_scenes, args.pred, preds):
-        _check_range(gt_path, gt.range, args.gt[0], gt_scenes[0].range)
-        _check_range(pred_path, pred.range, gt_path, gt.range)
+    # Predictions are mapped back to meters with their ground truth's range.
+    for gt_path, gt, pred_path, (pred_range, _) in zip(args.gt, gt_scenes, args.pred, preds):
+        _check_range(pred_path, pred_range, gt_path, gt.range)
     cfg = APConfig()
     report = evaluate_ap([p for _, p in preds], [list(s.elements) for s in gt_scenes], cfg,
-                         gt_scenes[0].range)
+                         [s.range for s in gt_scenes])
     print("\n".join(_report_lines(report, cfg)))
     if args.json_out:
         doc = {
@@ -134,8 +133,11 @@ def cmd_eval(args) -> int:
 
 def cmd_match(args) -> int:
     gt_scene = read_scene(args.gt)
-    pred_scene, preds = read_predictions(args.pred)
-    _check_range(args.pred, pred_scene.range, args.gt, gt_scene.range)
+    pred_range, arrays = read_predictions(args.pred)
+    _check_range(args.pred, pred_range, args.gt, gt_scene.range)
+    preds = [
+        PredictedElement(scores=s, points=p) for p, s in zip(arrays.points, arrays.scores)
+    ]
     gts_norm = [el.normalized(gt_scene.range) for el in gt_scene.elements]
     try:
         match = hierarchical_match(preds, gts_norm)

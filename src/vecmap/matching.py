@@ -134,9 +134,15 @@ def class_cost_table(scores: np.ndarray, cfg: CostConfig = CostConfig()) -> np.n
     return np.array(table, dtype=np.float64).reshape(-1, 3)
 
 
-def _search(pred_points: np.ndarray, gt_points: np.ndarray, kind: ElementKind):
+def _orderings(kind: ElementKind | None, n: int) -> np.ndarray:
+    """Index maps searched for a ground truth: its kind's group, or with
+    ``kind`` None the stored order alone (the fixed-order baseline)."""
+    return np.arange(n)[None, :] if kind is None else permutation_group(kind, n).index_maps()
+
+
+def _search(pred_points: np.ndarray, gt_points: np.ndarray, kind: ElementKind | None):
     """Best ordering of one ground truth against each prediction: (costs, best)."""
-    maps = permutation_group(kind, len(gt_points)).index_maps()
+    maps = _orderings(kind, len(gt_points))
     return _kernels.min_manhattan_over_perms(pred_points, gt_points, maps)
 
 
@@ -173,11 +179,12 @@ class ArrayMatch:
 
 def _costs(points, scores, gt_points, gt_kinds, gt_classes, cfg, fixed_order):
     """Class + position cost matrix (P, G), plus per ground truth the
-    (costs, best ordering) of the order-free point2point search, else None.
+    (costs, best ordering) of its point2point search, or None under the
+    Chamfer position cost.
 
     The point2point search makes one kernel call per element kind, over
     every ground truth of that kind; ``fixed_order`` makes one call over
-    all ground truth with the identity ordering.
+    all ground truth with the identity ordering (its best is always 0).
     """
     cost = class_cost_table(scores, cfg)[:, list(gt_classes)]
     searches = [None] * len(gt_points)
@@ -188,13 +195,10 @@ def _costs(points, scores, gt_points, gt_kinds, gt_classes, cfg, fixed_order):
     for key in dict.fromkeys(keys):
         gs = [g for g, k in enumerate(keys) if k is key]
         gts = np.stack([gt_points[g] for g in gs])
-        n = gts.shape[1]
-        maps = np.arange(n)[None, :] if key is None else permutation_group(key, n).index_maps()
-        pos, best = _kernels.manhattan_matrix(points, gts, maps)
+        pos, best = _kernels.manhattan_matrix(points, gts, _orderings(key, gts.shape[1]))
         cost[:, gs] += pos
-        if key is not None:
-            for i, g in enumerate(gs):
-                searches[g] = (pos[:, i], best[:, i])
+        for i, g in enumerate(gs):
+            searches[g] = (pos[:, i], best[:, i])
     return cost, searches
 
 
@@ -220,8 +224,8 @@ def match_arrays(
     points (P, n, 2) and scores (P, 3) describe the predictions; ground
     truth g has points ``gt_points[g]`` (n, 2), kind ``gt_kinds[g]`` and
     class ``gt_classes[g]``.  Inputs are trusted: callers check them with
-    :func:`check_match_inputs`.  The order-free point2point ordering of
-    each pair is the argmin the cost matrix already computed.
+    :func:`check_match_inputs`.  Under the point2point cost, each pair's
+    ordering and cost are the ones the cost matrix already computed.
     """
     if not len(gt_points):
         return ArrayMatch((), (), (), ())
@@ -230,10 +234,9 @@ def match_arrays(
     )
     orderings, costs = [], []
     for p, g in zip(rows, cols):
-        if fixed_order:
-            k, c = 0, float(np.abs(points[p] - gt_points[g]).sum())
-        elif searches[g] is None:
-            pos, best = _search(points[p][None], gt_points[g], gt_kinds[g])
+        if searches[g] is None:  # Chamfer position cost: search this pair alone
+            kind = None if fixed_order else gt_kinds[g]
+            pos, best = _search(points[p][None], gt_points[g], kind)
             k, c = int(best[0]), float(pos[0])
         else:
             k, c = int(searches[g][1][p]), float(searches[g][0][p])

@@ -7,18 +7,24 @@ not yet taken, and is a true positive if that is nearer than the
 threshold.  AP per (class, threshold) comes from 101-point interpolation
 of the precision-recall curve; the final score averages over thresholds
 and then classes.
+
+:func:`evaluate_ap` runs on per-scene arrays (:class:`ScenePredictions`)
+and trusts their values: they were checked where they entered, by the
+prediction file reader (``sceneio``) or by :class:`PredictedElement`.
+It checks only what is its own to check: scene counts and empty point
+sets.
 """
 
 from __future__ import annotations
 
-import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import _kernels
-from .geometry import ElementClass, MapElement, SceneRange, as_points, denormalize
+from .geometry import ElementClass, MapElement, SceneRange, as_points
 
 if TYPE_CHECKING:  # matching imports this module for its Chamfer cost
     from .matching import PredictedElement
@@ -46,6 +52,26 @@ class APCounts:
     tp: int
     fp: int
     n_gt: int
+
+
+@dataclass(frozen=True)
+class ScenePredictions:
+    """One scene's predictions as arrays, in normalized coordinates.
+
+    ``points`` is (E, n, 2), or a list of E (n_i, 2) arrays when point
+    counts differ; ``scores`` is (E, 3), each in [0, 1] and never NaN.
+    """
+
+    points: np.ndarray | list[np.ndarray]
+    scores: np.ndarray
+
+    @classmethod
+    def stack(cls, preds: list[PredictedElement]) -> ScenePredictions:
+        """Arrays of already validated predictions; nothing is checked again."""
+        points = [p.points for p in preds]
+        if len({len(p) for p in points}) == 1:
+            points = np.stack(points)
+        return cls(points, np.array([p.scores for p in preds]).reshape(-1, 3))
 
 
 @dataclass(frozen=True)
@@ -88,82 +114,108 @@ def chamfer_distances(a_sets, b_sets) -> np.ndarray:
     return out
 
 
-def _interpolated_ap(tp_flags: list[bool], n_gt: int, n_interp: int) -> float:
+def _interpolated_ap(tp_flags, n_gt: int, n_interp: int) -> float:
     """101-point interpolated AP from confidence-ordered TP/FP flags."""
-    if n_gt == 0 or not tp_flags:
+    flags = np.asarray(tp_flags, dtype=bool)
+    if n_gt == 0 or not len(flags):
         return 0.0
-    tp = np.cumsum(np.asarray(tp_flags, dtype=np.float64))
-    fp = np.cumsum(~np.asarray(tp_flags, dtype=bool))
+    tp = np.cumsum(flags, dtype=np.float64)
+    fp = np.cumsum(~flags)
     recall = tp / n_gt
     precision = tp / (tp + fp)
     levels = np.linspace(0.0, 1.0, n_interp)
-    ap = 0.0
-    for r in levels:
-        mask = recall >= r - 1e-12
-        ap += precision[mask].max() if mask.any() else 0.0
-    return ap / n_interp
+    # Recall never falls, so the points at or above a recall level are a
+    # suffix, and their best precision is a reverse running maximum; 0
+    # past the end.  Levels are added in order, as a running sum would.
+    best = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
+    first = np.searchsorted(recall, levels - 1e-12)
+    return float(np.cumsum(best[first])[-1]) / n_interp
 
 
-def _scene_distances(preds, gts, scene_range: SceneRange) -> np.ndarray:
-    """One scene's (prediction, ground truth) Chamfer distances in meters."""
-    if not preds:
-        return np.empty((0, len(gts)))
-    # Checked and mapped to meters as one array, then split per prediction.
-    metric = denormalize(np.concatenate([p.points for p in preds]), scene_range)
-    ends = np.cumsum([len(p.points) for p in preds])[:-1]
-    return chamfer_distances(np.split(metric, ends), [gt.points for gt in gts])
+def _to_meters(points, scene_range: SceneRange):
+    """Normalized prediction points in meters: ``geometry.denormalize``,
+    applied to the whole stack at once (or to each set of a ragged list)."""
+    extent, lower = scene_range.extent, scene_range.lower
+    if isinstance(points, np.ndarray):
+        return points * extent + lower
+    return [p * extent + lower for p in points]
 
 
-def _greedy_flags(ranked, gt_idx: list[list[int]], tau: float) -> list[bool]:
-    """TP/FP flag of each candidate, taken in rank order.
+def _empty_index(point_sets) -> int | None:
+    """Index of the first empty point set, if any; on a stack, a shape check."""
+    if isinstance(point_sets, np.ndarray):
+        return 0 if point_sets.size == 0 and len(point_sets) else None
+    return next((i for i, p in enumerate(point_sets) if len(p) == 0), None)
 
-    A candidate is its scene and its distances to that scene's ground
-    truth of the class.  It claims the nearest ground truth not yet
+
+def _greedy_flags(dist: np.ndarray, tau: float) -> np.ndarray:
+    """TP flags (S, K) of ranked candidates, each scene's in rank order.
+
+    ``dist[s, k]`` holds the distances of scene s's k-th candidate to the
+    scene's ground truth of the class, padded with inf (as are missing
+    candidates).  A candidate claims the nearest ground truth not yet
     claimed (the first on ties) and is a TP if that is closer than tau.
+    Scenes share no ground truth, so every scene takes its k-th step at once.
     """
-    used = [[False] * len(g) for g in gt_idx]
-    flags = []
-    for si, row in ranked:
-        taken = used[si]
-        best_d, best_g = math.inf, -1
-        for g, d in enumerate(row):
-            if d < best_d and not taken[g]:
-                best_d, best_g = d, g
-        hit = best_g >= 0 and best_d < tau
-        if hit:
-            taken[best_g] = True
-        flags.append(hit)
+    n_scenes, n_steps, width = dist.shape
+    flags = np.zeros((n_scenes, n_steps), dtype=bool)
+    if width == 0:
+        return flags
+    taken = np.zeros((n_scenes, width), dtype=bool)
+    scenes = np.arange(n_scenes)
+    for k in range(n_steps):
+        d = np.where(taken, np.inf, dist[:, k])
+        g = d.argmin(axis=1)
+        hit = d[scenes, g] < tau
+        taken[scenes[hit], g[hit]] = True
+        flags[:, k] = hit
     return flags
 
 
 def evaluate_ap(
-    pred_scenes: list[list[PredictedElement]],
+    pred_scenes: Sequence[ScenePredictions | list[PredictedElement]],
     gt_scenes: list[list[MapElement]],
     cfg: APConfig = APConfig(),
-    scene_range: SceneRange = SceneRange(),
+    scene_range: SceneRange | Sequence[SceneRange] = SceneRange(),
 ) -> APReport:
     """Evaluate predicted scenes against aligned ground-truth scenes.
 
-    Predicted points are normalized; they are mapped back to meters via
-    ``scene_range`` so thresholds keep their physical meaning.  Each
-    scene's Chamfer distances are computed once and serve every class
-    and threshold.
+    Each scene's predictions are :class:`ScenePredictions`, or a list of
+    :class:`PredictedElement`, which is stacked into one.  Predicted
+    points are normalized; they are mapped back to meters with their
+    scene's range (``scene_range`` is one range for every scene, or one
+    per scene), so thresholds keep their physical meaning.  Each scene's
+    Chamfer distances are computed once and serve every class and
+    threshold.
     """
-    if len(pred_scenes) != len(gt_scenes):
+    n_scenes = len(pred_scenes)
+    if n_scenes != len(gt_scenes):
         raise ValueError(
-            f"scene count mismatch: {len(pred_scenes)} predicted vs {len(gt_scenes)} ground truth"
+            f"scene count mismatch: {n_scenes} predicted vs {len(gt_scenes)} ground truth"
         )
-    for si, (preds, gts) in enumerate(zip(pred_scenes, gt_scenes)):
-        for what, elements in (("prediction", preds), ("ground truth", gts)):
-            for i, el in enumerate(elements):
-                if len(el.points) == 0:
-                    raise ValueError(f"scene {si}: {what} {i} has an empty point set")
-
-    scores = [[p.scores.tolist() for p in preds] for preds in pred_scenes]
-    dists = [
-        _scene_distances(preds, gts, scene_range)
-        for preds, gts in zip(pred_scenes, gt_scenes)
+    ranges = [scene_range] * n_scenes if isinstance(scene_range, SceneRange) else scene_range
+    if len(ranges) != n_scenes:
+        raise ValueError(f"{len(ranges)} scene ranges for {n_scenes} scenes")
+    scenes = [
+        s if isinstance(s, ScenePredictions) else ScenePredictions.stack(s)
+        for s in pred_scenes
     ]
+    gt_points = [[gt.points for gt in gts] for gts in gt_scenes]
+    for si, (scene, gts) in enumerate(zip(scenes, gt_points)):
+        for what, sets in (("prediction", scene.points), ("ground truth", gts)):
+            i = _empty_index(sets)
+            if i is not None:
+                raise ValueError(f"scene {si}: {what} {i} has an empty point set")
+
+    dists = [
+        chamfer_distances(_to_meters(scene.points, sr), gts)
+        for scene, gts, sr in zip(scenes, gt_points, ranges)
+    ]
+    # Every prediction of every scene, in scene then element order.
+    scores = np.concatenate([np.empty((0, 3)), *(s.scores for s in scenes)])
+    sizes = [len(s.scores) for s in scenes]
+    scene_of = np.repeat(np.arange(n_scenes), sizes)
+    offsets = np.cumsum([0, *sizes])
 
     per_cell: dict[tuple[ElementClass, float], float] = {}
     counts: dict[tuple[ElementClass, float], APCounts] = {}
@@ -172,21 +224,27 @@ def evaluate_ap(
             [g for g, gt in enumerate(gts) if gt.element_class is cls] for gts in gt_scenes
         ]
         n_gt = sum(len(g) for g in gt_idx)
-        candidates = [
-            (s[cls], si, pi)
-            for si, scene_scores in enumerate(scores)
-            for pi, s in enumerate(scene_scores)
-            if s[cls] > cfg.score_floor
-        ]
-        # Descending score; ties keep stable scene/element order.
-        candidates.sort(key=lambda c: -c[0])
-        # Distances to this class's ground truth, as rows of Python floats.
-        rows = [d[:, idx].tolist() for d, idx in zip(dists, gt_idx)]
-        ranked = [(si, rows[si][pi]) for _, si, pi in candidates]
+        # Each prediction's distances to its scene's ground truth of this
+        # class, padded with inf to a common width.
+        padded = np.full((len(scores), max(map(len, gt_idx), default=0)), np.inf)
+        for d, idx, start in zip(dists, gt_idx, offsets):
+            padded[start:start + len(d), :len(idx)] = d[:, idx]
+        class_scores = scores[:, cls]
+        candidates = np.flatnonzero(class_scores > cfg.score_floor)
+        # Descending score; ties keep scene/element order (scores are never NaN).
+        order = candidates[np.argsort(-class_scores[candidates], kind="stable")]
+        # Each candidate's scene, and its step: its rank among that scene's.
+        scene = scene_of[order]
+        by_scene = np.argsort(scene, kind="stable")
+        grouped = scene[by_scene]
+        step = np.empty_like(by_scene)
+        step[by_scene] = np.arange(len(order)) - np.searchsorted(grouped, grouped)
+        dist = np.full((n_scenes, step.max(initial=-1) + 1, padded.shape[1]), np.inf)
+        dist[scene, step] = padded[order]
         for tau in cfg.thresholds:
-            flags = _greedy_flags(ranked, gt_idx, tau)
+            flags = _greedy_flags(dist, tau)[scene, step]
             per_cell[(cls, tau)] = _interpolated_ap(flags, n_gt, cfg.interpolation_points)
-            tp = sum(flags)
+            tp = int(flags.sum())
             counts[(cls, tau)] = APCounts(tp=tp, fp=len(flags) - tp, n_gt=n_gt)
 
     per_class = {

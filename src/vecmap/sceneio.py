@@ -1,9 +1,15 @@
 """Scene file format: JSON with meta + elements.
 
 Ground-truth files hold classed point sets in meters; prediction files
-additionally carry three per-class scores per element.  Numbers are
+hold three per-class scores and a point set per element.  Numbers are
 written with 9 significant digits, so a file re-serialized after reading
 is byte-identical.  Unknown fields are rejected.
+
+This module is where file input is validated.  A prediction file is read
+into stacked arrays (:class:`~vecmap.metrics.ScenePredictions`) and
+checked once as a whole: element keys, shapes, finite points and scores
+in [0, 1].  Only when a check fails are its elements walked, to name the
+first bad one.  Code downstream of the reader trusts the arrays.
 """
 
 from __future__ import annotations
@@ -19,10 +25,11 @@ from .geometry import (
     KIND_FOR_CLASS,
     MapElement,
     SceneRange,
+    as_points,
     denormalize,
-    normalize,
 )
 from .matching import PredictedElement
+from .metrics import ScenePredictions
 from .scenegen import MapScene
 
 CLASS_NAMES = {
@@ -32,6 +39,7 @@ CLASS_NAMES = {
 }
 _CLASS_BY_NAME = {v: k for k, v in CLASS_NAMES.items()}
 _KIND_BY_NAME = {k.value: k for k in ElementKind}
+_PREDICTION_KEYS = frozenset({"scores", "points"})
 
 
 class SceneFormatError(ValueError):
@@ -117,12 +125,19 @@ def _load(path) -> dict:
         raise SceneFormatError(path, f"invalid JSON at line {exc.lineno}") from exc
 
 
+def _elements(path, doc) -> list:
+    els = doc.get("elements", [])
+    if not isinstance(els, list):
+        raise SceneFormatError(path, "elements must be a list")
+    return els
+
+
 def read_scene(path) -> MapScene:
     """Read a ground-truth scene file."""
     doc = _load(path)
     sr, n_points = _parse_meta(path, doc)
     elements = []
-    for i, el in enumerate(doc.get("elements", [])):
+    for i, el in enumerate(_elements(path, doc)):
         where = f"elements[{i}]"
         if not isinstance(el, dict):
             raise SceneFormatError(path, f"{where} must be an object")
@@ -143,28 +158,60 @@ def read_scene(path) -> MapScene:
     return MapScene(range=sr, n_points=n_points, elements=tuple(elements))
 
 
-def read_predictions(path) -> tuple[MapScene, list[PredictedElement]]:
-    """Read a prediction file; points are normalized against the file's range."""
+def _stacked(els: list, n_points: int):
+    """Points (E, n, 2) and scores (E, 3) of well-formed prediction
+    elements, from one array conversion per field; None if any is not."""
+    if not els:
+        return np.empty((0, n_points, 2)), np.empty((0, 3))
+    if not all(isinstance(el, dict) and el.keys() <= _PREDICTION_KEYS for el in els):
+        return None
+    try:
+        points = np.array([el["points"] for el in els], dtype=np.float64)
+        scores = np.array([el["scores"] for el in els], dtype=np.float64)
+    except (KeyError, TypeError, ValueError):
+        return None
+    if points.shape != (len(els), n_points, 2) or scores.shape != (len(els), 3):
+        return None
+    # Written so that NaN, which fails every comparison, is rejected too.
+    if not (np.isfinite(points).all() and ((scores >= 0) & (scores <= 1)).all()):
+        return None
+    return points, scores
+
+
+def _check_prediction(path, i: int, el, n_points: int) -> None:
+    """Raise naming element ``i`` if it is malformed.  The rules are those
+    :func:`_stacked` checks over a whole file, taken one element at a time."""
+    where = f"elements[{i}]"
+    if not isinstance(el, dict):
+        raise SceneFormatError(path, f"{where} must be an object")
+    _check_keys(path, el, _PREDICTION_KEYS, where)
+    scores = el.get("scores")
+    if not (isinstance(scores, list) and len(scores) == 3):
+        raise SceneFormatError(path, f"{where}: scores must be 3 numbers")
+    try:
+        pts = np.asarray(el.get("points", []), dtype=np.float64)
+    except (TypeError, ValueError):  # ragged or not numbers
+        pts = None
+    if pts is None or pts.shape != (n_points, 2):
+        raise SceneFormatError(path, f"{where}: expected {n_points} [x, y] points")
+    try:
+        PredictedElement(scores=np.asarray(scores, dtype=np.float64), points=as_points(pts))
+    except (TypeError, ValueError) as exc:
+        raise SceneFormatError(path, f"{where}: {exc}") from exc
+
+
+def read_predictions(path) -> tuple[SceneRange, ScenePredictions]:
+    """Read a prediction file: its range, and its predictions as arrays
+    with points normalized against that range."""
     doc = _load(path)
     sr, n_points = _parse_meta(path, doc)
-    preds = []
-    for i, el in enumerate(doc.get("elements", [])):
-        where = f"elements[{i}]"
-        if not isinstance(el, dict):
-            raise SceneFormatError(path, f"{where} must be an object")
-        _check_keys(path, el, {"scores", "points"}, where)
-        scores = el.get("scores")
-        if not (isinstance(scores, list) and len(scores) == 3):
-            raise SceneFormatError(path, f"{where}: scores must be 3 numbers")
-        pts = np.asarray(el.get("points", []), dtype=np.float64)
-        if pts.ndim != 2 or pts.shape != (n_points, 2):
-            raise SceneFormatError(path, f"{where}: expected {n_points} [x, y] points")
-        try:
-            preds.append(
-                PredictedElement(scores=np.asarray(scores, dtype=np.float64),
-                                 points=normalize(pts, sr))
-            )
-        except ValueError as exc:
-            raise SceneFormatError(path, f"{where}: {exc}") from exc
-    scene = MapScene(range=sr, n_points=n_points, elements=())
-    return scene, preds
+    els = _elements(path, doc)
+    stacked = _stacked(els, n_points)
+    if stacked is None:
+        for i, el in enumerate(els):
+            _check_prediction(path, i, el, n_points)
+        raise SceneFormatError(path, "malformed prediction elements")
+    points, scores = stacked
+    # Elementwise, so bit-identical to normalize() on each element.
+    points = (points - sr.lower) / sr.extent
+    return sr, ScenePredictions(points, scores)

@@ -3,7 +3,13 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from vecmap.geometry import ElementClass, ElementKind, KIND_FOR_CLASS, MapElement
+from vecmap.geometry import (
+    ElementClass,
+    ElementKind,
+    KIND_FOR_CLASS,
+    MapElement,
+    apply_permutation,
+)
 from vecmap.matching import PredictedElement
 
 CLASS_FOR_KIND = {
@@ -50,6 +56,27 @@ def matching_problems(draw, classes=tuple(ElementClass), max_gts=4, max_preds=6)
     gts = [MapElement(c, KIND_FOR_CLASS[c], p) for c, p in zip(gt_classes, gt_pts)]
     preds = [PredictedElement(scores=s, points=p) for s, p in zip(scores, pred_pts)]
     return preds, gts
+
+
+@st.composite
+def reordering_problems(draw, **kwargs):
+    """A matching problem, plus its ground truth with each element stored
+    under a drawn member of its own ordering group: the same shapes."""
+    preds, gts = draw(matching_problems(**kwargs))
+    reordered = [
+        MapElement(gt.element_class, gt.kind,
+                   apply_permutation(gt.points, draw(st.sampled_from(gt.group().members))))
+        for gt in gts
+    ]
+    return preds, gts, reordered
+
+
+def unique_best_ordering(pred_points, gt) -> bool:
+    """Whether one ordering alone attains the least in-order Manhattan cost,
+    so that the first-minimum rule has no tie to break."""
+    terms = np.abs(pred_points[None] - gt.points[gt.group().index_maps()]).sum(axis=2)
+    costs = np.cumsum(terms, axis=1)[:, -1]  # in point order, as the kernel adds
+    return np.count_nonzero(costs == costs.min()) == 1
 
 
 @pytest.fixture

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import matching_problems, random_element, random_prediction
+from conftest import (
+    matching_problems,
+    random_element,
+    random_prediction,
+    reordering_problems,
+    unique_best_ordering,
+)
 from vecmap.geometry import ElementClass
 from vecmap.geometry import (
     ElementKind,
@@ -210,6 +216,29 @@ class TestTotalLoss:
             out = total_loss(preds, reordered, rematch)
             assert out.p2p == pytest.approx(base.p2p, abs=1e-9)
             assert out.dir == pytest.approx(base.dir, abs=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=reordering_problems())
+def test_losses_invariant_under_equivalent_reorderings(problem):
+    # With unique least-cost orderings the aligned ground truth is the same
+    # array, so every term and gradient is bit-identical; ties may align a
+    # different, equally cheap ordering, which leaves the class term and
+    # the point-to-point total unchanged up to summation order.
+    preds, gts, reordered = problem
+    base_match = hierarchical_match(preds, gts)
+    match = hierarchical_match(preds, reordered)
+    base = total_loss(preds, gts, base_match)
+    got = total_loss(preds, reordered, match)
+    assert got.cls == base.cls
+    if all(unique_best_ordering(preds[p].points, gts[g]) for p, g in base_match.instance.pairs):
+        assert got == base
+        base_grads = loss_gradients(preds, gts, base_match)
+        grads = loss_gradients(preds, reordered, match)
+        np.testing.assert_array_equal(grads.d_points, base_grads.d_points)
+        np.testing.assert_array_equal(grads.d_scores, base_grads.d_scores)
+    else:
+        assert got.p2p == pytest.approx(base.p2p, abs=1e-9)
 
 
 def _fd_gradients(preds, gts, match, weights, h=1e-5):

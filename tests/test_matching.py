@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import matching_problems, random_element, random_prediction
+from conftest import (
+    matching_problems,
+    random_element,
+    random_prediction,
+    reordering_problems,
+    unique_best_ordering,
+)
 from vecmap import _kernels
 from vecmap.geometry import (
     Direction,
@@ -310,11 +316,72 @@ def test_grouped_costs_equal_per_ground_truth_loop(problem, fixed_order):
             maps = permutation_group(gt.kind, gt.n_points).index_maps()
         pos, best = _kernels.min_manhattan_over_perms(points, gt.points, maps)
         np.testing.assert_array_equal(cost[:, g], table[:, int(gt.element_class)] + pos)
-        if fixed_order:
-            assert searches[g] is None
-        else:
-            np.testing.assert_array_equal(searches[g][0], pos)
-            np.testing.assert_array_equal(searches[g][1], best)
+        np.testing.assert_array_equal(searches[g][0], pos)
+        np.testing.assert_array_equal(searches[g][1], best)
+
+
+def _fixed_order_positions(preds, gts):
+    """Position entries of the fixed-order cost matrix: the in-order
+    Manhattan sum of every (prediction, ground truth) in stored order."""
+    points, _ = stack_predictions(preds)
+    identity = np.arange(points.shape[1])[None, :]
+    return _kernels.manhattan_matrix(points, np.stack([gt.points for gt in gts]), identity)[0]
+
+
+class TestFixedOrderCost:
+    """The reported fixed-order cost is the one the assignment used."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(problem=matching_problems())
+    def test_equals_cost_matrix_entry(self, problem):
+        preds, gts = problem
+        match = hierarchical_match(preds, gts, fixed_order=True)
+        pos = _fixed_order_positions(preds, gts)
+        for (p, g), pa in match.point_level.items():
+            assert pa.perm == gts[g].group().members[0]
+            assert pa.cost == pos[p, g]
+
+    def test_equals_cost_matrix_entry_on_20_points(self, rng):
+        # A pairwise sum of the same terms differs in the last bits on
+        # most of these pairs.
+        for _ in range(40):
+            gts = [random_element(rng, n_points=20) for _ in range(4)]
+            preds = [random_prediction(rng, n_points=20) for _ in range(6)]
+            match = hierarchical_match(preds, gts, fixed_order=True)
+            pos = _fixed_order_positions(preds, gts)
+            for (p, g), pa in match.point_level.items():
+                assert pa.cost == pos[p, g]
+
+
+class TestReorderingInvariance:
+    """Storing a ground truth under an equivalent ordering changes nothing
+    the matcher reports; the aligned ground truth is the same wherever the
+    least-cost ordering is unique."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(problem=reordering_problems())
+    def test_hierarchical_match(self, problem):
+        preds, gts, reordered = problem
+        base = hierarchical_match(preds, gts)
+        got = hierarchical_match(preds, reordered)
+        assert got.instance == base.instance
+        for p, g in base.instance.pairs:
+            assert got.point_level[(p, g)].cost == base.point_level[(p, g)].cost
+            if unique_best_ordering(preds[p].points, gts[g]):
+                np.testing.assert_array_equal(
+                    apply_permutation(reordered[g].points, got.point_level[(p, g)].perm),
+                    apply_permutation(gts[g].points, base.point_level[(p, g)].perm),
+                )
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=reordering_problems())
+    def test_cost_matrix(self, problem):
+        preds, gts, reordered = problem
+        points, scores = stack_predictions(preds)
+        cfg = CostConfig()
+        base, _ = _costs(points, scores, *_gt_arrays(gts), cfg, False)
+        got, _ = _costs(points, scores, *_gt_arrays(reordered), cfg, False)
+        np.testing.assert_array_equal(got, base)
 
 
 class TestPointCountValidation:

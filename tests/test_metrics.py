@@ -19,6 +19,7 @@ from vecmap.metrics import (
     APConfig,
     APCounts,
     APReport,
+    ScenePredictions,
     _interpolated_ap,
     chamfer_distance,
     evaluate_ap,
@@ -95,6 +96,24 @@ class TestEvaluateAP:
     def test_scene_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             evaluate_ap([[]], [[], []])
+
+    def test_scene_range_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="1 scene ranges for 2 scenes"):
+            evaluate_ap([[], []], [[], []], APConfig(), [SceneRange()])
+
+    def test_arrays_equal_list_form(self):
+        # The array form and the list form are one core; per-scene ranges
+        # given as a list equal the one shared range.
+        scenes = [generate_scene(SceneSpec(seed=s)) for s in range(3)]
+        preds = [perturb(sc, PerturbSpec(seed=s, point_noise_sigma=0.4, false_positive_count=3,
+                                         score_model="noisy_confidence"))
+                 for s, sc in enumerate(scenes)]
+        gts = [list(sc.elements) for sc in scenes]
+        arrays = [ScenePredictions(np.stack([p.points for p in ps]),
+                                   np.stack([p.scores for p in ps])) for ps in preds]
+        base = evaluate_ap(preds, gts, APConfig(), SceneRange())
+        assert evaluate_ap(arrays, gts, APConfig(), [SceneRange()] * 3) == base
+        assert base.mean_ap > 0
 
     def test_score_scaling_invariance(self):
         pred_scenes, gt_scenes, sr = _full_scene()
@@ -222,6 +241,32 @@ class TestEmptyPointSets:
             evaluate_ap([[]], [[gt]], APConfig(), _DYADIC)
 
 
+def _loop_interpolated_ap(tp_flags, n_gt, n_interp):
+    """101-point interpolated AP as a loop over recall levels."""
+    if n_gt == 0 or not tp_flags:
+        return 0.0
+    tp = np.cumsum(np.asarray(tp_flags, dtype=np.float64))
+    fp = np.cumsum(~np.asarray(tp_flags, dtype=bool))
+    recall = tp / n_gt
+    precision = tp / (tp + fp)
+    ap = 0.0
+    for r in np.linspace(0.0, 1.0, n_interp):
+        mask = recall >= r - 1e-12
+        ap += precision[mask].max() if mask.any() else 0.0
+    return ap / n_interp
+
+
+class TestInterpolatedAP:
+    @settings(max_examples=300, deadline=None)
+    @given(flags=st.lists(st.booleans(), max_size=60), extra_gt=st.integers(0, 40),
+           n_interp=st.sampled_from([2, 11, 101]))
+    def test_equals_loop_over_levels(self, flags, extra_gt, n_interp):
+        n_gt = sum(flags) + extra_gt
+        assert _interpolated_ap(flags, n_gt, n_interp) == _loop_interpolated_ap(
+            flags, n_gt, n_interp
+        )
+
+
 def _oracle_evaluate_ap(pred_scenes, gt_scenes, cfg, scene_range):
     """The per-threshold loop evaluate_ap ran before it shared one distance
     matrix per scene: every distance computed pair by pair, per class and
@@ -260,7 +305,7 @@ def _oracle_evaluate_ap(pred_scenes, gt_scenes, cfg, scene_range):
                     flags.append(True)
                 else:
                     flags.append(False)
-            per_cell[(cls, tau)] = _interpolated_ap(flags, n_gt, cfg.interpolation_points)
+            per_cell[(cls, tau)] = _loop_interpolated_ap(flags, n_gt, cfg.interpolation_points)
             counts[(cls, tau)] = APCounts(tp=sum(flags), fp=flags.count(False), n_gt=n_gt)
     per_class = {
         cls: float(np.mean([per_cell[(cls, tau)] for tau in cfg.thresholds]))

@@ -4,9 +4,10 @@
 their callers use.  A rename in the package that drops one of them breaks
 ``perfbench/run.py --trace 1``; the first test makes it fail here first.
 ``perfbench/workloads.py`` checks every op's output against the recorded
-``perfbench/reference.json``; the second test runs that check on the
-``match_dense`` inputs, so a change to matching's output bits fails here.
-Both modules are loaded from their files, read-only.
+``perfbench/reference.json``; the other tests run that check on the
+``match_dense`` and ``eval_ap`` inputs, so a change to the output bits of
+matching or of ``vecmap eval`` fails here.  Both modules are loaded from
+their files, read-only.
 """
 
 import importlib.util
@@ -41,6 +42,17 @@ def test_match_dense_outputs_equal_reference(monkeypatch, tmp_path, quick):
     # small ones when quick), hashed as the benchmark records them.
     workloads = _load(monkeypatch, "workloads")
     workload = workloads.MatchDense(seed=0, quick=quick, workdir=tmp_path)
+    workload.setup()
+    for i in range(workload.n_inputs):
+        assert workload.check(i, workload.run(i)) is None
+
+
+@pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
+def test_eval_ap_outputs_equal_reference(monkeypatch, tmp_path, quick):
+    # Every AP cell and the mAP of a ``vecmap eval`` run over 100 scene
+    # files (3 small ones when quick), read and written as the benchmark does.
+    workloads = _load(monkeypatch, "workloads")
+    workload = workloads.EvalAP(seed=0, quick=quick, workdir=tmp_path)
     workload.setup()
     for i in range(workload.n_inputs):
         assert workload.check(i, workload.run(i)) is None

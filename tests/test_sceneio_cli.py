@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import xml.etree.ElementTree as ET
 
@@ -5,6 +7,7 @@ import numpy as np
 import pytest
 
 from vecmap.cli import main
+from vecmap.geometry import SceneRange, normalize
 from vecmap.scenegen import PerturbSpec, SceneSpec, generate_scene, perturb
 from vecmap.sceneio import (
     CLASS_NAMES,
@@ -15,9 +18,39 @@ from vecmap.sceneio import (
 )
 
 
+#: A ground-truth range other than the default, for per-scene range tests.
+_WIDE = SceneRange(-20.0, 20.0, -40.0, 40.0)
+
+
 @pytest.fixture
 def scene():
     return generate_scene(SceneSpec(seed=7))
+
+
+def _per_element_read(path):
+    """A prediction file read element by element, as the reader did before
+    it stacked whole files: each point set normalized on its own."""
+    doc = json.loads(path.read_text())
+    sr = SceneRange(*doc["meta"]["range"])
+    els = doc["elements"]
+    points = [normalize(np.asarray(el["points"], dtype=np.float64), sr) for el in els]
+    scores = [np.asarray(el["scores"], dtype=np.float64) for el in els]
+    return np.stack(points), np.stack(scores)
+
+
+def _noisy_files(tmp_path, seed, scene_range=SceneRange(), n_points=20):
+    """Ground-truth and prediction files like the benchmark's eval inputs:
+    noisy points, dropped elements, false positives and noisy scores."""
+    scene = generate_scene(SceneSpec(seed=seed, range=scene_range, n_points=n_points))
+    preds = perturb(scene, PerturbSpec(
+        seed=10**6 + seed, point_noise_sigma=0.4, drop_prob=0.1,
+        false_positive_count=3, score_model="noisy_confidence",
+    ))
+    gt = tmp_path / f"gt{seed}.scene"
+    pred = tmp_path / f"pred{seed}.scene"
+    write_scene(gt, scene)
+    write_scene(pred, scene, predictions=preds)
+    return gt, pred
 
 
 class TestSceneIO:
@@ -43,9 +76,10 @@ class TestSceneIO:
         path = tmp_path / "pred.scene"
         write_scene(path, scene, predictions=preds)
         _, back = read_predictions(path)
-        for a, b in zip(back, preds):
-            np.testing.assert_allclose(a.points, b.points, atol=1e-7)
-            np.testing.assert_allclose(a.scores, b.scores, atol=1e-9)
+        assert back.points.shape == (8, scene.n_points, 2) and back.scores.shape == (8, 3)
+        for points, scores, b in zip(back.points, back.scores, preds):
+            np.testing.assert_allclose(points, b.points, atol=1e-7)
+            np.testing.assert_allclose(scores, b.scores, atol=1e-9)
 
     def test_unknown_field_rejected(self, tmp_path, scene):
         path = tmp_path / "gt.scene"
@@ -61,6 +95,31 @@ class TestSceneIO:
         path.write_text("{not json")
         with pytest.raises(SceneFormatError, match="broken.scene"):
             read_scene(path)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_stacked_read_equals_per_element_read(self, tmp_path, seed):
+        sr = _WIDE if seed % 2 else SceneRange()
+        _, path = _noisy_files(tmp_path, seed, sr, n_points=8 + seed)
+        _, got = read_predictions(path)
+        points, scores = _per_element_read(path)
+        assert got.points.shape == (50, 8 + seed, 2)
+        assert np.array_equal(got.points, points)
+        assert np.array_equal(got.scores, scores)
+
+    def test_no_prediction_elements(self, tmp_path, scene):
+        path = tmp_path / "pred.scene"
+        write_scene(path, scene, predictions=[])
+        _, got = read_predictions(path)
+        assert got.points.shape == (0, scene.n_points, 2) and got.scores.shape == (0, 3)
+
+    def test_elements_must_be_a_list(self, tmp_path, scene):
+        path = tmp_path / "pred.scene"
+        write_scene(path, scene, predictions=[])
+        doc = json.loads(path.read_text())
+        doc["elements"] = {}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SceneFormatError, match="elements must be a list"):
+            read_predictions(path)
 
     def test_class_kind_mismatch_rejected(self, tmp_path, scene):
         path = tmp_path / "gt.scene"
@@ -88,9 +147,9 @@ def _set_range(path, scene_range):
     path.write_text(json.dumps(doc))
 
 
-def _own_points_files(tmp_path, seed=4):
+def _own_points_files(tmp_path, seed=4, scene_range=SceneRange()):
     """A ground-truth file and a prediction file holding its own points."""
-    scene = generate_scene(SceneSpec(seed=seed))
+    scene = generate_scene(SceneSpec(seed=seed, range=scene_range))
     gt = tmp_path / f"gt{seed}.scene"
     pred = tmp_path / f"pred{seed}.scene"
     write_scene(gt, scene)
@@ -165,17 +224,39 @@ class TestCliEval:
         assert captured.out == ""
         assert str(pred) in captured.err and "meta.range" in captured.err
 
-    def test_ground_truth_range_mismatch_names_file(self, tmp_path, capsys):
+    def test_ground_truth_ranges_scored_per_scene(self, tmp_path, capsys):
+        # Each scene's predictions are mapped back to meters with its own
+        # range; with the first scene's range, the wide scene's would miss.
         gt_a, pred_a = _own_points_files(tmp_path, seed=4)
-        gt_b, pred_b = _own_points_files(tmp_path, seed=5)
-        _set_range(gt_b, [-20, 20, -40, 40])
-        _set_range(pred_b, [-20, 20, -40, 40])
+        gt_b, pred_b = _own_points_files(tmp_path, seed=5, scene_range=_WIDE)
         code = main(["eval", "--gt", str(gt_a), str(gt_b),
                      "--pred", str(pred_a), str(pred_b)])
         captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert str(gt_b) in captured.err and "meta.range" in captured.err
+        assert code == 0, captured.err
+        assert "mAP 1.000" in captured.out
+
+    def test_two_ranges_add_up_to_one_scene_evals(self, tmp_path):
+        # The greedy rule claims ground truth in the candidate's own scene
+        # only, so per-cell counts of a two-scene eval are exact sums.
+        a = _noisy_files(tmp_path, 4)
+        b = _noisy_files(tmp_path, 5, _WIDE)
+
+        def cells(*pairs):
+            out = tmp_path / "report.json"
+            argv = ["eval", "--gt", *(str(g) for g, _ in pairs),
+                    "--pred", *(str(p) for _, p in pairs), "--json", str(out)]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+            doc = json.loads(out.read_text())
+            return {(c["class"], c["tau"]): c for c in doc["per_class_per_threshold"]}
+
+        both, only_a, only_b = cells(a, b), cells(a), cells(b)
+        assert len(both) == 9
+        for key, cell in both.items():
+            for field in ("tp", "fp", "n_gt"):
+                assert cell[field] == only_a[key][field] + only_b[key][field], (key, field)
+        assert all(c["tp"] > 0 for c in only_b.values())
+        assert any(c["fp"] > 0 for c in both.values())
 
     def test_nan_score_names_file_and_element(self, tmp_path, capsys):
         gt, pred = _own_points_files(tmp_path)
@@ -188,6 +269,54 @@ class TestCliEval:
         assert code == 1
         assert captured.out == ""
         assert f"{pred}: elements[2]: scores must lie in [0, 1]" in captured.err
+
+    @pytest.mark.parametrize("case, message", [
+        ("not an object", "elements[3] must be an object"),
+        ("unknown key", "unknown fields in elements[3]: ['color']"),
+        ("2 scores", "elements[3]: scores must be 3 numbers"),
+        ("score 1.5", "elements[3]: scores must lie in [0, 1]"),
+        ("NaN score", "elements[3]: scores must lie in [0, 1]"),
+        ("NaN point", "elements[3]: points contain NaN or Inf"),
+        ("wrong point count", "elements[3]: expected 20 [x, y] points"),
+        ("ragged points", "elements[3]: expected 20 [x, y] points"),
+        ("3-coordinate points", "elements[3]: expected 20 [x, y] points"),
+        ("missing points", "elements[3]: expected 20 [x, y] points"),
+    ])
+    @pytest.mark.parametrize("later_bad", [False, True], ids=["alone", "first-of-two"])
+    def test_malformed_element_names_file_and_element(
+        self, tmp_path, capsys, case, message, later_bad
+    ):
+        gt, pred = _own_points_files(tmp_path)
+        doc = json.loads(pred.read_text())
+        el = doc["elements"][3]
+        if case == "not an object":
+            doc["elements"][3] = [el["scores"], el["points"]]
+        elif case == "unknown key":
+            el["color"] = "red"
+        elif case == "2 scores":
+            el["scores"] = el["scores"][:2]
+        elif case == "score 1.5":
+            el["scores"][1] = 1.5
+        elif case == "NaN score":
+            el["scores"][1] = float("nan")
+        elif case == "NaN point":
+            el["points"][5][1] = float("nan")
+        elif case == "wrong point count":
+            el["points"] = el["points"][:-1]
+        elif case == "ragged points":
+            el["points"][5] = el["points"][5][:1]
+        elif case == "3-coordinate points":
+            el["points"] = [p + [0.0] for p in el["points"]]
+        else:
+            del el["points"]
+        if later_bad:  # the first bad element is the one named
+            doc["elements"][7]["scores"] = [2.0, 2.0, 2.0]
+        pred.write_text(json.dumps(doc))
+        code = main(["eval", "--gt", str(gt), "--pred", str(pred)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"{pred}: {message}" in captured.err
 
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         code = main(["eval", "--gt", str(tmp_path / "nope.scene"),
