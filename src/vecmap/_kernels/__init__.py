@@ -1,11 +1,12 @@
 """Kernel backend selection.
 
-Uses the compiled extension when it is built, else the pure-numpy
-kernels.  Both return the same bits, so the choice changes speed only.
-``chamfer_matrix``, the all-pairs Chamfer kernel, is numpy on both.  The
-Manhattan entries check their input shapes and indices before any kernel
-runs; on the compiled backend ``manhattan_matrix`` calls the compiled
-per-ground-truth kernel once for each ground truth.
+Uses the compiled Manhattan kernel when the extension is built, else the
+pure-numpy one.  Both return the same bits, so the choice changes speed
+only.  ``chamfer_matrix`` is numpy on both backends.  ``manhattan_matrix``
+checks its input shapes and indices before any kernel runs; on the
+compiled backend it calls the compiled per-ground-truth kernel once for
+each ground truth.  The per-pair entries ``min_manhattan_over_perms`` and
+``chamfer_mean`` are slices of the two matrix kernels, on either backend.
 """
 
 import numpy as np
@@ -17,20 +18,13 @@ try:
 except ImportError:
     _fast = None
 
+chamfer_matrix = _pure.chamfer_matrix
+
 if _fast is None:
     BACKEND = "pure"
-    min_manhattan_over_perms = _pure.min_manhattan_over_perms
     manhattan_matrix = _pure.manhattan_matrix
-    chamfer_mean = _pure.chamfer_mean
 else:
     BACKEND = "compiled"
-
-    def min_manhattan_over_perms(pred_pts, gt_pts, perms):
-        """See vecmap._kernels._pure.min_manhattan_over_perms."""
-        pred, gts, perms = _pure.check_manhattan_inputs(
-            pred_pts, np.asarray(gt_pts)[None], perms
-        )
-        return _fast.min_manhattan_over_perms(pred, gts[0], perms)
 
     def manhattan_matrix(pred_pts, gt_pts, perms):
         """See vecmap._kernels._pure.manhattan_matrix."""
@@ -41,9 +35,21 @@ else:
             costs[:, g], best[:, g] = _fast.min_manhattan_over_perms(pred, gt, perms)
         return costs, best
 
-    chamfer_mean = _fast.chamfer_mean
 
-chamfer_matrix = _pure.chamfer_matrix
+def min_manhattan_over_perms(pred_pts, gt_pts, perms):
+    """:func:`manhattan_matrix` against one ground-truth set gt_pts (n, 2).
+
+    Returns (costs (P,), best (P,)).
+    """
+    costs, best = manhattan_matrix(pred_pts, np.asarray(gt_pts)[None], perms)
+    return costs[:, 0], best[:, 0]
+
+
+def chamfer_mean(a, b):
+    """Symmetric mean Chamfer distance of point sets a (n, 2) and b (m, 2):
+    the 1 x 1 :func:`chamfer_matrix`."""
+    return chamfer_matrix(np.asarray(a)[None], np.asarray(b)[None])[0, 0]
+
 
 __all__ = [
     "min_manhattan_over_perms",

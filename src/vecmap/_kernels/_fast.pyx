@@ -1,14 +1,16 @@
 # cython: boundscheck=False, wraparound=False, cdivision=True
-"""Compiled hot kernels: permutation-group Manhattan matching and Chamfer.
+"""Compiled hot kernel: permutation-group Manhattan matching.
 
-Kept numerically identical to ``_pure``: the Manhattan accumulator adds
-term = |dx| + |dy| in ascending point order.
+One ground truth per call; ``vecmap._kernels.manhattan_matrix`` calls it
+once for each ground truth after checking the inputs.  Kept numerically
+identical to ``_pure.manhattan_matrix``: the accumulator adds
+term = |dx| + |dy| in ascending point order, and the first minimum wins.
 """
 
 import numpy as np
 
 cimport numpy as cnp
-from libc.math cimport fabs, sqrt
+from libc.math cimport fabs
 
 cnp.import_array()
 
@@ -47,36 +49,3 @@ def min_manhattan_over_perms(pred_pts, gt_pts, perms):
         best[p] = best_k
     return costs, best
 
-
-def chamfer_mean(a_pts, b_pts):
-    """See vecmap._kernels._pure.chamfer_mean."""
-    cdef cnp.ndarray[cnp.float64_t, ndim=2, mode="c"] a = \
-        np.ascontiguousarray(a_pts, dtype=np.float64)
-    cdef cnp.ndarray[cnp.float64_t, ndim=2, mode="c"] b = \
-        np.ascontiguousarray(b_pts, dtype=np.float64)
-    cdef Py_ssize_t na = a.shape[0]
-    cdef Py_ssize_t nb = b.shape[0]
-    cdef Py_ssize_t i, j
-    cdef double dx, dy, d2, m, acc_ab, acc_ba
-
-    acc_ab = 0.0
-    for i in range(na):
-        m = -1.0
-        for j in range(nb):
-            dx = a[i, 0] - b[j, 0]
-            dy = a[i, 1] - b[j, 1]
-            d2 = dx * dx + dy * dy
-            if m < 0.0 or d2 < m:
-                m = d2
-        acc_ab += sqrt(m)
-    acc_ba = 0.0
-    for j in range(nb):
-        m = -1.0
-        for i in range(na):
-            dx = a[i, 0] - b[j, 0]
-            dy = a[i, 1] - b[j, 1]
-            d2 = dx * dx + dy * dy
-            if m < 0.0 or d2 < m:
-                m = d2
-        acc_ba += sqrt(m)
-    return 0.5 * (acc_ab / na + acc_ba / nb)

@@ -1,11 +1,11 @@
-"""Pure-numpy kernels, bit-identical to the compiled ones in ``_fast.pyx``.
+"""Pure-numpy kernels: the two kernel bodies, over every pair of two stacks.
 
-Each Manhattan cost adds term = |dx| + |dy| over point index j in order,
-and each Chamfer direction sums its nearest-point distances in point
-order, so both backends return the same floats and the same argmin ties.
-``manhattan_matrix`` and ``chamfer_matrix`` take every pair of two
-stacks at once; each of their entries equals the per-pair kernel's value
-for that pair.
+``manhattan_matrix`` adds term = |dx| + |dy| over point index j in order,
+as the compiled loop in ``_fast.pyx`` does, so both backends return the
+same floats and the same argmin ties.  ``chamfer_matrix`` sums each
+direction's nearest-point distances in point order; it is the only
+Chamfer body, on both backends.  The per-pair entries of
+``vecmap._kernels`` are slices of these two.
 """
 
 from __future__ import annotations
@@ -59,8 +59,7 @@ def manhattan_matrix(
     Returns (costs (P, G), best (P, G)), where best is the index of the
     first ordering attaining the minimum.  Each cost adds
     term = |dx| + |dy| over point index j in order, as the compiled loop
-    does, so entry (p, g) equals ``min_manhattan_over_perms(pred_pts,
-    gt_pts[g], perms)`` at p exactly.
+    does, so entry (p, g) does not depend on the other pairs in the stacks.
     """
     pred, gts, perms = check_manhattan_inputs(pred_pts, gt_pts, perms)
     (P, n), G, K = pred.shape[:2], len(gts), len(perms)
@@ -89,17 +88,6 @@ def manhattan_matrix(
     return acc.min(axis=2), acc.argmin(axis=2)
 
 
-def min_manhattan_over_perms(
-    pred_pts: np.ndarray, gt_pts: np.ndarray, perms: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`manhattan_matrix` against one ground-truth set gt_pts (n, 2).
-
-    Returns (costs (P,), best (P,)).
-    """
-    costs, best = manhattan_matrix(pred_pts, np.asarray(gt_pts)[None], perms)
-    return costs[:, 0], best[:, 0]
-
-
 #: Elements per (rows, m, P*G) block of squared distances: 256 KiB of
 #: float64.  On 50 x 7 pairs of 20-point sets (2-core x86-64 Xeon VM,
 #: numpy 2.4) the unblocked form, with megabyte temporaries allocated
@@ -110,10 +98,10 @@ _CHAMFER_BLOCK = 1 << 15
 def chamfer_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Symmetric mean Chamfer distance of every pair of two point-set stacks.
 
-    a: (P, n, 2) and b: (G, m, 2).  Returns (P, G) whose entry (p, g)
-    equals ``chamfer_mean(a[p], b[g])`` exactly: the squared distances
-    are dx*dx + dy*dy, each direction sums the sqrt of its nearest ones
-    left to right, divides by its count, and the two are averaged.
+    a: (P, n, 2) and b: (G, m, 2).  Returns (P, G): for each pair, the
+    squared distances are dx*dx + dy*dy, each direction sums the sqrt of
+    its nearest ones left to right, divides by its count, and the two are
+    averaged.
     """
     a = np.ascontiguousarray(a, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)
@@ -134,24 +122,8 @@ def chamfer_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         d2 += dy
         d2.min(axis=1, out=near_a[rows])
         np.minimum(near_b, d2.min(axis=0), out=near_b)
-    # Left-to-right sums, as in chamfer_mean.
+    # Left-to-right sums; np.sum would add pairwise.
     ab = np.cumsum(np.sqrt(near_a), axis=0)[-1] / n
     ba = np.cumsum(np.sqrt(near_b), axis=0)[-1] / m
     return (0.5 * (ab + ba)).reshape(P, G)
 
-
-def chamfer_mean(a: np.ndarray, b: np.ndarray) -> float:
-    """Symmetric mean Chamfer distance under Euclidean point distance.
-
-    One pair at a time; equal to the 1 x 1 :func:`chamfer_matrix`, whose
-    set-up made it about 20 us slower per call (2-core x86-64 Xeon VM).
-    """
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    b = np.ascontiguousarray(b, dtype=np.float64)
-    d2 = np.square(np.subtract.outer(a[:, 0], b[:, 0]))
-    d2 += np.square(np.subtract.outer(a[:, 1], b[:, 1]))
-    # cumsum adds left to right like the compiled loop; .mean() and np.sum
-    # add pairwise, and the builtin sum compensates on Python >= 3.12.
-    ab = np.cumsum(np.sqrt(d2.min(axis=1)))[-1] / len(a)
-    ba = np.cumsum(np.sqrt(d2.min(axis=0)))[-1] / len(b)
-    return 0.5 * (ab + ba)

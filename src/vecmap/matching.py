@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import _kernels
 from .geometry import (
@@ -34,6 +33,14 @@ from .metrics import chamfer_distance as chamfer_position_cost, chamfer_distance
 
 #: Floor keeping log terms finite; also used in the classification loss.
 FOCAL_EPS = 1e-12
+
+
+def linear_sum_assignment(cost):
+    """scipy's assignment solver, imported on first call: scipy.optimize
+    took most of the time of ``import vecmap``."""
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost)
 
 
 class CapacityError(ValueError):
@@ -140,10 +147,24 @@ def _orderings(kind: ElementKind | None, n: int) -> np.ndarray:
     return np.arange(n)[None, :] if kind is None else permutation_group(kind, n).index_maps()
 
 
-def _search(pred_points: np.ndarray, gt_points: np.ndarray, kind: ElementKind | None):
-    """Best ordering of one ground truth against each prediction: (costs, best)."""
-    maps = _orderings(kind, len(gt_points))
-    return _kernels.min_manhattan_over_perms(pred_points, gt_points, maps)
+def _best_orderings(points, gt_points, gt_kinds, fixed_order):
+    """(P, G) least summed Manhattan costs over each ground truth's
+    orderings, and the first ordering attaining each: (costs, best).
+
+    One kernel call per element kind, over every ground truth of that kind;
+    ``fixed_order`` makes one call over all ground truth with the identity
+    ordering (its best is always 0).
+    """
+    costs = np.empty((len(points), len(gt_points)))
+    best = np.empty(costs.shape, dtype=np.int64)
+    keys = [None if fixed_order else kind for kind in gt_kinds]
+    for key in dict.fromkeys(keys):
+        gs = [g for g, k in enumerate(keys) if k is key]
+        gts = np.stack([gt_points[g] for g in gs])
+        costs[:, gs], best[:, gs] = _kernels.manhattan_matrix(
+            points, gts, _orderings(key, gts.shape[1])
+        )
+    return costs, best
 
 
 def point_level_match(pred_points, gt: MapElement) -> PointAssignment:
@@ -153,13 +174,8 @@ def point_level_match(pred_points, gt: MapElement) -> PointAssignment:
     equivalent-permutation group; ties break toward the first member in
     group enumeration order.
     """
-    pred = as_points(pred_points)
-    if len(pred) != gt.n_points:
-        raise ValueError(
-            f"point count mismatch: {len(pred)} predicted vs {gt.n_points} ground truth"
-        )
-    costs, best = _search(pred[None, :, :], gt.points, gt.kind)
-    return PointAssignment(perm=gt.group().members[int(best[0])], cost=float(costs[0]))
+    costs, best = _best_orderings(as_points(pred_points)[None], [gt.points], [gt.kind], False)
+    return PointAssignment(perm=gt.group().members[int(best[0, 0])], cost=float(costs[0, 0]))
 
 
 @dataclass(frozen=True)
@@ -178,36 +194,22 @@ class ArrayMatch:
 
 
 def _costs(points, scores, gt_points, gt_kinds, gt_classes, cfg, fixed_order):
-    """Class + position cost matrix (P, G), plus per ground truth the
-    (costs, best ordering) of its point2point search, or None under the
-    Chamfer position cost.
-
-    The point2point search makes one kernel call per element kind, over
-    every ground truth of that kind; ``fixed_order`` makes one call over
-    all ground truth with the identity ordering (its best is always 0).
-    """
+    """Class + position cost matrix (P, G), plus the (costs, best) of
+    :func:`_best_orderings` it added, or None under the Chamfer position
+    cost."""
     cost = class_cost_table(scores, cfg)[:, list(gt_classes)]
-    searches = [None] * len(gt_points)
     if cfg.position_cost is PositionCost.CHAMFER:
-        cost += chamfer_distances(points, gt_points)
-        return cost, searches
-    keys = [None if fixed_order else kind for kind in gt_kinds]
-    for key in dict.fromkeys(keys):
-        gs = [g for g, k in enumerate(keys) if k is key]
-        gts = np.stack([gt_points[g] for g in gs])
-        pos, best = _kernels.manhattan_matrix(points, gts, _orderings(key, gts.shape[1]))
-        cost[:, gs] += pos
-        for i, g in enumerate(gs):
-            searches[g] = (pos[:, i], best[:, i])
-    return cost, searches
+        return cost + chamfer_distances(points, gt_points), None
+    search = _best_orderings(points, gt_points, gt_kinds, fixed_order)
+    return cost + search[0], search
 
 
 def _assign(points, scores, gt_points, gt_kinds, gt_classes, cfg, fixed_order):
-    """Instance-level assignment: (rows ascending, cols, searches of _costs)."""
-    cost, searches = _costs(points, scores, gt_points, gt_kinds, gt_classes, cfg, fixed_order)
+    """Instance-level assignment: (rows ascending, cols, search of _costs)."""
+    cost, search = _costs(points, scores, gt_points, gt_kinds, gt_classes, cfg, fixed_order)
     rows, cols = linear_sum_assignment(cost)
     order = np.argsort(rows, kind="stable")
-    return rows[order].tolist(), cols[order].tolist(), searches
+    return rows[order].tolist(), cols[order].tolist(), search
 
 
 def match_arrays(
@@ -225,24 +227,21 @@ def match_arrays(
     truth g has points ``gt_points[g]`` (n, 2), kind ``gt_kinds[g]`` and
     class ``gt_classes[g]``.  Inputs are trusted: callers check them with
     :func:`check_match_inputs`.  Under the point2point cost, each pair's
-    ordering and cost are the ones the cost matrix already computed.
+    ordering and cost are the ones the cost matrix already computed; under
+    Chamfer, the diagonal of one ordering search over the matched elements.
     """
     if not len(gt_points):
         return ArrayMatch((), (), (), ())
-    rows, cols, searches = _assign(
+    rows, cols, search = _assign(
         points, scores, gt_points, gt_kinds, gt_classes, cfg, fixed_order
     )
-    orderings, costs = [], []
-    for p, g in zip(rows, cols):
-        if searches[g] is None:  # Chamfer position cost: search this pair alone
-            kind = None if fixed_order else gt_kinds[g]
-            pos, best = _search(points[p][None], gt_points[g], kind)
-            k, c = int(best[0]), float(pos[0])
-        else:
-            k, c = int(searches[g][1][p]), float(searches[g][0][p])
-        orderings.append(k)
-        costs.append(c)
-    return ArrayMatch(tuple(rows), tuple(cols), tuple(orderings), tuple(costs))
+    at = rows, cols
+    if search is None:  # Chamfer cost: matched prediction i against matched ground truth i
+        gts, kinds = [gt_points[g] for g in cols], [gt_kinds[g] for g in cols]
+        search = _best_orderings(points[rows], gts, kinds, fixed_order)
+        at = np.diag_indices(len(rows))
+    costs, best = (a[at].tolist() for a in search)
+    return ArrayMatch(tuple(rows), tuple(cols), tuple(best), tuple(costs))
 
 
 def stack_predictions(preds: list[PredictedElement]) -> tuple[np.ndarray, np.ndarray]:

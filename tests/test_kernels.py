@@ -1,4 +1,4 @@
-"""Kernel exactness: the numpy kernels against loop oracles, and backend parity.
+"""Kernel exactness: the matrix kernels against loop oracles, and backend parity.
 
 The Manhattan kernel is specified to accumulate each cost sequentially
 over point index j (term = |dx| + |dy|, then acc += term) and to report
@@ -7,11 +7,12 @@ for every (prediction, ground truth) pair of two stacks, and each of its
 columns must equal the oracle for that ground truth.  The Chamfer kernel
 takes each point's nearest squared distance dx*dx + dy*dy, its sqrt, and
 sums those in point order before dividing by the count; ``chamfer_matrix``
-does so for every pair of two stacks, and each entry must equal
-``chamfer_mean`` of its pair.  The oracles below are those loops, written out; the numpy
-kernels must equal them exactly.  The compiled kernels must equal the
-numpy ones exactly as well; those parity tests run only when the
-extension is built.
+does so for every pair of two stacks, and each entry must equal the loop
+oracle of its pair.  The per-pair entries ``min_manhattan_over_perms``
+and ``chamfer_mean`` of ``vecmap._kernels`` are slices of the matrix
+kernels and must equal the same oracles.  The compiled Manhattan kernel
+must equal the numpy one exactly as well; those parity tests run only
+when the extension is built.
 """
 
 import math
@@ -61,7 +62,7 @@ def test_pure_equals_per_point_oracle(kind, n, grid, rng):
         if grid:
             # Quarter-grid coordinates make many orderings tie exactly.
             pred, gt = np.round(pred * 4) / 4, np.round(gt * 4) / 4
-        costs, best = _pure.min_manhattan_over_perms(pred, gt, perms)
+        costs, best = kernels.min_manhattan_over_perms(pred, gt, perms)
         oracle_costs, oracle_best = _per_point_oracle(pred, gt, perms)
         np.testing.assert_array_equal(costs, oracle_costs)
         np.testing.assert_array_equal(best, oracle_best)
@@ -71,12 +72,12 @@ def test_pure_first_minimum_wins():
     gt = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     # Orderings 2 and 3 both align exactly; the first of them is reported.
     perms = np.array([[2, 1, 0], [1, 2, 0], [0, 1, 2], [0, 1, 2]])
-    costs, best = _pure.min_manhattan_over_perms(gt[None], gt, perms)
+    costs, best = kernels.min_manhattan_over_perms(gt[None], gt, perms)
     assert best[0] == 2 and costs[0] == 0.0
     # All eight orderings of a square tie against its center: the first wins.
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     center = np.tile(square.mean(axis=0), (1, 4, 1))
-    costs, best = _pure.min_manhattan_over_perms(
+    costs, best = kernels.min_manhattan_over_perms(
         center, square, _group_perms(ElementKind.POLYGON, 4)
     )
     assert best[0] == 0 and costs[0] == 4.0
@@ -185,8 +186,8 @@ def _chamfer_cases(rng, n, count):
 @pytest.mark.parametrize("n", [1, 2, 7, 20, 40])
 def test_pure_chamfer_equals_loop_oracle(n, rng):
     for a, b in _chamfer_cases(rng, n, 40):
-        assert _pure.chamfer_mean(a, b) == _chamfer_loop_oracle(a, b)
-        assert _pure.chamfer_mean(b, a) == _chamfer_loop_oracle(b, a)
+        assert kernels.chamfer_mean(a, b) == _chamfer_loop_oracle(a, b)
+        assert kernels.chamfer_mean(b, a) == _chamfer_loop_oracle(b, a)
 
 
 def _assert_matrix_equals_pairwise(a, b):
@@ -194,7 +195,7 @@ def _assert_matrix_equals_pairwise(a, b):
     assert got.shape == (len(a), len(b))
     for p in range(len(a)):
         for g in range(len(b)):
-            assert got[p, g] == _pure.chamfer_mean(a[p], b[g]), (p, g)
+            assert got[p, g] == _chamfer_loop_oracle(a[p], b[g]), (p, g)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 20, 40])
@@ -236,6 +237,12 @@ def test_chamfer_matrix_blocks_a_scene(rng):
     _assert_matrix_equals_pairwise(a, b)
 
 
+def _pure_column(pred, gt, perms):
+    """Column 0 of the numpy ``manhattan_matrix`` against one ground truth."""
+    costs, best = _pure.manhattan_matrix(pred, gt[None], perms)
+    return costs[:, 0], best[:, 0]
+
+
 @needs_fast
 @pytest.mark.parametrize("kind", [ElementKind.POLYLINE, ElementKind.POLYGON])
 @pytest.mark.parametrize("n", [3, 7, 20])
@@ -244,7 +251,7 @@ def test_manhattan_costs_bit_identical(kind, n, rng):
     for _ in range(20):
         pred = rng.uniform(size=(6, n, 2))
         gt = rng.uniform(size=(n, 2))
-        c_pure, b_pure = _pure.min_manhattan_over_perms(pred, gt, perms)
+        c_pure, b_pure = _pure_column(pred, gt, perms)
         c_fast, b_fast = _fast.min_manhattan_over_perms(pred, gt, perms)
         np.testing.assert_array_equal(c_pure, c_fast)
         np.testing.assert_array_equal(b_pure, b_fast)
@@ -264,29 +271,22 @@ def test_manhattan_tie_break_identical(rng):
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     perms = _group_perms(ElementKind.POLYGON, n)
     pred = np.tile(square.mean(axis=0), (1, n, 1))
-    c_pure, b_pure = _pure.min_manhattan_over_perms(pred, square, perms)
+    c_pure, b_pure = _pure_column(pred, square, perms)
     c_fast, b_fast = _fast.min_manhattan_over_perms(pred, square, perms)
     assert b_pure[0] == b_fast[0] == 0
     assert c_pure[0] == c_fast[0]
 
 
-@needs_fast
-def test_chamfer_close(rng):
-    for n in (1, 2, 7, 20, 40):
-        for a, b in _chamfer_cases(rng, n, 40):
-            assert _pure.chamfer_mean(a, b) == _fast.chamfer_mean(a, b)
-
-
 def test_dispatch_exports_one_backend():
     assert kernels.BACKEND == ("pure" if _fast is None else "compiled")
     assert vecmap.KERNEL_BACKEND == kernels.BACKEND
-    assert kernels.chamfer_mean is (_fast or _pure).chamfer_mean
     assert kernels.chamfer_matrix is _pure.chamfer_matrix
+    # The per-pair entries are defined once, as slices of the matrix
+    # kernels, whichever backend runs.
+    for entry in (kernels.min_manhattan_over_perms, kernels.chamfer_mean):
+        assert entry.__module__ == kernels.__name__
     if _fast is None:
-        assert kernels.min_manhattan_over_perms is _pure.min_manhattan_over_perms
         assert kernels.manhattan_matrix is _pure.manhattan_matrix
     else:
-        # The compiled Manhattan entries are input-checking wrappers in the
-        # dispatch module around the compiled kernel.
-        for entry in (kernels.min_manhattan_over_perms, kernels.manhattan_matrix):
-            assert entry.__module__ == kernels.__name__
+        # An input-checking wrapper around the compiled kernel.
+        assert kernels.manhattan_matrix.__module__ == kernels.__name__

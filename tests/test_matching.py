@@ -289,14 +289,28 @@ class TestHierarchicalMatch:
         assert hierarchical_match(preds, gts) == hierarchical_match(preds, gts)
 
     @settings(max_examples=80, deadline=None)
-    @given(problem=matching_problems())
-    def test_point_level_entries_equal_point_level_match(self, problem):
-        # The entries come from the cost matrix's argmin, not a second search.
+    @given(
+        problem=matching_problems(),
+        position_cost=st.sampled_from(list(PositionCost)),
+        fixed_order=st.booleans(),
+    )
+    def test_point_level_entries_equal_point_level_match(
+        self, problem, position_cost, fixed_order
+    ):
+        # Under point2point the entries come from the cost matrix's argmin;
+        # under Chamfer from one search over the matched pairs.  Either way
+        # each pair gets its own search's result.
         preds, gts = problem
-        match = hierarchical_match(preds, gts)
+        cfg = CostConfig(position_cost=position_cost)
+        match = hierarchical_match(preds, gts, cfg, fixed_order)
         assert set(match.point_level) == set(match.instance.pairs)
+        pos = _fixed_order_positions(preds, gts)
         for (p, g), pa in match.point_level.items():
-            assert pa == point_level_match(preds[p].points, gts[g])
+            if fixed_order:
+                assert pa.perm == gts[g].group().members[0]
+                assert pa.cost == pos[p, g]
+            else:
+                assert pa == point_level_match(preds[p].points, gts[g])
 
 
 @settings(max_examples=80, deadline=None)
@@ -307,7 +321,9 @@ def test_grouped_costs_equal_per_ground_truth_loop(problem, fixed_order):
     preds, gts = problem
     points, scores = stack_predictions(preds)
     cfg = CostConfig()
-    cost, searches = _costs(points, scores, *_gt_arrays(gts), cfg, fixed_order)
+    cost, (grouped_pos, grouped_best) = _costs(
+        points, scores, *_gt_arrays(gts), cfg, fixed_order
+    )
     table = class_cost_table(scores, cfg)
     for g, gt in enumerate(gts):
         if fixed_order:
@@ -316,8 +332,8 @@ def test_grouped_costs_equal_per_ground_truth_loop(problem, fixed_order):
             maps = permutation_group(gt.kind, gt.n_points).index_maps()
         pos, best = _kernels.min_manhattan_over_perms(points, gt.points, maps)
         np.testing.assert_array_equal(cost[:, g], table[:, int(gt.element_class)] + pos)
-        np.testing.assert_array_equal(searches[g][0], pos)
-        np.testing.assert_array_equal(searches[g][1], best)
+        np.testing.assert_array_equal(grouped_pos[:, g], pos)
+        np.testing.assert_array_equal(grouped_best[:, g], best)
 
 
 def _fixed_order_positions(preds, gts):

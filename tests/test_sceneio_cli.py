@@ -1,13 +1,19 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vecmap
 from vecmap.cli import main
 from vecmap.geometry import SceneRange, normalize
+from vecmap.metrics import evaluate_ap
 from vecmap.scenegen import PerturbSpec, SceneSpec, generate_scene, perturb
 from vecmap.sceneio import (
     CLASS_NAMES,
@@ -323,6 +329,62 @@ class TestCliEval:
                      "--pred", str(tmp_path / "nope2.scene")])
         assert code == 1
         assert "nope.scene" in capsys.readouterr().err
+
+    def test_point_count_differs_from_ground_truth(self, tmp_path, capsys):
+        # Chamfer-AP is defined for any point counts, so eval scores a
+        # 10-point prediction file against 20-point ground truth; match,
+        # whose Manhattan cost pairs points one to one, rejects it.
+        gt_scene = generate_scene(SceneSpec(seed=3, n_points=20))
+        pred_scene = generate_scene(SceneSpec(seed=3, n_points=10))
+        gt, pred, report = (tmp_path / name for name in ("gt.scene", "pred.scene", "r.json"))
+        write_scene(gt, gt_scene)
+        write_scene(pred, pred_scene, predictions=perturb(pred_scene, PerturbSpec(
+            seed=1, point_noise_sigma=0.4, false_positive_count=2,
+            score_model="noisy_confidence",
+        )))
+        code = main(["eval", "--gt", str(gt), "--pred", str(pred), "--json", str(report)])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        doc = json.loads(report.read_text())
+        _, arrays = read_predictions(pred)
+        assert arrays.points.shape[1:] == (10, 2)
+        want = evaluate_ap([arrays], [list(read_scene(gt).elements)])
+        cells = {(c["class"], c["tau"]): c for c in doc["per_class_per_threshold"]}
+        assert len(cells) == len(want.per_class_per_threshold) == 9
+        for (cls, tau), ap in want.per_class_per_threshold.items():
+            cell = cells[(CLASS_NAMES[cls], tau)]
+            counts = want.counts[(cls, tau)]
+            assert (cell["ap"], cell["tp"], cell["fp"], cell["n_gt"]) == (
+                ap, counts.tp, counts.fp, counts.n_gt
+            )
+        assert doc["map"] == want.mean_ap
+        assert any(c["tp"] > 0 for c in cells.values())
+
+        code = main(["match", str(gt), str(pred)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert str(pred) in captured.err
+        assert "have 10 points" in captured.err and "has 20" in captured.err
+
+    def test_never_imports_the_assignment_solver(self, tmp_path):
+        # scipy.optimize is imported on the first assignment solve only;
+        # eval solves none.
+        gt, pred = _own_points_files(tmp_path)
+        script = (
+            "import contextlib, io, sys\n"
+            "import vecmap, vecmap.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = vecmap.cli.main(['eval', '--gt', {str(gt)!r}, '--pred', {str(pred)!r}])\n"
+            "assert code == 0, code\n"
+            "assert 'scipy.optimize' not in sys.modules\n"
+        )
+        src = str(Path(vecmap.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestCliMatch:
