@@ -1,39 +1,139 @@
-"""Kernel backend selection.
+"""Kernel backend: the C kernels of ``kernels.c`` when they build, else numpy.
 
-Uses the compiled Manhattan kernel when the extension is built, else the
-pure-numpy one.  Both return the same bits, so the choice changes speed
-only.  ``chamfer_matrix`` is numpy on both backends.  ``manhattan_matrix``
-checks its input shapes and indices before any kernel runs; on the
-compiled backend it calls the compiled per-ground-truth kernel once for
-each ground truth.  The per-pair entries ``min_manhattan_over_perms`` and
-``chamfer_mean`` are slices of the two matrix kernels, on either backend.
+On first import, with ``cc`` on PATH, ``kernels.c`` is compiled once into
+``__pycache__/kernels-<hash>.so``, named by the SHA-256 of the source and
+the flags, and bound through ``numpy.ctypeslib``; later imports load the
+cached library.  Without ``cc``, or when the build fails, the bodies of
+``_pure`` run.  ``BACKEND`` says which ("compiled" or "pure"); both return
+the same bits, so the choice changes speed only.
+
+Every entry checks its input before any kernel runs.  The per-pair entries
+``min_manhattan_over_perms`` and ``chamfer_mean`` are slices of the two
+matrix kernels, on either backend.
 """
+
+import ctypes
+import hashlib
+import os
+import warnings
+from pathlib import Path
 
 import numpy as np
 
 from . import _pure
 
-try:
-    from . import _fast
-except ImportError:
-    _fast = None
+SOURCE = Path(__file__).with_name("kernels.c")
+#: No FMA contraction: every multiply and add must round on its own, as
+#: numpy's and Python's do.
+FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 
-chamfer_matrix = _pure.chamfer_matrix
 
-if _fast is None:
-    BACKEND = "pure"
-    manhattan_matrix = _pure.manhattan_matrix
-else:
-    BACKEND = "compiled"
+def library_path(cache_dir: Path, source: Path = SOURCE) -> Path:
+    """Where the library built from ``source`` lives in ``cache_dir``: a
+    changed source or flag gives a new name, so a stale build never loads."""
+    digest = hashlib.sha256(source.read_bytes() + " ".join(FLAGS).encode())
+    return Path(cache_dir) / f"kernels-{digest.hexdigest()}.so"
+
+
+def build(cache_dir: Path, source: Path = SOURCE) -> Path | None:
+    """The compiled library in ``cache_dir``, compiled there on a miss.
+
+    Returns None when there is no library and no ``cc`` on PATH; raises
+    RuntimeError when ``cc`` fails.  The compiler writes a temporary file
+    that is then renamed into place, so concurrent builds never load a
+    partial library; libraries of other sources are then deleted.
+    """
+    lib = library_path(cache_dir, source)
+    if lib.exists():
+        return lib
+    import shutil
+
+    cc = shutil.which("cc")
+    if cc is None:
+        return None
+    import subprocess
+    import tempfile
+
+    lib.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=lib.parent)
+    os.close(fd)
+    try:
+        proc = subprocess.run([cc, *FLAGS, "-o", tmp, str(source), "-lm"],
+                              capture_output=True, text=True)
+        if proc.returncode:
+            raise RuntimeError(f"{cc} failed on {source}:\n{proc.stderr}")
+        os.replace(tmp, lib)
+        for stale in lib.parent.glob("kernels-*.so"):
+            if stale != lib:
+                stale.unlink(missing_ok=True)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return lib
+
+
+def load(lib: Path):
+    """(manhattan_matrix, chamfer_matrix, focal_cost_table) running the
+    library ``lib``: each checks its input as its ``_pure`` body does, then
+    makes one call."""
+    dll = np.ctypeslib.load_library(lib.name, lib.parent)
+    f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    n, real = ctypes.c_int64, ctypes.c_double
+    for name, argtypes in (
+        ("manhattan_matrix", [f64, f64, i64, n, n, n, n, f64, i64, f64]),
+        ("chamfer_matrix", [f64, f64, n, n, n, n, f64, f64]),
+        ("focal_cost_table", [f64, n, real, real, real, f64]),
+    ):
+        getattr(dll, name).argtypes = argtypes
+        getattr(dll, name).restype = None
 
     def manhattan_matrix(pred_pts, gt_pts, perms):
         """See vecmap._kernels._pure.manhattan_matrix."""
         pred, gts, perms = _pure.check_manhattan_inputs(pred_pts, gt_pts, perms)
-        costs = np.empty((len(pred), len(gts)))
-        best = np.empty((len(pred), len(gts)), dtype=np.int64)
-        for g, gt in enumerate(gts):
-            costs[:, g], best[:, g] = _fast.min_manhattan_over_perms(pred, gt, perms)
+        (P, n), G, K = pred.shape[:2], len(gts), len(perms)
+        costs = np.empty((P, G))
+        best = np.empty((P, G), dtype=np.int64)
+        dll.manhattan_matrix(pred, gts, perms, P, G, K, n, costs, best,
+                             np.empty(2 * n * P + P))
         return costs, best
+
+    def chamfer_matrix(a, b):
+        """See vecmap._kernels._pure.chamfer_matrix."""
+        a, b = _pure.check_chamfer_inputs(a, b)
+        (P, n), (G, m) = a.shape[:2], b.shape[:2]
+        out = np.empty((P, G))
+        dll.chamfer_matrix(a, b, P, n, G, m, out, np.empty(m))
+        return out
+
+    def focal_cost_table(scores, gamma, alpha):
+        """See vecmap._kernels._pure.focal_cost_table."""
+        flat = np.ascontiguousarray(np.ravel(scores), dtype=np.float64)
+        # Outside this domain Python's ** and math.log raise or special-case
+        # where libm does not: the scalar body decides there.
+        if not (gamma >= 0 and ((flat >= 0) & (flat <= 1)).all()):
+            return _pure.focal_cost_table(scores, gamma, alpha)
+        out = np.empty(len(flat))
+        dll.focal_cost_table(flat, len(flat), gamma, alpha, _pure.FOCAL_EPS, out)
+        return out.reshape(-1, 3)
+
+    return manhattan_matrix, chamfer_matrix, focal_cost_table
+
+
+try:
+    _lib = build(SOURCE.with_name("__pycache__"))
+    _entries = None if _lib is None else load(_lib)
+except (OSError, RuntimeError) as exc:
+    warnings.warn(f"vecmap: C kernels not built, using numpy: {exc}", RuntimeWarning)
+    _entries = None
+if _entries is None:
+    BACKEND = "pure"
+    manhattan_matrix = _pure.manhattan_matrix
+    chamfer_matrix = _pure.chamfer_matrix
+    focal_cost_table = _pure.focal_cost_table
+else:
+    BACKEND = "compiled"
+    manhattan_matrix, chamfer_matrix, focal_cost_table = _entries
 
 
 def min_manhattan_over_perms(pred_pts, gt_pts, perms):
@@ -56,5 +156,6 @@ __all__ = [
     "manhattan_matrix",
     "chamfer_mean",
     "chamfer_matrix",
+    "focal_cost_table",
     "BACKEND",
 ]

@@ -1,16 +1,35 @@
-"""Pure-numpy kernels: the two kernel bodies, over every pair of two stacks.
+"""Pure-Python kernels: the numpy and scalar bodies of the three kernels.
 
-``manhattan_matrix`` adds term = |dx| + |dy| over point index j in order,
-as the compiled loop in ``_fast.pyx`` does, so both backends return the
-same floats and the same argmin ties.  ``chamfer_matrix`` sums each
-direction's nearest-point distances in point order; it is the only
-Chamfer body, on both backends.  The per-pair entries of
-``vecmap._kernels`` are slices of these two.
+``manhattan_matrix`` adds term = |dx| + |dy| over point index j in order
+and reports the first minimum; ``chamfer_matrix`` sums each direction's
+nearest-point distances in point order; ``focal_cost_table`` evaluates
+:func:`focal_cost` with scalar ``math.log`` and ``**``.  The C loops of
+``kernels.c`` do the same operations in the same order, so both backends
+return the same floats and the same argmin ties.  The input checks here
+run before either backend's kernel.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+#: Floor keeping the focal log terms finite; also used in the
+#: classification loss.
+FOCAL_EPS = 1e-12
+
+
+def _check_points(name: str, a: np.ndarray) -> None:
+    """Raise ValueError unless ``a`` is (count, n, 2) with finite entries.
+
+    A non-finite point would make the backends differ: numpy's minimum
+    propagates NaN, where the C loops' comparisons skip it.
+    """
+    if a.ndim != 3 or a.shape[2] != 2:
+        raise ValueError(f"{name} must have shape (count, n, 2), got {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
 
 
 #: Elements per (rows, P, G*K) block of Manhattan terms: 256 KiB of float64,
@@ -23,17 +42,16 @@ def check_manhattan_inputs(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Contiguous float64 pred (P, n, 2) and gts (G, n, 2), int64 perms (K, n).
 
-    Raises ValueError when the point counts differ, when ``perms`` is not
-    (K, n) with K >= 1, or when an entry of ``perms`` lies outside [0, n):
-    the compiled kernel reads memory unchecked, and numpy would wrap a
-    negative index.
+    Raises ValueError when a point is not finite, when the point counts
+    differ, when ``perms`` is not (K, n) with K >= 1, or when an entry of
+    ``perms`` lies outside [0, n): the C kernel reads memory unchecked, and
+    numpy would wrap a negative index.
     """
     pred = np.ascontiguousarray(pred_pts, dtype=np.float64)
     gts = np.ascontiguousarray(gt_pts, dtype=np.float64)
     perms = np.ascontiguousarray(perms, dtype=np.int64)
-    for name, a in (("predictions", pred), ("ground truth", gts)):
-        if a.ndim != 3 or a.shape[2] != 2:
-            raise ValueError(f"{name} must have shape (count, n, 2), got {a.shape}")
+    _check_points("predictions", pred)
+    _check_points("ground truth", gts)
     n = gts.shape[1]
     if pred.shape[1] != n:
         raise ValueError(
@@ -58,8 +76,8 @@ def manhattan_matrix(
 
     Returns (costs (P, G), best (P, G)), where best is the index of the
     first ordering attaining the minimum.  Each cost adds
-    term = |dx| + |dy| over point index j in order, as the compiled loop
-    does, so entry (p, g) does not depend on the other pairs in the stacks.
+    term = |dx| + |dy| over point index j in order, as the C loop does, so
+    entry (p, g) does not depend on the other pairs in the stacks.
     """
     pred, gts, perms = check_manhattan_inputs(pred_pts, gt_pts, perms)
     (P, n), G, K = pred.shape[:2], len(gts), len(perms)
@@ -95,16 +113,31 @@ def manhattan_matrix(
 _CHAMFER_BLOCK = 1 << 15
 
 
-def chamfer_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Symmetric mean Chamfer distance of every pair of two point-set stacks.
+def check_chamfer_inputs(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Contiguous float64 a (P, n, 2) and b (G, m, 2).
 
-    a: (P, n, 2) and b: (G, m, 2).  Returns (P, G): for each pair, the
-    squared distances are dx*dx + dy*dy, each direction sums the sqrt of
-    its nearest ones left to right, divides by its count, and the two are
-    averaged.
+    Raises ValueError unless both stacks are (count, points, 2) with at
+    least one point per set and finite entries: the C kernel reads memory
+    unchecked.
     """
     a = np.ascontiguousarray(a, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)
+    for name, s in (("first point sets", a), ("second point sets", b)):
+        _check_points(name, s)
+        if not s.shape[1]:
+            raise ValueError(f"{name} must have at least one point, got {s.shape}")
+    return a, b
+
+
+def chamfer_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Symmetric mean Chamfer distance of every pair of two point-set stacks.
+
+    a: (P, n, 2) and b: (G, m, 2), checked by :func:`check_chamfer_inputs`.
+    Returns (P, G): for each pair, the squared distances are dx*dx + dy*dy,
+    each direction sums the sqrt of its nearest ones left to right, divides
+    by its count, and the two are averaged.
+    """
+    a, b = check_chamfer_inputs(a, b)
     (P, n), (G, m) = a.shape[:2], b.shape[:2]
     # Column k = p * G + g pairs prediction p with ground truth g, so every
     # minimum and sum below runs over an outer axis.
@@ -127,3 +160,20 @@ def chamfer_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ba = np.cumsum(np.sqrt(near_b), axis=0)[-1] / m
     return (0.5 * (ab + ba)).reshape(P, G)
 
+
+def focal_cost(p: float, gamma: float, alpha: float) -> float:
+    """Focal matching cost of score p for its class slot: positive minus
+    negative term, with scalar ``math.log`` and ``**``."""
+    pos = alpha * (1.0 - p) ** gamma * -math.log(p + FOCAL_EPS)
+    neg = (1.0 - alpha) * p**gamma * -math.log(1.0 - p + FOCAL_EPS)
+    return pos - neg
+
+
+def focal_cost_table(scores, gamma: float, alpha: float) -> np.ndarray:
+    """(P, 3) table of :func:`focal_cost` for every entry of scores (P, 3).
+
+    Entry by entry in Python floats: numpy's vectorized ``log`` and
+    ``power`` may round differently in the last ulp.
+    """
+    table = [focal_cost(p, gamma, alpha) for p in np.ravel(scores).tolist()]
+    return np.array(table, dtype=np.float64).reshape(-1, 3)

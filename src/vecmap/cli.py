@@ -12,6 +12,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+from ._kernels import BACKEND as KERNEL_BACKEND
 from .fitter import FitConfig, FitMode, fit, trace_table
 from .geometry import ElementClass
 from .matching import PredictedElement, hierarchical_match
@@ -126,6 +127,7 @@ def cmd_eval(args) -> int:
                 CLASS_NAMES[cls]: ap for cls, ap in report.per_class_ap.items()
             },
             "map": report.mean_ap,
+            "kernel_backend": KERNEL_BACKEND,
         }
         Path(args.json_out).write_text(json.dumps(doc, indent=1) + "\n")
     return 0

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels._pure import FOCAL_EPS
 from .geometry import ElementKind, MapElement, apply_permutation
 from .matching import (
-    FOCAL_EPS,
     CostConfig,
     HierarchicalMatch,
     PredictedElement,

@@ -15,12 +15,12 @@ terms commensurate.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels
+from ._kernels._pure import focal_cost
 from .geometry import (
     ElementClass,
     ElementKind,
@@ -30,9 +30,6 @@ from .geometry import (
     permutation_group,
 )
 from .metrics import chamfer_distance as chamfer_position_cost, chamfer_distances
-
-#: Floor keeping log terms finite; also used in the classification loss.
-FOCAL_EPS = 1e-12
 
 
 def linear_sum_assignment(cost):
@@ -112,12 +109,6 @@ def manhattan_distance(a, b) -> float:
     return float(np.abs(a - b).sum())
 
 
-def _focal_cost(p: float, gamma: float, alpha: float) -> float:
-    pos = alpha * (1.0 - p) ** gamma * -math.log(p + FOCAL_EPS)
-    neg = (1.0 - alpha) * p**gamma * -math.log(1.0 - p + FOCAL_EPS)
-    return pos - neg
-
-
 def focal_class_cost(
     scores, target_class: ElementClass, cfg: CostConfig = CostConfig()
 ) -> float:
@@ -127,18 +118,15 @@ def focal_class_cost(
     target-class score approaches 1.
     """
     p = float(np.asarray(scores)[int(target_class)])
-    return _focal_cost(p, cfg.focal_gamma, cfg.focal_alpha)
+    return focal_cost(p, cfg.focal_gamma, cfg.focal_alpha)
 
 
 def class_cost_table(scores: np.ndarray, cfg: CostConfig = CostConfig()) -> np.ndarray:
     """(P, 3) table of :func:`focal_class_cost` for every prediction and class.
 
-    Evaluated entry by entry with scalar ``math.log`` and ``**``: numpy's
-    vectorized ``log`` and ``power`` may round differently in the last ulp.
+    Equal to the scalar cost under ``==``, on either kernel backend.
     """
-    gamma, alpha = cfg.focal_gamma, cfg.focal_alpha
-    table = [_focal_cost(p, gamma, alpha) for p in np.ravel(scores).tolist()]
-    return np.array(table, dtype=np.float64).reshape(-1, 3)
+    return _kernels.focal_cost_table(scores, cfg.focal_gamma, cfg.focal_alpha)
 
 
 def _orderings(kind: ElementKind | None, n: int) -> np.ndarray:

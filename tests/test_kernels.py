@@ -1,4 +1,4 @@
-"""Kernel exactness: the matrix kernels against loop oracles, and backend parity.
+"""Kernel exactness: the kernels against loop oracles, and backend parity.
 
 The Manhattan kernel is specified to accumulate each cost sequentially
 over point index j (term = |dx| + |dy|, then acc += term) and to report
@@ -10,12 +10,21 @@ sums those in point order before dividing by the count; ``chamfer_matrix``
 does so for every pair of two stacks, and each entry must equal the loop
 oracle of its pair.  The per-pair entries ``min_manhattan_over_perms``
 and ``chamfer_mean`` of ``vecmap._kernels`` are slices of the matrix
-kernels and must equal the same oracles.  The compiled Manhattan kernel
-must equal the numpy one exactly as well; those parity tests run only
-when the extension is built.
+kernels and must equal the same oracles.  The oracle tests run through
+``vecmap._kernels``, so they check whichever backend was loaded.
+
+The parity tests build the current ``kernels.c`` into a fresh directory
+with the package's own loader, and require each C entry to equal its
+``_pure`` body under ``==``.  They skip only when ``cc`` is not on PATH; a
+failed build with ``cc`` present fails them.
 """
 
 import math
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,13 +34,6 @@ import vecmap
 import vecmap._kernels as kernels
 from vecmap._kernels import _pure
 from vecmap.geometry import ElementKind, permutation_group
-
-try:
-    from vecmap._kernels import _fast
-except ImportError:
-    _fast = None
-
-needs_fast = pytest.mark.skipif(_fast is None, reason="compiled kernel not built")
 
 
 def _group_perms(kind, n):
@@ -237,56 +239,187 @@ def test_chamfer_matrix_blocks_a_scene(rng):
     _assert_matrix_equals_pairwise(a, b)
 
 
-def _pure_column(pred, gt, perms):
-    """Column 0 of the numpy ``manhattan_matrix`` against one ground truth."""
-    costs, best = _pure.manhattan_matrix(pred, gt[None], perms)
-    return costs[:, 0], best[:, 0]
+def _bad_chamfer_inputs():
+    """(a, b) that every Chamfer entry must reject before any kernel runs."""
+    a, b = np.zeros((2, 4, 2)), np.zeros((3, 5, 2))
+    nan, inf = a.copy(), b.copy()
+    nan[1, 2, 0] = np.nan
+    inf[0, 4, 1] = np.inf
+    return [
+        pytest.param(np.zeros((2, 0, 2)), b, id="no points in a"),
+        pytest.param(a, np.zeros((3, 0, 2)), id="no points in b"),
+        pytest.param(np.zeros((2, 4, 3)), b, id="last axis 3"),
+        pytest.param(a, np.zeros((3, 5, 1)), id="last axis 1"),
+        pytest.param(np.zeros((4, 2)), b, id="a 2-D"),
+        pytest.param(a, np.zeros(10), id="b 1-D"),
+        pytest.param(nan, b, id="NaN point"),
+        pytest.param(a, inf, id="infinite point"),
+    ]
 
 
-@needs_fast
-@pytest.mark.parametrize("kind", [ElementKind.POLYLINE, ElementKind.POLYGON])
-@pytest.mark.parametrize("n", [3, 7, 20])
-def test_manhattan_costs_bit_identical(kind, n, rng):
-    perms = _group_perms(kind, n)
-    for _ in range(20):
-        pred = rng.uniform(size=(6, n, 2))
-        gt = rng.uniform(size=(n, 2))
-        c_pure, b_pure = _pure_column(pred, gt, perms)
-        c_fast, b_fast = _fast.min_manhattan_over_perms(pred, gt, perms)
-        np.testing.assert_array_equal(c_pure, c_fast)
-        np.testing.assert_array_equal(b_pure, b_fast)
-        # The compiled matrix: one compiled call per ground truth.
-        gts = rng.uniform(size=(3, n, 2))
-        for got, want in zip(
-            kernels.manhattan_matrix(pred, gts, perms), _pure.manhattan_matrix(pred, gts, perms)
-        ):
-            np.testing.assert_array_equal(got, want)
+@pytest.mark.parametrize("a, b", _bad_chamfer_inputs())
+def test_chamfer_entries_reject_bad_inputs(a, b):
+    for entry in (kernels.chamfer_matrix, _pure.chamfer_matrix):
+        with pytest.raises(ValueError, match="shape|at least one point|finite"):
+            entry(a, b)
 
 
-@needs_fast
-def test_manhattan_tie_break_identical(rng):
-    # symmetric input: several orderings tie exactly; both backends must
-    # report the first one
-    n = 4
+@pytest.mark.parametrize("where", ["predictions", "ground truth"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_manhattan_entries_reject_non_finite_points(where, value):
+    pred, gts = np.zeros((2, 4, 2)), np.zeros((3, 4, 2))
+    (pred if where == "predictions" else gts)[1, 3, 0] = value
+    perms = _group_perms(ElementKind.POLYGON, 4)
+    for entry in (kernels.manhattan_matrix, _pure.manhattan_matrix):
+        with pytest.raises(ValueError, match=f"{where} must be finite"):
+            entry(pred, gts, perms)
+
+
+# --- Backend parity: the C kernels of the current source against _pure. ---
+
+
+@pytest.fixture(scope="module")
+def c_kernels(tmp_path_factory):
+    """The entries of ``kernels.c``, built afresh by ``vecmap._kernels.build``."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc) on PATH")
+    lib = kernels.build(tmp_path_factory.mktemp("kernels"))
+    manhattan, chamfer, focal = kernels.load(lib)
+    return {"manhattan_matrix": manhattan, "chamfer_matrix": chamfer, "focal_cost_table": focal}
+
+
+@pytest.mark.parametrize(
+    "kind", [ElementKind.POLYLINE, ElementKind.POLYGON, None],
+    ids=["polyline", "polygon", "identity"],
+)
+@pytest.mark.parametrize("n", [3, 7, 20, 40])
+@pytest.mark.parametrize("grid", [False, True], ids=["uniform", "quarter-grid"])
+def test_manhattan_costs_bit_identical(c_kernels, kind, n, grid, rng):
+    perms = _orderings(kind, n)
+    for n_gts in (1, 3, 8):
+        for n_preds in (1, 6, 50):
+            pred = rng.uniform(size=(n_preds, n, 2))
+            gts = rng.uniform(size=(n_gts, n, 2))
+            if grid:
+                # Quarter-grid coordinates make many orderings tie exactly.
+                pred, gts = np.round(pred * 4) / 4, np.round(gts * 4) / 4
+            got = c_kernels["manhattan_matrix"](pred, gts, perms)
+            for got_part, want_part in zip(got, _pure.manhattan_matrix(pred, gts, perms)):
+                np.testing.assert_array_equal(got_part, want_part)
+            oracle_costs, oracle_best = _per_point_oracle(pred, gts[0], perms)
+            np.testing.assert_array_equal(got[0][:, 0], oracle_costs)
+            np.testing.assert_array_equal(got[1][:, 0], oracle_best)
+
+
+def test_manhattan_tie_break_identical(c_kernels):
+    # All eight orderings of a square tie against its center, and two
+    # repeated orderings tie on a line: both backends report the first.
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    perms = _group_perms(ElementKind.POLYGON, n)
-    pred = np.tile(square.mean(axis=0), (1, n, 1))
-    c_pure, b_pure = _pure_column(pred, square, perms)
-    c_fast, b_fast = _fast.min_manhattan_over_perms(pred, square, perms)
-    assert b_pure[0] == b_fast[0] == 0
-    assert c_pure[0] == c_fast[0]
+    center = np.tile(square.mean(axis=0), (1, 4, 1))
+    line = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    cases = [
+        (center, square[None], _group_perms(ElementKind.POLYGON, 4), 0, 4.0),
+        (line[None], line[None], np.array([[2, 1, 0], [1, 2, 0], [0, 1, 2], [0, 1, 2]]), 2, 0.0),
+    ]
+    for pred, gts, perms, first, cost in cases:
+        got = c_kernels["manhattan_matrix"](pred, gts, perms)
+        want = _pure.manhattan_matrix(pred, gts, perms)
+        assert got[1][0, 0] == want[1][0, 0] == first
+        assert got[0][0, 0] == want[0][0, 0] == cost
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 20, 40])
+def test_chamfer_matrix_bit_identical(c_kernels, n, rng):
+    # Unequal point counts, mixed scales, on and off the grid; each case
+    # alone and one stack of all of them against each partner.
+    cases = list(_chamfer_cases(rng, n, 40))
+    stack = np.stack([a for a, _ in cases])
+    for a, b in cases:
+        for x, y in ((a[None], b[None]), (b[None], a[None]), (stack, b[None]), (b[None], stack)):
+            np.testing.assert_array_equal(c_kernels["chamfer_matrix"](x, y), _pure.chamfer_matrix(x, y))
+            assert c_kernels["chamfer_matrix"](x, y)[0, 0] == _chamfer_loop_oracle(x[0], y[0])
+
+
+def test_chamfer_matrix_bit_identical_on_a_scene(c_kernels, rng):
+    # 50 x 7 pairs of 20-point sets, on an eighth grid where nearest
+    # distances tie: more than four numpy blocks.
+    a = np.round(rng.uniform(size=(50, 20, 2)) * 8) / 8
+    b = np.round(rng.uniform(size=(7, 20, 2)) * 8) / 8
+    np.testing.assert_array_equal(c_kernels["chamfer_matrix"](a, b), _pure.chamfer_matrix(a, b))
+
+
+@pytest.mark.parametrize("gamma", [0.0, 2.0, 2.5])
+def test_focal_cost_table_bit_identical(c_kernels, gamma, rng):
+    # libm's pow and log against Python's ** and math.log on 15,000 scores,
+    # plus the ends of the unit interval.
+    scores = rng.uniform(size=(5000, 3))
+    scores[0] = [0.0, 1.0, 0.5]
+    for alpha in (0.25, 0.9):
+        got = c_kernels["focal_cost_table"](scores, gamma, alpha)
+        np.testing.assert_array_equal(got, _pure.focal_cost_table(scores, gamma, alpha))
+
+
+def test_focal_cost_table_out_of_domain_runs_the_scalar_body(c_kernels):
+    # Outside [0, 1] Python's math.log raises where libm returns NaN.
+    with pytest.raises(ValueError, match="math domain error"):
+        c_kernels["focal_cost_table"](np.array([[0.5, 1.5, 0.5]]), 2.0, 0.25)
+    nan_gamma = c_kernels["focal_cost_table"](np.full((1, 3), 0.5), math.nan, 0.25)
+    np.testing.assert_array_equal(nan_gamma, _pure.focal_cost_table(np.full((1, 3), 0.5), math.nan, 0.25))
+
+
+def test_library_name_follows_the_source(tmp_path):
+    changed = tmp_path / "kernels.c"
+    changed.write_bytes(kernels.SOURCE.read_bytes() + b"/* changed */\n")
+    same = kernels.library_path(tmp_path)
+    assert kernels.library_path(tmp_path) == same
+    assert kernels.library_path(tmp_path, changed) != same
+    assert same.parent == tmp_path and same.suffix == ".so"
+
+
+def test_build_replaces_a_stale_library(c_kernels, tmp_path):
+    changed = tmp_path / "kernels.c"
+    changed.write_bytes(kernels.SOURCE.read_bytes() + b"/* changed */\n")
+    stale = kernels.build(tmp_path, changed)
+    assert stale == kernels.library_path(tmp_path, changed) and stale.exists()
+    current = kernels.build(tmp_path)
+    assert current == kernels.library_path(tmp_path) != stale
+    assert sorted(tmp_path.glob("*.so")) == [current]
+    built_at = current.stat().st_mtime_ns
+    assert kernels.build(tmp_path) == current
+    assert current.stat().st_mtime_ns == built_at  # cached, not compiled again
+
+
+def test_import_without_compiler_runs_pure(tmp_path):
+    # A copy of the package with no cached library, imported with an empty
+    # PATH: no cc, so the numpy kernels run, with no error and no warning.
+    package = Path(vecmap.__file__).parent
+    shutil.copytree(package, tmp_path / "vecmap", ignore=shutil.ignore_patterns("__pycache__"))
+    (tmp_path / "empty").mkdir()
+    env = {**os.environ, "PATH": str(tmp_path / "empty"), "PYTHONPATH": str(tmp_path)}
+    code = ("import vecmap, vecmap._kernels as k; "
+            "assert vecmap.__file__.startswith(%r), vecmap.__file__; "
+            "print(vecmap.KERNEL_BACKEND, k.manhattan_matrix is k._pure.manhattan_matrix)")
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code % str(tmp_path)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["pure", "True"]
+    assert not list((tmp_path / "vecmap").rglob("*.so"))
 
 
 def test_dispatch_exports_one_backend():
-    assert kernels.BACKEND == ("pure" if _fast is None else "compiled")
+    cached = kernels.library_path(kernels.SOURCE.with_name("__pycache__"))
+    assert kernels.BACKEND == ("compiled" if cached.exists() else "pure")
+    if shutil.which("cc") is not None:
+        # With a compiler the import builds the library, or fails loudly here.
+        assert kernels.BACKEND == "compiled"
     assert vecmap.KERNEL_BACKEND == kernels.BACKEND
-    assert kernels.chamfer_matrix is _pure.chamfer_matrix
     # The per-pair entries are defined once, as slices of the matrix
     # kernels, whichever backend runs.
     for entry in (kernels.min_manhattan_over_perms, kernels.chamfer_mean):
         assert entry.__module__ == kernels.__name__
-    if _fast is None:
-        assert kernels.manhattan_matrix is _pure.manhattan_matrix
-    else:
-        # An input-checking wrapper around the compiled kernel.
-        assert kernels.manhattan_matrix.__module__ == kernels.__name__
+    for name in ("manhattan_matrix", "chamfer_matrix", "focal_cost_table"):
+        if kernels.BACKEND == "pure":
+            assert getattr(kernels, name) is getattr(_pure, name)
+        else:
+            # An input-checking wrapper around one call into the library.
+            assert getattr(kernels, name).__module__ == kernels.__name__

@@ -210,6 +210,7 @@ class TestCliEval:
         assert code == 0
         doc = json.loads(report.read_text())
         assert doc["map"] == 1.0
+        assert doc["kernel_backend"] == vecmap.KERNEL_BACKEND in ("compiled", "pure")
         n_gt = {name: 0 for name in CLASS_NAMES.values()}
         for el in scene.elements:
             n_gt[CLASS_NAMES[el.element_class]] += 1
