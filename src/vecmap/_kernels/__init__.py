@@ -2,14 +2,15 @@
 
 On first import, with ``cc`` on PATH, ``kernels.c`` is compiled once into
 ``__pycache__/kernels-<hash>.so``, named by the SHA-256 of the source and
-the flags, and bound through ``numpy.ctypeslib``; later imports load the
-cached library.  Without ``cc``, or when the build fails, the bodies of
-``_pure`` run.  ``BACKEND`` says which ("compiled" or "pure"); both return
-the same bits, so the choice changes speed only.
+the flags, and opened with plain ``ctypes``; later imports load the cached
+library.  Without ``cc``, or when the build fails, the bodies of ``_pure``
+run.  ``BACKEND`` says which ("compiled" or "pure"); both return the same
+bits, so the choice changes speed only.
 
-Every entry checks its input before any kernel runs.  The per-pair entries
-``min_manhattan_over_perms`` and ``chamfer_mean`` are slices of the two
-matrix kernels, on either backend.
+Each entry runs one ``_pure.check_*`` (finite points, consistent shapes and
+indices, focal scores in [0, 1] and gamma >= 0, else ValueError) before any
+kernel; the C entries get raw addresses, so it is their only guard.
+``min_manhattan_over_perms`` and ``chamfer_mean`` slice the matrix kernels.
 """
 
 import ctypes
@@ -74,47 +75,42 @@ def build(cache_dir: Path, source: Path = SOURCE) -> Path | None:
 
 def load(lib: Path):
     """(manhattan_matrix, chamfer_matrix, focal_cost_table) running the
-    library ``lib``: each checks its input as its ``_pure`` body does, then
-    makes one call."""
-    dll = np.ctypeslib.load_library(lib.name, lib.parent)
-    f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-    n, real = ctypes.c_int64, ctypes.c_double
-    for name, argtypes in (
-        ("manhattan_matrix", [f64, f64, i64, n, n, n, n, f64, i64, f64]),
-        ("chamfer_matrix", [f64, f64, n, n, n, n, f64, f64]),
-        ("focal_cost_table", [f64, n, real, real, real, f64]),
-    ):
-        getattr(dll, name).argtypes = argtypes
-        getattr(dll, name).restype = None
+    library ``lib``: each runs its ``_pure`` check, then makes one call with
+    raw addresses of arrays bound to names until the call returns."""
+    dll = ctypes.CDLL(str(lib))
+    ptr, n, real = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+    dll.manhattan_matrix.argtypes = [ptr, ptr, ptr, n, n, n, n, ptr, ptr, ptr]
+    dll.chamfer_matrix.argtypes = [ptr, ptr, n, n, n, n, ptr, ptr]
+    dll.focal_cost_table.argtypes = [ptr, n, real, real, real, ptr]
+    for entry in (dll.manhattan_matrix, dll.chamfer_matrix, dll.focal_cost_table):
+        entry.restype = None
 
     def manhattan_matrix(pred_pts, gt_pts, perms):
         """See vecmap._kernels._pure.manhattan_matrix."""
         pred, gts, perms = _pure.check_manhattan_inputs(pred_pts, gt_pts, perms)
         (P, n), G, K = pred.shape[:2], len(gts), len(perms)
-        costs = np.empty((P, G))
-        best = np.empty((P, G), dtype=np.int64)
-        dll.manhattan_matrix(pred, gts, perms, P, G, K, n, costs, best,
-                             np.empty(2 * n * P + P))
+        costs, best = np.empty((P, G)), np.empty((P, G), dtype=np.int64)
+        scratch = np.empty(2 * n * P + P)
+        dll.manhattan_matrix(pred.ctypes.data, gts.ctypes.data, perms.ctypes.data,
+                             P, G, K, n, costs.ctypes.data, best.ctypes.data,
+                             scratch.ctypes.data)
         return costs, best
 
     def chamfer_matrix(a, b):
         """See vecmap._kernels._pure.chamfer_matrix."""
         a, b = _pure.check_chamfer_inputs(a, b)
         (P, n), (G, m) = a.shape[:2], b.shape[:2]
-        out = np.empty((P, G))
-        dll.chamfer_matrix(a, b, P, n, G, m, out, np.empty(m))
+        out, near_b = np.empty((P, G)), np.empty(m)
+        dll.chamfer_matrix(a.ctypes.data, b.ctypes.data, P, n, G, m,
+                           out.ctypes.data, near_b.ctypes.data)
         return out
 
     def focal_cost_table(scores, gamma, alpha):
         """See vecmap._kernels._pure.focal_cost_table."""
-        flat = np.ascontiguousarray(np.ravel(scores), dtype=np.float64)
-        # Outside this domain Python's ** and math.log raise or special-case
-        # where libm does not: the scalar body decides there.
-        if not (gamma >= 0 and ((flat >= 0) & (flat <= 1)).all()):
-            return _pure.focal_cost_table(scores, gamma, alpha)
+        flat = _pure.check_focal_inputs(scores, gamma)
         out = np.empty(len(flat))
-        dll.focal_cost_table(flat, len(flat), gamma, alpha, _pure.FOCAL_EPS, out)
+        dll.focal_cost_table(flat.ctypes.data, len(flat), gamma, alpha,
+                             _pure.FOCAL_EPS, out.ctypes.data)
         return out.reshape(-1, 3)
 
     return manhattan_matrix, chamfer_matrix, focal_cost_table

@@ -169,11 +169,22 @@ def focal_cost(p: float, gamma: float, alpha: float) -> float:
     return pos - neg
 
 
+def check_focal_inputs(scores, gamma: float) -> np.ndarray:
+    """The scores flattened to contiguous float64.  Raises ValueError unless
+    each lies in [0, 1] and gamma >= 0, NaN failing both: outside that domain
+    Python's ``**`` and ``math.log`` raise or special-case where libm does not.
+    """
+    flat = np.ascontiguousarray(np.ravel(scores), dtype=np.float64)
+    if not (gamma >= 0 and ((flat >= 0) & (flat <= 1)).all()):
+        raise ValueError(f"focal scores must lie in [0, 1] and gamma >= 0, got gamma {gamma}")
+    return flat
+
+
 def focal_cost_table(scores, gamma: float, alpha: float) -> np.ndarray:
     """(P, 3) table of :func:`focal_cost` for every entry of scores (P, 3).
 
     Entry by entry in Python floats: numpy's vectorized ``log`` and
     ``power`` may round differently in the last ulp.
     """
-    table = [focal_cost(p, gamma, alpha) for p in np.ravel(scores).tolist()]
+    table = [focal_cost(p, gamma, alpha) for p in check_focal_inputs(scores, gamma).tolist()]
     return np.array(table, dtype=np.float64).reshape(-1, 3)

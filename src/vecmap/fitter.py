@@ -56,8 +56,8 @@ class FitConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be > 0")
+        if not 0 < self.step_size < np.inf:  # NaN fails too
+            raise ValueError("step_size must be finite and > 0")
         if not (0 <= self.moment_decay_1 < 1 and 0 <= self.moment_decay_2 < 1):
             raise ValueError("moment decays must lie in [0, 1)")
 

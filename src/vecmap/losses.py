@@ -34,7 +34,7 @@ class LossWeights:
     beta_dir: float = 5e-3
 
     def __post_init__(self):
-        if min(self.lambda_cls, self.alpha_p2p, self.beta_dir) < 0:
+        if not all(w >= 0 for w in (self.lambda_cls, self.alpha_p2p, self.beta_dir)):
             raise ValueError("loss weights must be non-negative")
 
 

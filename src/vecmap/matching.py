@@ -74,7 +74,7 @@ class CostConfig:
     focal_alpha: float = 0.25
 
     def __post_init__(self):
-        if self.focal_gamma < 0:
+        if not self.focal_gamma >= 0:  # NaN fails too
             raise ValueError("focal_gamma must be >= 0")
         if not 0 < self.focal_alpha < 1:
             raise ValueError("focal_alpha must lie in (0, 1)")

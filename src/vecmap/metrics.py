@@ -40,8 +40,13 @@ class APConfig:
 
     def __post_init__(self):
         t = self.thresholds
-        if not t or any(x <= 0 for x in t) or any(a >= b for a, b in zip(t, t[1:])):
+        # Written so that NaN, which fails every comparison, is rejected too.
+        if not t or not all(x > 0 for x in t) or not all(a < b for a, b in zip(t, t[1:])):
             raise ValueError("thresholds must be strictly positive and increasing")
+        if self.interpolation_points < 1:
+            raise ValueError("interpolation_points must be >= 1")
+        if not np.isfinite(self.score_floor):
+            raise ValueError("score_floor must be finite")
 
 
 @dataclass(frozen=True)
@@ -91,8 +96,10 @@ def chamfer_distance(a, b) -> float:
     return float(_kernels.chamfer_mean(a, b))
 
 
-def _stack_by_count(point_sets) -> list[tuple[list[int], np.ndarray]]:
-    """(indices, stacked (k, n, 2) points) per distinct point count n."""
+def _stack_by_count(point_sets) -> list[tuple[Sequence[int], np.ndarray]]:
+    """(indices, stacked (k, n, 2) points) per point count n; a stack is one group, itself."""
+    if isinstance(point_sets, np.ndarray):
+        return [(range(len(point_sets)), point_sets)]
     groups: dict[int, list[int]] = {}
     for i, pts in enumerate(point_sets):
         groups.setdefault(len(pts), []).append(i)

@@ -47,6 +47,8 @@ class SceneSpec:
             raise ValueError("element counts must be non-negative")
         if self.n_ped + self.n_divider + self.n_boundary > DEFAULT_SLOTS:
             raise ValueError(f"total elements exceed the {DEFAULT_SLOTS}-slot budget")
+        if self.n_points < 2:
+            raise ValueError("n_points must be >= 2")
 
 
 class ScoreModel:
@@ -64,7 +66,7 @@ class PerturbSpec:
     pad_to: int = DEFAULT_SLOTS
 
     def __post_init__(self):
-        if self.point_noise_sigma < 0:
+        if not self.point_noise_sigma >= 0:  # NaN fails too
             raise ValueError("point_noise_sigma must be >= 0")
         if not 0 <= self.drop_prob <= 1:
             raise ValueError("drop_prob must lie in [0, 1]")
@@ -141,20 +143,11 @@ def generate_scene(spec: SceneSpec) -> MapScene:
     Elements are emitted pedestrian crossings first, then dividers, then
     boundaries, each drawn from its own spawned RNG stream.
     """
-    n_total = spec.n_ped + spec.n_divider + spec.n_boundary
-    streams = _element_streams(spec.seed, n_total)
-    elements = []
-    i = 0
-    for _ in range(spec.n_ped):
-        elements.append(_ped_crossing(streams[i], spec.range, spec.n_points))
-        i += 1
-    for _ in range(spec.n_divider):
-        elements.append(_divider(streams[i], spec.range, spec.n_points))
-        i += 1
-    for _ in range(spec.n_boundary):
-        elements.append(_boundary(streams[i], spec.range, spec.n_points))
-        i += 1
-    return MapScene(range=spec.range, n_points=spec.n_points, elements=tuple(elements))
+    makers = [_ped_crossing] * spec.n_ped + [_divider] * spec.n_divider
+    makers += [_boundary] * spec.n_boundary
+    streams = _element_streams(spec.seed, len(makers))
+    elements = tuple(make(rng, spec.range, spec.n_points) for make, rng in zip(makers, streams))
+    return MapScene(range=spec.range, n_points=spec.n_points, elements=elements)
 
 
 def _one_hot_scores(cls: ElementClass, value: float = 1.0) -> np.ndarray:

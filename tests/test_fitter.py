@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from vecmap.fitter import FitConfig, FitMode, fit, trace_table
+from vecmap.losses import LossWeights
+from vecmap.matching import CostConfig
+from vecmap.metrics import APConfig
 from vecmap.scenegen import SceneSpec, generate_scene
 
 
@@ -61,6 +64,33 @@ class TestFit:
             FitConfig(step_size=0.0)
         with pytest.raises(ValueError):
             FitConfig(moment_decay_1=1.0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "config, kwargs",
+    [
+        (APConfig, dict(thresholds=(NAN,))),
+        (APConfig, dict(thresholds=(0.5, NAN, 1.5))),
+        (APConfig, dict(score_floor=NAN)),
+        (APConfig, dict(score_floor=INF)),
+        (APConfig, dict(interpolation_points=0)),
+        (CostConfig, dict(focal_gamma=NAN)),
+        (LossWeights, dict(lambda_cls=NAN)),
+        (LossWeights, dict(alpha_p2p=NAN)),
+        (LossWeights, dict(beta_dir=NAN)),
+        (FitConfig, dict(step_size=NAN)),
+        (FitConfig, dict(step_size=INF)),
+    ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else repr(v),
+)
+def test_config_rejects_nan_and_out_of_range(config, kwargs):
+    # Each comparison is written so that NaN fails it: a NaN accepted here
+    # would fail later with another layer's message, or give mAP 0.
+    with pytest.raises(ValueError):
+        config(**kwargs)
 
 
 class TestTraceTable:

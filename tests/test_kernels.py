@@ -359,12 +359,41 @@ def test_focal_cost_table_bit_identical(c_kernels, gamma, rng):
         np.testing.assert_array_equal(got, _pure.focal_cost_table(scores, gamma, alpha))
 
 
-def test_focal_cost_table_out_of_domain_runs_the_scalar_body(c_kernels):
-    # Outside [0, 1] Python's math.log raises where libm returns NaN.
-    with pytest.raises(ValueError, match="math domain error"):
-        c_kernels["focal_cost_table"](np.array([[0.5, 1.5, 0.5]]), 2.0, 0.25)
-    nan_gamma = c_kernels["focal_cost_table"](np.full((1, 3), 0.5), math.nan, 0.25)
-    np.testing.assert_array_equal(nan_gamma, _pure.focal_cost_table(np.full((1, 3), 0.5), math.nan, 0.25))
+def test_focal_cost_table_rejects_out_of_domain_input():
+    # Outside [0, 1], or with gamma < 0, Python's ** and math.log raise or
+    # special-case where libm does not: both backends' check raises first.
+    cases = [(1.5, 2.0), (-0.25, 2.0), (math.nan, 2.0), (0.5, -1.0), (0.5, math.nan)]
+    for score, gamma in cases:
+        scores = np.array([[0.5, score, 0.5]])
+        for entry in (kernels.focal_cost_table, _pure.focal_cost_table):
+            with pytest.raises(ValueError, match=r"focal scores must lie in \[0, 1\] and gamma >= 0"):
+                entry(scores, gamma, 0.25)
+
+
+def _other_layouts(x):
+    """x as Fortran-ordered, strided and 32-bit arrays: none is C-contiguous
+    float64 or int64, so a check must copy each before C reads its address."""
+    strided = np.stack([x, np.zeros_like(x)], axis=-1)[..., 0]
+    narrow = x.astype(np.int32 if x.dtype.kind == "i" else np.float32)
+    return {"fortran": np.asfortranarray(x), "strided": strided, "32-bit": narrow}
+
+
+@pytest.mark.parametrize("layout", ["fortran", "strided", "32-bit"])
+def test_entries_take_any_layout(c_kernels, layout, rng):
+    # The compiled entries pass raw addresses: only the checks'
+    # ascontiguousarray stands between these arrays and the C loops.
+    cases = {
+        "manhattan_matrix": (rng.uniform(size=(6, 7, 2)), rng.uniform(size=(3, 7, 2)),
+                             _group_perms(ElementKind.POLYGON, 7)),
+        "chamfer_matrix": (rng.uniform(size=(6, 7, 2)), rng.uniform(size=(4, 5, 2))),
+        "focal_cost_table": (rng.uniform(size=(6, 3)), 2.0, 0.25),
+    }
+    for name, args in cases.items():
+        args = [_other_layouts(x)[layout] if isinstance(x, np.ndarray) else x for x in args]
+        for x in args:
+            if isinstance(x, np.ndarray):
+                assert not (x.flags.c_contiguous and x.dtype in (np.float64, np.int64))
+        np.testing.assert_array_equal(c_kernels[name](*args), getattr(_pure, name)(*args))
 
 
 def test_library_name_follows_the_source(tmp_path):

@@ -21,6 +21,7 @@ from vecmap.metrics import (
     APReport,
     ScenePredictions,
     _interpolated_ap,
+    _stack_by_count,
     chamfer_distance,
     evaluate_ap,
 )
@@ -47,6 +48,17 @@ class TestChamferDistance:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             chamfer_distance(np.empty((0, 2)), [[0, 0]])
+
+    def test_stack_is_one_group_not_a_copy(self, rng):
+        stack = rng.uniform(size=(4, 5, 2))
+        [(idx, group)] = _stack_by_count(stack)
+        assert group is stack and list(idx) == [0, 1, 2, 3]
+        # A list is grouped by point count, each group stacked in order.
+        sets = [stack[0], rng.uniform(size=(3, 2)), stack[1]]
+        (i5, g5), (i3, g3) = _stack_by_count(sets)
+        assert (i5, i3) == ([0, 2], [1])
+        np.testing.assert_array_equal(g5, stack[:2])
+        np.testing.assert_array_equal(g3, sets[1][None])
 
 
 def _divider(points):

@@ -51,6 +51,9 @@ class TestGenerateScene:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             SceneSpec(seed=0, n_ped=-1)
+        for n_points in (0, 1, -3):
+            with pytest.raises(ValueError, match="n_points"):
+                SceneSpec(seed=0, n_points=n_points)
 
 
 class TestPerturb:
@@ -111,5 +114,6 @@ class TestPerturb:
         assert 1.00 < np.mean(vals) < 1.23
 
     def test_invalid_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            PerturbSpec(seed=0, point_noise_sigma=-0.1)
+        for sigma in (-0.1, float("nan")):
+            with pytest.raises(ValueError):
+                PerturbSpec(seed=0, point_noise_sigma=sigma)

@@ -177,6 +177,11 @@ class TestCliGenerate:
         code = main(["generate", "--seed", "1", "--ped", "-1",
                      "--out", str(tmp_path / "x.scene")])
         assert code == 1
+        for n_points in ("0", "1", "-3"):
+            code = main(["generate", "--seed", "1", "--n-points", n_points,
+                         "--out", str(tmp_path / "x.scene")])
+            assert code == 1
+            assert "n_points must be >= 2" in capsys.readouterr().err
 
 
 class TestCliEval:
