@@ -123,14 +123,12 @@ def fit(gt: MapScene, cfg: FitConfig = FitConfig()) -> FitTrace:
         gts_iter = [
             el.points[m[order_rng.integers(len(m))]] for el, m in zip(gts_norm, maps)
         ]
-        match = match_arrays(points, scores, gts_iter, kinds, classes, cost_cfg, fixed_order)
-        cols = list(match.cols)
-        aligned = np.stack(
-            [gts_iter[g][maps[g][k]] for g, k in zip(cols, match.orderings)]
+        rows, cols, orderings, _ = match_arrays(
+            points, scores, gts_iter, kinds, classes, cost_cfg, fixed_order
         )
+        aligned = np.stack([gts_iter[g][maps[g][k]] for g, k in zip(cols, orderings)])
         breakdown, grads = loss_and_gradients(
-            points, scores, match.rows, classes[cols], aligned, closed[cols],
-            cfg.weights, cost_cfg,
+            points, scores, rows, classes[cols], aligned, closed[cols], cfg.weights, cost_cfg
         )
         trace.append(breakdown)
         g_pts = grads.d_points

@@ -172,11 +172,7 @@ class MapElement:
             raise ValueError(
                 f"{self.element_class.name} must have kind {expected.value}"
             )
-        min_points = 2 if self.kind is ElementKind.POLYLINE else 3
-        if len(self.points) < min_points:
-            raise ValueError(
-                f"{self.kind.value} needs at least {min_points} points"
-            )
+        permutation_group(self.kind, len(self.points))  # raises below the minimum count
 
     @property
     def n_points(self) -> int:

@@ -34,8 +34,8 @@ class LossWeights:
     beta_dir: float = 5e-3
 
     def __post_init__(self):
-        if not all(w >= 0 for w in (self.lambda_cls, self.alpha_p2p, self.beta_dir)):
-            raise ValueError("loss weights must be non-negative")
+        if not all(0 <= w < np.inf for w in (self.lambda_cls, self.alpha_p2p, self.beta_dir)):
+            raise ValueError("loss weights must be finite and non-negative")
 
 
 @dataclass(frozen=True)

@@ -74,8 +74,8 @@ class CostConfig:
     focal_alpha: float = 0.25
 
     def __post_init__(self):
-        if not self.focal_gamma >= 0:  # NaN fails too
-            raise ValueError("focal_gamma must be >= 0")
+        if not 0 <= self.focal_gamma < np.inf:  # NaN fails too
+            raise ValueError("focal_gamma must be finite and >= 0")
         if not 0 < self.focal_alpha < 1:
             raise ValueError("focal_alpha must lie in (0, 1)")
 
@@ -104,9 +104,11 @@ class HierarchicalMatch:
 
 
 def manhattan_distance(a, b) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    return float(np.abs(a - b).sum())
+    """Summed Manhattan distance between two equally long point sequences
+    (a single point may be given 1-D): ``|dx| + |dy|`` added point by point
+    in order, so it equals the matcher's cost for the same alignment."""
+    a, b = (np.asarray(x, dtype=np.float64).reshape(-1, 2) for x in (a, b))
+    return float(_kernels.manhattan_matrix(a[None], b[None], _orderings(None, len(b)))[0][0, 0])
 
 
 def focal_class_cost(
@@ -166,21 +168,6 @@ def point_level_match(pred_points, gt: MapElement) -> PointAssignment:
     return PointAssignment(perm=gt.group().members[int(best[0, 0])], cost=float(costs[0, 0]))
 
 
-@dataclass(frozen=True)
-class ArrayMatch:
-    """Array form of a hierarchical match, one entry per matched pair.
-
-    Pairs ascend by prediction index.  ``orderings[i]`` indexes the members
-    of ground truth ``cols[i]``'s permutation group; ``costs[i]`` is the
-    point-level Manhattan cost of the pair under that ordering.
-    """
-
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
-    orderings: tuple[int, ...]
-    costs: tuple[float, ...]
-
-
 def _costs(points, scores, gt_points, gt_kinds, gt_classes, cfg, fixed_order):
     """Class + position cost matrix (P, G), plus the (costs, best) of
     :func:`_best_orderings` it added, or None under the Chamfer position
@@ -193,11 +180,10 @@ def _costs(points, scores, gt_points, gt_kinds, gt_classes, cfg, fixed_order):
 
 
 def _assign(points, scores, gt_points, gt_kinds, gt_classes, cfg, fixed_order):
-    """Instance-level assignment: (rows ascending, cols, search of _costs)."""
+    """Instance-level assignment: (rows, cols, search of _costs).  scipy
+    returns the rows ascending."""
     cost, search = _costs(points, scores, gt_points, gt_kinds, gt_classes, cfg, fixed_order)
-    rows, cols = linear_sum_assignment(cost)
-    order = np.argsort(rows, kind="stable")
-    return rows[order].tolist(), cols[order].tolist(), search
+    return (*linear_sum_assignment(cost), search)
 
 
 def match_arrays(
@@ -208,18 +194,23 @@ def match_arrays(
     gt_classes,
     cfg: CostConfig = CostConfig(),
     fixed_order: bool = False,
-) -> ArrayMatch:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Hierarchical matching on arrays: the core of :func:`hierarchical_match`.
 
     points (P, n, 2) and scores (P, 3) describe the predictions; ground
     truth g has points ``gt_points[g]`` (n, 2), kind ``gt_kinds[g]`` and
     class ``gt_classes[g]``.  Inputs are trusted: callers check them with
-    :func:`check_match_inputs`.  Under the point2point cost, each pair's
-    ordering and cost are the ones the cost matrix already computed; under
-    Chamfer, the diagonal of one ordering search over the matched elements.
+    :func:`check_match_inputs`.
+
+    Returns ``(rows, cols, orderings, costs)``, one entry per matched pair,
+    with ``rows`` ascending: pair i joins prediction ``rows[i]`` to ground
+    truth ``cols[i]``, ``orderings[i]`` indexes the members of that ground
+    truth's permutation group, and ``costs[i]`` is the pair's point-level
+    Manhattan cost under that ordering.  Under the point2point cost, each
+    pair's ordering and cost are the ones the cost matrix already computed;
+    under Chamfer, the diagonal of one ordering search over the matched
+    elements.
     """
-    if not len(gt_points):
-        return ArrayMatch((), (), (), ())
     rows, cols, search = _assign(
         points, scores, gt_points, gt_kinds, gt_classes, cfg, fixed_order
     )
@@ -228,8 +219,8 @@ def match_arrays(
         gts, kinds = [gt_points[g] for g in cols], [gt_kinds[g] for g in cols]
         search = _best_orderings(points[rows], gts, kinds, fixed_order)
         at = np.diag_indices(len(rows))
-    costs, best = (a[at].tolist() for a in search)
-    return ArrayMatch(tuple(rows), tuple(cols), tuple(best), tuple(costs))
+    costs, best = search
+    return rows, cols, best[at], costs[at]
 
 
 def stack_predictions(preds: list[PredictedElement]) -> tuple[np.ndarray, np.ndarray]:
@@ -297,10 +288,8 @@ def instance_match(
     points, scores = stack_predictions(preds)
     manhattan = cfg.position_cost is PositionCost.POINT2POINT
     check_match_inputs(len(preds), gts, points.shape[1] if manhattan else None)
-    if not gts:
-        return InstanceAssignment(pairs=())
     rows, cols, _ = _assign(points, scores, *_gt_arrays(gts), cfg, fixed_order)
-    return InstanceAssignment(pairs=tuple(zip(rows, cols)))
+    return InstanceAssignment(pairs=tuple(zip(rows.tolist(), cols.tolist())))
 
 
 def hierarchical_match(
@@ -317,12 +306,13 @@ def hierarchical_match(
     """
     points, scores = stack_predictions(preds)
     check_match_inputs(len(preds), gts, points.shape[1])
-    m = match_arrays(points, scores, *_gt_arrays(gts), cfg, fixed_order)
+    match = match_arrays(points, scores, *_gt_arrays(gts), cfg, fixed_order)
+    rows, cols, orderings, costs = (a.tolist() for a in match)
     point_level = {
         (p, g): PointAssignment(perm=gts[g].group().members[k], cost=c)
-        for p, g, k, c in zip(m.rows, m.cols, m.orderings, m.costs)
+        for p, g, k, c in zip(rows, cols, orderings, costs)
     }
     return HierarchicalMatch(
-        instance=InstanceAssignment(pairs=tuple(zip(m.rows, m.cols))),
+        instance=InstanceAssignment(pairs=tuple(zip(rows, cols))),
         point_level=point_level,
     )

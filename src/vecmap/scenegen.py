@@ -66,10 +66,14 @@ class PerturbSpec:
     pad_to: int = DEFAULT_SLOTS
 
     def __post_init__(self):
-        if not self.point_noise_sigma >= 0:  # NaN fails too
-            raise ValueError("point_noise_sigma must be >= 0")
+        if not 0 <= self.point_noise_sigma < np.inf:  # NaN fails too
+            raise ValueError("point_noise_sigma must be finite and >= 0")
         if not 0 <= self.drop_prob <= 1:
             raise ValueError("drop_prob must lie in [0, 1]")
+        if self.false_positive_count < 0:
+            raise ValueError("false_positive_count must be >= 0")
+        if self.score_model not in (ScoreModel.ORACLE, ScoreModel.NOISY_CONFIDENCE):
+            raise ValueError(f"unknown score_model {self.score_model!r}")
 
 
 @dataclass(frozen=True)

@@ -78,9 +78,13 @@ NAN, INF = float("nan"), float("inf")
         (APConfig, dict(score_floor=INF)),
         (APConfig, dict(interpolation_points=0)),
         (CostConfig, dict(focal_gamma=NAN)),
+        (CostConfig, dict(focal_gamma=INF)),
         (LossWeights, dict(lambda_cls=NAN)),
         (LossWeights, dict(alpha_p2p=NAN)),
         (LossWeights, dict(beta_dir=NAN)),
+        (LossWeights, dict(lambda_cls=INF)),
+        (LossWeights, dict(alpha_p2p=INF)),
+        (LossWeights, dict(beta_dir=INF)),
         (FitConfig, dict(step_size=NAN)),
         (FitConfig, dict(step_size=INF)),
     ],

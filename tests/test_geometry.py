@@ -7,7 +7,9 @@ from hypothesis import given, strategies as st
 from vecmap.geometry import (
     DegenerateShapeError,
     Direction,
+    ElementClass,
     ElementKind,
+    MapElement,
     PermutationDescriptor,
     SceneRange,
     apply_permutation,
@@ -62,6 +64,9 @@ class TestPermutationGroup:
     def test_degenerate_count_rejected(self, kind, n):
         with pytest.raises(ValueError):
             permutation_group(kind, n)
+        cls = ElementClass.PED_CROSSING if kind is ElementKind.POLYGON else ElementClass.DIVIDER
+        with pytest.raises(ValueError, match=f"{kind.value} needs at least"):
+            MapElement(cls, kind, np.zeros((n, 2)))
 
 
 class TestApplyPermutation:

@@ -57,6 +57,17 @@ class TestManhattan:
     def test_direct(self):
         assert math.isclose(manhattan_distance((0.2, 0.7), (0.5, 0.1)), 0.9)
 
+    @pytest.mark.parametrize("kind", list(ElementKind))
+    def test_equals_point_level_cost(self, rng, kind):
+        # The matcher adds |dx| + |dy| point by point in order; a pairwise
+        # np.abs(a - b).sum() differs from it in the last bits on most
+        # 20-point pairs.
+        for _ in range(100):
+            pred = rng.uniform(0.0, 1.0, size=(20, 2))
+            gt = random_element(rng, kind)
+            pa = point_level_match(pred, gt)
+            assert manhattan_distance(pred, apply_permutation(gt.points, pa.perm)) == pa.cost
+
 
 class TestFocalClassCost:
     def test_half_confidence_value(self):

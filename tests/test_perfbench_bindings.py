@@ -5,8 +5,8 @@ their callers use.  A rename in the package that drops one of them breaks
 ``perfbench/run.py --trace 1``; the first test makes it fail here first.
 ``perfbench/workloads.py`` checks every op's output against the recorded
 ``perfbench/reference.json``; the other tests run that check on the
-``match_dense`` and ``eval_ap`` inputs, so a change to the output bits of
-matching or of ``vecmap eval`` fails here.  Both modules are loaded from
+``fit_order_free``, ``match_dense`` and ``eval_ap`` inputs, so a change to
+the output bits of fitting, matching or ``vecmap eval`` fails here.  Both modules are loaded from
 their files, read-only.
 """
 
@@ -34,6 +34,17 @@ def test_every_trace_target_resolves(monkeypatch):
     for name, _, module_path, attr_path in tracer.TARGETS:
         owner, attr = tracer._resolve(module_path, attr_path)
         assert callable(getattr(owner, attr, None)), f"{name}: {module_path}.{attr_path}"
+
+
+@pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
+def test_fit_order_free_outputs_equal_reference(monkeypatch, tmp_path, quick):
+    # The final mAP and loss bits of one order-free fit of a corpus scene
+    # (a 10-iteration, 6-slot fit of a 3-element scene when quick).
+    workloads = _load(monkeypatch, "workloads")
+    workload = workloads.FitOrderFree(seed=0, quick=quick, workdir=tmp_path)
+    workload.setup()
+    for i in range(workload.n_inputs):
+        assert workload.check(i, workload.run(i)) is None
 
 
 @pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])

@@ -114,6 +114,15 @@ class TestPerturb:
         assert 1.00 < np.mean(vals) < 1.23
 
     def test_invalid_sigma_rejected(self):
-        for sigma in (-0.1, float("nan")):
+        for sigma in (-0.1, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 PerturbSpec(seed=0, point_noise_sigma=sigma)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(score_model="typo"), dict(false_positive_count=-3)],
+        ids=["unknown score model", "negative false positives"],
+    )
+    def test_invalid_spec_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            PerturbSpec(seed=0, **kwargs)
