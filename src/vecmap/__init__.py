@@ -20,10 +20,7 @@ from .losses import (
     LossBreakdown,
     LossGradients,
     LossWeights,
-    classification_loss,
-    edge_direction_loss,
     loss_gradients,
-    point2point_loss,
     total_loss,
 )
 from .matching import (
@@ -33,7 +30,6 @@ from .matching import (
     PointAssignment,
     PositionCost,
     PredictedElement,
-    chamfer_position_cost,
     focal_class_cost,
     hierarchical_match,
     instance_match,

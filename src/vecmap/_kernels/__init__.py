@@ -8,8 +8,9 @@ run.  ``BACKEND`` says which ("compiled" or "pure"); both return the same
 bits, so the choice changes speed only.
 
 Each entry runs one ``_pure.check_*`` (finite points, consistent shapes and
-indices, focal scores in [0, 1] and gamma >= 0, else ValueError) before any
-kernel; the C entries get raw addresses, so it is their only guard.
+indices, focal scores in [0, 1] and a finite gamma >= 0, else ValueError)
+before any kernel; the C entries get raw addresses, so it is their only
+guard.
 ``min_manhattan_over_perms`` and ``chamfer_mean`` slice the matrix kernels.
 """
 

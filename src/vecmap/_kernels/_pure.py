@@ -171,12 +171,15 @@ def focal_cost(p: float, gamma: float, alpha: float) -> float:
 
 def check_focal_inputs(scores, gamma: float) -> np.ndarray:
     """The scores flattened to contiguous float64.  Raises ValueError unless
-    each lies in [0, 1] and gamma >= 0, NaN failing both: outside that domain
-    Python's ``**`` and ``math.log`` raise or special-case where libm does not.
+    each lies in [0, 1] and 0 <= gamma < inf, NaN failing both: outside that
+    domain Python's ``**`` and ``math.log`` raise or special-case where libm
+    does not, and an infinite gamma zeroes every cost.
     """
     flat = np.ascontiguousarray(np.ravel(scores), dtype=np.float64)
-    if not (gamma >= 0 and ((flat >= 0) & (flat <= 1)).all()):
-        raise ValueError(f"focal scores must lie in [0, 1] and gamma >= 0, got gamma {gamma}")
+    if not (0 <= gamma < math.inf and ((flat >= 0) & (flat <= 1)).all()):
+        raise ValueError(
+            f"focal scores must lie in [0, 1] and gamma >= 0 (finite), got gamma {gamma}"
+        )
     return flat
 
 

@@ -1,7 +1,7 @@
 """Command-line surface: generate / eval / match / fit.
 
-Exit codes: 0 success, 1 input error (bad flags or malformed files),
-2 internal error.
+Exit codes: 0 success, 1 input error (bad flags, malformed files, or an
+output file that cannot be written), 2 internal error.
 """
 
 from __future__ import annotations
@@ -86,12 +86,7 @@ def cmd_generate(args) -> int:
         n_boundary=args.boundary,
         n_points=args.n_points,
     )
-    scene = generate_scene(spec)
-    try:
-        write_scene(args.out, scene)
-    except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-        return 1
+    write_scene(args.out, generate_scene(spec))
     return 0
 
 
@@ -204,7 +199,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (SceneFormatError, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # SceneFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # internal failure

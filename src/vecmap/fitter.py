@@ -118,8 +118,6 @@ def fit(gt: MapScene, cfg: FitConfig = FitConfig()) -> FitTrace:
     trace = []
     for t in range(1, cfg.iterations + 1):
         scores = _sigmoid(logits)
-        # This iteration's points and scores: the final predictions if it is the last.
-        last = points, scores
         gts_iter = [
             el.points[m[order_rng.integers(len(m))]] for el, m in zip(gts_norm, maps)
         ]
@@ -131,6 +129,8 @@ def fit(gt: MapScene, cfg: FitConfig = FitConfig()) -> FitTrace:
             points, scores, rows, classes[cols], aligned, closed[cols], cfg.weights, cost_cfg
         )
         trace.append(breakdown)
+        if t == cfg.iterations:  # the final predictions: no step after the last loss
+            break
         g_pts = grads.d_points
         g_log = grads.d_scores * scores * (1.0 - scores)
 
@@ -142,7 +142,7 @@ def fit(gt: MapScene, cfg: FitConfig = FitConfig()) -> FitTrace:
         points = np.clip(points - lr * (m_pts / c1) / (np.sqrt(v_pts / c2) + eps), 0.0, 1.0)
         logits = logits - lr * (m_log / c1) / (np.sqrt(v_log / c2) + eps)
 
-    preds = [PredictedElement(scores=s, points=p) for p, s in zip(*last)]
+    preds = [PredictedElement(scores=s, points=p) for p, s in zip(points, scores)]
     report = evaluate_ap([preds], [list(gt.elements)], APConfig(), gt.range)
     return FitTrace(
         losses=tuple(trace), final_predictions=tuple(preds), final_report=report

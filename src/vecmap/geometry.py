@@ -129,8 +129,9 @@ class SceneRange:
     y_max: float = 30.0
 
     def __post_init__(self):
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
-            raise ValueError(f"empty scene range: {self}")
+        finite = np.isfinite([self.x_min, self.x_max, self.y_min, self.y_max]).all()
+        if not (finite and self.x_min < self.x_max and self.y_min < self.y_max):
+            raise ValueError(f"scene range must be finite and non-empty: {self}")
 
     @property
     def lower(self) -> np.ndarray:

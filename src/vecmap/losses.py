@@ -40,6 +40,15 @@ class LossWeights:
 
 @dataclass(frozen=True)
 class LossBreakdown:
+    """The terms of the training objective and their weighted sum.
+
+    ``cls``: sigmoid focal loss over every prediction slot and class;
+    matched predictions get a one-hot target at the assigned class,
+    no-object predictions an all-zero target.  ``p2p``: summed Manhattan
+    distance over aligned point pairs of matched elements.  ``dir``:
+    negative summed cosine similarity between paired edges.
+    """
+
     cls: float
     p2p: float
     dir: float
@@ -166,38 +175,6 @@ def _fused(preds, gts, match, weights=LossWeights(), cfg=CostConfig()):
     )
 
 
-def classification_loss(
-    preds: list[PredictedElement],
-    gts: list[MapElement],
-    match: HierarchicalMatch,
-    cfg: CostConfig = CostConfig(),
-) -> float:
-    """Sigmoid focal loss over every prediction slot and class.
-
-    Matched predictions get a one-hot target at the assigned class;
-    no-object predictions get an all-zero target.
-    """
-    return _fused(preds, gts, match, cfg=cfg)[0].cls
-
-
-def point2point_loss(
-    preds: list[PredictedElement],
-    gts: list[MapElement],
-    match: HierarchicalMatch,
-) -> float:
-    """Summed Manhattan distance over aligned point pairs of matched elements."""
-    return _fused(preds, gts, match)[0].p2p
-
-
-def edge_direction_loss(
-    preds: list[PredictedElement],
-    gts: list[MapElement],
-    match: HierarchicalMatch,
-) -> float:
-    """Negative summed cosine similarity between paired edges."""
-    return _fused(preds, gts, match)[0].dir
-
-
 def total_loss(
     preds: list[PredictedElement],
     gts: list[MapElement],
@@ -205,6 +182,7 @@ def total_loss(
     weights: LossWeights = LossWeights(),
     cfg: CostConfig = CostConfig(),
 ) -> LossBreakdown:
+    """The loss terms and their weighted total; see :class:`LossBreakdown`."""
     return _fused(preds, gts, match, weights, cfg)[0]
 
 

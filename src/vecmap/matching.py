@@ -29,7 +29,7 @@ from .geometry import (
     as_points,
     permutation_group,
 )
-from .metrics import chamfer_distance as chamfer_position_cost, chamfer_distances
+from .metrics import chamfer_distances
 
 
 def linear_sum_assignment(cost):
@@ -123,14 +123,6 @@ def focal_class_cost(
     return focal_cost(p, cfg.focal_gamma, cfg.focal_alpha)
 
 
-def class_cost_table(scores: np.ndarray, cfg: CostConfig = CostConfig()) -> np.ndarray:
-    """(P, 3) table of :func:`focal_class_cost` for every prediction and class.
-
-    Equal to the scalar cost under ``==``, on either kernel backend.
-    """
-    return _kernels.focal_cost_table(scores, cfg.focal_gamma, cfg.focal_alpha)
-
-
 def _orderings(kind: ElementKind | None, n: int) -> np.ndarray:
     """Index maps searched for a ground truth: its kind's group, or with
     ``kind`` None the stored order alone (the fixed-order baseline)."""
@@ -172,18 +164,12 @@ def _costs(points, scores, gt_points, gt_kinds, gt_classes, cfg, fixed_order):
     """Class + position cost matrix (P, G), plus the (costs, best) of
     :func:`_best_orderings` it added, or None under the Chamfer position
     cost."""
-    cost = class_cost_table(scores, cfg)[:, list(gt_classes)]
+    table = _kernels.focal_cost_table(scores, cfg.focal_gamma, cfg.focal_alpha)
+    cost = table[:, list(gt_classes)]
     if cfg.position_cost is PositionCost.CHAMFER:
         return cost + chamfer_distances(points, gt_points), None
     search = _best_orderings(points, gt_points, gt_kinds, fixed_order)
     return cost + search[0], search
-
-
-def _assign(points, scores, gt_points, gt_kinds, gt_classes, cfg, fixed_order):
-    """Instance-level assignment: (rows, cols, search of _costs).  scipy
-    returns the rows ascending."""
-    cost, search = _costs(points, scores, gt_points, gt_kinds, gt_classes, cfg, fixed_order)
-    return (*linear_sum_assignment(cost), search)
 
 
 def match_arrays(
@@ -211,9 +197,8 @@ def match_arrays(
     under Chamfer, the diagonal of one ordering search over the matched
     elements.
     """
-    rows, cols, search = _assign(
-        points, scores, gt_points, gt_kinds, gt_classes, cfg, fixed_order
-    )
+    cost, search = _costs(points, scores, gt_points, gt_kinds, gt_classes, cfg, fixed_order)
+    rows, cols = linear_sum_assignment(cost)  # rows ascending, as scipy documents
     at = rows, cols
     if search is None:  # Chamfer cost: matched prediction i against matched ground truth i
         gts, kinds = [gt_points[g] for g in cols], [gt_kinds[g] for g in cols]
@@ -288,7 +273,8 @@ def instance_match(
     points, scores = stack_predictions(preds)
     manhattan = cfg.position_cost is PositionCost.POINT2POINT
     check_match_inputs(len(preds), gts, points.shape[1] if manhattan else None)
-    rows, cols, _ = _assign(points, scores, *_gt_arrays(gts), cfg, fixed_order)
+    cost, _ = _costs(points, scores, *_gt_arrays(gts), cfg, fixed_order)
+    rows, cols = linear_sum_assignment(cost)
     return InstanceAssignment(pairs=tuple(zip(rows.tolist(), cols.tolist())))
 
 

@@ -23,7 +23,7 @@ from vecmap.geometry import (
     normalize,
     permutation_group,
 )
-from vecmap.losses import LossWeights, edge_direction_loss, loss_gradients, point2point_loss
+from vecmap.losses import LossWeights, loss_gradients, total_loss
 from vecmap.matching import (
     CostConfig,
     PredictedElement,
@@ -114,16 +114,16 @@ def test_acceptance_3_invariance_under_equivalent_reorderings():
                 break
         base_match = hierarchical_match([pred], [gt])
         base_cost = base_match.point_level[(0, 0)].cost
-        base_p2p = point2point_loss([pred], [gt], base_match)
-        base_dir = edge_direction_loss([pred], [gt], base_match)
+        base = total_loss([pred], [gt], base_match)
         for member in permutation_group(kind, n).members:
             reordered = [
                 MapElement(gt.element_class, kind, apply_permutation(gt.points, member))
             ]
             match = hierarchical_match([pred], reordered)
             assert abs(match.point_level[(0, 0)].cost - base_cost) < 1e-9
-            assert abs(point2point_loss([pred], reordered, match) - base_p2p) < 1e-9
-            assert abs(edge_direction_loss([pred], reordered, match) - base_dir) < 1e-9
+            loss = total_loss([pred], reordered, match)
+            assert abs(loss.p2p - base.p2p) < 1e-9
+            assert abs(loss.dir - base.dir) < 1e-9
             checked += 1
     _report(3, f"costs and losses invariant under {checked} equivalent reorderings")
 

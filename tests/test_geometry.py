@@ -201,6 +201,11 @@ class TestNormalize:
     def test_invalid_range_rejected(self):
         with pytest.raises(ValueError):
             SceneRange(x_min=1.0, x_max=1.0)
+        # An infinite extent would make normalize() return NaN.
+        for bound in ("x_min", "x_max", "y_min", "y_max"):
+            for value in (-np.inf, np.inf, np.nan):
+                with pytest.raises(ValueError, match="finite"):
+                    SceneRange(**{bound: value})
 
 
 class TestEdges:

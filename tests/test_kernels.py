@@ -361,8 +361,11 @@ def test_focal_cost_table_bit_identical(c_kernels, gamma, rng):
 
 def test_focal_cost_table_rejects_out_of_domain_input():
     # Outside [0, 1], or with gamma < 0, Python's ** and math.log raise or
-    # special-case where libm does not: both backends' check raises first.
-    cases = [(1.5, 2.0), (-0.25, 2.0), (math.nan, 2.0), (0.5, -1.0), (0.5, math.nan)]
+    # special-case where libm does not, and an infinite gamma zeroes every
+    # cost: both backends' check raises first.
+    cases = [
+        (1.5, 2.0), (-0.25, 2.0), (math.nan, 2.0), (0.5, -1.0), (0.5, math.nan), (0.5, math.inf)
+    ]
     for score, gamma in cases:
         scores = np.array([[0.5, score, 0.5]])
         for entry in (kernels.focal_cost_table, _pure.focal_cost_table):

@@ -23,10 +23,7 @@ from vecmap.losses import (
     EDGE_NORM_FLOOR,
     LossWeights,
     _focal_terms,
-    classification_loss,
-    edge_direction_loss,
     loss_gradients,
-    point2point_loss,
     total_loss,
 )
 from vecmap.matching import (
@@ -57,7 +54,7 @@ class TestClassificationLoss:
         gts = [random_element(rng) for _ in range(3)]
         preds = _perfect_preds(gts)
         match = hierarchical_match(preds, gts)
-        assert classification_loss(preds, gts, match) == pytest.approx(0.0, abs=1e-10)
+        assert total_loss(preds, gts, match).cls == pytest.approx(0.0, abs=1e-10)
 
     def test_half_scores_single_match(self, rng):
         gt = random_element(rng, element_class=None)
@@ -66,12 +63,12 @@ class TestClassificationLoss:
         expected = sum(
             _focal_slot(0.5, c == int(gt.element_class)) for c in range(3)
         )
-        assert classification_loss([pred], [gt], match) == pytest.approx(expected)
+        assert total_loss([pred], [gt], match).cls == pytest.approx(expected)
 
     def test_vacuous_negatives(self, rng):
         pred = PredictedElement(scores=np.zeros(3), points=rng.uniform(size=(20, 2)))
         match = hierarchical_match([pred], [])
-        assert classification_loss([pred], [], match) == pytest.approx(0.0, abs=1e-10)
+        assert total_loss([pred], [], match).cls == pytest.approx(0.0, abs=1e-10)
 
 
 class TestPoint2PointLoss:
@@ -79,7 +76,7 @@ class TestPoint2PointLoss:
         gts = [random_element(rng) for _ in range(3)]
         preds = _perfect_preds(gts)
         match = hierarchical_match(preds, gts)
-        assert point2point_loss(preds, gts, match) == 0.0
+        assert total_loss(preds, gts, match).p2p == 0.0
 
     def test_uniform_offset(self, rng):
         pts = np.linspace([0.1, 0.1], [0.3, 0.9], 20)  # asymmetric polyline
@@ -92,7 +89,7 @@ class TestPoint2PointLoss:
             scores=np.eye(3)[int(gt.element_class)], points=pts + [0.1, 0.0]
         )
         match = hierarchical_match([pred], [gt])
-        assert point2point_loss([pred], [gt], match) == pytest.approx(2.0, abs=1e-12)
+        assert total_loss([pred], [gt], match).p2p == pytest.approx(2.0, abs=1e-12)
 
     def test_matches_exhaustive_gamma_oracle(self, rng):
         gts = [random_element(rng, n_points=8) for _ in range(3)]
@@ -105,13 +102,13 @@ class TestPoint2PointLoss:
                 float(np.abs(preds[p].points - apply_permutation(gts[g].points, m)).sum())
                 for m in group.members
             )
-        assert point2point_loss(preds, gts, match) == pytest.approx(expected, rel=1e-12)
+        assert total_loss(preds, gts, match).p2p == pytest.approx(expected, rel=1e-12)
 
     def test_nonnegative(self, rng):
         gts = [random_element(rng) for _ in range(2)]
         preds = [random_prediction(rng) for _ in range(4)]
         match = hierarchical_match(preds, gts)
-        assert point2point_loss(preds, gts, match) >= 0.0
+        assert total_loss(preds, gts, match).p2p >= 0.0
 
 
 def _oracle_dir_loss(preds, gts, match):
@@ -139,7 +136,7 @@ class TestEdgeDirectionLoss:
         preds = _perfect_preds(gts)
         match = hierarchical_match(preds, gts)
         # polygon pairs 20 edges, polyline 19, all cosines 1
-        assert edge_direction_loss(preds, gts, match) == pytest.approx(-39.0, abs=1e-9)
+        assert total_loss(preds, gts, match).dir == pytest.approx(-39.0, abs=1e-9)
 
     def test_rotated_180_is_antiparallel(self, rng):
         gt = random_element(rng, kind=ElementKind.POLYLINE)
@@ -152,14 +149,14 @@ class TestEdgeDirectionLoss:
             instance=InstanceAssignment(pairs=((0, 0),)),
             point_level={(0, 0): PointAssignment(perm=identity, cost=0.0)},
         )
-        loss = edge_direction_loss([pred], [gt], match)
+        loss = total_loss([pred], [gt], match).dir
         assert loss == pytest.approx(19.0, abs=1e-9)
 
     def test_random_matches_oracle(self, rng):
         gts = [random_element(rng) for _ in range(3)]
         preds = [random_prediction(rng) for _ in range(5)]
         match = hierarchical_match(preds, gts)
-        assert edge_direction_loss(preds, gts, match) == pytest.approx(
+        assert total_loss(preds, gts, match).dir == pytest.approx(
             _oracle_dir_loss(preds, gts, match), abs=1e-12
         )
 
@@ -171,7 +168,7 @@ class TestEdgeDirectionLoss:
             20 if gts[g].kind is ElementKind.POLYGON else 19
             for _, g in match.instance.pairs
         )
-        loss = edge_direction_loss(preds, gts, match)
+        loss = total_loss(preds, gts, match).dir
         assert -n_edges <= loss <= n_edges
 
 
@@ -403,6 +400,8 @@ class TestFusedEqualsPerPair:
         grads = loss_gradients(preds, gts, match, weights)
         np.testing.assert_array_equal(grads.d_points, d_points)
         np.testing.assert_array_equal(grads.d_scores, d_scores)
-        assert classification_loss(preds, gts, match) == terms[0]
-        assert point2point_loss(preds, gts, match) == terms[1]
-        assert edge_direction_loss(preds, gts, match) == terms[2]
+        # The terms do not depend on the weights.
+        default = total_loss(preds, gts, match)
+        assert default.cls == terms[0]
+        assert default.p2p == terms[1]
+        assert default.dir == terms[2]

@@ -29,8 +29,6 @@ from vecmap.matching import (
     PredictedElement,
     _costs,
     _gt_arrays,
-    chamfer_position_cost,
-    class_cost_table,
     focal_class_cost,
     hierarchical_match,
     instance_match,
@@ -38,6 +36,7 @@ from vecmap.matching import (
     point_level_match,
     stack_predictions,
 )
+from vecmap.metrics import chamfer_distance
 
 
 class TestPredictedElement:
@@ -102,7 +101,7 @@ class TestClassCostTable:
     )
     def test_entries_equal_focal_class_cost(self, scores, gamma, alpha):
         cfg = CostConfig(focal_gamma=gamma, focal_alpha=alpha)
-        table = class_cost_table(scores, cfg)
+        table = _kernels.focal_cost_table(scores, cfg.focal_gamma, cfg.focal_alpha)
         assert table.shape == (len(scores), 3)
         for p in range(len(scores)):
             for cls in ElementClass:
@@ -115,7 +114,8 @@ class TestClassCostTable:
         cfg = CostConfig(focal_gamma=gamma)
         scores = rng.uniform(size=(5000, 3))
         expected = [[focal_class_cost(row, cls, cfg) for cls in ElementClass] for row in scores]
-        np.testing.assert_array_equal(class_cost_table(scores, cfg), expected)
+        table = _kernels.focal_cost_table(scores, cfg.focal_gamma, cfg.focal_alpha)
+        np.testing.assert_array_equal(table, expected)
 
 
 def _oracle_point_match(pred_pts, gt):
@@ -183,32 +183,32 @@ class TestPointLevelMatch:
 class TestChamferPositionCost:
     def test_identical_sets(self, rng):
         pts = rng.uniform(size=(12, 2))
-        assert chamfer_position_cost(pts, pts.copy()) == 0.0
+        assert chamfer_distance(pts, pts.copy()) == 0.0
 
     def test_single_pair_euclidean(self):
-        assert chamfer_position_cost([[0, 0]], [[3, 4]]) == pytest.approx(5.0)
+        assert chamfer_distance([[0, 0]], [[3, 4]]) == pytest.approx(5.0)
 
     def test_two_vs_one(self):
-        got = chamfer_position_cost([[0, 0], [1, 0]], [[0, 1]])
+        got = chamfer_distance([[0, 0], [1, 0]], [[0, 1]])
         expected = 0.5 * ((1 + math.sqrt(2)) / 2 + 1)
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_symmetric(self, rng):
         a, b = rng.uniform(size=(8, 2)), rng.uniform(size=(5, 2))
-        assert chamfer_position_cost(a, b) == chamfer_position_cost(b, a)
+        assert chamfer_distance(a, b) == chamfer_distance(b, a)
 
     def test_translation_invariant(self, rng):
         a, b = rng.uniform(size=(6, 2)), rng.uniform(size=(6, 2))
         shift = np.array([1.7, -0.3])
-        assert chamfer_position_cost(a + shift, b + shift) == pytest.approx(
-            chamfer_position_cost(a, b), abs=1e-12
+        assert chamfer_distance(a + shift, b + shift) == pytest.approx(
+            chamfer_distance(a, b), abs=1e-12
         )
 
 
 def _pair_cost(pred, gt, cfg):
     cost = focal_class_cost(pred.scores, gt.element_class, cfg)
     if cfg.position_cost is PositionCost.CHAMFER:
-        return cost + chamfer_position_cost(pred.points, gt.points)
+        return cost + chamfer_distance(pred.points, gt.points)
     return cost + _oracle_point_match(pred.points, gt)[0]
 
 
@@ -335,7 +335,7 @@ def test_grouped_costs_equal_per_ground_truth_loop(problem, fixed_order):
     cost, (grouped_pos, grouped_best) = _costs(
         points, scores, *_gt_arrays(gts), cfg, fixed_order
     )
-    table = class_cost_table(scores, cfg)
+    table = _kernels.focal_cost_table(scores, cfg.focal_gamma, cfg.focal_alpha)
     for g, gt in enumerate(gts):
         if fixed_order:
             maps = np.arange(gt.n_points)[None, :]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vecmap.geometry import ElementKind, denormalize
-from vecmap.losses import point2point_loss
+from vecmap.losses import total_loss
 from vecmap.matching import hierarchical_match
 from vecmap.scenegen import (
     DEFAULT_SLOTS,
@@ -110,7 +110,7 @@ class TestPerturb:
         for s in range(30):
             preds = perturb(scene, PerturbSpec(seed=s, point_noise_sigma=0.2))
             match = hierarchical_match(preds, gtn)
-            vals.append(point2point_loss(preds, gtn, match))
+            vals.append(total_loss(preds, gtn, match).p2p)
         assert 1.00 < np.mean(vals) < 1.23
 
     def test_invalid_sigma_rejected(self):

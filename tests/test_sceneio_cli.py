@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -467,3 +468,27 @@ class TestCliFit:
             assert "href" not in path.read_text()
         assert "permutation_equivalent" in svg.read_text()
         assert "fixed_order" in svg.read_text()
+
+    def test_non_finite_range_names_file(self, tmp_path, capsys):
+        gt = _generate(tmp_path)
+        _set_range(gt, [-math.inf, math.inf, -30, 30])
+        code = main(["fit", str(gt), "--iterations", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert str(gt) in captured.err and "finite" in captured.err
+
+
+@pytest.mark.parametrize("command", ["generate", "eval --json", "fit --trace", "fit --svg"])
+def test_unwritable_output_is_input_error(tmp_path, capsys, command):
+    # An output path in a missing directory: exit 1, naming the path.
+    gt, pred = _own_points_files(tmp_path)
+    out = tmp_path / "missing" / "out.txt"
+    argv = {
+        "generate": ["generate", "--seed", "1", "--out", str(out)],
+        "eval --json": ["eval", "--gt", str(gt), "--pred", str(pred), "--json", str(out)],
+        "fit --trace": ["fit", str(gt), "--iterations", "2", "--trace", str(out)],
+        "fit --svg": ["fit", str(gt), "--iterations", "2", "--svg", str(out)],
+    }[command]
+    assert main(argv) == 1
+    assert str(out) in capsys.readouterr().err
