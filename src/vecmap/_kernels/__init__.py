@@ -7,10 +7,11 @@ library.  Without ``cc``, or when the build fails, the bodies of ``_pure``
 run.  ``BACKEND`` says which ("compiled" or "pure"); both return the same
 bits, so the choice changes speed only.
 
-Each entry runs one ``_pure.check_*`` (finite points, consistent shapes and
-indices, focal scores in [0, 1] and a finite gamma >= 0, else ValueError)
-before any kernel; the C entries get raw addresses, so it is their only
-guard.
+Each public entry runs one ``_pure.check_*`` (finite points, consistent
+shapes and indices, focal scores in [0, 1] and a finite gamma >= 0, else
+ValueError) on every call, before any kernel.  The private ``_bind_*``
+entries run it once, at bind time; ``matching.BoundMatcher`` then checks
+only each call's predicted points (finite) and scores (in [0, 1]).
 ``min_manhattan_over_perms`` and ``chamfer_mean`` slice the matrix kernels.
 """
 
@@ -18,6 +19,7 @@ import ctypes
 import hashlib
 import os
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -74,10 +76,43 @@ def build(cache_dir: Path, source: Path = SOURCE) -> Path | None:
     return lib
 
 
+def _binders(dll):
+    """(bind_manhattan, bind_focal) running ``dll``, or the ``_pure`` bodies
+    with ``dll`` None.  Each checks its input, allocates outputs and scratch
+    and takes every address once, and returns the checked inputs, the
+    outputs and ``run()``, which refills the outputs from the inputs' current
+    contents unchecked.  An input already contiguous in the kernel's dtype is
+    bound as it is (scores as a flat view), so a caller may refill it."""
+
+    def bind_manhattan(pred_pts, gt_pts, perms):
+        pred, gts, perms = _pure.check_manhattan_inputs(pred_pts, gt_pts, perms)
+        (P, n), G, K = pred.shape[:2], len(gts), len(perms)
+        costs, best = np.empty((P, G)), np.empty((P, G), dtype=np.int64)
+        if dll is None:
+            return pred, gts, costs, best, partial(_pure.manhattan_into, pred, gts, perms, costs, best)
+        bufs = pred, gts, perms, costs, best, np.empty(2 * n * P + P)
+        a, b, c, d, e, f = (x.ctypes.data for x in bufs)
+        run = partial(dll.manhattan_matrix, a, b, c, P, G, K, n, d, e, f)
+        run.bufs = bufs  # the library reads them by address: alive as long as run
+        return pred, gts, costs, best, run
+
+    def bind_focal(scores, gamma, alpha):
+        flat = _pure.check_focal_inputs(scores, gamma)
+        out = np.empty(len(flat))
+        if dll is None:
+            return flat, out, partial(_pure.focal_into, flat, gamma, alpha, out)
+        run = partial(dll.focal_cost_table, flat.ctypes.data, len(flat), gamma, alpha,
+                      _pure.FOCAL_EPS, out.ctypes.data)
+        run.bufs = flat, out
+        return flat, out, run
+
+    return bind_manhattan, bind_focal
+
+
 def load(lib: Path):
-    """(manhattan_matrix, chamfer_matrix, focal_cost_table) running the
-    library ``lib``: each runs its ``_pure`` check, then makes one call with
-    raw addresses of arrays bound to names until the call returns."""
+    """(manhattan_matrix, chamfer_matrix, focal_cost_table, bind_manhattan,
+    bind_focal) running the library ``lib``; the first three check their
+    input, then make one library call."""
     dll = ctypes.CDLL(str(lib))
     ptr, n, real = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     dll.manhattan_matrix.argtypes = [ptr, ptr, ptr, n, n, n, n, ptr, ptr, ptr]
@@ -85,16 +120,12 @@ def load(lib: Path):
     dll.focal_cost_table.argtypes = [ptr, n, real, real, real, ptr]
     for entry in (dll.manhattan_matrix, dll.chamfer_matrix, dll.focal_cost_table):
         entry.restype = None
+    bind_manhattan, bind_focal = _binders(dll)
 
     def manhattan_matrix(pred_pts, gt_pts, perms):
         """See vecmap._kernels._pure.manhattan_matrix."""
-        pred, gts, perms = _pure.check_manhattan_inputs(pred_pts, gt_pts, perms)
-        (P, n), G, K = pred.shape[:2], len(gts), len(perms)
-        costs, best = np.empty((P, G)), np.empty((P, G), dtype=np.int64)
-        scratch = np.empty(2 * n * P + P)
-        dll.manhattan_matrix(pred.ctypes.data, gts.ctypes.data, perms.ctypes.data,
-                             P, G, K, n, costs.ctypes.data, best.ctypes.data,
-                             scratch.ctypes.data)
+        *_, costs, best, run = bind_manhattan(pred_pts, gt_pts, perms)
+        run()
         return costs, best
 
     def chamfer_matrix(a, b):
@@ -108,13 +139,11 @@ def load(lib: Path):
 
     def focal_cost_table(scores, gamma, alpha):
         """See vecmap._kernels._pure.focal_cost_table."""
-        flat = _pure.check_focal_inputs(scores, gamma)
-        out = np.empty(len(flat))
-        dll.focal_cost_table(flat.ctypes.data, len(flat), gamma, alpha,
-                             _pure.FOCAL_EPS, out.ctypes.data)
+        _, out, run = bind_focal(scores, gamma, alpha)
+        run()
         return out.reshape(-1, 3)
 
-    return manhattan_matrix, chamfer_matrix, focal_cost_table
+    return manhattan_matrix, chamfer_matrix, focal_cost_table, bind_manhattan, bind_focal
 
 
 try:
@@ -128,9 +157,10 @@ if _entries is None:
     manhattan_matrix = _pure.manhattan_matrix
     chamfer_matrix = _pure.chamfer_matrix
     focal_cost_table = _pure.focal_cost_table
+    _bind_manhattan, _bind_focal = _binders(None)
 else:
     BACKEND = "compiled"
-    manhattan_matrix, chamfer_matrix, focal_cost_table = _entries
+    manhattan_matrix, chamfer_matrix, focal_cost_table, _bind_manhattan, _bind_focal = _entries
 
 
 def min_manhattan_over_perms(pred_pts, gt_pts, perms):

@@ -79,7 +79,11 @@ def manhattan_matrix(
     term = |dx| + |dy| over point index j in order, as the C loop does, so
     entry (p, g) does not depend on the other pairs in the stacks.
     """
-    pred, gts, perms = check_manhattan_inputs(pred_pts, gt_pts, perms)
+    return manhattan_into(*check_manhattan_inputs(pred_pts, gt_pts, perms))
+
+
+def manhattan_into(pred, gts, perms, costs=None, best=None):
+    """:func:`manhattan_matrix` on checked inputs, into costs and best when given."""
     (P, n), G, K = pred.shape[:2], len(gts), len(perms)
     # Row j holds point j of every (prediction, ground truth, ordering)
     # triple, column p * G * K + g * K + k, so the adds below run over rows.
@@ -103,7 +107,7 @@ def manhattan_matrix(
         for row in term:
             acc += row
     acc = acc.reshape(P, G, K)
-    return acc.min(axis=2), acc.argmin(axis=2)
+    return acc.min(axis=2, out=costs), acc.argmin(axis=2, out=best)
 
 
 #: Elements per (rows, m, P*G) block of squared distances: 256 KiB of
@@ -189,5 +193,11 @@ def focal_cost_table(scores, gamma: float, alpha: float) -> np.ndarray:
     Entry by entry in Python floats: numpy's vectorized ``log`` and
     ``power`` may round differently in the last ulp.
     """
-    table = [focal_cost(p, gamma, alpha) for p in check_focal_inputs(scores, gamma).tolist()]
-    return np.array(table, dtype=np.float64).reshape(-1, 3)
+    flat = check_focal_inputs(scores, gamma)
+    return focal_into(flat, gamma, alpha, np.empty(len(flat))).reshape(-1, 3)
+
+
+def focal_into(flat, gamma: float, alpha: float, out: np.ndarray) -> np.ndarray:
+    """:func:`focal_cost_table` on checked flat scores, written into out."""
+    out[:] = [focal_cost(p, gamma, alpha) for p in flat.tolist()]
+    return out

@@ -198,6 +198,10 @@ def main(argv=None) -> int:
         "fit": cmd_fit,
     }
     try:
+        # Output paths are checked before any work, so that none leaves partial output.
+        for path in filter(None, (getattr(args, k, None) for k in ("out", "json_out", "trace", "svg"))):
+            if Path(path).is_dir() or not Path(path).parent.is_dir():
+                raise ValueError(f"cannot write {path}: not a file in an existing directory")
         return handlers[args.command](args)
     except (ValueError, OSError) as exc:  # SceneFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

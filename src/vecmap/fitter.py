@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# fit calls the array core (match_arrays, loss_and_gradients).  The dataclass
+# fit calls the array core (BoundMatcher, loss_and_gradients).  The dataclass
 # entry points apply_permutation, hierarchical_match, total_loss and
 # loss_gradients stay bound here: perfbench/tracer.py wraps these names.
 from .geometry import ElementKind, apply_permutation  # noqa: F401
@@ -27,11 +27,11 @@ from .losses import (  # noqa: F401
     total_loss,
 )
 from .matching import (  # noqa: F401
+    BoundMatcher,
     CostConfig,
     PredictedElement,
     check_match_inputs,
     hierarchical_match,
-    match_arrays,
 )
 from .metrics import APConfig, APReport, evaluate_ap
 from .scenegen import DEFAULT_SLOTS, MapScene
@@ -102,11 +102,16 @@ def fit(gt: MapScene, cfg: FitConfig = FitConfig()) -> FitTrace:
     classes = np.array([int(el.element_class) for el in gts_norm])
     closed = np.array([k is ElementKind.POLYGON for k in kinds])
     maps = [el.group().index_maps() for el in gts_norm]
+    # The maps padded into one (G, K, nv) table: one fancy index gathers them.
+    all_maps = np.zeros((len(maps), max(map(len, maps)), nv), dtype=np.int64)
+    for g, m in enumerate(maps):
+        all_maps[g, : len(m)] = m
+    flat, at = np.stack([el.points for el in gts_norm]), np.arange(len(maps))[:, None]
     order_rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1,)))
     )
-    fixed_order = cfg.mode is FitMode.FIXED_ORDER
     cost_cfg = CostConfig()
+    matcher = BoundMatcher(n, nv, flat, kinds, classes, cost_cfg, cfg.mode is FitMode.FIXED_ORDER)
 
     m_pts = np.zeros_like(points)
     v_pts = np.zeros_like(points)
@@ -118,13 +123,10 @@ def fit(gt: MapScene, cfg: FitConfig = FitConfig()) -> FitTrace:
     trace = []
     for t in range(1, cfg.iterations + 1):
         scores = _sigmoid(logits)
-        gts_iter = [
-            el.points[m[order_rng.integers(len(m))]] for el, m in zip(gts_norm, maps)
-        ]
-        rows, cols, orderings, _ = match_arrays(
-            points, scores, gts_iter, kinds, classes, cost_cfg, fixed_order
-        )
-        aligned = np.stack([gts_iter[g][maps[g][k]] for g, k in zip(cols, orderings)])
+        drawn = [order_rng.integers(len(m)) for m in maps]
+        gts_iter = flat[at, all_maps[at[:, 0], drawn]]
+        rows, cols, orderings, _ = matcher(points, scores, gts_iter)
+        aligned = gts_iter[cols[:, None], all_maps[cols, orderings]]
         breakdown, grads = loss_and_gradients(
             points, scores, rows, classes[cols], aligned, closed[cols], cfg.weights, cost_cfg
         )

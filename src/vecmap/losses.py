@@ -87,8 +87,10 @@ def _edge_cosines(pred: np.ndarray, aligned: np.ndarray, closed: np.ndarray):
     j+1 mod n.  Polylines (``closed`` False) have no wrap-around edge: its
     cosine and gradient are 0.
     """
-    pe = pred - np.roll(pred, -1, axis=1)
-    ge = aligned - np.roll(aligned, -1, axis=1)
+    pe, ge = pred.copy(), aligned.copy()  # edge j: point j minus point j+1 mod n
+    for e, a in ((pe, pred), (ge, aligned)):
+        e[:, :-1] -= a[:, 1:]
+        e[:, -1] -= a[:, 0]
     pn = np.linalg.norm(pe, axis=-1)
     gn = np.linalg.norm(ge, axis=-1)
     n = pred.shape[1]
@@ -102,7 +104,10 @@ def _edge_cosines(pred: np.ndarray, aligned: np.ndarray, closed: np.ndarray):
     dcos = ge / (safe_pn * safe_gn)[..., None] - cos[..., None] * pe / (safe_pn**2)[..., None]
     dcos[~ok] = 0.0
     # Point j starts edge j and ends edge j-1.
-    return cos, dcos - np.roll(dcos, 1, axis=1)
+    grad = dcos.copy()
+    grad[:, 1:] -= dcos[:, :-1]
+    grad[:, 0] -= dcos[:, -1]
+    return cos, grad
 
 
 def loss_and_gradients(

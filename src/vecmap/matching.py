@@ -129,26 +129,6 @@ def _orderings(kind: ElementKind | None, n: int) -> np.ndarray:
     return np.arange(n)[None, :] if kind is None else permutation_group(kind, n).index_maps()
 
 
-def _best_orderings(points, gt_points, gt_kinds, fixed_order):
-    """(P, G) least summed Manhattan costs over each ground truth's
-    orderings, and the first ordering attaining each: (costs, best).
-
-    One kernel call per element kind, over every ground truth of that kind;
-    ``fixed_order`` makes one call over all ground truth with the identity
-    ordering (its best is always 0).
-    """
-    costs = np.empty((len(points), len(gt_points)))
-    best = np.empty(costs.shape, dtype=np.int64)
-    keys = [None if fixed_order else kind for kind in gt_kinds]
-    for key in dict.fromkeys(keys):
-        gs = [g for g, k in enumerate(keys) if k is key]
-        gts = np.stack([gt_points[g] for g in gs])
-        costs[:, gs], best[:, gs] = _kernels.manhattan_matrix(
-            points, gts, _orderings(key, gts.shape[1])
-        )
-    return costs, best
-
-
 def point_level_match(pred_points, gt: MapElement) -> PointAssignment:
     """Best ordering of the ground-truth point set against a prediction.
 
@@ -156,20 +136,63 @@ def point_level_match(pred_points, gt: MapElement) -> PointAssignment:
     equivalent-permutation group; ties break toward the first member in
     group enumeration order.
     """
-    costs, best = _best_orderings(as_points(pred_points)[None], [gt.points], [gt.kind], False)
+    maps = _orderings(gt.kind, gt.n_points)
+    costs, best = _kernels.manhattan_matrix(as_points(pred_points)[None], gt.points[None], maps)
     return PointAssignment(perm=gt.group().members[int(best[0, 0])], cost=float(costs[0, 0]))
 
 
-def _costs(points, scores, gt_points, gt_kinds, gt_classes, cfg, fixed_order):
-    """Class + position cost matrix (P, G), plus the (costs, best) of
-    :func:`_best_orderings` it added, or None under the Chamfer position
-    cost."""
+class BoundMatcher:
+    """Point2point hierarchical matching against one ground-truth set.
+
+    Binding checks the ground truth (G, n, 2) and its orderings, groups it
+    by kind (one identity-ordering group with ``fixed_order``) and binds the
+    kernels to buffers.  A call checks only that points (P, n, 2) are finite
+    and scores (P, 3) lie in [0, 1], copies them and ``gt_points`` (the bound
+    ground truth, each element under any of its orderings) in, and runs the
+    kernels raw.
+    """
+
+    def __init__(self, n_preds, n_points, gt_points, gt_kinds, gt_classes,
+                 cfg: CostConfig = CostConfig(), fixed_order: bool = False):
+        self.points = np.zeros((n_preds, n_points, 2))
+        flat, table, self._focal = _kernels._bind_focal(
+            np.zeros(3 * n_preds), cfg.focal_gamma, cfg.focal_alpha)
+        self.scores, self.table = flat.reshape(-1, 3), table.reshape(-1, 3)
+        self.classes = np.asarray(gt_classes, dtype=np.int64)
+        self.manhattan = np.empty((n_preds, len(self.classes)))  # least cost per pair
+        self.best = np.empty(self.manhattan.shape, dtype=np.int64)  # its first ordering
+        gt_points = np.asarray(gt_points, dtype=np.float64)
+        keys = [None if fixed_order else kind for kind in gt_kinds]
+        self._groups = []
+        for key in dict.fromkeys(keys):
+            gs = np.array([g for g, k in enumerate(keys) if k is key])
+            _, *bound = _kernels._bind_manhattan(self.points, gt_points[gs], _orderings(key, n_points))
+            self._groups.append((gs, *bound))
+
+    def cost(self, points, scores, gt_points) -> np.ndarray:
+        """The (P, G) class + position cost matrix; refills ``manhattan`` and ``best``."""
+        # Written so that NaN, which fails every comparison, is rejected too.
+        if not (np.isfinite(points).all() and ((scores >= 0) & (scores <= 1)).all()):
+            raise ValueError("predicted points must be finite and scores lie in [0, 1]")
+        np.copyto(self.points, points)
+        np.copyto(self.scores, scores)
+        for gs, gts, costs, best, run in self._groups:
+            np.take(gt_points, gs, axis=0, out=gts)
+            run()
+            self.manhattan[:, gs], self.best[:, gs] = costs, best
+        self._focal()
+        return self.table[:, self.classes] + self.manhattan
+
+    def __call__(self, points, scores, gt_points):
+        """``(rows, cols, orderings, costs)``, as :func:`match_arrays` returns."""
+        rows, cols = linear_sum_assignment(self.cost(points, scores, gt_points))  # rows ascending
+        return rows, cols, self.best[rows, cols], self.manhattan[rows, cols]
+
+
+def _chamfer_cost(points, scores, gt_points, gt_classes, cfg):
+    """Class + Chamfer position cost matrix (P, G)."""
     table = _kernels.focal_cost_table(scores, cfg.focal_gamma, cfg.focal_alpha)
-    cost = table[:, list(gt_classes)]
-    if cfg.position_cost is PositionCost.CHAMFER:
-        return cost + chamfer_distances(points, gt_points), None
-    search = _best_orderings(points, gt_points, gt_kinds, fixed_order)
-    return cost + search[0], search
+    return table[:, list(gt_classes)] + chamfer_distances(points, gt_points)
 
 
 def match_arrays(
@@ -185,7 +208,7 @@ def match_arrays(
 
     points (P, n, 2) and scores (P, 3) describe the predictions; ground
     truth g has points ``gt_points[g]`` (n, 2), kind ``gt_kinds[g]`` and
-    class ``gt_classes[g]``.  Inputs are trusted: callers check them with
+    class ``gt_classes[g]``.  Callers check the counts with
     :func:`check_match_inputs`.
 
     Returns ``(rows, cols, orderings, costs)``, one entry per matched pair,
@@ -193,19 +216,22 @@ def match_arrays(
     truth ``cols[i]``, ``orderings[i]`` indexes the members of that ground
     truth's permutation group, and ``costs[i]`` is the pair's point-level
     Manhattan cost under that ordering.  Under the point2point cost, each
-    pair's ordering and cost are the ones the cost matrix already computed;
-    under Chamfer, the diagonal of one ordering search over the matched
-    elements.
+    pair's ordering and cost are the ones the cost matrix already computed
+    (one :class:`BoundMatcher` call); under Chamfer, the diagonal of one
+    ordering search over the matched elements.
     """
-    cost, search = _costs(points, scores, gt_points, gt_kinds, gt_classes, cfg, fixed_order)
-    rows, cols = linear_sum_assignment(cost)  # rows ascending, as scipy documents
-    at = rows, cols
-    if search is None:  # Chamfer cost: matched prediction i against matched ground truth i
-        gts, kinds = [gt_points[g] for g in cols], [gt_kinds[g] for g in cols]
-        search = _best_orderings(points[rows], gts, kinds, fixed_order)
-        at = np.diag_indices(len(rows))
-    costs, best = search
-    return rows, cols, best[at], costs[at]
+    P, n = points.shape[:2]
+    if cfg.position_cost is PositionCost.POINT2POINT:
+        gt_points = np.asarray(gt_points, dtype=np.float64)  # converted once, not per kind
+        return BoundMatcher(P, n, gt_points, gt_kinds, gt_classes, cfg, fixed_order)(
+            points, scores, gt_points)
+    rows, cols = linear_sum_assignment(_chamfer_cost(points, scores, gt_points, gt_classes, cfg))
+    gts = [gt_points[g] for g in cols]  # matched prediction i against matched ground truth i
+    matched = BoundMatcher(len(rows), n, gts, [gt_kinds[g] for g in cols],
+                           np.asarray(gt_classes)[cols], cfg, fixed_order)
+    matched.cost(points[rows], scores[rows], gts)
+    at = np.diag_indices(len(rows))
+    return rows, cols, matched.best[at], matched.manhattan[at]
 
 
 def stack_predictions(preds: list[PredictedElement]) -> tuple[np.ndarray, np.ndarray]:
@@ -252,8 +278,15 @@ def _cost_matrix(
     cfg: CostConfig,
     fixed_order: bool,
 ) -> np.ndarray:
+    """The checked class + position cost matrix (P, G) of :func:`instance_match`."""
     points, scores = stack_predictions(preds)
-    return _costs(points, scores, *_gt_arrays(gts), cfg, fixed_order)[0]
+    gt_points, kinds, classes = _gt_arrays(gts)
+    chamfer = cfg.position_cost is PositionCost.CHAMFER
+    check_match_inputs(len(preds), gts, None if chamfer else points.shape[1])
+    if chamfer:
+        return _chamfer_cost(points, scores, gt_points, classes, cfg)
+    matcher = BoundMatcher(*points.shape[:2], gt_points, kinds, classes, cfg, fixed_order)
+    return matcher.cost(points, scores, gt_points)
 
 
 def instance_match(
@@ -270,11 +303,7 @@ def instance_match(
     to the stored point order (the fixed-permutation baseline).  The
     point2point cost needs every element to have the same point count.
     """
-    points, scores = stack_predictions(preds)
-    manhattan = cfg.position_cost is PositionCost.POINT2POINT
-    check_match_inputs(len(preds), gts, points.shape[1] if manhattan else None)
-    cost, _ = _costs(points, scores, *_gt_arrays(gts), cfg, fixed_order)
-    rows, cols = linear_sum_assignment(cost)
+    rows, cols = linear_sum_assignment(_cost_matrix(preds, gts, cfg, fixed_order))
     return InstanceAssignment(pairs=tuple(zip(rows.tolist(), cols.tolist())))
 
 

@@ -284,7 +284,7 @@ def c_kernels(tmp_path_factory):
     if shutil.which("cc") is None:
         pytest.skip("no C compiler (cc) on PATH")
     lib = kernels.build(tmp_path_factory.mktemp("kernels"))
-    manhattan, chamfer, focal = kernels.load(lib)
+    manhattan, chamfer, focal, _, _ = kernels.load(lib)
     return {"manhattan_matrix": manhattan, "chamfer_matrix": chamfer, "focal_cost_table": focal}
 
 
@@ -421,21 +421,60 @@ def test_build_replaces_a_stale_library(c_kernels, tmp_path):
     assert current.stat().st_mtime_ns == built_at  # cached, not compiled again
 
 
-def test_import_without_compiler_runs_pure(tmp_path):
-    # A copy of the package with no cached library, imported with an empty
-    # PATH: no cc, so the numpy kernels run, with no error and no warning.
+def _run_without_compiler(tmp_path, code):
+    """Run ``code`` on a copy of the package with no cached library and an
+    empty PATH: no cc, so the numpy kernels run."""
     package = Path(vecmap.__file__).parent
     shutil.copytree(package, tmp_path / "vecmap", ignore=shutil.ignore_patterns("__pycache__"))
     (tmp_path / "empty").mkdir()
     env = {**os.environ, "PATH": str(tmp_path / "empty"), "PYTHONPATH": str(tmp_path)}
+    return subprocess.run([sys.executable, "-W", "error", "-c", code],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_import_without_compiler_runs_pure(tmp_path):
+    # Imported without cc, the package runs the numpy kernels, with no
+    # error and no warning.
     code = ("import vecmap, vecmap._kernels as k; "
             "assert vecmap.__file__.startswith(%r), vecmap.__file__; "
             "print(vecmap.KERNEL_BACKEND, k.manhattan_matrix is k._pure.manhattan_matrix)")
-    proc = subprocess.run([sys.executable, "-W", "error", "-c", code % str(tmp_path)],
-                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    proc = _run_without_compiler(tmp_path, code % str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["pure", "True"]
     assert not list((tmp_path / "vecmap").rglob("*.so"))
+
+
+_FIT_SUMMARY = """
+import numpy as np
+from vecmap.fitter import FitConfig, FitMode, fit
+from vecmap.scenegen import SceneSpec, generate_scene
+
+def fit_summary():
+    scene = generate_scene(SceneSpec(seed=5))
+    out = []
+    for mode in FitMode:
+        trace = fit(scene, FitConfig(mode=mode, seed=5, iterations=40, n_slots=20))
+        preds = trace.final_predictions
+        out.append((repr(trace.losses), repr(trace.final_report),
+                    np.stack([p.points for p in preds]).tobytes().hex(),
+                    np.stack([p.scores for p in preds]).tobytes().hex()))
+    return out
+"""
+
+
+def test_fit_equal_on_both_backends(tmp_path):
+    # A whole fit in both modes -- bound matcher, kernels, losses and AP --
+    # without cc against this process's backend: the same loss trace, report
+    # and final prediction bits (repr round-trips every float).
+    scope = {}
+    exec(_FIT_SUMMARY, scope)
+    proc = _run_without_compiler(
+        tmp_path, _FIT_SUMMARY + "import vecmap; print(vecmap.KERNEL_BACKEND); print(fit_summary())"
+    )
+    assert proc.returncode == 0, proc.stderr
+    backend, summary = proc.stdout.splitlines()
+    assert backend == "pure"
+    assert summary == repr(scope["fit_summary"]())
 
 
 def test_dispatch_exports_one_backend():

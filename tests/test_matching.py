@@ -23,16 +23,18 @@ from vecmap.geometry import (
     permutation_group,
 )
 from vecmap.matching import (
+    BoundMatcher,
     CapacityError,
     CostConfig,
     PositionCost,
     PredictedElement,
-    _costs,
+    _cost_matrix,
     _gt_arrays,
     focal_class_cost,
     hierarchical_match,
     instance_match,
     manhattan_distance,
+    match_arrays,
     point_level_match,
     stack_predictions,
 )
@@ -332,9 +334,10 @@ def test_grouped_costs_equal_per_ground_truth_loop(problem, fixed_order):
     preds, gts = problem
     points, scores = stack_predictions(preds)
     cfg = CostConfig()
-    cost, (grouped_pos, grouped_best) = _costs(
-        points, scores, *_gt_arrays(gts), cfg, fixed_order
-    )
+    gt_points, kinds, classes = _gt_arrays(gts)
+    matcher = BoundMatcher(*points.shape[:2], gt_points, kinds, classes, cfg, fixed_order)
+    cost = matcher.cost(points, scores, gt_points)
+    grouped_pos, grouped_best = matcher.manhattan, matcher.best
     table = _kernels.focal_cost_table(scores, cfg.focal_gamma, cfg.focal_alpha)
     for g, gt in enumerate(gts):
         if fixed_order:
@@ -345,6 +348,44 @@ def test_grouped_costs_equal_per_ground_truth_loop(problem, fixed_order):
         np.testing.assert_array_equal(cost[:, g], table[:, int(gt.element_class)] + pos)
         np.testing.assert_array_equal(grouped_pos[:, g], pos)
         np.testing.assert_array_equal(grouped_best[:, g], best)
+
+
+@pytest.mark.parametrize("fixed_order", [False, True], ids=["order-free", "fixed-order"])
+def test_bound_matcher_keeps_no_stale_state(rng, fixed_order):
+    # One matcher, called again and again with fresh predictions and its
+    # ground truth stored under freshly drawn orderings, equals a fresh
+    # match_arrays on the same inputs every time.  A NaN point or score
+    # raises, and the call after it is unaffected; returned arrays are not
+    # overwritten by later calls.
+    kinds = [ElementKind.POLYGON, ElementKind.POLYLINE, ElementKind.POLYGON, ElementKind.POLYLINE]
+    gts = [random_element(rng, kind, n_points=8) for kind in kinds]
+    gt_points, kinds, classes = _gt_arrays(gts)
+    cfg = CostConfig()
+    matcher = BoundMatcher(6, 8, gt_points, kinds, classes, cfg, fixed_order)
+    seen = []
+    for step in range(12):
+        points, scores = rng.uniform(size=(6, 8, 2)), rng.uniform(size=(6, 3))
+        if step % 3 == 1:  # quarter grid: tied costs and orderings
+            points, scores = np.round(points * 4) / 4, np.round(scores * 4) / 4
+        if step % 3 == 2:  # every prediction at the same points: the scores decide
+            points[1:] = points[0]
+        maps = [gt.group().index_maps() for gt in gts]
+        reordered = np.stack([gt.points[m[rng.integers(len(m))]] for gt, m in zip(gts, maps)])
+        if step == 5:
+            bad_points, bad_scores = points.copy(), scores.copy()
+            bad_points[2, 3, 0], bad_scores[4, 1] = math.nan, math.nan
+            with pytest.raises(ValueError, match="finite"):
+                matcher(bad_points, scores, reordered)
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                matcher(points, bad_scores, reordered)
+        got = matcher(points, scores, reordered)
+        want = match_arrays(points, scores, list(reordered), kinds, classes, cfg, fixed_order)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        seen.append((got, [a.copy() for a in got]))
+    for got, copies in seen:
+        for a, b in zip(got, copies):
+            assert np.array_equal(a, b)
 
 
 def _fixed_order_positions(preds, gts):
@@ -404,10 +445,9 @@ class TestReorderingInvariance:
     @given(problem=reordering_problems())
     def test_cost_matrix(self, problem):
         preds, gts, reordered = problem
-        points, scores = stack_predictions(preds)
         cfg = CostConfig()
-        base, _ = _costs(points, scores, *_gt_arrays(gts), cfg, False)
-        got, _ = _costs(points, scores, *_gt_arrays(reordered), cfg, False)
+        base = _cost_matrix(preds, gts, cfg, False)
+        got = _cost_matrix(preds, reordered, cfg, False)
         np.testing.assert_array_equal(got, base)
 
 

@@ -492,3 +492,34 @@ def test_unwritable_output_is_input_error(tmp_path, capsys, command):
     }[command]
     assert main(argv) == 1
     assert str(out) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command", ["generate", "eval --json", "eval --json to a directory", "fit --trace",
+                "fit --svg", "fit --svg after --trace"]
+)
+def test_bad_output_path_fails_before_any_output(tmp_path, capsys, command):
+    # Output paths are checked before any reading or fitting: the command
+    # prints nothing and writes no file, not even a valid output.
+    gt, pred = _own_points_files(tmp_path)
+    (tmp_path / "folder").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    out, ok = tmp_path / "missing" / "out.txt", tmp_path / "ok.txt"
+    if command == "eval --json to a directory":
+        out = tmp_path / "folder"
+    argv = {
+        "generate": ["generate", "--seed", "1", "--out", str(out)],
+        "eval --json": ["eval", "--gt", str(gt), "--pred", str(pred), "--json", str(out)],
+        "eval --json to a directory": ["eval", "--gt", str(gt), "--pred", str(pred),
+                                       "--json", str(out)],
+        "fit --trace": ["fit", str(gt), "--iterations", "2", "--trace", str(out),
+                        "--svg", str(ok)],
+        "fit --svg": ["fit", str(gt), "--iterations", "2", "--svg", str(out)],
+        "fit --svg after --trace": ["fit", str(gt), "--iterations", "2", "--trace", str(ok),
+                                    "--svg", str(out)],
+    }[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(out) in captured.err and "not a file in an existing directory" in captured.err
+    assert sorted(tmp_path.rglob("*")) == before
