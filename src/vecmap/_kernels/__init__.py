@@ -3,15 +3,17 @@
 On first import, with ``cc`` on PATH, ``kernels.c`` is compiled once into
 ``__pycache__/kernels-<hash>.so``, named by the SHA-256 of the source and
 the flags, and opened with plain ``ctypes``; later imports load the cached
-library.  Without ``cc``, or when the build fails, the bodies of ``_pure``
-run.  ``BACKEND`` says which ("compiled" or "pure"); both return the same
-bits, so the choice changes speed only.
+library.  Without ``cc``, or when the build fails, ``_dll`` is None and the
+bodies of ``_pure`` run.  ``BACKEND`` says which ("compiled" or "pure");
+both return the same bits, so the choice changes speed only.
 
-Each public entry runs one ``_pure.check_*`` (finite points, consistent
-shapes and indices, focal scores in [0, 1] and a finite gamma >= 0, else
-ValueError) on every call, before any kernel.  The private ``_bind_*``
-entries run it once, at bind time; ``matching.BoundMatcher`` then checks
-only each call's predicted points (finite) and scores (in [0, 1]).
+The backend is chosen in one place, ``_binders(dll)``: each binder calls
+the library, or with ``dll`` None the ``_pure`` body.  Each public entry is
+defined once, for both backends: bind, run once, return.  A bind runs one
+``_pure.check_*`` (finite points, consistent shapes and indices, focal
+scores in [0, 1], a finite gamma >= 0 and 0 < alpha < 1, else ValueError)
+before any kernel.  ``matching.BoundMatcher`` binds once and reruns, so it
+checks only each call's predicted points (finite) and scores (in [0, 1]).
 ``min_manhattan_over_perms`` and ``chamfer_mean`` slice the matrix kernels.
 """
 
@@ -77,12 +79,13 @@ def build(cache_dir: Path, source: Path = SOURCE) -> Path | None:
 
 
 def _binders(dll):
-    """(bind_manhattan, bind_focal) running ``dll``, or the ``_pure`` bodies
-    with ``dll`` None.  Each checks its input, allocates outputs and scratch
-    and takes every address once, and returns the checked inputs, the
-    outputs and ``run()``, which refills the outputs from the inputs' current
-    contents unchecked.  An input already contiguous in the kernel's dtype is
-    bound as it is (scores as a flat view), so a caller may refill it."""
+    """(bind_manhattan, bind_chamfer, bind_focal) running ``dll``, or the
+    ``_pure`` bodies with ``dll`` None: the only code that differs by backend.
+    Each checks its input, allocates outputs and scratch and takes every
+    address once, and returns the checked inputs, the outputs and ``run()``,
+    which refills the outputs from the inputs' current contents unchecked.
+    An input already contiguous in the kernel's dtype is bound as it is
+    (scores as a flat view), so a caller may refill it."""
 
     def bind_manhattan(pred_pts, gt_pts, perms):
         pred, gts, perms = _pure.check_manhattan_inputs(pred_pts, gt_pts, perms)
@@ -96,8 +99,20 @@ def _binders(dll):
         run.bufs = bufs  # the library reads them by address: alive as long as run
         return pred, gts, costs, best, run
 
+    def bind_chamfer(a, b):
+        a, b = _pure.check_chamfer_inputs(a, b)
+        (P, n), (G, m) = a.shape[:2], b.shape[:2]
+        out = np.empty((P, G))
+        if dll is None:
+            return a, b, out, partial(_pure.chamfer_into, a, b, out)
+        bufs = a, b, out, np.empty(m)
+        pa, pb, po, near_b = (x.ctypes.data for x in bufs)
+        run = partial(dll.chamfer_matrix, pa, pb, P, n, G, m, po, near_b)
+        run.bufs = bufs
+        return a, b, out, run
+
     def bind_focal(scores, gamma, alpha):
-        flat = _pure.check_focal_inputs(scores, gamma)
+        flat = _pure.check_focal_inputs(scores, gamma, alpha)
         out = np.empty(len(flat))
         if dll is None:
             return flat, out, partial(_pure.focal_into, flat, gamma, alpha, out)
@@ -106,13 +121,11 @@ def _binders(dll):
         run.bufs = flat, out
         return flat, out, run
 
-    return bind_manhattan, bind_focal
+    return bind_manhattan, bind_chamfer, bind_focal
 
 
-def load(lib: Path):
-    """(manhattan_matrix, chamfer_matrix, focal_cost_table, bind_manhattan,
-    bind_focal) running the library ``lib``; the first three check their
-    input, then make one library call."""
+def load(lib: Path) -> ctypes.CDLL:
+    """The library ``lib``, opened, with its three entries' signatures declared."""
     dll = ctypes.CDLL(str(lib))
     ptr, n, real = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     dll.manhattan_matrix.argtypes = [ptr, ptr, ptr, n, n, n, n, ptr, ptr, ptr]
@@ -120,47 +133,57 @@ def load(lib: Path):
     dll.focal_cost_table.argtypes = [ptr, n, real, real, real, ptr]
     for entry in (dll.manhattan_matrix, dll.chamfer_matrix, dll.focal_cost_table):
         entry.restype = None
-    bind_manhattan, bind_focal = _binders(dll)
-
-    def manhattan_matrix(pred_pts, gt_pts, perms):
-        """See vecmap._kernels._pure.manhattan_matrix."""
-        *_, costs, best, run = bind_manhattan(pred_pts, gt_pts, perms)
-        run()
-        return costs, best
-
-    def chamfer_matrix(a, b):
-        """See vecmap._kernels._pure.chamfer_matrix."""
-        a, b = _pure.check_chamfer_inputs(a, b)
-        (P, n), (G, m) = a.shape[:2], b.shape[:2]
-        out, near_b = np.empty((P, G)), np.empty(m)
-        dll.chamfer_matrix(a.ctypes.data, b.ctypes.data, P, n, G, m,
-                           out.ctypes.data, near_b.ctypes.data)
-        return out
-
-    def focal_cost_table(scores, gamma, alpha):
-        """See vecmap._kernels._pure.focal_cost_table."""
-        _, out, run = bind_focal(scores, gamma, alpha)
-        run()
-        return out.reshape(-1, 3)
-
-    return manhattan_matrix, chamfer_matrix, focal_cost_table, bind_manhattan, bind_focal
+    return dll
 
 
 try:
     _lib = build(SOURCE.with_name("__pycache__"))
-    _entries = None if _lib is None else load(_lib)
+    _dll = None if _lib is None else load(_lib)
 except (OSError, RuntimeError) as exc:
     warnings.warn(f"vecmap: C kernels not built, using numpy: {exc}", RuntimeWarning)
-    _entries = None
-if _entries is None:
-    BACKEND = "pure"
-    manhattan_matrix = _pure.manhattan_matrix
-    chamfer_matrix = _pure.chamfer_matrix
-    focal_cost_table = _pure.focal_cost_table
-    _bind_manhattan, _bind_focal = _binders(None)
-else:
-    BACKEND = "compiled"
-    manhattan_matrix, chamfer_matrix, focal_cost_table, _bind_manhattan, _bind_focal = _entries
+    _dll = None
+BACKEND = "pure" if _dll is None else "compiled"
+_bind_manhattan, _bind_chamfer, _bind_focal = _binders(_dll)
+
+
+def manhattan_matrix(pred_pts, gt_pts, perms):
+    """Minimum summed Manhattan distance over orderings, for every pair.
+
+    pred_pts: (P, n, 2) predicted point sets.
+    gt_pts:   (G, n, 2) ground-truth point sets.
+    perms:    (K, n) integer index maps; ordering k aligns pred[j] with
+              gt[perms[k, j]].
+
+    Returns (costs (P, G), best (P, G)), where best is the index of the
+    first ordering attaining the minimum.  Each cost adds
+    term = |dx| + |dy| over point index j in order, so entry (p, g) does
+    not depend on the other pairs in the stacks.
+    """
+    *_, costs, best, run = _bind_manhattan(pred_pts, gt_pts, perms)
+    run()
+    return costs, best
+
+
+def chamfer_matrix(a, b):
+    """Symmetric mean Chamfer distance of every pair of two point-set stacks.
+
+    a: (P, n, 2) and b: (G, m, 2), checked by ``_pure.check_chamfer_inputs``.
+    Returns (P, G): for each pair, the squared distances are dx*dx + dy*dy,
+    each direction sums the sqrt of its nearest ones left to right, divides
+    by its count, and the two are averaged.
+    """
+    *_, out, run = _bind_chamfer(a, b)
+    run()
+    return out
+
+
+def focal_cost_table(scores, gamma, alpha):
+    """(P, 3) table of ``_pure.focal_cost`` for every entry of scores (P, 3),
+    entry by entry with scalar ``log`` and ``pow``: numpy's vectorized
+    ``log`` and ``power`` may round differently in the last ulp."""
+    _, out, run = _bind_focal(scores, gamma, alpha)
+    run()
+    return out.reshape(-1, 3)
 
 
 def min_manhattan_over_perms(pred_pts, gt_pts, perms):
@@ -178,11 +201,5 @@ def chamfer_mean(a, b):
     return chamfer_matrix(np.asarray(a)[None], np.asarray(b)[None])[0, 0]
 
 
-__all__ = [
-    "min_manhattan_over_perms",
-    "manhattan_matrix",
-    "chamfer_mean",
-    "chamfer_matrix",
-    "focal_cost_table",
-    "BACKEND",
-]
+__all__ = ["min_manhattan_over_perms", "manhattan_matrix", "chamfer_mean", "chamfer_matrix",
+           "focal_cost_table", "BACKEND"]

@@ -1,12 +1,13 @@
-"""Pure-Python kernels: the numpy and scalar bodies of the three kernels.
+"""Pure-Python kernels: the input checks and the numpy and scalar bodies.
 
-``manhattan_matrix`` adds term = |dx| + |dy| over point index j in order
-and reports the first minimum; ``chamfer_matrix`` sums each direction's
-nearest-point distances in point order; ``focal_cost_table`` evaluates
+``manhattan_into`` adds term = |dx| + |dy| over point index j in order and
+reports the first minimum; ``chamfer_into`` sums each direction's
+nearest-point distances in point order; ``focal_into`` evaluates
 :func:`focal_cost` with scalar ``math.log`` and ``**``.  The C loops of
 ``kernels.c`` do the same operations in the same order, so both backends
-return the same floats and the same argmin ties.  The input checks here
-run before either backend's kernel.
+return the same floats and the same argmin ties.  Nothing here picks a
+backend: the binders of ``vecmap._kernels`` run a ``check_*`` once, then
+the library or the ``*_into`` body on the checked inputs.
 """
 
 from __future__ import annotations
@@ -64,26 +65,9 @@ def check_manhattan_inputs(
     return pred, gts, perms
 
 
-def manhattan_matrix(
-    pred_pts: np.ndarray, gt_pts: np.ndarray, perms: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum summed Manhattan distance over orderings, for every pair.
-
-    pred_pts: (P, n, 2) predicted point sets.
-    gt_pts:   (G, n, 2) ground-truth point sets.
-    perms:    (K, n) integer index maps; ordering k aligns pred[j] with
-              gt[perms[k, j]].
-
-    Returns (costs (P, G), best (P, G)), where best is the index of the
-    first ordering attaining the minimum.  Each cost adds
-    term = |dx| + |dy| over point index j in order, as the C loop does, so
-    entry (p, g) does not depend on the other pairs in the stacks.
-    """
-    return manhattan_into(*check_manhattan_inputs(pred_pts, gt_pts, perms))
-
-
-def manhattan_into(pred, gts, perms, costs=None, best=None):
-    """:func:`manhattan_matrix` on checked inputs, into costs and best when given."""
+def manhattan_into(pred, gts, perms, costs, best):
+    """``vecmap._kernels.manhattan_matrix`` on checked inputs, into costs and
+    best (P, G)."""
     (P, n), G, K = pred.shape[:2], len(gts), len(perms)
     # Row j holds point j of every (prediction, ground truth, ordering)
     # triple, column p * G * K + g * K + k, so the adds below run over rows.
@@ -133,15 +117,9 @@ def check_chamfer_inputs(a, b) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def chamfer_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Symmetric mean Chamfer distance of every pair of two point-set stacks.
-
-    a: (P, n, 2) and b: (G, m, 2), checked by :func:`check_chamfer_inputs`.
-    Returns (P, G): for each pair, the squared distances are dx*dx + dy*dy,
-    each direction sums the sqrt of its nearest ones left to right, divides
-    by its count, and the two are averaged.
-    """
-    a, b = check_chamfer_inputs(a, b)
+def chamfer_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``vecmap._kernels.chamfer_matrix`` on inputs checked by
+    :func:`check_chamfer_inputs`, into out (P, G)."""
     (P, n), (G, m) = a.shape[:2], b.shape[:2]
     # Column k = p * G + g pairs prediction p with ground truth g, so every
     # minimum and sum below runs over an outer axis.
@@ -162,7 +140,8 @@ def chamfer_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # Left-to-right sums; np.sum would add pairwise.
     ab = np.cumsum(np.sqrt(near_a), axis=0)[-1] / n
     ba = np.cumsum(np.sqrt(near_b), axis=0)[-1] / m
-    return (0.5 * (ab + ba)).reshape(P, G)
+    out[:] = (0.5 * (ab + ba)).reshape(P, G)
+    return out
 
 
 def focal_cost(p: float, gamma: float, alpha: float) -> float:
@@ -173,31 +152,25 @@ def focal_cost(p: float, gamma: float, alpha: float) -> float:
     return pos - neg
 
 
-def check_focal_inputs(scores, gamma: float) -> np.ndarray:
+def check_focal_inputs(scores, gamma: float, alpha: float) -> np.ndarray:
     """The scores flattened to contiguous float64.  Raises ValueError unless
-    each lies in [0, 1] and 0 <= gamma < inf, NaN failing both: outside that
-    domain Python's ``**`` and ``math.log`` raise or special-case where libm
-    does not, and an infinite gamma zeroes every cost.
+    each lies in [0, 1], 0 <= gamma < inf and 0 < alpha < 1, NaN failing
+    each: outside that domain Python's ``**`` and ``math.log`` raise or
+    special-case where libm does not, an infinite gamma zeroes every cost,
+    and an alpha outside (0, 1) weighs a term negatively, which
+    ``CostConfig`` forbids.
     """
     flat = np.ascontiguousarray(np.ravel(scores), dtype=np.float64)
-    if not (0 <= gamma < math.inf and ((flat >= 0) & (flat <= 1)).all()):
+    if not (0 <= gamma < math.inf and 0 < alpha < 1 and ((flat >= 0) & (flat <= 1)).all()):
         raise ValueError(
-            f"focal scores must lie in [0, 1] and gamma >= 0 (finite), got gamma {gamma}"
+            "focal scores must lie in [0, 1] and gamma >= 0 (finite), with 0 < alpha < 1;"
+            f" got gamma {gamma}, alpha {alpha}"
         )
     return flat
 
 
-def focal_cost_table(scores, gamma: float, alpha: float) -> np.ndarray:
-    """(P, 3) table of :func:`focal_cost` for every entry of scores (P, 3).
-
-    Entry by entry in Python floats: numpy's vectorized ``log`` and
-    ``power`` may round differently in the last ulp.
-    """
-    flat = check_focal_inputs(scores, gamma)
-    return focal_into(flat, gamma, alpha, np.empty(len(flat))).reshape(-1, 3)
-
-
 def focal_into(flat, gamma: float, alpha: float, out: np.ndarray) -> np.ndarray:
-    """:func:`focal_cost_table` on checked flat scores, written into out."""
+    """:func:`focal_cost` of every checked flat score, written into out, entry
+    by entry in Python floats."""
     out[:] = [focal_cost(p, gamma, alpha) for p in flat.tolist()]
     return out

@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a seeded ground-truth scene file")
-    gen.add_argument("--seed", type=int, required=True)
+    gen.add_argument("--seed", type=_nonnegative, required=True)
     gen.add_argument("--ped", type=_nonnegative, default=2)
     gen.add_argument("--divider", type=_nonnegative, default=3)
     gen.add_argument("--boundary", type=_nonnegative, default=2)
@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     ft.add_argument("gt")
     ft.add_argument("--mode", choices=["perm", "fixed", "both"], default="perm")
     ft.add_argument("--iterations", type=int, default=500)
-    ft.add_argument("--seed", type=int, default=0)
+    ft.add_argument("--seed", type=_nonnegative, default=0)
     ft.add_argument("--trace", help="write the loss trace table here")
     ft.add_argument("--svg", help="write convergence + overlay SVGs (path prefix)")
     return parser
@@ -164,7 +164,10 @@ def cmd_fit(args) -> int:
     traces = {}
     for mode in modes:
         cfg = FitConfig(mode=mode, iterations=args.iterations, seed=args.seed)
-        traces[mode] = fit(gt_scene, cfg)
+        try:
+            traces[mode] = fit(gt_scene, cfg)
+        except ValueError as exc:
+            raise ValueError(f"{args.gt}: {exc}") from exc
 
     last = traces[modes[-1]]
     if args.trace:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from vecmap import fitter
 from vecmap.fitter import FitConfig, FitMode, fit, trace_table
 from vecmap.losses import LossWeights
-from vecmap.matching import CostConfig
+from vecmap.matching import BoundMatcher, CostConfig
 from vecmap.metrics import APConfig
 from vecmap.scenegen import SceneSpec, generate_scene
 
@@ -56,6 +57,31 @@ class TestFit:
         perm = fit(small_scene, _small_cfg(iterations=300, mode=FitMode.PERMUTATION_EQUIVALENT))
         fixed = fit(small_scene, _small_cfg(iterations=300, mode=FitMode.FIXED_ORDER))
         assert fixed.losses[-1].p2p > perm.losses[-1].p2p
+
+    def test_order_free_matching_stabilizes_assignment(self, monkeypatch):
+        # MapTR's claim: order-free matching keeps each ground-truth element
+        # on one slot, where a fixed order flips slots as annotation orders
+        # change.  Churn is the share of ground truth whose slot changes
+        # between consecutive iterations.
+        assignments = []
+
+        class RecordingMatcher(BoundMatcher):
+            def __call__(self, points, scores, gt_points):
+                rows, cols, *rest = super().__call__(points, scores, gt_points)
+                assignments.append((rows, cols))
+                return (rows, cols, *rest)
+
+        monkeypatch.setattr(fitter, "BoundMatcher", RecordingMatcher)
+        churn = {}
+        for mode in FitMode:
+            per_scene = []
+            for seed in range(3):
+                assignments.clear()
+                fit(generate_scene(SceneSpec(seed=seed)), FitConfig(mode=mode, seed=seed, iterations=200))
+                slots = [rows[np.argsort(cols)] for rows, cols in assignments]
+                per_scene.append(np.mean([np.mean(a != b) for a, b in zip(slots, slots[1:])]))
+            churn[mode] = np.mean(per_scene)
+        assert churn[FitMode.PERMUTATION_EQUIVALENT] < churn[FitMode.FIXED_ORDER]
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):

@@ -10,12 +10,13 @@ sums those in point order before dividing by the count; ``chamfer_matrix``
 does so for every pair of two stacks, and each entry must equal the loop
 oracle of its pair.  The per-pair entries ``min_manhattan_over_perms``
 and ``chamfer_mean`` of ``vecmap._kernels`` are slices of the matrix
-kernels and must equal the same oracles.  The oracle tests run through
-``vecmap._kernels``, so they check whichever backend was loaded.
+kernels and must equal the same oracles.  The oracle tests check both the
+loaded backend's public entries and the numpy bodies, bound by
+``_binders(None)``, in one process.
 
 The parity tests build the current ``kernels.c`` into a fresh directory
 with the package's own loader, and require each C entry to equal its
-``_pure`` body under ``==``.  They skip only when ``cc`` is not on PATH; a
+numpy body under ``==``.  They skip only when ``cc`` is not on PATH; a
 failed build with ``cc`` present fails them.
 """
 
@@ -34,6 +35,45 @@ import vecmap
 import vecmap._kernels as kernels
 from vecmap._kernels import _pure
 from vecmap.geometry import ElementKind, permutation_group
+
+
+def _entries(dll):
+    """The three matrix entries over ``_binders(dll)``, each binding and
+    running once: the library's, or the numpy bodies' with ``dll`` None."""
+    bind_manhattan, bind_chamfer, bind_focal = kernels._binders(dll)
+
+    def manhattan_matrix(pred, gts, perms):
+        *_, costs, best, run = bind_manhattan(pred, gts, perms)
+        run()
+        return costs, best
+
+    def chamfer_matrix(a, b):
+        *_, out, run = bind_chamfer(a, b)
+        run()
+        return out
+
+    def focal_cost_table(scores, gamma, alpha):
+        _, out, run = bind_focal(scores, gamma, alpha)
+        run()
+        return out.reshape(-1, 3)
+
+    return {"manhattan_matrix": manhattan_matrix, "chamfer_matrix": chamfer_matrix,
+            "focal_cost_table": focal_cost_table}
+
+
+#: The numpy bodies, whichever backend was loaded.
+PURE = _entries(None)
+
+
+def _pure_min_manhattan(pred, gt, perms):
+    """``min_manhattan_over_perms`` on the numpy bodies."""
+    costs, best = PURE["manhattan_matrix"](pred, gt[None], perms)
+    return costs[:, 0], best[:, 0]
+
+
+def _pure_chamfer_mean(a, b):
+    """``chamfer_mean`` on the numpy bodies."""
+    return PURE["chamfer_matrix"](a[None], b[None])[0, 0]
 
 
 def _group_perms(kind, n):
@@ -64,25 +104,25 @@ def test_pure_equals_per_point_oracle(kind, n, grid, rng):
         if grid:
             # Quarter-grid coordinates make many orderings tie exactly.
             pred, gt = np.round(pred * 4) / 4, np.round(gt * 4) / 4
-        costs, best = kernels.min_manhattan_over_perms(pred, gt, perms)
         oracle_costs, oracle_best = _per_point_oracle(pred, gt, perms)
-        np.testing.assert_array_equal(costs, oracle_costs)
-        np.testing.assert_array_equal(best, oracle_best)
+        for entry in (kernels.min_manhattan_over_perms, _pure_min_manhattan):
+            costs, best = entry(pred, gt, perms)
+            np.testing.assert_array_equal(costs, oracle_costs)
+            np.testing.assert_array_equal(best, oracle_best)
 
 
 def test_pure_first_minimum_wins():
     gt = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     # Orderings 2 and 3 both align exactly; the first of them is reported.
     perms = np.array([[2, 1, 0], [1, 2, 0], [0, 1, 2], [0, 1, 2]])
-    costs, best = kernels.min_manhattan_over_perms(gt[None], gt, perms)
-    assert best[0] == 2 and costs[0] == 0.0
     # All eight orderings of a square tie against its center: the first wins.
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     center = np.tile(square.mean(axis=0), (1, 4, 1))
-    costs, best = kernels.min_manhattan_over_perms(
-        center, square, _group_perms(ElementKind.POLYGON, 4)
-    )
-    assert best[0] == 0 and costs[0] == 4.0
+    for entry in (kernels.min_manhattan_over_perms, _pure_min_manhattan):
+        costs, best = entry(gt[None], gt, perms)
+        assert best[0] == 2 and costs[0] == 0.0
+        costs, best = entry(center, square, _group_perms(ElementKind.POLYGON, 4))
+        assert best[0] == 0 and costs[0] == 4.0
 
 
 def _orderings(kind, n):
@@ -90,8 +130,8 @@ def _orderings(kind, n):
     return np.arange(n)[None, :] if kind is None else _group_perms(kind, n)
 
 
-def _assert_manhattan_matrix_equals_oracle(pred, gts, perms):
-    costs, best = _pure.manhattan_matrix(pred, gts, perms)
+def _assert_manhattan_matrix_equals_oracle(pred, gts, perms, entry=PURE["manhattan_matrix"]):
+    costs, best = entry(pred, gts, perms)
     assert costs.shape == best.shape == (len(pred), len(gts))
     for g in range(len(gts)):
         oracle_costs, oracle_best = _per_point_oracle(pred, gts[g], perms)
@@ -125,7 +165,8 @@ def test_manhattan_matrix_carries_across_blocks(rng):
     assert 1 < step < n and n % step
     pred = np.round(rng.uniform(size=(6, n, 2)) * 4) / 4
     gts = np.round(rng.uniform(size=(3, n, 2)) * 4) / 4
-    _assert_manhattan_matrix_equals_oracle(pred, gts, perms)
+    for entry in (kernels.manhattan_matrix, PURE["manhattan_matrix"]):
+        _assert_manhattan_matrix_equals_oracle(pred, gts, perms, entry)
 
 
 def _bad_manhattan_inputs():
@@ -188,12 +229,13 @@ def _chamfer_cases(rng, n, count):
 @pytest.mark.parametrize("n", [1, 2, 7, 20, 40])
 def test_pure_chamfer_equals_loop_oracle(n, rng):
     for a, b in _chamfer_cases(rng, n, 40):
-        assert kernels.chamfer_mean(a, b) == _chamfer_loop_oracle(a, b)
-        assert kernels.chamfer_mean(b, a) == _chamfer_loop_oracle(b, a)
+        for entry in (kernels.chamfer_mean, _pure_chamfer_mean):
+            assert entry(a, b) == _chamfer_loop_oracle(a, b)
+            assert entry(b, a) == _chamfer_loop_oracle(b, a)
 
 
 def _assert_matrix_equals_pairwise(a, b):
-    got = _pure.chamfer_matrix(a, b)
+    got = PURE["chamfer_matrix"](a, b)
     assert got.shape == (len(a), len(b))
     for p in range(len(a)):
         for g in range(len(b)):
@@ -259,7 +301,7 @@ def _bad_chamfer_inputs():
 
 @pytest.mark.parametrize("a, b", _bad_chamfer_inputs())
 def test_chamfer_entries_reject_bad_inputs(a, b):
-    for entry in (kernels.chamfer_matrix, _pure.chamfer_matrix):
+    for entry in (kernels.chamfer_matrix, PURE["chamfer_matrix"]):
         with pytest.raises(ValueError, match="shape|at least one point|finite"):
             entry(a, b)
 
@@ -270,12 +312,12 @@ def test_manhattan_entries_reject_non_finite_points(where, value):
     pred, gts = np.zeros((2, 4, 2)), np.zeros((3, 4, 2))
     (pred if where == "predictions" else gts)[1, 3, 0] = value
     perms = _group_perms(ElementKind.POLYGON, 4)
-    for entry in (kernels.manhattan_matrix, _pure.manhattan_matrix):
+    for entry in (kernels.manhattan_matrix, PURE["manhattan_matrix"]):
         with pytest.raises(ValueError, match=f"{where} must be finite"):
             entry(pred, gts, perms)
 
 
-# --- Backend parity: the C kernels of the current source against _pure. ---
+# --- Backend parity: the C kernels of the current source against numpy. ---
 
 
 @pytest.fixture(scope="module")
@@ -284,8 +326,7 @@ def c_kernels(tmp_path_factory):
     if shutil.which("cc") is None:
         pytest.skip("no C compiler (cc) on PATH")
     lib = kernels.build(tmp_path_factory.mktemp("kernels"))
-    manhattan, chamfer, focal, _, _ = kernels.load(lib)
-    return {"manhattan_matrix": manhattan, "chamfer_matrix": chamfer, "focal_cost_table": focal}
+    return _entries(kernels.load(lib))
 
 
 @pytest.mark.parametrize(
@@ -304,7 +345,7 @@ def test_manhattan_costs_bit_identical(c_kernels, kind, n, grid, rng):
                 # Quarter-grid coordinates make many orderings tie exactly.
                 pred, gts = np.round(pred * 4) / 4, np.round(gts * 4) / 4
             got = c_kernels["manhattan_matrix"](pred, gts, perms)
-            for got_part, want_part in zip(got, _pure.manhattan_matrix(pred, gts, perms)):
+            for got_part, want_part in zip(got, PURE["manhattan_matrix"](pred, gts, perms)):
                 np.testing.assert_array_equal(got_part, want_part)
             oracle_costs, oracle_best = _per_point_oracle(pred, gts[0], perms)
             np.testing.assert_array_equal(got[0][:, 0], oracle_costs)
@@ -323,7 +364,7 @@ def test_manhattan_tie_break_identical(c_kernels):
     ]
     for pred, gts, perms, first, cost in cases:
         got = c_kernels["manhattan_matrix"](pred, gts, perms)
-        want = _pure.manhattan_matrix(pred, gts, perms)
+        want = PURE["manhattan_matrix"](pred, gts, perms)
         assert got[1][0, 0] == want[1][0, 0] == first
         assert got[0][0, 0] == want[0][0, 0] == cost
 
@@ -336,7 +377,7 @@ def test_chamfer_matrix_bit_identical(c_kernels, n, rng):
     stack = np.stack([a for a, _ in cases])
     for a, b in cases:
         for x, y in ((a[None], b[None]), (b[None], a[None]), (stack, b[None]), (b[None], stack)):
-            np.testing.assert_array_equal(c_kernels["chamfer_matrix"](x, y), _pure.chamfer_matrix(x, y))
+            np.testing.assert_array_equal(c_kernels["chamfer_matrix"](x, y), PURE["chamfer_matrix"](x, y))
             assert c_kernels["chamfer_matrix"](x, y)[0, 0] == _chamfer_loop_oracle(x[0], y[0])
 
 
@@ -345,7 +386,7 @@ def test_chamfer_matrix_bit_identical_on_a_scene(c_kernels, rng):
     # distances tie: more than four numpy blocks.
     a = np.round(rng.uniform(size=(50, 20, 2)) * 8) / 8
     b = np.round(rng.uniform(size=(7, 20, 2)) * 8) / 8
-    np.testing.assert_array_equal(c_kernels["chamfer_matrix"](a, b), _pure.chamfer_matrix(a, b))
+    np.testing.assert_array_equal(c_kernels["chamfer_matrix"](a, b), PURE["chamfer_matrix"](a, b))
 
 
 @pytest.mark.parametrize("gamma", [0.0, 2.0, 2.5])
@@ -356,21 +397,24 @@ def test_focal_cost_table_bit_identical(c_kernels, gamma, rng):
     scores[0] = [0.0, 1.0, 0.5]
     for alpha in (0.25, 0.9):
         got = c_kernels["focal_cost_table"](scores, gamma, alpha)
-        np.testing.assert_array_equal(got, _pure.focal_cost_table(scores, gamma, alpha))
+        np.testing.assert_array_equal(got, PURE["focal_cost_table"](scores, gamma, alpha))
 
 
 def test_focal_cost_table_rejects_out_of_domain_input():
     # Outside [0, 1], or with gamma < 0, Python's ** and math.log raise or
     # special-case where libm does not, and an infinite gamma zeroes every
-    # cost: both backends' check raises first.
+    # cost; alpha outside (0, 1) is no class weight: both backends' check
+    # raises first.
     cases = [
-        (1.5, 2.0), (-0.25, 2.0), (math.nan, 2.0), (0.5, -1.0), (0.5, math.nan), (0.5, math.inf)
+        (1.5, 2.0, 0.25), (-0.25, 2.0, 0.25), (math.nan, 2.0, 0.25), (0.5, -1.0, 0.25),
+        (0.5, math.nan, 0.25), (0.5, math.inf, 0.25),
+        (0.5, 2.0, math.nan), (0.5, 2.0, 0.0), (0.5, 2.0, 1.0), (0.5, 2.0, 5.0),
     ]
-    for score, gamma in cases:
+    for score, gamma, alpha in cases:
         scores = np.array([[0.5, score, 0.5]])
-        for entry in (kernels.focal_cost_table, _pure.focal_cost_table):
+        for entry in (kernels.focal_cost_table, PURE["focal_cost_table"]):
             with pytest.raises(ValueError, match=r"focal scores must lie in \[0, 1\] and gamma >= 0"):
-                entry(scores, gamma, 0.25)
+                entry(scores, gamma, alpha)
 
 
 def _other_layouts(x):
@@ -396,7 +440,7 @@ def test_entries_take_any_layout(c_kernels, layout, rng):
         for x in args:
             if isinstance(x, np.ndarray):
                 assert not (x.flags.c_contiguous and x.dtype in (np.float64, np.int64))
-        np.testing.assert_array_equal(c_kernels[name](*args), getattr(_pure, name)(*args))
+        np.testing.assert_array_equal(c_kernels[name](*args), PURE[name](*args))
 
 
 def test_library_name_follows_the_source(tmp_path):
@@ -437,7 +481,7 @@ def test_import_without_compiler_runs_pure(tmp_path):
     # error and no warning.
     code = ("import vecmap, vecmap._kernels as k; "
             "assert vecmap.__file__.startswith(%r), vecmap.__file__; "
-            "print(vecmap.KERNEL_BACKEND, k.manhattan_matrix is k._pure.manhattan_matrix)")
+            "print(vecmap.KERNEL_BACKEND, k.BACKEND == 'pure' and k._dll is None)")
     proc = _run_without_compiler(tmp_path, code % str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["pure", "True"]
@@ -488,9 +532,8 @@ def test_dispatch_exports_one_backend():
     # kernels, whichever backend runs.
     for entry in (kernels.min_manhattan_over_perms, kernels.chamfer_mean):
         assert entry.__module__ == kernels.__name__
+    # So are the matrix entries, each binding and running once; the numpy
+    # module keeps no one-shot entry of its own.
     for name in ("manhattan_matrix", "chamfer_matrix", "focal_cost_table"):
-        if kernels.BACKEND == "pure":
-            assert getattr(kernels, name) is getattr(_pure, name)
-        else:
-            # An input-checking wrapper around one call into the library.
-            assert getattr(kernels, name).__module__ == kernels.__name__
+        assert getattr(kernels, name).__module__ == kernels.__name__
+        assert not hasattr(_pure, name)

@@ -184,6 +184,12 @@ class TestCliGenerate:
             assert code == 1
             assert "n_points must be >= 2" in capsys.readouterr().err
 
+    def test_negative_seed_names_the_flag(self, tmp_path, capsys):
+        code = main(["generate", "--seed", "-1", "--out", str(tmp_path / "x.scene")])
+        assert code == 1
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "x.scene").exists()
+
 
 class TestCliEval:
     def test_perfect(self, tmp_path, capsys, scene):
@@ -477,6 +483,23 @@ class TestCliFit:
         assert code == 1
         assert captured.out == ""
         assert str(gt) in captured.err and "finite" in captured.err
+
+    def test_empty_scene_names_file(self, tmp_path, capsys):
+        gt = tmp_path / "empty.scene"
+        write_scene(gt, generate_scene(SceneSpec(seed=0, n_ped=0, n_divider=0, n_boundary=0)))
+        code = main(["fit", str(gt), "--iterations", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"{gt}: ground-truth scene is empty" in captured.err
+
+    def test_negative_seed_names_the_flag(self, tmp_path, capsys):
+        gt = _generate(tmp_path)
+        code = main(["fit", str(gt), "--iterations", "2", "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "--seed" in captured.err
 
 
 @pytest.mark.parametrize("command", ["generate", "eval --json", "fit --trace", "fit --svg"])
