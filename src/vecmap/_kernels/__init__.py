@@ -5,15 +5,18 @@ On first import, with ``cc`` on PATH, ``kernels.c`` is compiled once into
 the flags, and opened with plain ``ctypes``; later imports load the cached
 library.  Without ``cc``, or when the build fails, ``_dll`` is None and the
 bodies of ``_pure`` run.  ``BACKEND`` says which ("compiled" or "pure");
-both return the same bits, so the choice changes speed only.
+both return the same bits, so the choice changes speed only.  The library
+holds one clone of each Manhattan and Chamfer loop per ISA, and the loader
+picks one for the running CPU; ``ISA`` names it (None on the numpy backend).
 
 The backend is chosen in one place, ``_binders(dll)``: each binder calls
 the library, or with ``dll`` None the ``_pure`` body.  Each public entry is
-defined once, for both backends: bind, run once, return.  A bind runs one
-``_pure.check_*`` (finite points, consistent shapes and indices, focal
-scores in [0, 1], a finite gamma >= 0 and 0 < alpha < 1, else ValueError)
-before any kernel.  ``matching.BoundMatcher`` binds once and reruns, so it
-checks only each call's predicted points (finite) and scores (in [0, 1]).
+defined once, for both backends, by ``_entries(dll)``: bind, run once,
+return.  A bind runs one ``_pure.check_*`` (finite points, consistent
+shapes and indices, focal scores in [0, 1], a finite gamma >= 0 and
+0 < alpha < 1, else ValueError) before any kernel.
+``matching.BoundMatcher`` binds once and reruns, so it checks only each
+call's predicted points (finite) and scores (in [0, 1]).
 ``min_manhattan_over_perms`` and ``chamfer_mean`` slice the matrix kernels.
 """
 
@@ -133,7 +136,53 @@ def load(lib: Path) -> ctypes.CDLL:
     dll.focal_cost_table.argtypes = [ptr, n, real, real, real, ptr]
     for entry in (dll.manhattan_matrix, dll.chamfer_matrix, dll.focal_cost_table):
         entry.restype = None
+    dll.kernel_isa.argtypes, dll.kernel_isa.restype = [], ctypes.c_char_p
     return dll
+
+
+def _entries(dll):
+    """(manhattan_matrix, chamfer_matrix, focal_cost_table) over
+    ``_binders(dll)``: each binds, runs once and returns its outputs."""
+    bind_manhattan, bind_chamfer, bind_focal = _binders(dll)
+
+    def manhattan_matrix(pred_pts, gt_pts, perms):
+        """Minimum summed Manhattan distance over orderings, for every pair.
+
+        pred_pts: (P, n, 2) predicted point sets.
+        gt_pts:   (G, n, 2) ground-truth point sets.
+        perms:    (K, n) integer index maps; ordering k aligns pred[j] with
+                  gt[perms[k, j]].
+
+        Returns (costs (P, G), best (P, G)), where best is the index of the
+        first ordering attaining the minimum.  Each cost adds
+        term = |dx| + |dy| over point index j in order, so entry (p, g) does
+        not depend on the other pairs in the stacks.
+        """
+        *_, costs, best, run = bind_manhattan(pred_pts, gt_pts, perms)
+        run()
+        return costs, best
+
+    def chamfer_matrix(a, b):
+        """Symmetric mean Chamfer distance of every pair of two point-set stacks.
+
+        a: (P, n, 2) and b: (G, m, 2), checked by ``_pure.check_chamfer_inputs``.
+        Returns (P, G): for each pair, the squared distances are dx*dx + dy*dy,
+        each direction sums the sqrt of its nearest ones left to right, divides
+        by its count, and the two are averaged.
+        """
+        *_, out, run = bind_chamfer(a, b)
+        run()
+        return out
+
+    def focal_cost_table(scores, gamma, alpha):
+        """(P, 3) table of ``_pure.focal_cost`` for every entry of scores (P, 3),
+        entry by entry with scalar ``log`` and ``pow``: numpy's vectorized
+        ``log`` and ``power`` may round differently in the last ulp."""
+        _, out, run = bind_focal(scores, gamma, alpha)
+        run()
+        return out.reshape(-1, 3)
+
+    return manhattan_matrix, chamfer_matrix, focal_cost_table
 
 
 try:
@@ -143,47 +192,11 @@ except (OSError, RuntimeError) as exc:
     warnings.warn(f"vecmap: C kernels not built, using numpy: {exc}", RuntimeWarning)
     _dll = None
 BACKEND = "pure" if _dll is None else "compiled"
+#: The clone of each cloned C loop that the loader picked for this CPU
+#: ("avx512f", "avx2" or "default"); None on the numpy backend.
+ISA = None if _dll is None else _dll.kernel_isa().decode()
 _bind_manhattan, _bind_chamfer, _bind_focal = _binders(_dll)
-
-
-def manhattan_matrix(pred_pts, gt_pts, perms):
-    """Minimum summed Manhattan distance over orderings, for every pair.
-
-    pred_pts: (P, n, 2) predicted point sets.
-    gt_pts:   (G, n, 2) ground-truth point sets.
-    perms:    (K, n) integer index maps; ordering k aligns pred[j] with
-              gt[perms[k, j]].
-
-    Returns (costs (P, G), best (P, G)), where best is the index of the
-    first ordering attaining the minimum.  Each cost adds
-    term = |dx| + |dy| over point index j in order, so entry (p, g) does
-    not depend on the other pairs in the stacks.
-    """
-    *_, costs, best, run = _bind_manhattan(pred_pts, gt_pts, perms)
-    run()
-    return costs, best
-
-
-def chamfer_matrix(a, b):
-    """Symmetric mean Chamfer distance of every pair of two point-set stacks.
-
-    a: (P, n, 2) and b: (G, m, 2), checked by ``_pure.check_chamfer_inputs``.
-    Returns (P, G): for each pair, the squared distances are dx*dx + dy*dy,
-    each direction sums the sqrt of its nearest ones left to right, divides
-    by its count, and the two are averaged.
-    """
-    *_, out, run = _bind_chamfer(a, b)
-    run()
-    return out
-
-
-def focal_cost_table(scores, gamma, alpha):
-    """(P, 3) table of ``_pure.focal_cost`` for every entry of scores (P, 3),
-    entry by entry with scalar ``log`` and ``pow``: numpy's vectorized
-    ``log`` and ``power`` may round differently in the last ulp."""
-    _, out, run = _bind_focal(scores, gamma, alpha)
-    run()
-    return out.reshape(-1, 3)
+manhattan_matrix, chamfer_matrix, focal_cost_table = _entries(_dll)
 
 
 def min_manhattan_over_perms(pred_pts, gt_pts, perms):
@@ -202,4 +215,4 @@ def chamfer_mean(a, b):
 
 
 __all__ = ["min_manhattan_over_perms", "manhattan_matrix", "chamfer_mean", "chamfer_matrix",
-           "focal_cost_table", "BACKEND"]
+           "focal_cost_table", "BACKEND", "ISA"]

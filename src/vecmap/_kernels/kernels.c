@@ -6,10 +6,42 @@
  * returns the same bits as its numpy body in _pure.py: the same operations
  * on the same operands in the same order.  That needs -ffp-contract=off,
  * so that no multiply and add fuse into one rounding.
+ *
+ * The Manhattan and Chamfer loops are compiled once per ISA (AVX-512F,
+ * AVX2 and the baseline) with GCC's target_clones, and the dynamic loader
+ * picks the best clone for the running CPU when the library is opened.
+ * Every clone is compiled with the same -ffp-contract=off and vectorizes
+ * only across independent sums and exact minima, so each returns the same
+ * bits.  The build has no -march=native: the cached library is named by
+ * the source and the flags alone, so a tree copied to another CPU would
+ * load code built for the wrong ISA.  The clones keep one portable
+ * library.  The focal table is not cloned: its time goes to scalar libm
+ * pow and log.
  */
 
 #include <math.h>
 #include <stdint.h>
+
+/* One clone per ISA on x86-64 ELF with GCC or Clang; elsewhere one plain
+ * function, so the file still builds on every other target. */
+#if (defined(__GNUC__) || defined(__clang__)) && defined(__x86_64__) && defined(__ELF__)
+#define CLONED __attribute__((target_clones("avx512f", "avx2", "default")))
+#define CPU_HAS(isa) (__builtin_cpu_init(), __builtin_cpu_supports(isa))
+#else
+#define CLONED
+#define CPU_HAS(isa) 0
+#endif
+
+/* The clone the loader picks: the first ISA of the clone list the CPU
+ * supports, or "default". */
+const char *kernel_isa(void)
+{
+    if (CPU_HAS("avx512f"))
+        return "avx512f";
+    if (CPU_HAS("avx2"))
+        return "avx2";
+    return "default";
+}
 
 /* Least summed Manhattan cost over orderings, for every (prediction,
  * ground truth) pair.
@@ -21,9 +53,9 @@
  * transposed into scratch (2 * n * P + P doubles) as (n, P) rows first, so
  * the innermost loop runs over p with one independent sum per prediction.
  */
-void manhattan_matrix(const double *pred, const double *gts, const int64_t *perms,
-                      int64_t P, int64_t G, int64_t K, int64_t n,
-                      double *costs, int64_t *best, double *scratch)
+CLONED void manhattan_matrix(const double *pred, const double *gts, const int64_t *perms,
+                             int64_t P, int64_t G, int64_t K, int64_t n,
+                             double *costs, int64_t *best, double *scratch)
 {
     double *px = scratch, *py = px + n * P, *acc = py + n * P;
     for (int64_t p = 0; p < P; p++)
@@ -60,8 +92,8 @@ void manhattan_matrix(const double *pred, const double *gts, const int64_t *perm
  * divides by its count, and the two means are averaged.  near_b is scratch
  * for m doubles.
  */
-void chamfer_matrix(const double *a, const double *b, int64_t P, int64_t n,
-                    int64_t G, int64_t m, double *out, double *near_b)
+CLONED void chamfer_matrix(const double *a, const double *b, int64_t P, int64_t n,
+                           int64_t G, int64_t m, double *out, double *near_b)
 {
     for (int64_t p = 0; p < P; p++) {
         const double *ap = a + p * n * 2;

@@ -12,7 +12,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from ._kernels import BACKEND as KERNEL_BACKEND
+from ._kernels import BACKEND as KERNEL_BACKEND, ISA as KERNEL_ISA
 from .fitter import FitConfig, FitMode, fit, trace_table
 from .geometry import ElementClass
 from .matching import PredictedElement, hierarchical_match
@@ -30,11 +30,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _nonnegative(value: str) -> int:
-    n = int(value)
-    if n < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return n
+def _at_least(low: int):
+    """An argparse type: an int >= ``low``, else an error naming the flag."""
+
+    def parse(value: str) -> int:
+        n = int(value)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}")
+        return n
+
+    return parse
+
+
+_nonnegative, _positive = _at_least(0), _at_least(1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     ft = sub.add_parser("fit", help="fit prediction slots to a scene")
     ft.add_argument("gt")
     ft.add_argument("--mode", choices=["perm", "fixed", "both"], default="perm")
-    ft.add_argument("--iterations", type=int, default=500)
+    ft.add_argument("--iterations", type=_positive, default=500)
     ft.add_argument("--seed", type=_nonnegative, default=0)
     ft.add_argument("--trace", help="write the loss trace table here")
     ft.add_argument("--svg", help="write convergence + overlay SVGs (path prefix)")
@@ -123,6 +131,7 @@ def cmd_eval(args) -> int:
             },
             "map": report.mean_ap,
             "kernel_backend": KERNEL_BACKEND,
+            "kernel_isa": KERNEL_ISA,
         }
         Path(args.json_out).write_text(json.dumps(doc, indent=1) + "\n")
     return 0

@@ -38,27 +38,9 @@ from vecmap.geometry import ElementKind, permutation_group
 
 
 def _entries(dll):
-    """The three matrix entries over ``_binders(dll)``, each binding and
-    running once: the library's, or the numpy bodies' with ``dll`` None."""
-    bind_manhattan, bind_chamfer, bind_focal = kernels._binders(dll)
-
-    def manhattan_matrix(pred, gts, perms):
-        *_, costs, best, run = bind_manhattan(pred, gts, perms)
-        run()
-        return costs, best
-
-    def chamfer_matrix(a, b):
-        *_, out, run = bind_chamfer(a, b)
-        run()
-        return out
-
-    def focal_cost_table(scores, gamma, alpha):
-        _, out, run = bind_focal(scores, gamma, alpha)
-        run()
-        return out.reshape(-1, 3)
-
-    return {"manhattan_matrix": manhattan_matrix, "chamfer_matrix": chamfer_matrix,
-            "focal_cost_table": focal_cost_table}
+    """The three matrix entries of ``vecmap._kernels._entries(dll)`` by name:
+    the library's, or the numpy bodies' with ``dll`` None."""
+    return {entry.__name__: entry for entry in kernels._entries(dll)}
 
 
 #: The numpy bodies, whichever backend was loaded.
@@ -329,13 +311,9 @@ def c_kernels(tmp_path_factory):
     return _entries(kernels.load(lib))
 
 
-@pytest.mark.parametrize(
-    "kind", [ElementKind.POLYLINE, ElementKind.POLYGON, None],
-    ids=["polyline", "polygon", "identity"],
-)
-@pytest.mark.parametrize("n", [3, 7, 20, 40])
-@pytest.mark.parametrize("grid", [False, True], ids=["uniform", "quarter-grid"])
-def test_manhattan_costs_bit_identical(c_kernels, kind, n, grid, rng):
+def _assert_manhattan_parity(entries, kind, n, grid, rng):
+    """``entries``' Manhattan matrix equals the numpy body's under ``==``, and
+    its first column the per-point oracle, over 9 stack sizes."""
     perms = _orderings(kind, n)
     for n_gts in (1, 3, 8):
         for n_preds in (1, 6, 50):
@@ -344,7 +322,7 @@ def test_manhattan_costs_bit_identical(c_kernels, kind, n, grid, rng):
             if grid:
                 # Quarter-grid coordinates make many orderings tie exactly.
                 pred, gts = np.round(pred * 4) / 4, np.round(gts * 4) / 4
-            got = c_kernels["manhattan_matrix"](pred, gts, perms)
+            got = entries["manhattan_matrix"](pred, gts, perms)
             for got_part, want_part in zip(got, PURE["manhattan_matrix"](pred, gts, perms)):
                 np.testing.assert_array_equal(got_part, want_part)
             oracle_costs, oracle_best = _per_point_oracle(pred, gts[0], perms)
@@ -352,9 +330,9 @@ def test_manhattan_costs_bit_identical(c_kernels, kind, n, grid, rng):
             np.testing.assert_array_equal(got[1][:, 0], oracle_best)
 
 
-def test_manhattan_tie_break_identical(c_kernels):
-    # All eight orderings of a square tie against its center, and two
-    # repeated orderings tie on a line: both backends report the first.
+def _assert_tie_break_parity(entries):
+    """All eight orderings of a square tie against its center, and two
+    repeated orderings tie on a line: ``entries`` and numpy report the first."""
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     center = np.tile(square.mean(axis=0), (1, 4, 1))
     line = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
@@ -363,22 +341,42 @@ def test_manhattan_tie_break_identical(c_kernels):
         (line[None], line[None], np.array([[2, 1, 0], [1, 2, 0], [0, 1, 2], [0, 1, 2]]), 2, 0.0),
     ]
     for pred, gts, perms, first, cost in cases:
-        got = c_kernels["manhattan_matrix"](pred, gts, perms)
+        got = entries["manhattan_matrix"](pred, gts, perms)
         want = PURE["manhattan_matrix"](pred, gts, perms)
         assert got[1][0, 0] == want[1][0, 0] == first
         assert got[0][0, 0] == want[0][0, 0] == cost
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 20, 40])
-def test_chamfer_matrix_bit_identical(c_kernels, n, rng):
-    # Unequal point counts, mixed scales, on and off the grid; each case
-    # alone and one stack of all of them against each partner.
+def _assert_chamfer_parity(entries, n, rng):
+    """Unequal point counts, mixed scales, on and off the grid; each case
+    alone and one stack of all of them against each partner: ``entries``'
+    Chamfer matrix equals numpy's and the loop oracle under ``==``."""
     cases = list(_chamfer_cases(rng, n, 40))
     stack = np.stack([a for a, _ in cases])
     for a, b in cases:
         for x, y in ((a[None], b[None]), (b[None], a[None]), (stack, b[None]), (b[None], stack)):
-            np.testing.assert_array_equal(c_kernels["chamfer_matrix"](x, y), PURE["chamfer_matrix"](x, y))
-            assert c_kernels["chamfer_matrix"](x, y)[0, 0] == _chamfer_loop_oracle(x[0], y[0])
+            got = entries["chamfer_matrix"](x, y)
+            np.testing.assert_array_equal(got, PURE["chamfer_matrix"](x, y))
+            assert got[0, 0] == _chamfer_loop_oracle(x[0], y[0])
+
+
+@pytest.mark.parametrize(
+    "kind", [ElementKind.POLYLINE, ElementKind.POLYGON, None],
+    ids=["polyline", "polygon", "identity"],
+)
+@pytest.mark.parametrize("n", [3, 7, 20, 40])
+@pytest.mark.parametrize("grid", [False, True], ids=["uniform", "quarter-grid"])
+def test_manhattan_costs_bit_identical(c_kernels, kind, n, grid, rng):
+    _assert_manhattan_parity(c_kernels, kind, n, grid, rng)
+
+
+def test_manhattan_tie_break_identical(c_kernels):
+    _assert_tie_break_parity(c_kernels)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 20, 40])
+def test_chamfer_matrix_bit_identical(c_kernels, n, rng):
+    _assert_chamfer_parity(c_kernels, n, rng)
 
 
 def test_chamfer_matrix_bit_identical_on_a_scene(c_kernels, rng):
@@ -441,6 +439,85 @@ def test_entries_take_any_layout(c_kernels, layout, rng):
             if isinstance(x, np.ndarray):
                 assert not (x.flags.c_contiguous and x.dtype in (np.float64, np.int64))
         np.testing.assert_array_equal(c_kernels[name](*args), PURE[name](*args))
+
+
+#: The line of ``kernels.c`` that clones each loop marked ``CLONED`` per ISA.
+_CLONE_MACRO = '#define CLONED __attribute__((target_clones("avx512f", "avx2", "default")))'
+
+
+def _cpu_flags():
+    """The ``flags`` of the first CPU in /proc/cpuinfo (empty on a CPU whose
+    listing has no such line), or None where there is no such file."""
+    try:
+        lines = Path("/proc/cpuinfo").read_text().splitlines()
+    except OSError:
+        return None
+    flags = next((line for line in lines if line.startswith("flags")), ":")
+    return set(flags.split(":", 1)[1].split())
+
+
+@pytest.fixture(scope="module", params=["avx512f", "avx2", "default"])
+def clone_kernels(request, tmp_path_factory):
+    """The entries of a copy of ``kernels.c`` whose marked loops are built for
+    one ISA only: each clone the loader may pick, tested whichever it picks."""
+    isa = request.param
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc) on PATH")
+    if isa != "default" and isa not in (_cpu_flags() or ()):
+        pytest.skip(f"this CPU has no {isa}")
+    source = kernels.SOURCE.read_text()
+    assert source.count(_CLONE_MACRO) == 1
+    only = "" if isa == "default" else f' __attribute__((target("{isa}")))'
+    copy = tmp_path_factory.mktemp(f"clone-{isa}") / "kernels.c"
+    copy.write_text(source.replace(_CLONE_MACRO, "#define CLONED" + only))
+    return _entries(kernels.load(kernels.build(copy.parent, source=copy)))
+
+
+def test_clone_manhattan_bit_identical(clone_kernels, rng):
+    for kind in (ElementKind.POLYLINE, ElementKind.POLYGON, None):
+        for n in (3, 7, 20, 40):
+            for grid in (False, True):
+                _assert_manhattan_parity(clone_kernels, kind, n, grid, rng)
+
+
+def test_clone_tie_break_identical(clone_kernels):
+    _assert_tie_break_parity(clone_kernels)
+
+
+def test_clone_chamfer_bit_identical(clone_kernels, rng):
+    for n in (1, 2, 7, 20, 40):
+        _assert_chamfer_parity(clone_kernels, n, rng)
+
+
+def test_clone_guard_leaves_other_targets_plain(tmp_path):
+    # The guard keys on the target alone, so the copy drops the #include
+    # lines: an x86-64 host's system headers do not preprocess for another
+    # target.  Forced to x86-64 ELF the loops are cloned; on any other
+    # target the macro is empty, so a compiler without x86 ISAs builds it.
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc) on PATH")
+    lines = kernels.SOURCE.read_text().splitlines(keepends=True)
+    copy = tmp_path / "kernels.c"
+    copy.write_text("".join(line for line in lines if not line.startswith("#include")))
+
+    def preprocess(*flags):
+        return subprocess.run(["cc", "-E", *flags, str(copy)], capture_output=True,
+                              text=True, check=True).stdout
+
+    assert preprocess("-D__x86_64__", "-D__ELF__").count("target_clones") == 2
+    assert "target_clones" not in preprocess("-U__x86_64__")
+
+
+def test_isa_is_one_the_cpu_allows():
+    if kernels.BACKEND == "pure":
+        assert kernels.ISA is None
+        return
+    assert kernels.ISA in ("avx512f", "avx2", "default")
+    flags = _cpu_flags()
+    if flags is None:
+        pytest.skip("no /proc/cpuinfo to read the CPU's flags from")
+    # The loader's pick: the first ISA of the clone list the CPU has.
+    assert kernels.ISA == next((isa for isa in ("avx512f", "avx2") if isa in flags), "default")
 
 
 def test_library_name_follows_the_source(tmp_path):

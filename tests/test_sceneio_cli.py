@@ -223,6 +223,7 @@ class TestCliEval:
         doc = json.loads(report.read_text())
         assert doc["map"] == 1.0
         assert doc["kernel_backend"] == vecmap.KERNEL_BACKEND in ("compiled", "pure")
+        assert doc["kernel_isa"] == vecmap._kernels.ISA
         n_gt = {name: 0 for name in CLASS_NAMES.values()}
         for el in scene.elements:
             n_gt[CLASS_NAMES[el.element_class]] += 1
@@ -500,6 +501,15 @@ class TestCliFit:
         assert code == 1
         assert captured.out == ""
         assert "--seed" in captured.err
+
+    def test_non_positive_iterations_names_the_flag(self, tmp_path, capsys):
+        gt = _generate(tmp_path)
+        for iterations in ("0", "-1"):
+            code = main(["fit", str(gt), "--iterations", iterations])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.out == ""
+            assert "argument --iterations: must be >= 1" in captured.err
 
 
 @pytest.mark.parametrize("command", ["generate", "eval --json", "fit --trace", "fit --svg"])
