@@ -195,7 +195,7 @@ BACKEND = "pure" if _dll is None else "compiled"
 #: The clone of each cloned C loop that the loader picked for this CPU
 #: ("avx512f", "avx2" or "default"); None on the numpy backend.
 ISA = None if _dll is None else _dll.kernel_isa().decode()
-_bind_manhattan, _bind_chamfer, _bind_focal = _binders(_dll)
+_bind_manhattan, _, _bind_focal = _binders(_dll)
 manhattan_matrix, chamfer_matrix, focal_cost_table = _entries(_dll)
 
 

@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--ped", type=_nonnegative, default=2)
     gen.add_argument("--divider", type=_nonnegative, default=3)
     gen.add_argument("--boundary", type=_nonnegative, default=2)
-    gen.add_argument("--n-points", type=int, default=20)
+    gen.add_argument("--n-points", type=_at_least(2), default=20)
     gen.add_argument("--out", required=True)
 
     ev = sub.add_parser("eval", help="Chamfer-AP report for prediction files")

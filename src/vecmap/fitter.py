@@ -54,8 +54,12 @@ class FitConfig:
     n_slots: int = DEFAULT_SLOTS
 
     def __post_init__(self):
+        if not isinstance(self.mode, FitMode):
+            raise ValueError("mode must be a FitMode")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+        if self.n_slots < 1:
+            raise ValueError("n_slots must be >= 1")
         if not 0 < self.step_size < np.inf:  # NaN fails too
             raise ValueError("step_size must be finite and > 0")
         if not (0 <= self.moment_decay_1 < 1 and 0 <= self.moment_decay_2 < 1):

@@ -74,6 +74,8 @@ class CostConfig:
     focal_alpha: float = 0.25
 
     def __post_init__(self):
+        if not isinstance(self.position_cost, PositionCost):
+            raise ValueError("position_cost must be a PositionCost")
         if not 0 <= self.focal_gamma < np.inf:  # NaN fails too
             raise ValueError("focal_gamma must be finite and >= 0")
         if not 0 < self.focal_alpha < 1:

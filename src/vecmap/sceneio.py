@@ -5,11 +5,12 @@ hold three per-class scores and a point set per element.  Numbers are
 written with 9 significant digits, so a file re-serialized after reading
 is byte-identical.  Unknown fields are rejected.
 
-This module is where file input is validated.  A prediction file is read
-into stacked arrays (:class:`~vecmap.metrics.ScenePredictions`) and
-checked once as a whole: element keys, shapes, finite points and scores
-in [0, 1].  Only when a check fails are its elements walked, to name the
-first bad one.  Code downstream of the reader trusts the arrays.
+This module is where file input is validated.  Each reader has one
+element parser, which checks the whole file at once with one array
+conversion per field: element keys, shapes, finite points, classes and
+kinds, scores in [0, 1].  Only when it fails is the same parser run on
+each element alone, to name the first bad one.  Code downstream of the
+readers trusts what they return.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .geometry import (
     KIND_FOR_CLASS,
     MapElement,
     SceneRange,
-    as_points,
     denormalize,
 )
 from .matching import PredictedElement
@@ -39,7 +39,6 @@ CLASS_NAMES = {
 }
 _CLASS_BY_NAME = {v: k for k, v in CLASS_NAMES.items()}
 _KIND_BY_NAME = {k.value: k for k in ElementKind}
-_PREDICTION_KEYS = frozenset({"scores", "points"})
 
 
 class SceneFormatError(ValueError):
@@ -54,8 +53,8 @@ def _num(x: float) -> float:
     return float(f"{float(x):.9g}")
 
 
-def _check_keys(path, obj: dict, allowed: set, where: str):
-    unknown = set(obj) - allowed
+def _check_keys(path, keys, allowed: set, where: str):
+    unknown = set(keys) - allowed
     if unknown:
         raise SceneFormatError(path, f"unknown fields in {where}: {sorted(unknown)}")
 
@@ -125,93 +124,88 @@ def _load(path) -> dict:
         raise SceneFormatError(path, f"invalid JSON at line {exc.lineno}") from exc
 
 
-def _elements(path, doc) -> list:
+def _points(path, els: list, n_points: int, allowed: set, where: str) -> np.ndarray:
+    """Points (E, n, 2) of elements ``els``, with the rules both readers
+    share: each element is an object with only ``allowed`` keys and exactly
+    ``n_points`` finite [x, y] pairs.  Errors name ``where``."""
+    if not all(isinstance(el, dict) for el in els):
+        raise SceneFormatError(path, f"{where} must be an object")
+    _check_keys(path, set().union(*els), allowed, where)
+    try:
+        points = np.array([el["points"] for el in els] or np.empty((0, n_points, 2)),
+                          dtype=np.float64)
+    except (KeyError, TypeError, ValueError):  # missing, ragged or not numbers
+        points = None
+    if points is None or points.shape != (len(els), n_points, 2):
+        raise SceneFormatError(path, f"{where}: expected {n_points} [x, y] points")
+    if not np.isfinite(points).all():
+        raise SceneFormatError(path, f"{where}: points contain NaN or Inf")
+    return points
+
+
+def _lookup(table: dict, name):
+    # A JSON list or object is unhashable, so only a string is looked up.
+    return table.get(name) if isinstance(name, str) else None
+
+
+def _scene_elements(path, els: list, n_points: int, where: str) -> list[MapElement]:
+    """The ground-truth element parser."""
+    points = _points(path, els, n_points, {"class", "kind", "points"}, where)
+    classes = [_lookup(_CLASS_BY_NAME, el.get("class")) for el in els]
+    kinds = [_lookup(_KIND_BY_NAME, el.get("kind")) for el in els]
+    if None in classes or None in kinds:
+        raise SceneFormatError(path, f"{where}: bad class or kind")
+    if any(kind is not KIND_FOR_CLASS[cls] for cls, kind in zip(classes, kinds)):
+        raise SceneFormatError(path, f"{where}: class/kind mismatch")
+    try:
+        return [MapElement(c, k, pts) for c, k, pts in zip(classes, kinds, points)]
+    except ValueError as exc:
+        raise SceneFormatError(path, f"{where}: {exc}") from exc
+
+
+def _prediction_arrays(path, els: list, n_points: int, where: str):
+    """The prediction element parser: points (E, n, 2) and scores (E, 3)."""
+    points = _points(path, els, n_points, {"scores", "points"}, where)
+    try:
+        scores = np.array([el["scores"] for el in els] or np.empty((0, 3)), dtype=np.float64)
+    except (KeyError, TypeError, ValueError):
+        scores = None
+    if scores is None or scores.shape != (len(els), 3):
+        raise SceneFormatError(path, f"{where}: scores must be 3 numbers")
+    # Written so that NaN, which fails every comparison, is rejected too.
+    if not ((scores >= 0) & (scores <= 1)).all():
+        raise SceneFormatError(path, f"{where}: scores must lie in [0, 1]")
+    return points, scores
+
+
+def _read(path, parse):
+    """Range, point count and ``parse(path, elements, n_points, where)`` of
+    file ``path``.  The parser runs once over the whole element list; only
+    if that fails does it run on each element alone, to name the first bad
+    one (as ``elements[i]``)."""
+    doc = _load(path)
+    sr, n_points = _parse_meta(path, doc)
     els = doc.get("elements", [])
     if not isinstance(els, list):
         raise SceneFormatError(path, "elements must be a list")
-    return els
+    try:
+        return sr, n_points, parse(path, els, n_points, "elements")
+    except SceneFormatError:
+        for i, el in enumerate(els):
+            parse(path, [el], n_points, f"elements[{i}]")
+        raise
 
 
 def read_scene(path) -> MapScene:
     """Read a ground-truth scene file."""
-    doc = _load(path)
-    sr, n_points = _parse_meta(path, doc)
-    elements = []
-    for i, el in enumerate(_elements(path, doc)):
-        where = f"elements[{i}]"
-        if not isinstance(el, dict):
-            raise SceneFormatError(path, f"{where} must be an object")
-        _check_keys(path, el, {"class", "kind", "points"}, where)
-        cls = _CLASS_BY_NAME.get(el.get("class"))
-        kind = _KIND_BY_NAME.get(el.get("kind"))
-        if cls is None or kind is None:
-            raise SceneFormatError(path, f"{where}: bad class or kind")
-        if kind is not KIND_FOR_CLASS[cls]:
-            raise SceneFormatError(path, f"{where}: class/kind mismatch")
-        pts = np.asarray(el.get("points", []), dtype=np.float64)
-        if pts.ndim != 2 or pts.shape != (n_points, 2):
-            raise SceneFormatError(path, f"{where}: expected {n_points} [x, y] points")
-        try:
-            elements.append(MapElement(cls, kind, pts))
-        except ValueError as exc:
-            raise SceneFormatError(path, f"{where}: {exc}") from exc
+    sr, n_points, elements = _read(path, _scene_elements)
     return MapScene(range=sr, n_points=n_points, elements=tuple(elements))
-
-
-def _stacked(els: list, n_points: int):
-    """Points (E, n, 2) and scores (E, 3) of well-formed prediction
-    elements, from one array conversion per field; None if any is not."""
-    if not els:
-        return np.empty((0, n_points, 2)), np.empty((0, 3))
-    if not all(isinstance(el, dict) and el.keys() <= _PREDICTION_KEYS for el in els):
-        return None
-    try:
-        points = np.array([el["points"] for el in els], dtype=np.float64)
-        scores = np.array([el["scores"] for el in els], dtype=np.float64)
-    except (KeyError, TypeError, ValueError):
-        return None
-    if points.shape != (len(els), n_points, 2) or scores.shape != (len(els), 3):
-        return None
-    # Written so that NaN, which fails every comparison, is rejected too.
-    if not (np.isfinite(points).all() and ((scores >= 0) & (scores <= 1)).all()):
-        return None
-    return points, scores
-
-
-def _check_prediction(path, i: int, el, n_points: int) -> None:
-    """Raise naming element ``i`` if it is malformed.  The rules are those
-    :func:`_stacked` checks over a whole file, taken one element at a time."""
-    where = f"elements[{i}]"
-    if not isinstance(el, dict):
-        raise SceneFormatError(path, f"{where} must be an object")
-    _check_keys(path, el, _PREDICTION_KEYS, where)
-    scores = el.get("scores")
-    if not (isinstance(scores, list) and len(scores) == 3):
-        raise SceneFormatError(path, f"{where}: scores must be 3 numbers")
-    try:
-        pts = np.asarray(el.get("points", []), dtype=np.float64)
-    except (TypeError, ValueError):  # ragged or not numbers
-        pts = None
-    if pts is None or pts.shape != (n_points, 2):
-        raise SceneFormatError(path, f"{where}: expected {n_points} [x, y] points")
-    try:
-        PredictedElement(scores=np.asarray(scores, dtype=np.float64), points=as_points(pts))
-    except (TypeError, ValueError) as exc:
-        raise SceneFormatError(path, f"{where}: {exc}") from exc
 
 
 def read_predictions(path) -> tuple[SceneRange, ScenePredictions]:
     """Read a prediction file: its range, and its predictions as arrays
     with points normalized against that range."""
-    doc = _load(path)
-    sr, n_points = _parse_meta(path, doc)
-    els = _elements(path, doc)
-    stacked = _stacked(els, n_points)
-    if stacked is None:
-        for i, el in enumerate(els):
-            _check_prediction(path, i, el, n_points)
-        raise SceneFormatError(path, "malformed prediction elements")
-    points, scores = stacked
+    sr, _, (points, scores) = _read(path, _prediction_arrays)
     # Elementwise, so bit-identical to normalize() on each element.
     points = (points - sr.lower) / sr.extent
     return sr, ScenePredictions(points, scores)

@@ -113,6 +113,7 @@ NAN, INF = float("nan"), float("inf")
         (LossWeights, dict(beta_dir=INF)),
         (FitConfig, dict(step_size=NAN)),
         (FitConfig, dict(step_size=INF)),
+        (FitConfig, dict(n_slots=-1)),
     ],
     ids=lambda v: v.__name__ if isinstance(v, type) else repr(v),
 )
@@ -121,6 +122,17 @@ def test_config_rejects_nan_and_out_of_range(config, kwargs):
     # would fail later with another layer's message, or give mAP 0.
     with pytest.raises(ValueError):
         config(**kwargs)
+
+
+@pytest.mark.parametrize("config, field, value", [
+    (CostConfig, "position_cost", "chamfer"),
+    (FitConfig, "mode", "fixed_order"),
+])
+def test_config_rejects_enum_value_not_member(config, field, value):
+    # The enum's value string is not its member: matching and fitting test
+    # members by identity, so a string would silently pick another branch.
+    with pytest.raises(ValueError, match=field):
+        config(**{field: value})
 
 
 class TestTraceTable:

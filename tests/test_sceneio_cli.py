@@ -182,7 +182,7 @@ class TestCliGenerate:
             code = main(["generate", "--seed", "1", "--n-points", n_points,
                          "--out", str(tmp_path / "x.scene")])
             assert code == 1
-            assert "n_points must be >= 2" in capsys.readouterr().err
+            assert "argument --n-points: must be >= 2" in capsys.readouterr().err
 
     def test_negative_seed_names_the_flag(self, tmp_path, capsys):
         code = main(["generate", "--seed", "-1", "--out", str(tmp_path / "x.scene")])
@@ -337,6 +337,54 @@ class TestCliEval:
         assert code == 1
         assert captured.out == ""
         assert f"{pred}: {message}" in captured.err
+
+    @pytest.mark.parametrize("case, message", [
+        ("ragged point", "elements[3]: expected 20 [x, y] points"),
+        ("non-numeric point", "elements[3]: expected 20 [x, y] points"),
+        ("missing points", "elements[3]: expected 20 [x, y] points"),
+        ("3-coordinate points", "elements[3]: expected 20 [x, y] points"),
+        ("not an object", "elements[3] must be an object"),
+        ("unknown key", "unknown fields in elements[3]: ['color']"),
+        ("bad class", "elements[3]: bad class or kind"),
+        ("class not a string", "elements[3]: bad class or kind"),
+        ("class/kind mismatch", "elements[3]: class/kind mismatch"),
+        ("NaN point", "elements[3]: points contain NaN or Inf"),
+    ])
+    @pytest.mark.parametrize("later_bad", [False, True], ids=["alone", "first-of-two"])
+    def test_malformed_ground_truth_names_file_and_element(
+        self, tmp_path, capsys, case, message, later_bad
+    ):
+        gt, pred = _own_points_files(tmp_path)
+        doc = json.loads(gt.read_text())
+        el = doc["elements"][3]
+        if case == "ragged point":
+            el["points"][5] = el["points"][5][:1]
+        elif case == "non-numeric point":
+            el["points"][5][0] = "a"
+        elif case == "missing points":
+            del el["points"]
+        elif case == "3-coordinate points":
+            el["points"] = [p + [0.0] for p in el["points"]]
+        elif case == "not an object":
+            doc["elements"][3] = [el["class"], el["kind"], el["points"]]
+        elif case == "unknown key":
+            el["color"] = "red"
+        elif case == "bad class":
+            el["class"] = "tree"
+        elif case == "class not a string":
+            el["class"] = [el["class"]]
+        elif case == "class/kind mismatch":
+            el["kind"] = "polygon" if el["kind"] == "polyline" else "polyline"
+        else:
+            el["points"][5][1] = float("nan")
+        if later_bad:  # the first bad element is the one named
+            doc["elements"][5]["kind"] = "circle"
+        gt.write_text(json.dumps(doc))
+        code = main(["eval", "--gt", str(gt), "--pred", str(pred)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"{gt}: {message}" in captured.err
 
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         code = main(["eval", "--gt", str(tmp_path / "nope.scene"),
