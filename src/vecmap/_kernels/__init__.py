@@ -18,6 +18,10 @@ shapes and indices, focal scores in [0, 1], a finite gamma >= 0 and
 ``matching.BoundMatcher`` binds once and reruns, so it checks only each
 call's predicted points (finite) and scores (in [0, 1]).
 ``min_manhattan_over_perms`` and ``chamfer_mean`` slice the matrix kernels.
+
+``json_tokens(data)`` gives the scene reader the numbers of JSON text,
+parsed in the C locale, and its layout (see ``kernels.c``); or None, for
+text of another form and always on the numpy backend.
 """
 
 import ctypes
@@ -82,9 +86,10 @@ def build(cache_dir: Path, source: Path = SOURCE) -> Path | None:
 
 
 def _binders(dll):
-    """(bind_manhattan, bind_chamfer, bind_focal) running ``dll``, or the
-    ``_pure`` bodies with ``dll`` None: the only code that differs by backend.
-    Each checks its input, allocates outputs and scratch and takes every
+    """(bind_manhattan, bind_chamfer, bind_focal, json_tokens) running
+    ``dll``, or the ``_pure`` bodies with ``dll`` None, where ``json_tokens``
+    returns None: the only code that differs by backend.  Each binder checks
+    its input, allocates outputs and scratch and takes every
     address once, and returns the checked inputs, the outputs and ``run()``,
     which refills the outputs from the inputs' current contents unchecked.
     An input already contiguous in the kernel's dtype is bound as it is
@@ -124,11 +129,22 @@ def _binders(dll):
         run.bufs = flat, out
         return flat, out, run
 
-    return bind_manhattan, bind_chamfer, bind_focal
+    def json_tokens(data: bytes):
+        """``(numbers, skeleton)`` of JSON text ``data``, or None (see ``kernels.c``)."""
+        if dll is None:
+            return None
+        # Each number and each skeleton byte takes at least one byte of text.
+        numbers, skeleton = np.empty(len(data) // 2 + 1), ctypes.create_string_buffer(len(data))
+        size = ctypes.c_int64()
+        count = dll.json_tokens(data, len(data), numbers.ctypes.data, len(numbers),
+                                skeleton, len(data), ctypes.byref(size))
+        return None if count < 0 else (numbers[:count], ctypes.string_at(skeleton, size.value))
+
+    return bind_manhattan, bind_chamfer, bind_focal, json_tokens
 
 
 def load(lib: Path) -> ctypes.CDLL:
-    """The library ``lib``, opened, with its three entries' signatures declared."""
+    """The library ``lib``, opened, with its entries' signatures declared."""
     dll = ctypes.CDLL(str(lib))
     ptr, n, real = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     dll.manhattan_matrix.argtypes = [ptr, ptr, ptr, n, n, n, n, ptr, ptr, ptr]
@@ -137,13 +153,15 @@ def load(lib: Path) -> ctypes.CDLL:
     for entry in (dll.manhattan_matrix, dll.chamfer_matrix, dll.focal_cost_table):
         entry.restype = None
     dll.kernel_isa.argtypes, dll.kernel_isa.restype = [], ctypes.c_char_p
+    dll.json_tokens.argtypes = [ctypes.c_char_p, n, ptr, n, ptr, n, ptr]
+    dll.json_tokens.restype = n
     return dll
 
 
 def _entries(dll):
     """(manhattan_matrix, chamfer_matrix, focal_cost_table) over
     ``_binders(dll)``: each binds, runs once and returns its outputs."""
-    bind_manhattan, bind_chamfer, bind_focal = _binders(dll)
+    bind_manhattan, bind_chamfer, bind_focal, _ = _binders(dll)
 
     def manhattan_matrix(pred_pts, gt_pts, perms):
         """Minimum summed Manhattan distance over orderings, for every pair.
@@ -195,7 +213,7 @@ BACKEND = "pure" if _dll is None else "compiled"
 #: The clone of each cloned C loop that the loader picked for this CPU
 #: ("avx512f", "avx2" or "default"); None on the numpy backend.
 ISA = None if _dll is None else _dll.kernel_isa().decode()
-_bind_manhattan, _, _bind_focal = _binders(_dll)
+_bind_manhattan, _, _bind_focal, json_tokens = _binders(_dll)
 manhattan_matrix, chamfer_matrix, focal_cost_table = _entries(_dll)
 
 
@@ -215,4 +233,4 @@ def chamfer_mean(a, b):
 
 
 __all__ = ["min_manhattan_over_perms", "manhattan_matrix", "chamfer_mean", "chamfer_matrix",
-           "focal_cost_table", "BACKEND", "ISA"]
+           "focal_cost_table", "json_tokens", "BACKEND", "ISA"]

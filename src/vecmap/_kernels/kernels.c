@@ -1,11 +1,14 @@
 /* Compiled kernels of vecmap: plain C over double and int64_t arrays.
  *
- * vecmap._kernels compiles this file on first import and binds the three
- * entries below through ctypes; the caller checks every shape, index and
- * value domain first, so nothing here validates its input.  Each entry
- * returns the same bits as its numpy body in _pure.py: the same operations
- * on the same operands in the same order.  That needs -ffp-contract=off,
- * so that no multiply and add fuse into one rounding.
+ * vecmap._kernels compiles this file on first import and binds the four
+ * entries below through ctypes.  For the three numeric kernels the caller
+ * checks every shape, index and value domain first, so they do not
+ * validate their input.  Each returns the same bits as its numpy body in
+ * _pure.py: the same operations on the same operands in the same order.
+ * That needs -ffp-contract=off, so that no multiply and add fuse into one
+ * rounding.  The fourth, json_tokens, reads untrusted text: it bounds
+ * every read by the text's length and every write by its buffers' caps,
+ * and parses numbers in the C locale whatever the process's locale is.
  *
  * The Manhattan and Chamfer loops are compiled once per ISA (AVX-512F,
  * AVX2 and the baseline) with GCC's target_clones, and the dynamic loader
@@ -15,12 +18,16 @@
  * bits.  The build has no -march=native: the cached library is named by
  * the source and the flags alone, so a tree copied to another CPU would
  * load code built for the wrong ISA.  The clones keep one portable
- * library.  The focal table is not cloned: its time goes to scalar libm
- * pow and log.
+ * library.  The focal table and json_tokens are not cloned: their time
+ * goes to scalar libm pow and log, and to strtod_l.
  */
 
+#define _GNU_SOURCE /* for strtod_l */
+#include <locale.h>
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 /* One clone per ISA on x86-64 ELF with GCC or Clang; elsewhere one plain
  * function, so the file still builds on every other target. */
@@ -138,4 +145,73 @@ void focal_cost_table(const double *scores, int64_t count, double gamma,
         const double neg = (1.0 - alpha) * pow(s, gamma) * -log(1.0 - s + eps);
         out[i] = pos - neg;
     }
+}
+
+/* The C locale, made once when the library is loaded, for strtod_l. */
+static locale_t c_numeric;
+__attribute__((constructor)) static void make_c_numeric(void)
+{
+    c_numeric = newlocale(LC_NUMERIC_MASK, "C", (locale_t)0);
+}
+
+/* The end of the run of digits at text[i], or -1 if it has none. */
+static int64_t digits(const char *text, int64_t i, int64_t len)
+{
+    int64_t j = i;
+    while (j < len && text[j] >= '0' && text[j] <= '9')
+        j++;
+    return j > i ? j : -1;
+}
+
+/* The tokens of JSON text text[0, len), with no schema.  Each number goes
+ * to numbers (at most ncap) and to skeleton (at most scap bytes) as '#' if
+ * it has a fraction or exponent, else 'i'; strings and {}[]:, are copied,
+ * and whitespace is dropped.  Returns the count of numbers, or -1 for a
+ * string with a backslash or a control byte, a number outside the JSON
+ * grammar or over 31 bytes, any other byte, or a full buffer. */
+int64_t json_tokens(const char *text, int64_t len, double *numbers, int64_t ncap,
+                    char *skeleton, int64_t scap, int64_t *skeleton_len)
+{
+    int64_t count = 0, s = 0;
+    for (int64_t i = 0, j; i < len; i = j) {
+        const char c = text[i];
+        j = i + 1;
+        if (c == ' ' || c == '\t' || c == '\n' || c == '\r')
+            continue;
+        if (s == scap)
+            return -1;
+        if (c == '"') {
+            while (j < len && text[j] != '"' && text[j] != '\\' && (unsigned char)text[j] >= 0x20)
+                j++;
+            if (j == len || text[j] != '"' || ++j - i > scap - s)
+                return -1;
+            memcpy(skeleton + s, text + i, j - i);
+            s += j - i;
+        } else if (c == '-' || (c >= '0' && c <= '9')) {
+            char token[32], *end;
+            j = c == '-' ? i + 1 : i;
+            j = j < len && text[j] == '0' ? j + 1 : digits(text, j, len);
+            const int64_t integer_end = j;
+            if (j >= 0 && j < len && text[j] == '.')
+                j = digits(text, j + 1, len);
+            if (j >= 0 && j < len && (text[j] == 'e' || text[j] == 'E')) {
+                j += j + 1 < len && (text[j + 1] == '+' || text[j + 1] == '-');
+                j = digits(text, j + 1, len);
+            }
+            if (j < 0 || j - i >= (int64_t)sizeof token || count == ncap || !c_numeric)
+                return -1;
+            memcpy(token, text + i, j - i);
+            token[j - i] = '\0';
+            numbers[count++] = strtod_l(token, &end, c_numeric);
+            if (end != token + (j - i))
+                return -1;
+            skeleton[s++] = j == integer_end ? 'i' : '#';
+        } else if (c && strchr("{}[]:,", c)) {
+            skeleton[s++] = c;
+        } else {
+            return -1;
+        }
+    }
+    *skeleton_len = s;
+    return count;
 }

@@ -7,19 +7,28 @@ is byte-identical.  Unknown fields are rejected.
 
 This module is where file input is validated.  Each reader has one
 element parser, which checks the whole file at once with one array
-conversion per field: element keys, shapes, finite points, classes and
-kinds, scores in [0, 1].  Only when it fails is the same parser run on
-each element alone, to name the first bad one.  Code downstream of the
-readers trusts what they return.
+conversion per field: element keys, shapes, numbers that are JSON ints or
+floats (not strings or bools), finite points, classes and kinds, scores
+in [0, 1].  Only when it fails is the same parser run on each element
+alone, to name the first bad one.  Code downstream of the readers trusts
+what they return.
+
+A file in the layout ``write_scene`` writes (whitespace aside) is read from
+one C token scan, ``_kernels.json_tokens`` (numbers parsed in the C
+locale), and its values pass the same checks.  Every other file, valid or
+not, is read with ``json``, so every error message comes from there.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
+from . import _kernels
 from .geometry import (
     ElementClass,
     ElementKind,
@@ -94,6 +103,10 @@ def write_scene(
     Path(path).write_text(json.dumps(doc, indent=1) + "\n")
 
 
+#: The JSON types of numbers; a bool is neither, so ``true`` is not a number.
+_NUMBERS = {int, float}
+
+
 def _parse_meta(path, doc) -> tuple[SceneRange, int]:
     if not isinstance(doc, dict):
         raise SceneFormatError(path, "top level must be an object")
@@ -103,11 +116,11 @@ def _parse_meta(path, doc) -> tuple[SceneRange, int]:
         raise SceneFormatError(path, "missing meta object")
     _check_keys(path, meta, {"range", "n_points"}, "meta")
     rng = meta.get("range")
-    if not (isinstance(rng, list) and len(rng) == 4):
+    if not (isinstance(rng, list) and len(rng) == 4 and set(map(type, rng)) <= _NUMBERS):
         raise SceneFormatError(path, "meta.range must be 4 numbers")
     try:
         sr = SceneRange(*map(float, rng))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an int beyond float range
         raise SceneFormatError(path, str(exc)) from exc
     n_points = meta.get("n_points")
     if not isinstance(n_points, int) or n_points < 2:
@@ -115,13 +128,46 @@ def _parse_meta(path, doc) -> tuple[SceneRange, int]:
     return sr, n_points
 
 
-def _load(path) -> dict:
+def _load(path) -> bytes:
     try:
-        return json.loads(Path(path).read_text())
+        return Path(path).read_bytes()
     except OSError as exc:
         raise SceneFormatError(path, str(exc)) from exc
+
+
+def _json(path, data: bytes):
+    try:
+        return json.loads(data.decode())
+    except UnicodeDecodeError as exc:
+        raise SceneFormatError(path, f"invalid UTF-8 at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise SceneFormatError(path, f"invalid JSON at line {exc.lineno}") from exc
+
+
+def _floats(rows: list, shape: tuple) -> np.ndarray | None:
+    """``rows``, lists nested as ``shape`` with JSON numbers at the bottom,
+    as one float64 array; None when a list has the wrong length or an entry
+    is not a number."""
+    flat = rows
+    try:
+        # A JSON object or string in place of a list flattens to strings,
+        # which the type check below rejects.
+        for size in shape[1:]:
+            if set(map(len, flat)) - {size}:
+                return None
+            flat = list(chain.from_iterable(flat))
+        if not set(map(type, flat)) <= _NUMBERS:
+            return None
+        return np.fromiter(flat, np.float64, len(flat)).reshape(shape)
+    # A number or null in place of a list, an int beyond float range, a huge shape.
+    except (TypeError, OverflowError, ValueError):
+        return None
+
+
+def _finite(path, points: np.ndarray, where: str) -> np.ndarray:
+    if not np.isfinite(points).all():
+        raise SceneFormatError(path, f"{where}: points contain NaN or Inf")
+    return points
 
 
 def _points(path, els: list, n_points: int, allowed: set, where: str) -> np.ndarray:
@@ -131,16 +177,10 @@ def _points(path, els: list, n_points: int, allowed: set, where: str) -> np.ndar
     if not all(isinstance(el, dict) for el in els):
         raise SceneFormatError(path, f"{where} must be an object")
     _check_keys(path, set().union(*els), allowed, where)
-    try:
-        points = np.array([el["points"] for el in els] or np.empty((0, n_points, 2)),
-                          dtype=np.float64)
-    except (KeyError, TypeError, ValueError):  # missing, ragged or not numbers
-        points = None
-    if points is None or points.shape != (len(els), n_points, 2):
+    points = _floats([el.get("points") for el in els], (len(els), n_points, 2))
+    if points is None:  # missing, ragged or not numbers
         raise SceneFormatError(path, f"{where}: expected {n_points} [x, y] points")
-    if not np.isfinite(points).all():
-        raise SceneFormatError(path, f"{where}: points contain NaN or Inf")
-    return points
+    return _finite(path, points, where)
 
 
 def _lookup(table: dict, name):
@@ -148,11 +188,7 @@ def _lookup(table: dict, name):
     return table.get(name) if isinstance(name, str) else None
 
 
-def _scene_elements(path, els: list, n_points: int, where: str) -> list[MapElement]:
-    """The ground-truth element parser."""
-    points = _points(path, els, n_points, {"class", "kind", "points"}, where)
-    classes = [_lookup(_CLASS_BY_NAME, el.get("class")) for el in els]
-    kinds = [_lookup(_KIND_BY_NAME, el.get("kind")) for el in els]
+def _map_elements(path, classes: list, kinds: list, points, where: str) -> list[MapElement]:
     if None in classes or None in kinds:
         raise SceneFormatError(path, f"{where}: bad class or kind")
     if any(kind is not KIND_FOR_CLASS[cls] for cls, kind in zip(classes, kinds)):
@@ -163,27 +199,72 @@ def _scene_elements(path, els: list, n_points: int, where: str) -> list[MapEleme
         raise SceneFormatError(path, f"{where}: {exc}") from exc
 
 
-def _prediction_arrays(path, els: list, n_points: int, where: str):
-    """The prediction element parser: points (E, n, 2) and scores (E, 3)."""
-    points = _points(path, els, n_points, {"scores", "points"}, where)
-    try:
-        scores = np.array([el["scores"] for el in els] or np.empty((0, 3)), dtype=np.float64)
-    except (KeyError, TypeError, ValueError):
-        scores = None
-    if scores is None or scores.shape != (len(els), 3):
-        raise SceneFormatError(path, f"{where}: scores must be 3 numbers")
+def _scene_elements(path, els: list, n_points: int, where: str) -> list[MapElement]:
+    """The ground-truth element parser."""
+    points = _points(path, els, n_points, {"class", "kind", "points"}, where)
+    classes = [_lookup(_CLASS_BY_NAME, el.get("class")) for el in els]
+    kinds = [_lookup(_KIND_BY_NAME, el.get("kind")) for el in els]
+    return _map_elements(path, classes, kinds, points, where)
+
+
+def _unit_scores(path, scores: np.ndarray, where: str) -> np.ndarray:
     # Written so that NaN, which fails every comparison, is rejected too.
     if not ((scores >= 0) & (scores <= 1)).all():
         raise SceneFormatError(path, f"{where}: scores must lie in [0, 1]")
-    return points, scores
+    return scores
 
 
-def _read(path, parse):
-    """Range, point count and ``parse(path, elements, n_points, where)`` of
-    file ``path``.  The parser runs once over the whole element list; only
-    if that fails does it run on each element alone, to name the first bad
-    one (as ``elements[i]``)."""
-    doc = _load(path)
+def _prediction_arrays(path, els: list, n_points: int, where: str):
+    """The prediction element parser: points (E, n, 2) and scores (E, 3)."""
+    points = _points(path, els, n_points, {"scores", "points"}, where)
+    scores = _floats([el.get("scores") for el in els], (len(els), 3))
+    if scores is None:
+        raise SceneFormatError(path, f"{where}: scores must be 3 numbers")
+    return points, _unit_scores(path, scores, where)
+
+
+#: write_scene's layout as ``json_tokens`` gives it: around the elements, and
+#: per file kind each element's head (after a comma) and what it gives.
+_HEAD, _TAIL = b'{"meta":{"range":[#,#,#,#],"n_points":i},"elements":[', b"]}"
+_SCENE_HEADS = {f',{{"class":"{name}","kind":"{KIND_FOR_CLASS[cls].value}",'.encode(): cls
+                for cls, name in CLASS_NAMES.items()}
+_PREDICTION_HEADS = {b',{"scores":[#,#,#],': None}
+
+
+def _canonical(path, data: bytes, heads: dict):
+    """Range, point count, the elements' numbers in file order, and each
+    element's value in ``heads``, if ``data`` has write_scene's layout with
+    one of ``heads`` per element; else None.  Meta values are checked."""
+    tokens = _kernels.json_tokens(data)
+    if tokens is None or not (tokens[1].startswith(_HEAD) and tokens[1].endswith(_TAIL)):
+        return None
+    numbers, skeleton = tokens
+    body = skeleton[len(_HEAD):-len(_TAIL)]
+    # Then n_points is exact, and the points layout built from it short.
+    if not numbers[4] < (len(body) or 2**53):
+        return None
+    meta = {"range": numbers[:4].tolist(), "n_points": int(numbers[4])}
+    sr, n = _parse_meta(path, {"meta": meta})
+    points = b'"points":[' + b",".join([b"[#,#]"] * n) + b"]}"
+    *pieces, rest = (b"," + body).split(points) if body else [b""]
+    if rest or not all(p in heads for p in pieces):
+        return None
+    return sr, n, numbers[5:], [heads[p] for p in pieces]
+
+
+def _read(path, parse, heads, parse_numbers):
+    """Range, point count and parsed elements of file ``path``.  A file in
+    write_scene's layout goes to ``parse_numbers(path, numbers, n_points,
+    values)``.  Any other file, or one that fails a check, is read with
+    ``json``: ``parse(path, elements, n_points, where)`` runs once over the
+    whole element list, and only if that fails on each element alone, to
+    name the first bad one (as ``elements[i]``)."""
+    data = _load(path)
+    with contextlib.suppress(SceneFormatError):  # the json path reports it
+        if (canonical := _canonical(path, data, heads)) is not None:
+            sr, n_points, numbers, values = canonical
+            return sr, n_points, parse_numbers(path, numbers, n_points, values)
+    doc = _json(path, data)
     sr, n_points = _parse_meta(path, doc)
     els = doc.get("elements", [])
     if not isinstance(els, list):
@@ -196,16 +277,31 @@ def _read(path, parse):
         raise
 
 
+# The element parsers of a canonical file.  They copy what they keep, so
+# no result holds the scan's whole buffer.
+def _scene_numbers(path, numbers, n_points: int, classes: list) -> list[MapElement]:
+    points = numbers.reshape(len(classes), n_points, 2).copy()
+    return _map_elements(path, classes, [KIND_FOR_CLASS[c] for c in classes], points, "elements")
+
+
+def _prediction_numbers(path, numbers, n_points: int, values: list):
+    rows = numbers.reshape(len(values), 3 + 2 * n_points)
+    points = rows[:, 3:].reshape(len(values), n_points, 2)  # read_predictions copies it
+    return (_finite(path, points, "elements"),
+            _unit_scores(path, rows[:, :3].copy(), "elements"))
+
+
 def read_scene(path) -> MapScene:
     """Read a ground-truth scene file."""
-    sr, n_points, elements = _read(path, _scene_elements)
+    sr, n_points, elements = _read(path, _scene_elements, _SCENE_HEADS, _scene_numbers)
     return MapScene(range=sr, n_points=n_points, elements=tuple(elements))
 
 
 def read_predictions(path) -> tuple[SceneRange, ScenePredictions]:
     """Read a prediction file: its range, and its predictions as arrays
     with points normalized against that range."""
-    sr, _, (points, scores) = _read(path, _prediction_arrays)
+    sr, _, (points, scores) = _read(path, _prediction_arrays, _PREDICTION_HEADS,
+                                    _prediction_numbers)
     # Elementwise, so bit-identical to normalize() on each element.
     points = (points - sr.lower) / sr.extent
     return sr, ScenePredictions(points, scores)

@@ -301,6 +301,10 @@ class TestCliEval:
         ("ragged points", "elements[3]: expected 20 [x, y] points"),
         ("3-coordinate points", "elements[3]: expected 20 [x, y] points"),
         ("missing points", "elements[3]: expected 20 [x, y] points"),
+        ("string coordinate", "elements[3]: expected 20 [x, y] points"),
+        ("bool coordinate", "elements[3]: expected 20 [x, y] points"),
+        ("string score", "elements[3]: scores must be 3 numbers"),
+        ("bool score", "elements[3]: scores must be 3 numbers"),
     ])
     @pytest.mark.parametrize("later_bad", [False, True], ids=["alone", "first-of-two"])
     def test_malformed_element_names_file_and_element(
@@ -327,6 +331,14 @@ class TestCliEval:
             el["points"][5] = el["points"][5][:1]
         elif case == "3-coordinate points":
             el["points"] = [p + [0.0] for p in el["points"]]
+        elif case == "string coordinate":
+            el["points"][5][0] = str(el["points"][5][0])
+        elif case == "bool coordinate":
+            el["points"][5][1] = True
+        elif case == "string score":
+            el["scores"][1] = str(el["scores"][1])
+        elif case == "bool score":
+            el["scores"][1] = True
         else:
             del el["points"]
         if later_bad:  # the first bad element is the one named
@@ -349,6 +361,9 @@ class TestCliEval:
         ("class not a string", "elements[3]: bad class or kind"),
         ("class/kind mismatch", "elements[3]: class/kind mismatch"),
         ("NaN point", "elements[3]: points contain NaN or Inf"),
+        ("string coordinate", "elements[3]: expected 20 [x, y] points"),
+        ("bool coordinate", "elements[3]: expected 20 [x, y] points"),
+        ("string and bool point", "elements[3]: expected 20 [x, y] points"),
     ])
     @pytest.mark.parametrize("later_bad", [False, True], ids=["alone", "first-of-two"])
     def test_malformed_ground_truth_names_file_and_element(
@@ -375,6 +390,12 @@ class TestCliEval:
             el["class"] = [el["class"]]
         elif case == "class/kind mismatch":
             el["kind"] = "polygon" if el["kind"] == "polyline" else "polyline"
+        elif case == "string coordinate":
+            el["points"][5][0] = str(el["points"][5][0])
+        elif case == "bool coordinate":
+            el["points"][5][1] = True
+        elif case == "string and bool point":
+            el["points"][5] = ["5.5", True]
         else:
             el["points"][5][1] = float("nan")
         if later_bad:  # the first bad element is the one named
@@ -385,6 +406,17 @@ class TestCliEval:
         assert code == 1
         assert captured.out == ""
         assert f"{gt}: {message}" in captured.err
+
+    @pytest.mark.parametrize("scene_range", [["-15", 15, -30, 30], [-15, 15, -30, True]])
+    def test_range_entry_not_a_number_names_file(self, tmp_path, capsys, scene_range):
+        gt, pred = _own_points_files(tmp_path)
+        for path in (gt, pred):  # the same range in both, so only its type is wrong
+            _set_range(path, scene_range)
+        code = main(["eval", "--gt", str(gt), "--pred", str(pred)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"{gt}: meta.range must be 4 numbers" in captured.err
 
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         code = main(["eval", "--gt", str(tmp_path / "nope.scene"),
