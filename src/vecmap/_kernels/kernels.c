@@ -147,20 +147,14 @@ void focal_cost_table(const double *scores, int64_t count, double gamma,
     }
 }
 
-/* The C locale, made once when the library is loaded, for strtod_l. */
-static locale_t c_numeric;
-__attribute__((constructor)) static void make_c_numeric(void)
-{
-    c_numeric = newlocale(LC_NUMERIC_MASK, "C", (locale_t)0);
-}
+#define DIGIT(c) ((unsigned char)((c) - '0') < 10)
+#define IN_NUMBER(c) (DIGIT(c) || (c) == '.' || (c) == 'e' || (c) == 'E' || (c) == '+' || (c) == '-')
 
-/* The end of the run of digits at text[i], or -1 if it has none. */
-static int64_t digits(const char *text, int64_t i, int64_t len)
+/* The C locale for strtod_l, made once when the library is loaded. */
+static locale_t c_locale;
+__attribute__((constructor)) static void make_c_locale(void)
 {
-    int64_t j = i;
-    while (j < len && text[j] >= '0' && text[j] <= '9')
-        j++;
-    return j > i ? j : -1;
+    c_locale = newlocale(LC_NUMERIC_MASK, "C", (locale_t)0);
 }
 
 /* The tokens of JSON text text[0, len), with no schema.  Each number goes
@@ -187,29 +181,25 @@ int64_t json_tokens(const char *text, int64_t len, double *numbers, int64_t ncap
                 return -1;
             memcpy(skeleton + s, text + i, j - i);
             s += j - i;
-        } else if (c == '-' || (c >= '0' && c <= '9')) {
-            char token[32], *end;
-            j = c == '-' ? i + 1 : i;
-            j = j < len && text[j] == '0' ? j + 1 : digits(text, j, len);
-            const int64_t integer_end = j;
-            if (j >= 0 && j < len && text[j] == '.')
-                j = digits(text, j + 1, len);
-            if (j >= 0 && j < len && (text[j] == 'e' || text[j] == 'E')) {
-                j += j + 1 < len && (text[j + 1] == '+' || text[j + 1] == '-');
-                j = digits(text, j + 1, len);
-            }
-            if (j < 0 || j - i >= (int64_t)sizeof token || count == ncap || !c_numeric)
-                return -1;
-            memcpy(token, text + i, j - i);
-            token[j - i] = '\0';
-            numbers[count++] = strtod_l(token, &end, c_numeric);
-            if (end != token + (j - i))
-                return -1;
-            skeleton[s++] = j == integer_end ? 'i' : '#';
         } else if (c && strchr("{}[]:,", c)) {
             skeleton[s++] = c;
-        } else {
-            return -1;
+        } else { /* a number, or a byte that fails its grammar check */
+            char token[32], *end;
+            for (j = i; j < len && IN_NUMBER(text[j]); j++)
+                if (j - i == (int64_t)sizeof token - 1)
+                    return -1;
+            memcpy(token, text + i, j - i);
+            token[j - i] = '\0';
+            /* JSON's grammar, which strtod_l's is wider than: a digit after
+             * the sign and after the point, and no leading zero. */
+            const char *digit = token + (c == '-'), *point = strchr(token, '.');
+            if (!DIGIT(digit[0]) || (digit[0] == '0' && DIGIT(digit[1])) || (point && !DIGIT(point[1]))
+                || count == ncap || !c_locale)
+                return -1;
+            numbers[count++] = strtod_l(token, &end, c_locale);
+            if (end != token + (j - i))
+                return -1;
+            skeleton[s++] = strpbrk(token, ".eE") ? '#' : 'i';
         }
     }
     *skeleton_len = s;

@@ -13,10 +13,12 @@ in [0, 1].  Only when it fails is the same parser run on each element
 alone, to name the first bad one.  Code downstream of the readers trusts
 what they return.
 
-A file in the layout ``write_scene`` writes (whitespace aside) is read from
-one C token scan, ``_kernels.json_tokens`` (numbers parsed in the C
-locale), and its values pass the same checks.  Every other file, valid or
-not, is read with ``json``, so every error message comes from there.
+A prediction file in the layout ``write_scene`` writes (whitespace aside)
+is read from one C token scan, ``_kernels.json_tokens`` (numbers parsed in
+the C locale), and its values pass the same checks.  Every other file,
+valid or not, is read with ``json``, so every error message comes from
+there.  Ground-truth files are not scanned: their read time goes to
+building ``MapElement``s, not to parsing.
 """
 
 from __future__ import annotations
@@ -128,22 +130,6 @@ def _parse_meta(path, doc) -> tuple[SceneRange, int]:
     return sr, n_points
 
 
-def _load(path) -> bytes:
-    try:
-        return Path(path).read_bytes()
-    except OSError as exc:
-        raise SceneFormatError(path, str(exc)) from exc
-
-
-def _json(path, data: bytes):
-    try:
-        return json.loads(data.decode())
-    except UnicodeDecodeError as exc:
-        raise SceneFormatError(path, f"invalid UTF-8 at byte {exc.start}") from exc
-    except json.JSONDecodeError as exc:
-        raise SceneFormatError(path, f"invalid JSON at line {exc.lineno}") from exc
-
-
 def _floats(rows: list, shape: tuple) -> np.ndarray | None:
     """``rows``, lists nested as ``shape`` with JSON numbers at the bottom,
     as one float64 array; None when a list has the wrong length or an entry
@@ -164,23 +150,17 @@ def _floats(rows: list, shape: tuple) -> np.ndarray | None:
         return None
 
 
-def _finite(path, points: np.ndarray, where: str) -> np.ndarray:
-    if not np.isfinite(points).all():
-        raise SceneFormatError(path, f"{where}: points contain NaN or Inf")
-    return points
-
-
 def _points(path, els: list, n_points: int, allowed: set, where: str) -> np.ndarray:
     """Points (E, n, 2) of elements ``els``, with the rules both readers
     share: each element is an object with only ``allowed`` keys and exactly
-    ``n_points`` finite [x, y] pairs.  Errors name ``where``."""
+    ``n_points`` [x, y] pairs.  Errors name ``where``."""
     if not all(isinstance(el, dict) for el in els):
         raise SceneFormatError(path, f"{where} must be an object")
     _check_keys(path, set().union(*els), allowed, where)
     points = _floats([el.get("points") for el in els], (len(els), n_points, 2))
     if points is None:  # missing, ragged or not numbers
         raise SceneFormatError(path, f"{where}: expected {n_points} [x, y] points")
-    return _finite(path, points, where)
+    return points
 
 
 def _lookup(table: dict, name):
@@ -188,7 +168,12 @@ def _lookup(table: dict, name):
     return table.get(name) if isinstance(name, str) else None
 
 
-def _map_elements(path, classes: list, kinds: list, points, where: str) -> list[MapElement]:
+def _scene_elements(path, els: list, n_points: int, where: str) -> list[MapElement]:
+    """The ground-truth element parser.  ``MapElement`` checks that the
+    points are finite."""
+    points = _points(path, els, n_points, {"class", "kind", "points"}, where)
+    classes = [_lookup(_CLASS_BY_NAME, el.get("class")) for el in els]
+    kinds = [_lookup(_KIND_BY_NAME, el.get("kind")) for el in els]
     if None in classes or None in kinds:
         raise SceneFormatError(path, f"{where}: bad class or kind")
     if any(kind is not KIND_FOR_CLASS[cls] for cls, kind in zip(classes, kinds)):
@@ -199,72 +184,45 @@ def _map_elements(path, classes: list, kinds: list, points, where: str) -> list[
         raise SceneFormatError(path, f"{where}: {exc}") from exc
 
 
-def _scene_elements(path, els: list, n_points: int, where: str) -> list[MapElement]:
-    """The ground-truth element parser."""
-    points = _points(path, els, n_points, {"class", "kind", "points"}, where)
-    classes = [_lookup(_CLASS_BY_NAME, el.get("class")) for el in els]
-    kinds = [_lookup(_KIND_BY_NAME, el.get("kind")) for el in els]
-    return _map_elements(path, classes, kinds, points, where)
-
-
-def _unit_scores(path, scores: np.ndarray, where: str) -> np.ndarray:
+def _check_predictions(path, points: np.ndarray, scores: np.ndarray, where: str):
+    """Points (E, n, 2) and scores (E, 3), once the points are finite and
+    the scores in [0, 1]."""
+    if not np.isfinite(points).all():
+        raise SceneFormatError(path, f"{where}: points contain NaN or Inf")
     # Written so that NaN, which fails every comparison, is rejected too.
     if not ((scores >= 0) & (scores <= 1)).all():
         raise SceneFormatError(path, f"{where}: scores must lie in [0, 1]")
-    return scores
+    return points, scores
 
 
 def _prediction_arrays(path, els: list, n_points: int, where: str):
-    """The prediction element parser: points (E, n, 2) and scores (E, 3)."""
+    """The prediction element parser."""
     points = _points(path, els, n_points, {"scores", "points"}, where)
     scores = _floats([el.get("scores") for el in els], (len(els), 3))
     if scores is None:
         raise SceneFormatError(path, f"{where}: scores must be 3 numbers")
-    return points, _unit_scores(path, scores, where)
+    return _check_predictions(path, points, scores, where)
 
 
-#: write_scene's layout as ``json_tokens`` gives it: around the elements, and
-#: per file kind each element's head (after a comma) and what it gives.
-_HEAD, _TAIL = b'{"meta":{"range":[#,#,#,#],"n_points":i},"elements":[', b"]}"
-_SCENE_HEADS = {f',{{"class":"{name}","kind":"{KIND_FOR_CLASS[cls].value}",'.encode(): cls
-                for cls, name in CLASS_NAMES.items()}
-_PREDICTION_HEADS = {b',{"scores":[#,#,#],': None}
-
-
-def _canonical(path, data: bytes, heads: dict):
-    """Range, point count, the elements' numbers in file order, and each
-    element's value in ``heads``, if ``data`` has write_scene's layout with
-    one of ``heads`` per element; else None.  Meta values are checked."""
-    tokens = _kernels.json_tokens(data)
-    if tokens is None or not (tokens[1].startswith(_HEAD) and tokens[1].endswith(_TAIL)):
-        return None
-    numbers, skeleton = tokens
-    body = skeleton[len(_HEAD):-len(_TAIL)]
-    # Then n_points is exact, and the points layout built from it short.
-    if not numbers[4] < (len(body) or 2**53):
-        return None
-    meta = {"range": numbers[:4].tolist(), "n_points": int(numbers[4])}
-    sr, n = _parse_meta(path, {"meta": meta})
-    points = b'"points":[' + b",".join([b"[#,#]"] * n) + b"]}"
-    *pieces, rest = (b"," + body).split(points) if body else [b""]
-    if rest or not all(p in heads for p in pieces):
-        return None
-    return sr, n, numbers[5:], [heads[p] for p in pieces]
-
-
-def _read(path, parse, heads, parse_numbers):
-    """Range, point count and parsed elements of file ``path``.  A file in
-    write_scene's layout goes to ``parse_numbers(path, numbers, n_points,
-    values)``.  Any other file, or one that fails a check, is read with
-    ``json``: ``parse(path, elements, n_points, where)`` runs once over the
-    whole element list, and only if that fails on each element alone, to
-    name the first bad one (as ``elements[i]``)."""
-    data = _load(path)
-    with contextlib.suppress(SceneFormatError):  # the json path reports it
-        if (canonical := _canonical(path, data, heads)) is not None:
-            sr, n_points, numbers, values = canonical
-            return sr, n_points, parse_numbers(path, numbers, n_points, values)
-    doc = _json(path, data)
+def _read(path, parse, scan=None):
+    """Range, point count and parsed elements of file ``path``: from
+    ``scan(path, text)`` when it gives them, else with ``json``, so that
+    every error message comes from one place.  There ``parse(path,
+    elements, n_points, where)`` runs once over the whole element list, and
+    only if that fails on each element alone, to name the first bad one
+    (as ``elements[i]``)."""
+    try:
+        data = Path(path).read_bytes()
+        with contextlib.suppress(SceneFormatError):  # the json path reports it
+            if scan and (read := scan(path, data)):
+                return read
+        doc = json.loads(data.decode())
+    except OSError as exc:
+        raise SceneFormatError(path, str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise SceneFormatError(path, f"invalid UTF-8 at byte {exc.start}") from exc
+    except json.JSONDecodeError as exc:
+        raise SceneFormatError(path, f"invalid JSON at line {exc.lineno}") from exc
     sr, n_points = _parse_meta(path, doc)
     els = doc.get("elements", [])
     if not isinstance(els, list):
@@ -277,31 +235,40 @@ def _read(path, parse, heads, parse_numbers):
         raise
 
 
-# The element parsers of a canonical file.  They copy what they keep, so
-# no result holds the scan's whole buffer.
-def _scene_numbers(path, numbers, n_points: int, classes: list) -> list[MapElement]:
-    points = numbers.reshape(len(classes), n_points, 2).copy()
-    return _map_elements(path, classes, [KIND_FOR_CLASS[c] for c in classes], points, "elements")
+#: write_scene's layout as ``json_tokens`` gives it, around the elements.
+_HEAD, _TAIL = b'{"meta":{"range":[#,#,#,#],"n_points":i},"elements":[', b"]}"
 
 
-def _prediction_numbers(path, numbers, n_points: int, values: list):
-    rows = numbers.reshape(len(values), 3 + 2 * n_points)
-    points = rows[:, 3:].reshape(len(values), n_points, 2)  # read_predictions copies it
-    return (_finite(path, points, "elements"),
-            _unit_scores(path, rows[:, :3].copy(), "elements"))
+def _scanned_predictions(path, data: bytes):
+    """What ``_read`` gives for prediction text ``data`` in write_scene's
+    layout, from the C token scan; else None.  The arrays own their memory,
+    not views of the scan's buffer, which is four times the text's size."""
+    numbers, skeleton = _kernels.json_tokens(data) or (None, b"")
+    # An n_points within the skeleton's length is an exact int, and its
+    # element layout no longer than the skeleton.
+    if not (skeleton.startswith(_HEAD) and numbers[4] <= len(skeleton)):
+        return None
+    meta = {"range": numbers[:4].tolist(), "n_points": int(numbers[4])}
+    sr, n = _parse_meta(path, {"meta": meta})
+    element = b'{"scores":[#,#,#],"points":[%s]}' % b",".join([b"[#,#]"] * n)
+    count = (len(numbers) - 5) // (3 + 2 * n)
+    if skeleton != _HEAD + b",".join([element] * count) + _TAIL:
+        return None
+    rows = numbers[5:].reshape(count, 3 + 2 * n)
+    points = rows[:, 3:].reshape(count, n, 2)  # read_predictions copies it
+    return sr, n, _check_predictions(path, points, rows[:, :3].copy(), "elements")
 
 
 def read_scene(path) -> MapScene:
     """Read a ground-truth scene file."""
-    sr, n_points, elements = _read(path, _scene_elements, _SCENE_HEADS, _scene_numbers)
+    sr, n_points, elements = _read(path, _scene_elements)
     return MapScene(range=sr, n_points=n_points, elements=tuple(elements))
 
 
 def read_predictions(path) -> tuple[SceneRange, ScenePredictions]:
     """Read a prediction file: its range, and its predictions as arrays
     with points normalized against that range."""
-    sr, _, (points, scores) = _read(path, _prediction_arrays, _PREDICTION_HEADS,
-                                    _prediction_numbers)
+    sr, _, (points, scores) = _read(path, _prediction_arrays, _scanned_predictions)
     # Elementwise, so bit-identical to normalize() on each element.
     points = (points - sr.lower) / sr.extent
     return sr, ScenePredictions(points, scores)

@@ -1,11 +1,12 @@
 """The scene readers' C token scan against their ``json`` path.
 
-``sceneio`` reads a file that ``write_scene`` produced from the numbers
-and layout that ``vecmap._kernels.json_tokens`` returns, and every other
-file with ``json``.  These tests hold the two paths to one behaviour:
+``sceneio`` reads a prediction file that ``write_scene`` produced from
+the numbers and layout that ``vecmap._kernels.json_tokens`` returns, and
+every other file with ``json``.  These tests hold the two paths to one
+behaviour:
 
-- every file ``write_scene`` writes takes the scan, and the arrays it
-  gives equal the ``json`` path's bit for bit;
+- every prediction file ``write_scene`` writes takes the scan, and the
+  arrays it gives equal the ``json`` path's bit for bit;
 - a seeded sweep of malformed files exits 1 naming the file, with the
   same stderr as a run with the scan switched off;
 - the scan never reads past its text or writes past its buffers, and any
@@ -103,15 +104,22 @@ def _corpus(tmp_path):
 
 def test_corpus_takes_the_scan_and_equals_json(tmp_path, scan, monkeypatch):
     paths = _corpus(tmp_path)
-    text = "".join(p.read_text() for p in paths)
-    for form in ("-0.0", "1.5e-05", "5e-324", "1e-320", "2.5e+20"):
+    preds = [path for path in paths if "pred" in path.name]
+    text = "".join(p.read_text() for p in preds)
+    for form in ("-0.0", "1.5e-05", "5e-324", "1e-320"):
         assert form in text, form
-    fast = {}
-    with monkeypatch.context() as m:
+    fast, scanned_predictions, hits = {}, sceneio._scanned_predictions, []
+
+    def scanned(path, data):
         # A silent fall back to json would pass the parity check below.
-        m.setattr(sceneio, "_json", lambda path, data: pytest.fail(f"{path} not scanned"))
+        hits.append(path)
+        return scanned_predictions(path, data) or pytest.fail(f"{path} not scanned")
+
+    with monkeypatch.context() as m:
+        m.setattr(sceneio, "_scanned_predictions", scanned)
         for path in paths:
             fast[path] = _reads(path)
+    assert hits == preds
     monkeypatch.setattr(kernels, "json_tokens", lambda data: None)
     for path in paths:
         assert fast[path] == _reads(path), path
@@ -220,9 +228,9 @@ def test_valid_non_canonical_files_read_as_with_json(tmp_path, scan, monkeypatch
     # the scan to read one; a scan that took the first of two duplicate
     # keys, say, would read other numbers than json.
     scene = generate_scene(SceneSpec(seed=5, n_points=4))
-    gt = tmp_path / "gt.scene"
-    sceneio.write_scene(gt, scene)
-    text = gt.read_text()
+    pred = tmp_path / "pred.scene"
+    sceneio.write_scene(pred, scene, perturb(scene, PerturbSpec(seed=6)))
+    text = pred.read_text()
     doc = json.loads(text)
     n = doc["meta"]["n_points"]
     variants = {
@@ -235,55 +243,62 @@ def test_valid_non_canonical_files_read_as_with_json(tmp_path, scan, monkeypatch
             dict(reversed(el.items())) for el in doc["elements"]]}),
         "meta after elements": json.dumps({"elements": doc["elements"], "meta": doc["meta"]}),
     }
-    want = _reads(gt)
+    want = _reads(pred)
     for name, variant in variants.items():
-        gt.write_text(variant)
-        scanned = sceneio._canonical(gt, gt.read_bytes(), sceneio._SCENE_HEADS) is not None
-        assert scanned == (name == "compact"), name
+        pred.write_text(variant)
+        assert _scanned(pred, pred.read_bytes()) == (name == "compact"), name
         with monkeypatch.context() as m:
             m.setattr(kernels, "json_tokens", lambda data: None)
-            json_read = _reads(gt)
-        assert _reads(gt) == json_read, name
+            json_read = _reads(pred)
+        assert _reads(pred) == json_read, name
         if name not in ("int coordinate", "int range"):
             assert json_read == want, name
 
 
 def _small_canonical(tmp_path):
     scene = generate_scene(SceneSpec(seed=2, n_ped=1, n_divider=1, n_boundary=0, n_points=3))
-    path = tmp_path / "gt.scene"
-    sceneio.write_scene(path, scene)
+    path = tmp_path / "pred.scene"
+    sceneio.write_scene(path, scene, perturb(scene, PerturbSpec(seed=2)))
     return path, path.read_bytes()
+
+
+def _scanned(path, data):
+    """Whether prediction text ``data`` is read from the scan."""
+    with contextlib.suppress(sceneio.SceneFormatError):
+        return sceneio._scanned_predictions(path, data) is not None
+    return False
 
 
 def _not_canonical(path, data):
     """Whether the scan gives no tokens for ``data``, or tokens that the
-    ground-truth layout check rejects."""
+    prediction reader then leaves to ``json``."""
     tokens = kernels.json_tokens(data)
     if tokens is not None:
         numbers, skeleton = tokens
         assert numbers.dtype == np.float64 and isinstance(skeleton, bytes)
-    return sceneio._canonical(path, data, sceneio._SCENE_HEADS) is None
+    return not _scanned(path, data)
 
 
 def test_scan_rejects_every_prefix_and_bad_token(tmp_path, scan):
     path, data = _small_canonical(tmp_path)
-    assert sceneio._canonical(path, data, sceneio._SCENE_HEADS) is not None
+    assert _scanned(path, data)
     for cut in range(len(data.rstrip())):
         assert _not_canonical(path, data[:cut]), cut
     # One whole coordinate token, and the text with another token in its place.
     coordinate = re.compile(rb"(?<=\s)-?\d+\.\d+(?=,)")
     start, end = coordinate.search(data, data.index(b'"points"')).span()
-    for bad in (b"1" * 70, b"0." + b"1" * 70, b"+1", b".5", b"01", b"0x10", b"1.", b"1e",
-                b"1e+", b"-", b"--1", b"1.5.5", "é".encode(), b"\x00", b"1\x002"):
-        assert scan(bad) is None or _not_canonical(path, bad), bad
+    for bad in (b"1" * 70, b"0." + b"1" * 70, b"+1", b".5", b"-.5", b"01", b"-01.5", b"0x10",
+                b"1.", b"1.e5", b"1e", b"1e+", b"-", b"--1", b"1.5.5", "é".encode(), b"\x00",
+                b"1\x002"):
+        assert scan(bad) is None, bad
         assert _not_canonical(path, data[:start] + bad + data[end:]), bad
     for string in (b'"a\\"b"', b'"a\\u0041"', b'"a\x00b"', b'"a\nb"', b'"a\x1fb"', b'"abc'):
         assert scan(string) is None, string
-        assert _not_canonical(path, data.replace(b'"divider"', string, 1)), string
+        assert _not_canonical(path, data.replace(b'"scores"', string, 1)), string
     # Non-ASCII text in a string is copied, and the layout check rejects it.
     numbers, skeleton = scan('"é"'.encode())
     assert len(numbers) == 0 and skeleton == '"é"'.encode()
-    assert _not_canonical(path, data.replace(b'"divider"', '"dividér"'.encode(), 1))
+    assert _not_canonical(path, data.replace(b'"scores"', '"scorés"'.encode(), 1))
     # Whitespace is not layout: a reindented file still takes the scan.
     assert not _not_canonical(path, data.replace(b"\n", b"\n\t \r"))
 
