@@ -18,6 +18,9 @@ shapes and indices, focal scores in [0, 1], a finite gamma >= 0 and
 ``matching.BoundMatcher`` binds once and reruns, so it checks only each
 call's predicted points (finite) and scores (in [0, 1]).
 ``min_manhattan_over_perms`` and ``chamfer_mean`` slice the matrix kernels.
+The loss's point2point and edge-direction terms have a binder only
+(``_bind_pair_terms``): ``losses.BoundLoss`` binds it, and ``fit`` binds
+once per fit and reruns it on pairs the assignment solver gave.
 
 ``json_tokens(data)`` gives the scene reader the numbers of JSON text,
 parsed in the C locale, and its layout (see ``kernels.c``); or None, for
@@ -86,14 +89,15 @@ def build(cache_dir: Path, source: Path = SOURCE) -> Path | None:
 
 
 def _binders(dll):
-    """(bind_manhattan, bind_chamfer, bind_focal, json_tokens) running
-    ``dll``, or the ``_pure`` bodies with ``dll`` None, where ``json_tokens``
-    returns None: the only code that differs by backend.  Each binder checks
-    its input, allocates outputs and scratch and takes every
-    address once, and returns the checked inputs, the outputs and ``run()``,
-    which refills the outputs from the inputs' current contents unchecked.
-    An input already contiguous in the kernel's dtype is bound as it is
-    (scores as a flat view), so a caller may refill it."""
+    """(bind_manhattan, bind_chamfer, bind_focal, json_tokens,
+    bind_pair_terms) running ``dll``, or the ``_pure`` bodies with ``dll``
+    None, where ``json_tokens`` returns None: the only code that differs by
+    backend.  Each binder checks its input, allocates outputs and scratch
+    and takes every address once, and returns the checked inputs, the
+    outputs and ``run()``, which refills the outputs from the inputs'
+    current contents unchecked.  An input already contiguous in the
+    kernel's dtype is bound as it is (scores as a flat view), so a caller
+    may refill it."""
 
     def bind_manhattan(pred_pts, gt_pts, perms):
         pred, gts, perms = _pure.check_manhattan_inputs(pred_pts, gt_pts, perms)
@@ -140,7 +144,20 @@ def _binders(dll):
                                 skeleton, len(data), ctypes.byref(size))
         return None if count < 0 else (numbers[:count], ctypes.string_at(skeleton, size.value))
 
-    return bind_manhattan, bind_chamfer, bind_focal, json_tokens
+    def bind_pair_terms(points, rows, aligned, closed, alpha, beta):
+        ins = _pure.check_pair_inputs(points, rows, aligned, closed)
+        (P, n), M = ins[0].shape[:2], len(ins[1])
+        outs = np.empty(M), np.empty(M), np.empty_like(ins[0])  # p2p, dir, d_points
+        if dll is None:
+            return *ins, *outs, partial(_pure.pair_terms_into, *ins, alpha, beta, *outs)
+        bufs = *ins, *outs, np.empty(5 * n)
+        a, b, c, d, e, f, g, h = (x.ctypes.data for x in bufs)
+        run = partial(dll.pair_terms, a, b, c, d, P, M, n, alpha, beta, _pure.EDGE_NORM_FLOOR,
+                      e, f, g, h)
+        run.bufs = bufs
+        return *ins, *outs, run
+
+    return bind_manhattan, bind_chamfer, bind_focal, json_tokens, bind_pair_terms
 
 
 def load(lib: Path) -> ctypes.CDLL:
@@ -150,7 +167,8 @@ def load(lib: Path) -> ctypes.CDLL:
     dll.manhattan_matrix.argtypes = [ptr, ptr, ptr, n, n, n, n, ptr, ptr, ptr]
     dll.chamfer_matrix.argtypes = [ptr, ptr, n, n, n, n, ptr, ptr]
     dll.focal_cost_table.argtypes = [ptr, n, real, real, real, ptr]
-    for entry in (dll.manhattan_matrix, dll.chamfer_matrix, dll.focal_cost_table):
+    dll.pair_terms.argtypes = [ptr, ptr, ptr, ptr, n, n, n, real, real, real, ptr, ptr, ptr, ptr]
+    for entry in (dll.manhattan_matrix, dll.chamfer_matrix, dll.focal_cost_table, dll.pair_terms):
         entry.restype = None
     dll.kernel_isa.argtypes, dll.kernel_isa.restype = [], ctypes.c_char_p
     dll.json_tokens.argtypes = [ctypes.c_char_p, n, ptr, n, ptr, n, ptr]
@@ -161,7 +179,7 @@ def load(lib: Path) -> ctypes.CDLL:
 def _entries(dll):
     """(manhattan_matrix, chamfer_matrix, focal_cost_table) over
     ``_binders(dll)``: each binds, runs once and returns its outputs."""
-    bind_manhattan, bind_chamfer, bind_focal, _ = _binders(dll)
+    bind_manhattan, bind_chamfer, bind_focal, *_ = _binders(dll)
 
     def manhattan_matrix(pred_pts, gt_pts, perms):
         """Minimum summed Manhattan distance over orderings, for every pair.
@@ -213,7 +231,7 @@ BACKEND = "pure" if _dll is None else "compiled"
 #: The clone of each cloned C loop that the loader picked for this CPU
 #: ("avx512f", "avx2" or "default"); None on the numpy backend.
 ISA = None if _dll is None else _dll.kernel_isa().decode()
-_bind_manhattan, _, _bind_focal, json_tokens = _binders(_dll)
+_bind_manhattan, _, _bind_focal, json_tokens, _bind_pair_terms = _binders(_dll)
 manhattan_matrix, chamfer_matrix, focal_cost_table = _entries(_dll)
 
 

@@ -3,7 +3,9 @@
 ``manhattan_into`` adds term = |dx| + |dy| over point index j in order and
 reports the first minimum; ``chamfer_into`` sums each direction's
 nearest-point distances in point order; ``focal_into`` evaluates
-:func:`focal_cost` with scalar ``math.log`` and ``**``.  The C loops of
+:func:`focal_cost` with scalar ``math.log`` and ``**``; ``pair_terms_into``
+gives the loss's point2point and edge-direction terms and their gradient,
+each per-pair sum added pairwise as ``ndarray.sum`` adds.  The C loops of
 ``kernels.c`` do the same operations in the same order, so both backends
 return the same floats and the same argmin ties.  Nothing here picks a
 backend: the binders of ``vecmap._kernels`` run a ``check_*`` once, then
@@ -19,6 +21,8 @@ import numpy as np
 #: Floor keeping the focal log terms finite; also used in the
 #: classification loss.
 FOCAL_EPS = 1e-12
+#: Edges shorter than this are treated as degenerate: cosine similarity 0.
+EDGE_NORM_FLOOR = 1e-8
 
 
 def _check_points(name: str, a: np.ndarray) -> None:
@@ -174,3 +178,64 @@ def focal_into(flat, gamma: float, alpha: float, out: np.ndarray) -> np.ndarray:
     by entry in Python floats."""
     out[:] = [focal_cost(p, gamma, alpha) for p in flat.tolist()]
     return out
+
+
+def check_pair_inputs(points, rows, aligned, closed):
+    """Contiguous float64 points (P, n, 2) and aligned (M, n, 2), int64 rows
+    (M,) and bool closed (M,).  Raises ValueError, naming the argument,
+    unless both stacks are finite and the rows strictly ascend within
+    [0, P): the C kernel reads points at the rows unchecked."""
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    aligned = np.ascontiguousarray(aligned, dtype=np.float64)
+    closed = np.ascontiguousarray(closed, dtype=bool)
+    _check_points("points", points)
+    if rows.ndim != 1 or (len(rows) and (rows[0] < 0 or rows[-1] >= len(points)
+                                         or (np.diff(rows) <= 0).any())):
+        raise ValueError(f"rows must ascend strictly within [0, {len(points)}), got {rows}")
+    want = (len(rows),) + points.shape[1:]
+    if aligned.shape != want:
+        raise ValueError(f"aligned must have shape {want}, got {aligned.shape}")
+    _check_points("aligned", aligned)
+    if closed.shape != rows.shape:
+        raise ValueError(f"closed must have one entry per row, got shape {closed.shape}")
+    return points, rows, aligned, closed
+
+
+def pair_terms_into(points, rows, aligned, closed, alpha, beta, p2p, dir_, d_points):
+    """``kernels.c``'s ``pair_terms`` on inputs checked by
+    :func:`check_pair_inputs`: each pair's point2point sum into p2p (M,),
+    its summed edge cosines into dir_ (M,), and the weighted gradient wrt
+    points into d_points (P, n, 2)."""
+    pred = points[rows]
+    diff = pred - aligned
+    # Per-pair sums, each over that pair's own elements.
+    p2p[:] = np.abs(diff).reshape(len(rows), 2 * diff.shape[1]).sum(axis=1)
+
+    pe, ge = pred.copy(), aligned.copy()  # edge j: point j minus point j+1 mod n
+    for e, a in ((pe, pred), (ge, aligned)):
+        e[:, :-1] -= a[:, 1:]
+        e[:, -1] -= a[:, 0]
+    pn = np.linalg.norm(pe, axis=-1)
+    gn = np.linalg.norm(ge, axis=-1)
+    n = pred.shape[1]
+    ok = (pn > EDGE_NORM_FLOOR) & (gn > EDGE_NORM_FLOOR)
+    ok &= closed[:, None] | (np.arange(n) < n - 1)  # a polyline has no edge n - 1
+    safe_pn = np.where(ok, pn, 1.0)
+    safe_gn = np.where(ok, gn, 1.0)
+    cos = np.where(ok, (pe * ge).sum(axis=-1) / (safe_pn * safe_gn), 0.0)
+    # Each pair sums only its own edges (n - 1 for a polyline): summing a
+    # padded 0 as well could change numpy's pairwise rounding.
+    dir_[closed] = cos[closed].sum(axis=1)
+    dir_[~closed] = cos[~closed, :-1].sum(axis=1)
+
+    # d cos / d pred_edge; degenerate edges contribute nothing.
+    dcos = ge / (safe_pn * safe_gn)[..., None] - cos[..., None] * pe / (safe_pn**2)[..., None]
+    dcos[~ok] = 0.0
+    # Point j starts edge j and ends edge j-1.
+    grad = dcos.copy()
+    grad[:, 1:] -= dcos[:, :-1]
+    grad[:, 0] -= dcos[:, -1]
+    d_points.fill(0.0)
+    d_points[rows] += alpha * np.sign(diff)
+    d_points[rows] -= beta * grad

@@ -1,12 +1,13 @@
 /* Compiled kernels of vecmap: plain C over double and int64_t arrays.
  *
- * vecmap._kernels compiles this file on first import and binds the four
- * entries below through ctypes.  For the three numeric kernels the caller
- * checks every shape, index and value domain first, so they do not
- * validate their input.  Each returns the same bits as its numpy body in
- * _pure.py: the same operations on the same operands in the same order.
+ * vecmap._kernels compiles this file on first import and binds the five
+ * entries below through ctypes.  For the four numeric kernels the caller
+ * checks every shape, index and value domain first (pair_terms' rows too:
+ * it reads points at them), so they do not validate their input.  Each
+ * returns the same bits as its numpy body in _pure.py: the same operations
+ * on the same operands in the same order, sums in numpy's pairwise order.
  * That needs -ffp-contract=off, so that no multiply and add fuse into one
- * rounding.  The fourth, json_tokens, reads untrusted text: it bounds
+ * rounding.  The fifth, json_tokens, reads untrusted text: it bounds
  * every read by the text's length and every write by its buffers' caps,
  * and parses numbers in the C locale whatever the process's locale is.
  *
@@ -18,8 +19,9 @@
  * bits.  The build has no -march=native: the cached library is named by
  * the source and the flags alone, so a tree copied to another CPU would
  * load code built for the wrong ISA.  The clones keep one portable
- * library.  The focal table and json_tokens are not cloned: their time
- * goes to scalar libm pow and log, and to strtod_l.
+ * library.  The focal table, pair_terms and json_tokens are not cloned:
+ * their time goes to scalar libm pow and log, to the call itself, and to
+ * strtod_l.
  */
 
 #define _GNU_SOURCE /* for strtod_l */
@@ -144,6 +146,79 @@ void focal_cost_table(const double *scores, int64_t count, double gamma,
         const double pos = alpha * pow(1.0 - s, gamma) * -log(s + eps);
         const double neg = (1.0 - alpha) * pow(s, gamma) * -log(1.0 - s + eps);
         out[i] = pos - neg;
+    }
+}
+
+/* numpy's pairwise_sum of a[0, n): in order from -0.0 under 8 terms, eight
+ * accumulators up to 128, else halves split at a multiple of 8.  A row's
+ * ndarray.sum is 0.0 plus this. */
+static double pairwise_sum(const double *a, int64_t n)
+{
+    if (n < 8) {
+        double res = -0.0;
+        for (int64_t i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n > 128) {
+        const int64_t half = n / 2 - (n / 2) % 8;
+        return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
+    }
+    double r[8], res;
+    int64_t i;
+    for (i = 0; i < 8; i++)
+        r[i] = a[i];
+    for (; i < n - n % 8; i += 8)
+        for (int k = 0; k < 8; k++)
+            r[k] += a[i + k];
+    res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    for (; i < n; i++)
+        res += a[i];
+    return res;
+}
+
+/* The point2point and edge-direction terms of M matched pairs, and their
+ * gradient wrt points (P, n, 2), as _pure.pair_terms_into computes them.
+ *
+ * Pair i joins points[rows[i]] to aligned[i] (n, 2); closed[i] marks a
+ * polygon.  Edge j runs from point j to point j+1 mod n; a polyline has no
+ * edge n - 1, and an edge of either side no longer than norm_floor has
+ * cosine 0.  Writes p2p[i], the sum of |diff| over x0, y0, x1, ..., and
+ * dir[i], the sum of pair i's edge cosines, each as numpy's .sum(axis=1)
+ * adds them; d_points is 0 off the matched rows, and on them
+ * (0 + alpha * sign(diff)) - beta * (dcos_j - dcos_{j-1}).  scratch holds
+ * 5 * n doubles.
+ */
+void pair_terms(const double *points, const int64_t *rows, const double *aligned,
+                const uint8_t *closed, int64_t P, int64_t M, int64_t n, double alpha,
+                double beta, double norm_floor, double *p2p, double *dir,
+                double *d_points, double *scratch)
+{
+    double *absdiff = scratch, *cosine = absdiff + 2 * n, *dcos = cosine + n;
+    memset(d_points, 0, (size_t)(P * n * 2) * sizeof(double));
+    for (int64_t i = 0; i < M; i++) {
+        const double *p = points + rows[i] * n * 2, *g = aligned + i * n * 2;
+        double *d = d_points + rows[i] * n * 2;
+        for (int64_t j = 0; j < n; j++) {
+            const int64_t k = j + 1 < n ? 2 * (j + 1) : 0;
+            const double pex = p[2 * j] - p[k], pey = p[2 * j + 1] - p[k + 1];
+            const double gex = g[2 * j] - g[k], gey = g[2 * j + 1] - g[k + 1];
+            const double pn = sqrt(pex * pex + pey * pey), gn = sqrt(gex * gex + gey * gey);
+            double c = 0.0, dx = 0.0, dy = 0.0;
+            if (pn > norm_floor && gn > norm_floor && (closed[i] || j < n - 1)) {
+                c = (0.0 + (pex * gex + pey * gey)) / (pn * gn);
+                dx = gex / (pn * gn) - c * pex / (pn * pn);
+                dy = gey / (pn * gn) - c * pey / (pn * pn);
+            }
+            cosine[j] = c, dcos[2 * j] = dx, dcos[2 * j + 1] = dy;
+        }
+        for (int64_t j = 0; j < 2 * n; j++) {
+            const double diff = p[j] - g[j], sign = diff > 0 ? 1.0 : diff < 0 ? -1.0 : 0.0;
+            absdiff[j] = fabs(diff);
+            d[j] = (0.0 + alpha * sign) - beta * (dcos[j] - dcos[j >= 2 ? j - 2 : j + 2 * n - 2]);
+        }
+        p2p[i] = 0.0 + pairwise_sum(absdiff, 2 * n);
+        dir[i] = 0.0 + pairwise_sum(cosine, closed[i] ? n : n - 1);
     }
 }
 

@@ -15,14 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# fit calls the array core (BoundMatcher, loss_and_gradients).  The dataclass
-# entry points apply_permutation, hierarchical_match, total_loss and
-# loss_gradients stay bound here: perfbench/tracer.py wraps these names.
+# fit binds the array core once (BoundMatcher, BoundLoss) and runs its
+# kernels raw every iteration.  The dataclass entry points apply_permutation,
+# hierarchical_match, total_loss and loss_gradients stay bound here:
+# perfbench/tracer.py wraps these names.
 from .geometry import ElementKind, apply_permutation  # noqa: F401
 from .losses import (  # noqa: F401
+    BoundLoss,
     LossBreakdown,
     LossWeights,
-    loss_and_gradients,
     loss_gradients,
     total_loss,
 )
@@ -111,11 +112,15 @@ def fit(gt: MapScene, cfg: FitConfig = FitConfig()) -> FitTrace:
     for g, m in enumerate(maps):
         all_maps[g, : len(m)] = m
     flat, at = np.stack([el.points for el in gts_norm]), np.arange(len(maps))[:, None]
+    n_orderings = np.array([len(m) for m in maps])
     order_rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1,)))
     )
     cost_cfg = CostConfig()
     matcher = BoundMatcher(n, nv, flat, kinds, classes, cost_cfg, cfg.mode is FitMode.FIXED_ORDER)
+    n_pairs = min(n, len(maps))  # the assignment matches every slot or every element
+    loss = BoundLoss(np.zeros_like(points), np.arange(n_pairs), np.zeros(n_pairs),
+                     np.zeros((n_pairs, nv, 2)), np.zeros(n_pairs, dtype=bool), cfg.weights, cost_cfg)
 
     m_pts = np.zeros_like(points)
     v_pts = np.zeros_like(points)
@@ -127,13 +132,10 @@ def fit(gt: MapScene, cfg: FitConfig = FitConfig()) -> FitTrace:
     trace = []
     for t in range(1, cfg.iterations + 1):
         scores = _sigmoid(logits)
-        drawn = [order_rng.integers(len(m)) for m in maps]
-        gts_iter = flat[at, all_maps[at[:, 0], drawn]]
+        gts_iter = flat[at, all_maps[at[:, 0], order_rng.integers(n_orderings)]]
         rows, cols, orderings, _ = matcher(points, scores, gts_iter)
         aligned = gts_iter[cols[:, None], all_maps[cols, orderings]]
-        breakdown, grads = loss_and_gradients(
-            points, scores, rows, classes[cols], aligned, closed[cols], cfg.weights, cost_cfg
-        )
+        breakdown, grads = loss(points, scores, rows, classes[cols], aligned, closed[cols])
         trace.append(breakdown)
         if t == cfg.iterations:  # the final predictions: no step after the last loss
             break

@@ -6,6 +6,11 @@ point-level-aligned pairs, and the negative cosine similarity between
 paired edges of aligned elements.  Gradients are analytic, with the
 hierarchical assignment held fixed (no differentiation through either
 argmin), which is how set-prediction losses are trained in practice.
+
+The classification term and its gradient are numpy here; the point2point
+and edge-direction terms and their gradient come from one kernel pass over
+the matched pairs (``pair_terms`` in ``_kernels``), bound by
+:class:`BoundLoss`, which ``fit`` binds once per fit.
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels._pure import FOCAL_EPS
+from . import _kernels
+from ._kernels._pure import EDGE_NORM_FLOOR, FOCAL_EPS  # noqa: F401
 from .geometry import ElementKind, MapElement, apply_permutation
 from .matching import (
     CostConfig,
@@ -22,10 +28,6 @@ from .matching import (
     PredictedElement,
     stack_predictions,
 )
-
-#: Edges shorter than this are treated as degenerate: cosine similarity 0.
-EDGE_NORM_FLOOR = 1e-8
-
 
 @dataclass(frozen=True)
 class LossWeights:
@@ -80,34 +82,50 @@ def _focal_terms(scores: np.ndarray, targets: np.ndarray, cfg: CostConfig):
     return loss, grad
 
 
-def _edge_cosines(pred: np.ndarray, aligned: np.ndarray, closed: np.ndarray):
-    """Per-edge cosine similarities and their gradient wrt predicted points.
+class BoundLoss:
+    """:func:`loss_and_gradients` bound to buffers for a fixed pair count.
 
-    pred and aligned are (M, n, 2); edge j runs from point j to point
-    j+1 mod n.  Polylines (``closed`` False) have no wrap-around edge: its
-    cosine and gradient are 0.
+    Binding checks its arguments as :func:`loss_and_gradients` does and
+    keeps those already contiguous in the kernel's dtype as its buffers.  A
+    call copies valid predictions and pairs of the bound shapes into them,
+    unchecked, and runs the pair kernel raw; the ``d_points`` it returns is
+    the bound output, which the next call refills.
     """
-    pe, ge = pred.copy(), aligned.copy()  # edge j: point j minus point j+1 mod n
-    for e, a in ((pe, pred), (ge, aligned)):
-        e[:, :-1] -= a[:, 1:]
-        e[:, -1] -= a[:, 0]
-    pn = np.linalg.norm(pe, axis=-1)
-    gn = np.linalg.norm(ge, axis=-1)
-    n = pred.shape[1]
-    ok = (pn > EDGE_NORM_FLOOR) & (gn > EDGE_NORM_FLOOR)
-    ok &= closed[:, None] | (np.arange(n) < n - 1)
-    safe_pn = np.where(ok, pn, 1.0)
-    safe_gn = np.where(ok, gn, 1.0)
-    cos = np.where(ok, (pe * ge).sum(axis=-1) / (safe_pn * safe_gn), 0.0)
 
-    # d cos / d pred_edge; degenerate edges contribute nothing.
-    dcos = ge / (safe_pn * safe_gn)[..., None] - cos[..., None] * pe / (safe_pn**2)[..., None]
-    dcos[~ok] = 0.0
-    # Point j starts edge j and ends edge j-1.
-    grad = dcos.copy()
-    grad[:, 1:] -= dcos[:, :-1]
-    grad[:, 0] -= dcos[:, -1]
-    return cos, grad
+    def __init__(self, points, rows, classes, aligned, closed,
+                 weights: LossWeights = LossWeights(), cfg: CostConfig = CostConfig()):
+        (self.points, self.rows, self.aligned, self.closed, self.p2p_each, self.dir_each,
+         self.d_points, self._run) = _kernels._bind_pair_terms(
+            points, rows, aligned, closed, weights.alpha_p2p, weights.beta_dir)
+        self.classes = np.array(classes, dtype=np.int64)
+        if self.classes.shape != self.rows.shape or not np.isin(self.classes, (0, 1, 2)).all():
+            raise ValueError(f"classes must be one of 0, 1, 2 per row, got {classes}")
+        self.targets = np.zeros((len(self.points), 3))
+        self.weights, self.cfg = weights, cfg
+
+    def __call__(self, points, scores, rows, classes, aligned, closed):
+        for buf, new in zip((self.points, self.rows, self.classes, self.aligned, self.closed),
+                            (points, rows, classes, aligned, closed)):
+            np.copyto(buf, new)
+        return self.run(scores)
+
+    def run(self, scores) -> tuple[LossBreakdown, LossGradients]:
+        """The loss and gradients of the bound buffers' contents with scores (P, 3)."""
+        w = self.weights
+        self.targets.fill(0.0)
+        self.targets[self.rows, self.classes] = 1.0
+        cls_each, d_cls = _focal_terms(scores, self.targets, self.cfg)
+        self._run()
+        p2p = dir_ = 0.0
+        for a, c in zip(self.p2p_each.tolist(), self.dir_each.tolist()):
+            p2p += a
+            dir_ -= c
+        cls = float(cls_each.sum())
+        total = w.lambda_cls * cls + w.alpha_p2p * p2p + w.beta_dir * dir_
+        return (
+            LossBreakdown(cls=cls, p2p=p2p, dir=dir_, total=total),
+            LossGradients(d_points=self.d_points, d_scores=w.lambda_cls * d_cls),
+        )
 
 
 def loss_and_gradients(
@@ -125,42 +143,16 @@ def loss_and_gradients(
     points (P, n, 2) and scores (P, 3) describe the predictions.  Matched
     pair i joins prediction ``rows[i]`` (ascending) to a ground truth of
     class ``classes[i]`` whose points, in the matched ordering, are
-    ``aligned[i]`` (n, 2); ``closed[i]`` is True for a polygon.
+    ``aligned[i]`` (n, 2); ``closed[i]`` is True for a polygon.  Raises
+    ValueError, naming the argument, unless the rows strictly ascend within
+    [0, P), each class is 0, 1 or 2, both point stacks are finite with
+    ``aligned`` (len(rows), n, 2), and ``closed`` has one entry per row.
 
     The assignment is frozen; the Manhattan term uses the minimum-norm
     subgradient (0 at exact coordinate ties).  No-object predictions get
     zero point gradients and only the negative-target score gradient.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    closed = np.asarray(closed, dtype=bool)
-    targets = np.zeros((len(scores), 3))
-    targets[rows, np.asarray(classes, dtype=np.int64)] = 1.0
-    cls_each, d_cls = _focal_terms(scores, targets, cfg)
-
-    pred = points[rows]
-    diff = pred - aligned
-    # Per-pair sums, each over that pair's own elements, then added pair by pair.
-    p2p_each = np.abs(diff).reshape(len(rows), 2 * diff.shape[1]).sum(axis=1)
-    cos, d_dir = _edge_cosines(pred, aligned, closed)
-    # Each pair sums only its own edges (n - 1 for a polyline): summing a
-    # padded 0 as well could change numpy's pairwise rounding.
-    dir_each = np.empty(len(rows))
-    dir_each[closed] = cos[closed].sum(axis=1)
-    dir_each[~closed] = cos[~closed, :-1].sum(axis=1)
-    p2p = dir_ = 0.0
-    for a, c in zip(p2p_each.tolist(), dir_each.tolist()):
-        p2p += a
-        dir_ -= c
-    cls = float(cls_each.sum())
-    total = weights.lambda_cls * cls + weights.alpha_p2p * p2p + weights.beta_dir * dir_
-
-    d_points = np.zeros_like(points)
-    d_points[rows] += weights.alpha_p2p * np.sign(diff)
-    d_points[rows] -= weights.beta_dir * d_dir
-    return (
-        LossBreakdown(cls=cls, p2p=p2p, dir=dir_, total=total),
-        LossGradients(d_points=d_points, d_scores=weights.lambda_cls * d_cls),
-    )
+    return BoundLoss(points, rows, classes, aligned, closed, weights, cfg).run(scores)
 
 
 def _fused(preds, gts, match, weights=LossWeights(), cfg=CostConfig()):

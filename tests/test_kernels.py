@@ -34,6 +34,7 @@ from hypothesis import given, settings, strategies as st
 import vecmap
 import vecmap._kernels as kernels
 from vecmap._kernels import _pure
+from vecmap._kernels._pure import EDGE_NORM_FLOOR
 from vecmap.geometry import ElementKind, permutation_group
 
 
@@ -303,12 +304,17 @@ def test_manhattan_entries_reject_non_finite_points(where, value):
 
 
 @pytest.fixture(scope="module")
-def c_kernels(tmp_path_factory):
-    """The entries of ``kernels.c``, built afresh by ``vecmap._kernels.build``."""
+def c_library(tmp_path_factory):
+    """``kernels.c`` built afresh by ``vecmap._kernels.build`` and opened."""
     if shutil.which("cc") is None:
         pytest.skip("no C compiler (cc) on PATH")
-    lib = kernels.build(tmp_path_factory.mktemp("kernels"))
-    return _entries(kernels.load(lib))
+    return kernels.load(kernels.build(tmp_path_factory.mktemp("kernels")))
+
+
+@pytest.fixture(scope="module")
+def c_kernels(c_library):
+    """The matrix entries of the fresh library."""
+    return _entries(c_library)
 
 
 def _assert_manhattan_parity(entries, kind, n, grid, rng):
@@ -413,6 +419,64 @@ def test_focal_cost_table_rejects_out_of_domain_input():
         for entry in (kernels.focal_cost_table, PURE["focal_cost_table"]):
             with pytest.raises(ValueError, match=r"focal scores must lie in \[0, 1\] and gamma >= 0"):
                 entry(scores, gamma, alpha)
+
+
+def _pair_cases(rng, n):
+    """(points, rows, aligned, closed) cases for ``pair_terms``: polylines,
+    polygons and both; each on the unit interval, and on a quarter grid
+    where coordinates tie the ground truth exactly, repeated points make
+    zero-length edges and some zeros are -0.0; edges exactly
+    ``EDGE_NORM_FLOOR`` long on either side; plus matches on the ground
+    truth itself and no pairs at all."""
+    for n_pairs in (0, 1, 4, 7):
+        for kinds in ("polyline", "polygon", "mixed"):
+            closed = {"polyline": np.zeros(n_pairs, dtype=bool), "polygon": np.ones(n_pairs, dtype=bool),
+                      "mixed": np.arange(n_pairs) % 2 == 1}[kinds]
+            rows = np.sort(rng.choice(7, n_pairs, replace=False))
+            points, aligned = rng.uniform(size=(7, n, 2)), rng.uniform(size=(n_pairs, n, 2))
+            yield points, rows, aligned, closed
+            floor = np.zeros((7, n, 2))
+            floor[:, ::2, 0] = EDGE_NORM_FLOOR  # each edge (+-floor, 0): no cosine
+            yield floor, rows, aligned, closed
+            yield points, rows, floor[:n_pairs], closed
+            points, aligned = np.round(points * 4) / 4, np.round(aligned * 4) / 4
+            points[:, min(1, n - 1)] = points[:, 0]
+            for a in (points, aligned):
+                a[(a == 0) & (rng.uniform(size=a.shape) < 0.5)] = -0.0
+            yield points, rows, aligned, closed
+            aligned[::2] = points[rows[::2]]
+            yield points, rows, aligned, closed
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 20, 64, 65, 70, 129])
+def test_pair_terms_bit_identical(c_library, n, rng):
+    # Each point2point sum adds 2n terms, each polygon n cosines and each
+    # polyline n - 1 (none for n = 1): together these n cover each branch
+    # of numpy's pairwise summation (under 8, 8 to 128, and halves above
+    # 128) and its edges.  -0.0 counts: the outputs compare as bytes.
+    bind_c, bind_pure = (kernels._binders(dll)[4] for dll in (c_library, None))
+    for case in _pair_cases(rng, n):
+        for alpha, beta in ((5.0, 5e-3), (1.5, 0.0), (0.0, 0.7)):
+            *_, p2p, dir_, d_points, run = bind_c(*case, alpha, beta)
+            *_, want_p2p, want_dir, want_d_points, want_run = bind_pure(*case, alpha, beta)
+            run()
+            want_run()
+            assert p2p.tobytes() == want_p2p.tobytes()
+            assert dir_.tobytes() == want_dir.tobytes()
+            assert d_points.tobytes() == want_d_points.tobytes()
+
+
+def test_kernels_build_without_warnings(tmp_path):
+    # The production flags plus -Wall -Wextra -Werror: no entry lands with
+    # a compiler warning.
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc) on PATH")
+    proc = subprocess.run(
+        ["cc", *kernels.FLAGS, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "kernels.so"),
+         str(kernels.SOURCE), "-lm"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def _other_layouts(x):

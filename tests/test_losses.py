@@ -23,6 +23,7 @@ from vecmap.losses import (
     EDGE_NORM_FLOOR,
     LossWeights,
     _focal_terms,
+    loss_and_gradients,
     loss_gradients,
     total_loss,
 )
@@ -305,6 +306,39 @@ class TestLossGradients:
             if i not in matched:
                 np.testing.assert_array_equal(grads.d_points[i], 0.0)
 
+    @pytest.mark.parametrize(
+        "name, change",
+        [
+            ("rows", {"rows": [-1, 0]}),  # numpy would score the last slot
+            ("rows", {"rows": [1, 1]}),  # one pair's gradient would overwrite the other's
+            ("rows", {"rows": [2, 1]}),
+            ("rows", {"rows": [1, 4]}),
+            ("rows", {"rows": [[0, 1]]}),
+            ("classes", {"classes": [-1, 0]}),  # numpy would index class 2
+            ("classes", {"classes": [5, 0]}),
+            ("classes", {"classes": [0]}),
+            ("aligned", {"aligned": np.zeros((3, 5, 2))}),
+            ("aligned", {"aligned": np.zeros((2, 6, 2))}),
+            ("aligned", {"aligned": np.full((2, 5, 2), np.nan)}),
+            ("aligned", {"aligned": np.full((2, 5, 2), np.inf)}),
+            ("closed", {"closed": [True]}),
+            ("closed", {"closed": [True, False, True]}),
+            ("points", {"points": np.full((4, 5, 2), np.nan)}),
+        ],
+    )
+    def test_inconsistent_pairs_raise_naming_the_argument(self, rng, name, change):
+        args = {
+            "points": rng.uniform(size=(4, 5, 2)),
+            "scores": rng.uniform(size=(4, 3)),
+            "rows": [0, 2],
+            "classes": [0, 1],
+            "aligned": rng.uniform(size=(2, 5, 2)),
+            "closed": [True, False],
+        }
+        loss_and_gradients(**args)  # the consistent pairs score
+        with pytest.raises(ValueError, match=f"^{name} "):
+            loss_and_gradients(**{**args, **change})
+
     def test_matches_finite_differences(self, rng):
         weights = LossWeights()
         for _ in range(5):
@@ -382,10 +416,11 @@ class TestFusedEqualsPerPair:
         preds, gts = data.draw(matching_problems(classes=classes))
         self._check(preds, gts, weights, fixed_order)
 
-    @pytest.mark.parametrize("n", [3, 8, 9, 20])
+    @pytest.mark.parametrize("n", [3, 8, 9, 20, 65])
     def test_bit_identical_random(self, rng, n):
         # n = 8 gives polylines 7 edges, where numpy's pairwise summation
-        # would round a padded 8-term sum differently.
+        # would round a padded 8-term sum differently; n = 65 gives 130
+        # point2point terms, which numpy splits in halves.
         for _ in range(20):
             gts = [random_element(rng, n_points=n) for _ in range(3)]
             preds = [random_prediction(rng, n_points=n) for _ in range(4)]
