@@ -18,13 +18,18 @@ shapes and indices, focal scores in [0, 1], a finite gamma >= 0 and
 ``matching.BoundMatcher`` binds once and reruns, so it checks only each
 call's predicted points (finite) and scores (in [0, 1]).
 ``min_manhattan_over_perms`` and ``chamfer_mean`` slice the matrix kernels.
+``chamfer_matrix(a, b, cutoff)`` writes +inf for each pair whose bounding
+boxes lie at least ``cutoff`` apart, without computing it; the default,
+``inf``, computes every pair.
 The loss's point2point and edge-direction terms have a binder only
 (``_bind_pair_terms``): ``losses.BoundLoss`` binds it, and ``fit`` binds
 once per fit and reruns it on pairs the assignment solver gave.
 
-``json_tokens(data)`` gives the scene reader the numbers of JSON text,
-parsed in the C locale, and its layout (see ``kernels.c``); or None, for
-text of another form and always on the numpy backend.
+``json_tokens(data)`` gives the scene reader the numbers of JSON text and
+its layout (see ``kernels.c``); or None, for text of another form and always
+on the numpy backend.  A decimal of at most 15 significant digits and 22
+fraction digits is one exact division, and any other number goes to
+``strtod_l`` in the C locale: each equals what ``json`` parses.
 """
 
 import ctypes
@@ -111,15 +116,15 @@ def _binders(dll):
         run.bufs = bufs  # the library reads them by address: alive as long as run
         return pred, gts, costs, best, run
 
-    def bind_chamfer(a, b):
+    def bind_chamfer(a, b, cutoff):
         a, b = _pure.check_chamfer_inputs(a, b)
         (P, n), (G, m) = a.shape[:2], b.shape[:2]
         out = np.empty((P, G))
         if dll is None:
-            return a, b, out, partial(_pure.chamfer_into, a, b, out)
-        bufs = a, b, out, np.empty(m)
-        pa, pb, po, near_b = (x.ctypes.data for x in bufs)
-        run = partial(dll.chamfer_matrix, pa, pb, P, n, G, m, po, near_b)
+            return a, b, out, partial(_pure.chamfer_into, a, b, cutoff, out)
+        bufs = a, b, out, np.empty(m), np.empty(4 * (P + G))
+        pa, pb, po, near_b, box = (x.ctypes.data for x in bufs)
+        run = partial(dll.chamfer_matrix, pa, pb, P, n, G, m, cutoff, po, near_b, box)
         run.bufs = bufs
         return a, b, out, run
 
@@ -165,7 +170,7 @@ def load(lib: Path) -> ctypes.CDLL:
     dll = ctypes.CDLL(str(lib))
     ptr, n, real = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     dll.manhattan_matrix.argtypes = [ptr, ptr, ptr, n, n, n, n, ptr, ptr, ptr]
-    dll.chamfer_matrix.argtypes = [ptr, ptr, n, n, n, n, ptr, ptr]
+    dll.chamfer_matrix.argtypes = [ptr, ptr, n, n, n, n, real, ptr, ptr, ptr]
     dll.focal_cost_table.argtypes = [ptr, n, real, real, real, ptr]
     dll.pair_terms.argtypes = [ptr, ptr, ptr, ptr, n, n, n, real, real, real, ptr, ptr, ptr, ptr]
     for entry in (dll.manhattan_matrix, dll.chamfer_matrix, dll.focal_cost_table, dll.pair_terms):
@@ -198,15 +203,20 @@ def _entries(dll):
         run()
         return costs, best
 
-    def chamfer_matrix(a, b):
+    def chamfer_matrix(a, b, cutoff=np.inf):
         """Symmetric mean Chamfer distance of every pair of two point-set stacks.
 
         a: (P, n, 2) and b: (G, m, 2), checked by ``_pure.check_chamfer_inputs``.
         Returns (P, G): for each pair, the squared distances are dx*dx + dy*dy,
         each direction sums the sqrt of its nearest ones left to right, divides
         by its count, and the two are averaged.
+
+        A pair is +inf instead when cutoff * cutoff is a finite normal double
+        and its bounding boxes' gap (gx, gy), 0 on an axis where they overlap,
+        has gx*gx + gy*gy >= cutoff * cutoff: its distance is at least that
+        gap, up to rounding.  The default, ``inf``, computes every pair.
         """
-        *_, out, run = bind_chamfer(a, b)
+        *_, out, run = bind_chamfer(a, b, cutoff)
         run()
         return out
 

@@ -15,6 +15,7 @@ the library or the ``*_into`` body on the checked inputs.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -121,9 +122,10 @@ def check_chamfer_inputs(a, b) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def chamfer_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+def chamfer_into(a: np.ndarray, b: np.ndarray, cutoff: float, out: np.ndarray) -> np.ndarray:
     """``vecmap._kernels.chamfer_matrix`` on inputs checked by
-    :func:`check_chamfer_inputs`, into out (P, G)."""
+    :func:`check_chamfer_inputs`, into out (P, G): every pair computed,
+    then +inf written where ``kernels.c`` skips the pair."""
     (P, n), (G, m) = a.shape[:2], b.shape[:2]
     # Column k = p * G + g pairs prediction p with ground truth g, so every
     # minimum and sum below runs over an outer axis.
@@ -145,6 +147,14 @@ def chamfer_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     ab = np.cumsum(np.sqrt(near_a), axis=0)[-1] / n
     ba = np.cumsum(np.sqrt(near_b), axis=0)[-1] / m
     out[:] = (0.5 * (ab + ba)).reshape(P, G)
+    cut2 = cutoff * cutoff
+    if sys.float_info.min <= cut2 < math.inf:
+        # The kernel's bounding-box gap test, with the same float operations.
+        lo_a, hi_a = a.min(axis=1)[:, None], a.max(axis=1)[:, None]  # (P, 1, 2)
+        lo_b, hi_b = b.min(axis=1), b.max(axis=1)  # (G, 2)
+        gap = np.maximum(0.0, np.maximum(lo_b - hi_a, lo_a - hi_b))  # (P, G, 2)
+        gx, gy = gap[..., 0], gap[..., 1]
+        out[gx * gx + gy * gy >= cut2] = np.inf
     return out
 
 

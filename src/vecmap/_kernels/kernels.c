@@ -7,7 +7,9 @@
  * returns the same bits as its numpy body in _pure.py: the same operations
  * on the same operands in the same order, sums in numpy's pairwise order.
  * That needs -ffp-contract=off, so that no multiply and add fuse into one
- * rounding.  The fifth, json_tokens, reads untrusted text: it bounds
+ * rounding.  chamfer_matrix takes a cutoff: a pair whose bounding boxes
+ * lie at least that far apart is written +inf and not computed, on both
+ * backends alike.  The fifth, json_tokens, reads untrusted text: it bounds
  * every read by the text's length and every write by its buffers' caps,
  * and parses numbers in the C locale whatever the process's locale is.
  *
@@ -21,10 +23,12 @@
  * load code built for the wrong ISA.  The clones keep one portable
  * library.  The focal table, pair_terms and json_tokens are not cloned:
  * their time goes to scalar libm pow and log, to the call itself, and to
- * strtod_l.
+ * json_tokens' byte loop, which parses the short decimals scene files hold
+ * without strtod_l.
  */
 
 #define _GNU_SOURCE /* for strtod_l */
+#include <float.h>
 #include <locale.h>
 #include <math.h>
 #include <stdint.h>
@@ -93,21 +97,54 @@ CLONED void manhattan_matrix(const double *pred, const double *gts, const int64_
     }
 }
 
-/* Symmetric mean Chamfer distance of every pair of two point-set stacks.
+/* Symmetric mean Chamfer distance of every pair of two point-set stacks,
+ * or +inf for a pair whose bounding boxes lie at least cutoff apart.
  *
  * a (P, n, 2) and b (G, m, 2) are C-contiguous, with n, m >= 1.  Writes
  * out (P, G).  Per pair, each point's nearest squared distance is
  * dx*dx + dy*dy; each direction sums the sqrt of those left to right and
- * divides by its count, and the two means are averaged.  near_b is scratch
- * for m doubles.
+ * divides by its count, and the two means are averaged.
+ *
+ * When cutoff * cutoff is a finite normal double, every set's bounding box
+ * goes once to box (4 * (P + G) doubles: min x, max x, min y, max y).  A
+ * pair whose boxes are gx apart in x and gy in y (0 where they overlap),
+ * with gx*gx + gy*gy >= cutoff * cutoff, is skipped and written +inf:
+ * each of its nearest distances, so its Chamfer distance, is at least the
+ * gap.  near_b is scratch for m doubles.
  */
-CLONED void chamfer_matrix(const double *a, const double *b, int64_t P, int64_t n,
-                           int64_t G, int64_t m, double *out, double *near_b)
+static void bounding_boxes(const double *s, int64_t count, int64_t n, double *box)
 {
+    for (int64_t k = 0; k < count; k++, s += 2 * n, box += 4) {
+        box[0] = box[1] = s[0], box[2] = box[3] = s[1];
+        for (int64_t i = 1; i < n; i++) {
+            box[0] = fmin(box[0], s[2 * i]), box[1] = fmax(box[1], s[2 * i]);
+            box[2] = fmin(box[2], s[2 * i + 1]), box[3] = fmax(box[3], s[2 * i + 1]);
+        }
+    }
+}
+
+CLONED void chamfer_matrix(const double *a, const double *b, int64_t P, int64_t n,
+                           int64_t G, int64_t m, double cutoff, double *out, double *near_b,
+                           double *box)
+{
+    const double cut2 = cutoff * cutoff;
+    const int prune = cut2 >= DBL_MIN && cut2 < INFINITY;
+    if (prune) {
+        bounding_boxes(a, P, n, box);
+        bounding_boxes(b, G, m, box + 4 * P);
+    }
     for (int64_t p = 0; p < P; p++) {
-        const double *ap = a + p * n * 2;
+        const double *ap = a + p * n * 2, *abox = box + 4 * p;
         for (int64_t g = 0; g < G; g++) {
-            const double *bg = b + g * m * 2;
+            const double *bg = b + g * m * 2, *bbox = box + 4 * (P + g);
+            if (prune) {
+                const double gx = fmax(0.0, fmax(bbox[0] - abox[1], abox[0] - bbox[1]));
+                const double gy = fmax(0.0, fmax(bbox[2] - abox[3], abox[2] - bbox[3]));
+                if (gx * gx + gy * gy >= cut2) {
+                    out[p * G + g] = INFINITY;
+                    continue;
+                }
+            }
             double ab = 0.0, ba = 0.0;
             for (int64_t j = 0; j < m; j++)
                 near_b[j] = INFINITY;
@@ -232,12 +269,35 @@ __attribute__((constructor)) static void make_c_locale(void)
     c_locale = newlocale(LC_NUMERIC_MASK, "C", (locale_t)0);
 }
 
+/* The end of the digit run at text[j, len), each digit appended to *mant
+ * (wrapping past 19 digits) and counted in *sig from the first nonzero. */
+static int64_t digits(const char *text, int64_t j, int64_t len, uint64_t *mant, int64_t *sig)
+{
+    for (; j < len && DIGIT(text[j]); j++) {
+        *mant = *mant * 10 + (uint64_t)(text[j] - '0');
+        *sig += *mant != 0;
+    }
+    return j;
+}
+
+/* 10^k for k <= 22: every one an exact double. */
+static const double POW10[23] = {1e0,  1e1,  1e2,  1e3,  1e4,  1e5,  1e6,  1e7,
+                                 1e8,  1e9,  1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
+                                 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+
 /* The tokens of JSON text text[0, len), with no schema.  Each number goes
  * to numbers (at most ncap) and to skeleton (at most scap bytes) as '#' if
  * it has a fraction or exponent, else 'i'; strings and {}[]:, are copied,
  * and whitespace is dropped.  Returns the count of numbers, or -1 for a
  * string with a backslash or a control byte, a number outside the JSON
- * grammar or over 31 bytes, any other byte, or a full buffer. */
+ * grammar or over 31 bytes, any other byte, or a full buffer.
+ *
+ * One pass checks a number's grammar and gathers its significant digits.
+ * With no exponent, at most 15 significant digits and at most 22 fraction
+ * digits, the number is mant / 10^k of two exact doubles, one correctly
+ * rounded division (Clinger's fast path, PLDI 1990), so it equals what
+ * strtod_l gives; every number write_scene writes is of that form.  Any
+ * other number is copied out and parsed by strtod_l. */
 int64_t json_tokens(const char *text, int64_t len, double *numbers, int64_t ncap,
                     char *skeleton, int64_t scap, int64_t *skeleton_len)
 {
@@ -256,25 +316,45 @@ int64_t json_tokens(const char *text, int64_t len, double *numbers, int64_t ncap
                 return -1;
             memcpy(skeleton + s, text + i, j - i);
             s += j - i;
-        } else if (c && strchr("{}[]:,", c)) {
+        } else if (c == '{' || c == '}' || c == '[' || c == ']' || c == ':' || c == ',') {
             skeleton[s++] = c;
         } else { /* a number, or a byte that fails its grammar check */
-            char token[32], *end;
-            for (j = i; j < len && IN_NUMBER(text[j]); j++)
-                if (j - i == (int64_t)sizeof token - 1)
+            uint64_t mant = 0;
+            int64_t sig = 0, first = i + (c == '-'), frac = 0, exponent = 0;
+            /* JSON's grammar: a digit after the sign and after the point, no
+             * leading zero, and digits after the exponent's sign. */
+            j = digits(text, first, len, &mant, &sig);
+            if (j == first || (text[first] == '0' && j - first > 1))
+                return -1;
+            if (j < len && text[j] == '.') {
+                const int64_t point = j + 1;
+                j = digits(text, point, len, &mant, &sig);
+                if (j == point)
                     return -1;
-            memcpy(token, text + i, j - i);
-            token[j - i] = '\0';
-            /* JSON's grammar, which strtod_l's is wider than: a digit after
-             * the sign and after the point, and no leading zero. */
-            const char *digit = token + (c == '-'), *point = strchr(token, '.');
-            if (!DIGIT(digit[0]) || (digit[0] == '0' && DIGIT(digit[1])) || (point && !DIGIT(point[1]))
-                || count == ncap || !c_locale)
+                frac = j - point;
+            }
+            if (j < len && (text[j] == 'e' || text[j] == 'E')) {
+                j += 1 + (j + 1 < len && (text[j + 1] == '+' || text[j + 1] == '-'));
+                exponent = j; /* where its digits start: never 0 */
+                while (j < len && DIGIT(text[j]))
+                    j++;
+                if (j == exponent)
+                    return -1;
+            }
+            if ((j < len && IN_NUMBER(text[j])) || j - i > 31 || count == ncap)
                 return -1;
-            numbers[count++] = strtod_l(token, &end, c_locale);
-            if (end != token + (j - i))
-                return -1;
-            skeleton[s++] = strpbrk(token, ".eE") ? '#' : 'i';
+            if (!exponent && sig <= 15 && frac <= 22) {
+                const double value = (double)mant / POW10[frac];
+                numbers[count++] = c == '-' ? -value : value;
+            } else { /* strtod_l's grammar holds JSON's: it reads the whole token */
+                char token[32];
+                memcpy(token, text + i, j - i);
+                token[j - i] = '\0';
+                if (!c_locale)
+                    return -1;
+                numbers[count++] = strtod_l(token, NULL, c_locale);
+            }
+            skeleton[s++] = frac || exponent ? '#' : 'i';
         }
     }
     *skeleton_len = s;

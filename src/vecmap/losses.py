@@ -146,13 +146,21 @@ def loss_and_gradients(
     ``aligned[i]`` (n, 2); ``closed[i]`` is True for a polygon.  Raises
     ValueError, naming the argument, unless the rows strictly ascend within
     [0, P), each class is 0, 1 or 2, both point stacks are finite with
-    ``aligned`` (len(rows), n, 2), and ``closed`` has one entry per row.
+    ``aligned`` (len(rows), n, 2), ``closed`` has one entry per row, and
+    ``scores`` is (P, 3) with every value in [0, 1].
 
     The assignment is frozen; the Manhattan term uses the minimum-norm
     subgradient (0 at exact coordinate ties).  No-object predictions get
     zero point gradients and only the negative-target score gradient.
     """
-    return BoundLoss(points, rows, classes, aligned, closed, weights, cfg).run(scores)
+    loss = BoundLoss(points, rows, classes, aligned, closed, weights, cfg)
+    scores = np.asarray(scores, dtype=np.float64)
+    want = (len(loss.points), 3)
+    # Written so that NaN, which fails every comparison, is rejected too.
+    if scores.shape != want or not ((scores >= 0) & (scores <= 1)).all():
+        raise ValueError(f"scores must have shape {want} with every value in [0, 1], "
+                         f"got shape {scores.shape}")
+    return loss.run(scores)
 
 
 def _fused(preds, gts, match, weights=LossWeights(), cfg=CostConfig()):

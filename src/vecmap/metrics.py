@@ -106,10 +106,11 @@ def _stack_by_count(point_sets) -> list[tuple[Sequence[int], np.ndarray]]:
     return [(idx, np.stack([point_sets[i] for i in idx])) for idx in groups.values()]
 
 
-def chamfer_distances(a_sets, b_sets) -> np.ndarray:
+def chamfer_distances(a_sets, b_sets, cutoff: float = np.inf) -> np.ndarray:
     """(len(a_sets), len(b_sets)) Chamfer distances between point sets.
 
-    Entry (p, g) equals ``chamfer_distance(a_sets[p], b_sets[g])``.  The
+    Entry (p, g) equals ``chamfer_distance(a_sets[p], b_sets[g])``, or +inf
+    where ``_kernels.chamfer_matrix`` skips the pair for ``cutoff``.  The
     sets may differ in point count: one kernel call covers each pair of
     counts.  Inputs are trusted to be non-empty, finite (n, 2) arrays.
     """
@@ -117,7 +118,7 @@ def chamfer_distances(a_sets, b_sets) -> np.ndarray:
     b_groups = _stack_by_count(b_sets)
     for ai, a in _stack_by_count(a_sets):
         for bi, b in b_groups:
-            out[np.ix_(ai, bi)] = _kernels.chamfer_matrix(a, b)
+            out[np.ix_(ai, bi)] = _kernels.chamfer_matrix(a, b, cutoff)
     return out
 
 
@@ -194,6 +195,13 @@ def evaluate_ap(
     per scene), so thresholds keep their physical meaning.  Each scene's
     Chamfer distances are computed once and serve every class and
     threshold.
+
+    A pair whose bounding boxes lie at least twice the largest threshold
+    apart is not computed: its distance is at least that gap, and it is
+    read as +inf.  No cell can change: ``_greedy_flags`` reads distances
+    only through an argmin and ``< tau``.  Where a candidate's nearest free
+    distance is below tau, every skipped one was above it, so the argmin is
+    the same; elsewhere the candidate misses either way.
     """
     n_scenes = len(pred_scenes)
     if n_scenes != len(gt_scenes):
@@ -215,7 +223,7 @@ def evaluate_ap(
                 raise ValueError(f"scene {si}: {what} {i} has an empty point set")
 
     dists = [
-        chamfer_distances(_to_meters(scene.points, sr), gts)
+        chamfer_distances(_to_meters(scene.points, sr), gts, 2 * cfg.thresholds[-1])
         for scene, gts, sr in zip(scenes, gt_points, ranges)
     ]
     # Every prediction of every scene, in scene then element order.

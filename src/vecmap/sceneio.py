@@ -14,11 +14,11 @@ alone, to name the first bad one.  Code downstream of the readers trusts
 what they return.
 
 A prediction file in the layout ``write_scene`` writes (whitespace aside)
-is read from one C token scan, ``_kernels.json_tokens`` (numbers parsed in
-the C locale), and its values pass the same checks.  Every other file,
-valid or not, is read with ``json``, so every error message comes from
-there.  Ground-truth files are not scanned: their read time goes to
-building ``MapElement``s, not to parsing.
+is read from one C token scan, ``_kernels.json_tokens`` (numbers parsed
+exactly, whatever the process's locale), and its values pass the same
+checks.  Every other file, valid or not, is read with ``json``, so every
+error message comes from there.  Ground-truth files are not scanned: their
+read time goes to building ``MapElement``s, not to parsing.
 """
 
 from __future__ import annotations

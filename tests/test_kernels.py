@@ -264,6 +264,68 @@ def test_chamfer_matrix_blocks_a_scene(rng):
     _assert_matrix_equals_pairwise(a, b)
 
 
+def _cutoff_cases(rng):
+    """(a, b, cutoff): stacks whose pairs' bounding boxes overlap, touch, lie
+    exactly the cutoff apart, or nearer or farther, on sets of one point and
+    more; cutoffs whose square is not a normal double; and coordinates near
+    +-1e200, where squared gaps overflow."""
+    cutoffs = (0.5, 1.0, 3.0, 5.0, 3 * math.sqrt(2.0), 1e-160, 1e-170, 1e160, math.inf)
+    for n, m in ((1, 1), (1, 5), (4, 1), (6, 9)):
+        # Integer corners: gaps of 0 (touching), 3 and (3, 4) are exact.
+        a = rng.integers(0, 12, size=(8, n, 2)).astype(float)
+        b = rng.integers(0, 12, size=(7, m, 2)).astype(float)
+        for cutoff in cutoffs:
+            yield a, b, cutoff
+    a, b = rng.uniform(-5, 5, size=(20, 7, 2)), rng.uniform(-5, 5, size=(9, 3, 2))
+    for cutoff in (0.5, 2.0, 3.0):
+        yield a, b, cutoff
+    unit = np.array([[0.0, 0.0], [1.0, 1.0]])
+    shifts = np.array([[0.5, 0.5], [1.0, 0.0], [4.0, 0.0], [4.0, 4.0], [0.0, -4.0]])
+    yield unit[None], unit + shifts[:, None], 3.0  # overlapping, touching, 3 apart, farther
+    big = np.array([[[1e200, 1e200], [1e200, -1e200]], [[-1e200, -1e200], [-1e200, -1e200]]])
+    for cutoff in (math.inf, 3.0):
+        yield big, big[:, ::-1], cutoff
+
+
+def _far_pairs(a, b, cutoff):
+    """The pairs whose squared box gap is at least cutoff squared, pair by
+    pair in Python floats; none unless that square is a finite normal."""
+    cut2 = cutoff * cutoff
+    far = np.zeros((len(a), len(b)), dtype=bool)
+    if not sys.float_info.min <= cut2 < math.inf:
+        return far
+    for p, q in np.ndindex(far.shape):
+        (ax0, ay0), (ax1, ay1) = a[p].min(axis=0).tolist(), a[p].max(axis=0).tolist()
+        (bx0, by0), (bx1, by1) = b[q].min(axis=0).tolist(), b[q].max(axis=0).tolist()
+        gx, gy = max(0.0, bx0 - ax1, ax0 - bx1), max(0.0, by0 - ay1, ay0 - by1)
+        far[p, q] = gx * gx + gy * gy >= cut2
+    return far
+
+
+def _assert_cutoff_parity(entry, a, b, cutoff):
+    """``entry``'s Chamfer matrix with a cutoff equals the numpy body's as
+    bytes: +inf on exactly the far pairs, each at least the cutoff apart,
+    and elsewhere the value computed without a cutoff."""
+    with np.errstate(over="ignore"):  # squares near 1e200
+        got = entry(a, b, cutoff)
+        assert got.tobytes() == PURE["chamfer_matrix"](a, b, cutoff).tobytes()
+        full = PURE["chamfer_matrix"](a, b)
+    far = _far_pairs(a, b, cutoff)
+    assert (got[far] == np.inf).all()
+    assert (full[far] >= cutoff).all()
+    assert got[~far].tobytes() == full[~far].tobytes()
+
+
+def test_chamfer_cutoff_skips_exactly_the_far_pairs(rng):
+    n_far = n_near = 0
+    for a, b, cutoff in _cutoff_cases(rng):
+        for entry in (kernels.chamfer_matrix, PURE["chamfer_matrix"]):
+            _assert_cutoff_parity(entry, a, b, cutoff)
+        far = _far_pairs(a, b, cutoff)
+        n_far, n_near = n_far + far.sum(), n_near + (~far).sum()
+    assert n_far > 100 and n_near > 100
+
+
 def _bad_chamfer_inputs():
     """(a, b) that every Chamfer entry must reject before any kernel runs."""
     a, b = np.zeros((2, 4, 2)), np.zeros((3, 5, 2))
@@ -551,6 +613,11 @@ def test_clone_tie_break_identical(clone_kernels):
 def test_clone_chamfer_bit_identical(clone_kernels, rng):
     for n in (1, 2, 7, 20, 40):
         _assert_chamfer_parity(clone_kernels, n, rng)
+
+
+def test_clone_chamfer_cutoff_bit_identical(clone_kernels, rng):
+    for a, b, cutoff in _cutoff_cases(rng):
+        _assert_cutoff_parity(clone_kernels["chamfer_matrix"], a, b, cutoff)
 
 
 def test_clone_guard_leaves_other_targets_plain(tmp_path):

@@ -324,6 +324,12 @@ class TestLossGradients:
             ("closed", {"closed": [True]}),
             ("closed", {"closed": [True, False, True]}),
             ("points", {"points": np.full((4, 5, 2), np.nan)}),
+            ("scores", {"scores": np.full((1, 3), 0.5)}),  # numpy would broadcast it
+            ("scores", {"scores": np.full((4, 2), 0.5)}),
+            ("scores", {"scores": np.full(12, 0.5)}),
+            ("scores", {"scores": np.full((4, 3), 1.5)}),  # a NaN loss
+            ("scores", {"scores": np.full((4, 3), -0.5)}),
+            ("scores", {"scores": np.full((4, 3), np.nan)}),
         ],
     )
     def test_inconsistent_pairs_raise_naming_the_argument(self, rng, name, change):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from vecmap import metrics
 from vecmap.geometry import (
     KIND_FOR_CLASS,
     ElementClass,
@@ -345,7 +346,7 @@ def _point_set(draw, mode, n_min):
 
 
 @st.composite
-def ap_problems(draw):
+def ap_problems(draw, scene_range=_SMALL):
     """Scenes of mixed classes and point counts, possibly empty on either
     side; each prediction is free or a shifted copy of a ground truth."""
     mode = draw(st.sampled_from(["segments", "quarter", "uniform"]))
@@ -359,14 +360,14 @@ def ap_problems(draw):
             cls = ElementClass.DIVIDER if mode == "segments" else draw(st.sampled_from(list(ElementClass)))
             kind = KIND_FOR_CLASS[cls]
             pts = draw(_point_set(mode, 3 if kind is ElementKind.POLYGON else 2))
-            gts.append(MapElement(cls, kind, denormalize(pts, _SMALL)))
+            gts.append(MapElement(cls, kind, denormalize(pts, scene_range)))
         preds = []
         for _ in range(draw(st.integers(0, 5))):
             source = draw(st.integers(-1, len(gts) - 1))
             if source < 0:
                 pts = draw(_point_set(mode, 2))
             else:
-                base = normalize(gts[source].points, _SMALL)
+                base = normalize(gts[source].points, scene_range)
                 pts = base + draw(hnp.arrays(np.float64, base.shape, elements=shift))
             scores = draw(hnp.arrays(np.float64, 3, elements=score))
             preds.append(PredictedElement(scores=scores, points=pts))
@@ -399,6 +400,31 @@ class TestEvaluateAPOracle:
         cfg = APConfig()
         got = evaluate_ap(pred_scenes, gt_scenes, cfg, _SMALL)
         assert got == _oracle_evaluate_ap(pred_scenes, gt_scenes, cfg, _SMALL)
+
+    def test_equals_per_threshold_loop_where_pairs_are_skipped(self, monkeypatch):
+        # On 8 m across, quarter steps are 2 m and eighth steps 1 m: some
+        # pairs lie beyond 2 * 1.5 m, the distance past which evaluate_ap
+        # skips a pair, some exactly there, and some within it.
+        wide, skipped = SceneRange(-4.0, 4.0, -4.0, 4.0), []
+        chamfer_matrix = metrics._kernels.chamfer_matrix
+
+        def counted(a, b, cutoff=np.inf):
+            out = chamfer_matrix(a, b, cutoff)
+            skipped.append(int(np.isinf(out).sum()))
+            return out
+
+        monkeypatch.setattr(metrics._kernels, "chamfer_matrix", counted)
+
+        @settings(max_examples=200, deadline=None)
+        @given(problem=ap_problems(wide))
+        def check(problem):
+            pred_scenes, gt_scenes = problem
+            cfg = APConfig()
+            got = evaluate_ap(pred_scenes, gt_scenes, cfg, wide)
+            assert got == _oracle_evaluate_ap(pred_scenes, gt_scenes, cfg, wide)
+
+        check()
+        assert sum(skipped) > 0
 
     def test_equals_per_threshold_loop_on_generated_scenes(self):
         scenes = [generate_scene(SceneSpec(seed=s, n_points=12 + s)) for s in range(3)]

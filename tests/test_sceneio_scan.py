@@ -10,9 +10,11 @@ behaviour:
 - a seeded sweep of malformed files exits 1 naming the file, with the
   same stderr as a run with the scan switched off;
 - the scan never reads past its text or writes past its buffers, and any
-  text outside the canonical layout is left to ``json``.
+  text outside the canonical layout is left to ``json``;
+- a seeded sweep of number tokens parses to ``json``'s floats bit for bit.
 
-The scan parses with ``strtod_l`` and a C ``locale_t``, so the process's
+The scan parses a short decimal as one exact division and any other
+number with ``strtod_l`` and a C ``locale_t``, so the process's
 ``LC_NUMERIC`` cannot change a number.  That holds by construction; no test
 switches to a comma-decimal locale, which many systems do not install.
 The tests that need the scan build ``kernels.c`` afresh, as the kernel
@@ -313,6 +315,46 @@ def test_scan_tokens(scan):
     for literal in (b"5e-324", b"1e-320", b"2.2250738585072014e-308", b"1.7976931348623157e+308",
                     b"0.1", b"123456789012345678901234567890"):
         assert scan(literal)[0][0] == float(literal), literal
+
+
+def _number_tokens(rnd: random.Random) -> list[str]:
+    """Seeded number tokens on both sides of each bound of the scan's exact
+    path: 15 or 16 significant digits, 22 or 23 fraction digits, leading and
+    trailing zeros, 2^53 +- 1, signs, exponents and float formats."""
+    tokens = ["0", "-0", "0.0", "-0.0", "0.000123", "-0.000123", "1e-22", "1e-23",
+              "0." + "0" * 21 + "1", "0." + "0" * 22 + "1", "123456789012345", "1234567890123456",
+              "0.123456789012345", "0.1234567890123456", "9.99999999999999", "9.999999999999999"]
+    for k in (-1, 0, 1):
+        tokens += [str(2**53 + k), f"{2**53 + k}.0", f"0.{2**53 + k}", f"{(2**53 + k) / 10:.1f}"]
+    for _ in range(6000):
+        sig, scale = rnd.randint(1, 18), rnd.randint(0, 25)  # digits, fraction digits
+        digits = str(rnd.randrange(10 ** (sig - 1), 10**sig)).rjust(scale + 1, "0")
+        whole, frac = digits[: len(digits) - scale], digits[len(digits) - scale:]
+        token = whole + ("." + frac + "0" * rnd.randint(0, 2) if scale else "")
+        x = rnd.choice((-1, 1)) * 10.0 ** rnd.uniform(-30, 30)
+        tokens += [rnd.choice(("", "-")) + token, repr(x), f"{x:.9g}", f"{x:.15g}",
+                   f"{x:.16g}", f"{x:.17g}", f"{x:.3f}", f"{x:.12f}",
+                   f"{x:.{rnd.randint(1, 20)}e}".replace("e", rnd.choice("eE"), 1)]
+    return [t for t in tokens if len(t) <= 31]
+
+
+def test_scan_numbers_equal_json_bit_for_bit(scan):
+    # The scan's exact path and strtod_l against json's float, as bytes:
+    # -0.0 and the last ulp count.
+    tokens = _number_tokens(random.Random(20261019))
+    for edge in ("1234567890123456", "0." + "0" * 22 + "1", str(2**53 + 1), "1e-23"):
+        assert edge in tokens
+    numbers, skeleton = scan(("[" + ",".join(tokens) + "]").encode())
+    # parse_int=float, so that "-0" is -0.0 here too, not int 0.
+    want = np.array(json.loads("[" + ",".join(tokens) + "]", parse_int=float))
+    assert numbers.tobytes() == want.tobytes()
+    kinds = "".join("#" if set(t) & set(".eE") else "i" for t in tokens)
+    assert skeleton == ("[" + ",".join(kinds) + "]").encode()
+    # Outside JSON's grammar, or over 31 bytes.
+    for bad in ("1-2", "1+2", "1e5e5", "1.5e5.2", "1..5", "1.5.", "0e", "1E+-5", "1e-", "00",
+                "-00", "-0.", "0.e1", "+0", "1.0" + "0" * 29, "-" + "1" * 31, "1e5-"):
+        assert scan(bad.encode()) is None, bad
+    assert scan(("1." + "0" * 29).encode())[0][0] == 1.0  # 31 bytes
 
 
 def test_scan_stays_within_its_buffers(c_library):
