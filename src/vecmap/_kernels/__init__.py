@@ -6,8 +6,9 @@ the flags, and opened with plain ``ctypes``; later imports load the cached
 library.  Without ``cc``, or when the build fails, ``_dll`` is None and the
 bodies of ``_pure`` run.  ``BACKEND`` says which ("compiled" or "pure");
 both return the same bits, so the choice changes speed only.  The library
-holds one clone of each Manhattan and Chamfer loop per ISA, and the loader
-picks one for the running CPU; ``ISA`` names it (None on the numpy backend).
+holds one clone of each Manhattan, Chamfer and Adam loop per ISA, and the
+loader picks one for the running CPU; ``ISA`` names it (None on the numpy
+backend).
 
 The backend is chosen in one place, ``_binders(dll)``: each binder calls
 the library, or with ``dll`` None the ``_pure`` body.  Each public entry is
@@ -21,9 +22,13 @@ call's predicted points (finite) and scores (in [0, 1]).
 ``chamfer_matrix(a, b, cutoff)`` writes +inf for each pair whose bounding
 boxes lie at least ``cutoff`` apart, without computing it; the default,
 ``inf``, computes every pair.
-The loss's point2point and edge-direction terms have a binder only
-(``_bind_pair_terms``): ``losses.BoundLoss`` binds it, and ``fit`` binds
-once per fit and reruns it on pairs the assignment solver gave.
+The fit step's kernels have binders only.  ``losses.BoundLoss`` binds
+``_bind_pair_terms`` (the point2point and edge-direction terms) and
+``_bind_focal_terms`` (the focal classification term, from numpy's logs and
+powers of the scores: libm's round some values differently), and ``fit``
+binds one ``_bind_adam`` step for the points and one for the logits.  ``fit``
+binds each once per fit, all on the same parameter buffers, and reruns them
+on the pairs the assignment solver gives.
 
 ``json_tokens(data)`` gives the scene reader the numbers of JSON text and
 its layout (see ``kernels.c``); or None, for text of another form and always
@@ -45,8 +50,9 @@ from . import _pure
 
 SOURCE = Path(__file__).with_name("kernels.c")
 #: No FMA contraction: every multiply and add must round on its own, as
-#: numpy's and Python's do.
-FLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+#: numpy's and Python's do.  No errno from sqrt, so that the loops around it
+#: vectorize (see ``kernels.c``).
+FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
 
 
 def library_path(cache_dir: Path, source: Path = SOURCE) -> Path:
@@ -95,14 +101,15 @@ def build(cache_dir: Path, source: Path = SOURCE) -> Path | None:
 
 def _binders(dll):
     """(bind_manhattan, bind_chamfer, bind_focal, json_tokens,
-    bind_pair_terms) running ``dll``, or the ``_pure`` bodies with ``dll``
-    None, where ``json_tokens`` returns None: the only code that differs by
-    backend.  Each binder checks its input, allocates outputs and scratch
-    and takes every address once, and returns the checked inputs, the
-    outputs and ``run()``, which refills the outputs from the inputs'
-    current contents unchecked.  An input already contiguous in the
-    kernel's dtype is bound as it is (scores as a flat view), so a caller
-    may refill it."""
+    bind_pair_terms, bind_focal_terms, bind_adam) running ``dll``, or the
+    ``_pure`` bodies with ``dll`` None, where ``json_tokens`` returns None:
+    the only code that differs by backend.  Each binder checks its input,
+    allocates outputs and scratch and takes every address once, and returns
+    the checked inputs, the outputs and ``run()``, which refills the outputs
+    from the inputs' current contents unchecked.  An input already
+    contiguous in the kernel's dtype is bound as it is (scores as a flat
+    view), so a caller may refill it.  ``bind_adam`` binds the caller's
+    arrays themselves, which its ``run(c1, c2)`` updates in place."""
 
     def bind_manhattan(pred_pts, gt_pts, perms):
         pred, gts, perms = _pure.check_manhattan_inputs(pred_pts, gt_pts, perms)
@@ -143,11 +150,11 @@ def _binders(dll):
         if dll is None:
             return None
         # Each number and each skeleton byte takes at least one byte of text.
-        numbers, skeleton = np.empty(len(data) // 2 + 1), ctypes.create_string_buffer(len(data))
+        numbers, skeleton = np.empty(len(data) // 2 + 1), np.empty(len(data), np.uint8)
         size = ctypes.c_int64()
         count = dll.json_tokens(data, len(data), numbers.ctypes.data, len(numbers),
-                                skeleton, len(data), ctypes.byref(size))
-        return None if count < 0 else (numbers[:count], ctypes.string_at(skeleton, size.value))
+                                skeleton.ctypes.data, len(data), ctypes.byref(size))
+        return None if count < 0 else (numbers[:count], skeleton[:size.value].tobytes())
 
     def bind_pair_terms(points, rows, aligned, closed, alpha, beta):
         ins = _pure.check_pair_inputs(points, rows, aligned, closed)
@@ -162,7 +169,39 @@ def _binders(dll):
         run.bufs = bufs
         return *ins, *outs, run
 
-    return bind_manhattan, bind_chamfer, bind_focal, json_tokens, bind_pair_terms
+    def bind_focal_terms(scores, rows, classes, gamma, alpha, lam):
+        ins = _pure.check_focal_terms_inputs(scores, rows, classes, gamma, alpha)
+        (P, _), M = ins[0].shape, len(ins[1])
+        logs_powers = np.empty((6, P, 3))
+        outs = np.empty((P, 3)), np.empty((P, 3)), np.empty((P, 3))  # loss, d_scores, d_logits
+        if dll is None:
+            terms = partial(_pure.focal_terms_into, ins[0], logs_powers, *ins[1:], gamma, alpha,
+                            lam, *outs)
+        else:
+            bufs = *ins, logs_powers, *outs
+            a, b, c, d, e, f, g = (x.ctypes.data for x in bufs)
+            terms = partial(dll.focal_terms, a, d, b, c, P, M, gamma, alpha, lam,
+                            _pure.FOCAL_EPS, e, f, g)
+            terms.bufs = bufs
+
+        def run():
+            """The losses' sum; refills the outputs."""
+            _pure.focal_logs_powers(ins[0], gamma, logs_powers)
+            return terms()
+
+        return *ins, *outs, run
+
+    def bind_adam(params, grads, m, v, clip, b1, b2, lr, eps):
+        _pure.check_adam_inputs(params, grads, m, v)
+        if dll is None:
+            return partial(_pure.adam_into, params, grads, m, v, clip, b1, b2, lr, eps)
+        a, b, c, d = (x.ctypes.data for x in (params, grads, m, v))
+        run = partial(dll.adam_step, a, b, c, d, params.size, bool(clip), b1, b2, lr, eps)
+        run.bufs = params, grads, m, v
+        return run
+
+    return (bind_manhattan, bind_chamfer, bind_focal, json_tokens, bind_pair_terms,
+            bind_focal_terms, bind_adam)
 
 
 def load(lib: Path) -> ctypes.CDLL:
@@ -173,7 +212,11 @@ def load(lib: Path) -> ctypes.CDLL:
     dll.chamfer_matrix.argtypes = [ptr, ptr, n, n, n, n, real, ptr, ptr, ptr]
     dll.focal_cost_table.argtypes = [ptr, n, real, real, real, ptr]
     dll.pair_terms.argtypes = [ptr, ptr, ptr, ptr, n, n, n, real, real, real, ptr, ptr, ptr, ptr]
-    for entry in (dll.manhattan_matrix, dll.chamfer_matrix, dll.focal_cost_table, dll.pair_terms):
+    dll.focal_terms.argtypes = [ptr, ptr, ptr, ptr, n, n, real, real, real, real, ptr, ptr, ptr]
+    dll.focal_terms.restype = real
+    dll.adam_step.argtypes = [ptr, ptr, ptr, ptr, n, n, real, real, real, real, real, real]
+    for entry in (dll.manhattan_matrix, dll.chamfer_matrix, dll.focal_cost_table, dll.pair_terms,
+                  dll.adam_step):
         entry.restype = None
     dll.kernel_isa.argtypes, dll.kernel_isa.restype = [], ctypes.c_char_p
     dll.json_tokens.argtypes = [ctypes.c_char_p, n, ptr, n, ptr, n, ptr]
@@ -241,7 +284,8 @@ BACKEND = "pure" if _dll is None else "compiled"
 #: The clone of each cloned C loop that the loader picked for this CPU
 #: ("avx512f", "avx2" or "default"); None on the numpy backend.
 ISA = None if _dll is None else _dll.kernel_isa().decode()
-_bind_manhattan, _, _bind_focal, json_tokens, _bind_pair_terms = _binders(_dll)
+(_bind_manhattan, _, _bind_focal, json_tokens, _bind_pair_terms, _bind_focal_terms,
+ _bind_adam) = _binders(_dll)
 manhattan_matrix, chamfer_matrix, focal_cost_table = _entries(_dll)
 
 

@@ -5,9 +5,12 @@ reports the first minimum; ``chamfer_into`` sums each direction's
 nearest-point distances in point order; ``focal_into`` evaluates
 :func:`focal_cost` with scalar ``math.log`` and ``**``; ``pair_terms_into``
 gives the loss's point2point and edge-direction terms and their gradient,
-each per-pair sum added pairwise as ``ndarray.sum`` adds.  The C loops of
-``kernels.c`` do the same operations in the same order, so both backends
-return the same floats and the same argmin ties.  Nothing here picks a
+each per-pair sum added pairwise as ``ndarray.sum`` adds; ``focal_terms_into``
+gives the loss's focal term and its gradient from the numpy logs and powers
+of :func:`focal_logs_powers`, which both backends share; ``adam_into`` takes
+one fit step.  The C loops of ``kernels.c`` do the same operations in the
+same order, so both backends return the same floats and the same argmin
+ties.  Nothing here picks a
 backend: the binders of ``vecmap._kernels`` run a ``check_*`` once, then
 the library or the ``*_into`` body on the checked inputs.
 """
@@ -190,6 +193,14 @@ def focal_into(flat, gamma: float, alpha: float, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_rows(rows: np.ndarray, count: int) -> None:
+    """Raise ValueError unless rows (M,) strictly ascend within [0, count):
+    the C kernels index by them unchecked."""
+    if rows.ndim != 1 or (len(rows) and (rows[0] < 0 or rows[-1] >= count
+                                         or (np.diff(rows) <= 0).any())):
+        raise ValueError(f"rows must ascend strictly within [0, {count}), got {rows}")
+
+
 def check_pair_inputs(points, rows, aligned, closed):
     """Contiguous float64 points (P, n, 2) and aligned (M, n, 2), int64 rows
     (M,) and bool closed (M,).  Raises ValueError, naming the argument,
@@ -200,9 +211,7 @@ def check_pair_inputs(points, rows, aligned, closed):
     aligned = np.ascontiguousarray(aligned, dtype=np.float64)
     closed = np.ascontiguousarray(closed, dtype=bool)
     _check_points("points", points)
-    if rows.ndim != 1 or (len(rows) and (rows[0] < 0 or rows[-1] >= len(points)
-                                         or (np.diff(rows) <= 0).any())):
-        raise ValueError(f"rows must ascend strictly within [0, {len(points)}), got {rows}")
+    _check_rows(rows, len(points))
     want = (len(rows),) + points.shape[1:]
     if aligned.shape != want:
         raise ValueError(f"aligned must have shape {want}, got {aligned.shape}")
@@ -249,3 +258,97 @@ def pair_terms_into(points, rows, aligned, closed, alpha, beta, p2p, dir_, d_poi
     d_points.fill(0.0)
     d_points[rows] += alpha * np.sign(diff)
     d_points[rows] -= beta * grad
+
+
+def check_focal_terms_inputs(scores, rows, classes, gamma: float, alpha: float):
+    """Contiguous float64 scores (P, 3) and int64 rows and classes (M,).
+
+    Raises ValueError, naming the argument, unless the rows strictly ascend
+    within [0, P), each class is 0, 1 or 2, scores is (P, 3) with every
+    value in [0, 1] (NaN fails), 0 <= gamma < inf and 0 < alpha < 1: the C
+    kernel writes at each row's class unchecked.
+    """
+    scores = np.ascontiguousarray(scores, dtype=np.float64)
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    classes = np.ascontiguousarray(classes, dtype=np.int64)
+    want = (len(scores), 3)
+    if scores.shape != want or not ((scores >= 0) & (scores <= 1)).all():
+        raise ValueError(f"scores must have shape {want} with every value in [0, 1], "
+                         f"got shape {scores.shape}")
+    _check_rows(rows, len(scores))
+    if classes.shape != rows.shape or not np.isin(classes, (0, 1, 2)).all():
+        raise ValueError(f"classes must be one of 0, 1, 2 per row, got {classes}")
+    if not 0 <= gamma < math.inf:
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    return scores, rows, classes
+
+
+def focal_logs_powers(p: np.ndarray, gamma: float, out: np.ndarray) -> None:
+    """Into out (6, P, 3): numpy's log(p + eps), log((1 - p) + eps),
+    (1 - p)^gamma, (1 - p)^(gamma - 1), p^gamma and p^(gamma - 1) of scores p.
+
+    Both backends' focal terms start from these: numpy's log and power
+    round some values differently from libm's, which the C kernel would
+    call.  Writing into ``out`` rounds as fresh arrays do.
+    """
+    pos_log, neg_log, q_g, q_g1, p_g, p_g1 = out
+    np.log(np.add(p, FOCAL_EPS, out=pos_log), out=pos_log)
+    q = np.subtract(1.0, p, out=q_g)
+    np.log(np.add(q, FOCAL_EPS, out=neg_log), out=neg_log)
+    np.power(q, gamma - 1.0, out=q_g1)
+    np.power(q, gamma, out=q_g)
+    np.power(p, gamma, out=p_g)
+    np.power(p, gamma - 1.0, out=p_g1)
+
+
+def focal_terms_into(scores, logs_powers, rows, classes, gamma, alpha, lam, loss, d_scores,
+                     d_logits) -> float:
+    """``kernels.c``'s ``focal_terms`` on inputs checked by
+    :func:`check_focal_terms_inputs`, from :func:`focal_logs_powers`: each
+    slot's sigmoid focal loss into loss (P, 3), ``lam`` times its gradient
+    wrt the scores into d_scores, and that times the sigmoid's derivative
+    into d_logits; returns the losses' sum.  Entry (rows[k], classes[k])
+    has a positive target, every other entry a negative one."""
+    p = scores
+    pos_log, neg_log, q_g, q_g1, p_g, p_g1 = logs_powers
+    targets = np.zeros(p.shape)
+    targets[rows, classes] = 1.0
+    loss[:] = np.where(targets > 0.5, alpha * q_g * -pos_log, (1.0 - alpha) * p_g * -neg_log)
+    grad = np.where(
+        targets > 0.5,
+        alpha * (gamma * q_g1 * pos_log - q_g / (p + FOCAL_EPS)),
+        (1.0 - alpha) * (-gamma * p_g1 * neg_log + p_g / (1.0 - p + FOCAL_EPS)),
+    )
+    d_scores[:] = lam * grad
+    d_logits[:] = d_scores * p * (1.0 - p)
+    return float(loss.sum())
+
+
+def check_buffer(name: str, a, shape) -> None:
+    """Raise ValueError, naming ``a``, unless it is a C-contiguous float64
+    array of ``shape``: a buffer bound to be updated in place, which a
+    converted copy would leave unchanged."""
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.c_contiguous
+            and a.shape == shape):
+        raise ValueError(f"{name} must be a C-contiguous float64 array of shape {shape}")
+
+
+def check_adam_inputs(params, grads, m, v) -> None:
+    """Raise ValueError, naming the argument, unless params, grads, m and v
+    are all buffers (see :func:`check_buffer`) of params' shape."""
+    check_buffer("params", params, getattr(params, "shape", None))
+    for name, a in (("grads", grads), ("m", m), ("v", v)):
+        check_buffer(name, a, params.shape)
+
+
+def adam_into(params, grads, m, v, clip, b1, b2, lr, eps, c1, c2) -> None:
+    """``kernels.c``'s ``adam_step`` on inputs checked by
+    :func:`check_adam_inputs`: one bias-corrected adaptive-moment step,
+    params, m and v updated in place, params clipped to [0, 1] with
+    ``clip``; c1 and c2 are the step's bias corrections."""
+    m[...] = b1 * m + (1 - b1) * grads
+    v[...] = b2 * v + (1 - b2) * grads**2
+    step = params - lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    params[...] = np.clip(step, 0.0, 1.0) if clip else step

@@ -1,30 +1,38 @@
 /* Compiled kernels of vecmap: plain C over double and int64_t arrays.
  *
- * vecmap._kernels compiles this file on first import and binds the five
- * entries below through ctypes.  For the four numeric kernels the caller
- * checks every shape, index and value domain first (pair_terms' rows too:
- * it reads points at them), so they do not validate their input.  Each
- * returns the same bits as its numpy body in _pure.py: the same operations
- * on the same operands in the same order, sums in numpy's pairwise order.
- * That needs -ffp-contract=off, so that no multiply and add fuse into one
- * rounding.  chamfer_matrix takes a cutoff: a pair whose bounding boxes
- * lie at least that far apart is written +inf and not computed, on both
- * backends alike.  The fifth, json_tokens, reads untrusted text: it bounds
- * every read by the text's length and every write by its buffers' caps,
- * and parses numbers in the C locale whatever the process's locale is.
+ * vecmap._kernels compiles this file on first import and binds the seven
+ * entries below through ctypes.  For the six numeric kernels the caller
+ * checks every shape, index and value domain first (pair_terms' and
+ * focal_terms' rows too: they index by them), so they do not validate their
+ * input.  Each returns the same bits as its numpy body in _pure.py: the
+ * same operations on the same operands in the same order, sums in numpy's
+ * pairwise order.  That needs -ffp-contract=off, so that no multiply and
+ * add fuse into one rounding.  focal_terms takes its logs and powers from
+ * numpy, whose log and power round differently from libm's.
+ * chamfer_matrix takes a cutoff: a pair whose bounding boxes lie at least
+ * that far apart is written +inf and not computed, on both backends alike.
+ * The seventh, json_tokens, reads untrusted text: it bounds every read by
+ * the text's length and every write by its buffers' caps, and parses
+ * numbers in the C locale whatever the process's locale is.
  *
- * The Manhattan and Chamfer loops are compiled once per ISA (AVX-512F,
- * AVX2 and the baseline) with GCC's target_clones, and the dynamic loader
- * picks the best clone for the running CPU when the library is opened.
- * Every clone is compiled with the same -ffp-contract=off and vectorizes
- * only across independent sums and exact minima, so each returns the same
- * bits.  The build has no -march=native: the cached library is named by
- * the source and the flags alone, so a tree copied to another CPU would
- * load code built for the wrong ISA.  The clones keep one portable
- * library.  The focal table, pair_terms and json_tokens are not cloned:
- * their time goes to scalar libm pow and log, to the call itself, and to
- * json_tokens' byte loop, which parses the short decimals scene files hold
- * without strtod_l.
+ * The build also has -fno-math-errno, without which GCC keeps each sqrt a
+ * call that may set errno and does not vectorize the loops around it.  It
+ * changes no result: sqrt returns the same correctly rounded value either
+ * way, and every sqrt operand here is >= 0 (sums of squares, nearest
+ * squared distances and second moments), where sqrt sets no errno.
+ *
+ * The Manhattan, Chamfer and Adam loops are compiled once per ISA
+ * (AVX-512F, AVX2 and the baseline) with GCC's target_clones, and the
+ * dynamic loader picks the best clone for the running CPU when the library
+ * is opened.  Every clone is compiled with the same -ffp-contract=off and
+ * vectorizes only across independent sums, exact minima and independent
+ * elements, so each returns the same bits.  The build has no -march=native:
+ * the cached library is named by the source and the flags alone, so a tree
+ * copied to another CPU would load code built for the wrong ISA.  The
+ * clones keep one portable library.  The focal table, pair_terms,
+ * focal_terms and json_tokens are not cloned: their time goes to scalar
+ * libm pow and log, to the call itself, and to json_tokens' byte loop,
+ * which parses the short decimals scene files hold without strtod_l.
  */
 
 #define _GNU_SOURCE /* for strtod_l */
@@ -259,6 +267,59 @@ void pair_terms(const double *points, const int64_t *rows, const double *aligned
     }
 }
 
+/* The sigmoid focal loss of P prediction slots and its gradient, as
+ * _pure.focal_terms_into computes them.
+ *
+ * s (P * 3) holds the scores.  logs_powers (6, P * 3) holds what numpy
+ * computed from them: log(s + eps), log((1 - s) + eps), (1 - s)^gamma,
+ * (1 - s)^(gamma - 1), s^gamma and s^(gamma - 1); libm's log and pow round
+ * some of those differently.  Entry 3 * rows[k] + classes[k] of each of
+ * the M pairs takes the positive-target branch, every other entry the
+ * negative one.  Writes each entry's loss, d_scores = lam * its gradient
+ * and d_logits = (d_scores * s) * (1 - s), and returns the losses' sum
+ * as ndarray.sum adds them.
+ */
+double focal_terms(const double *s, const double *logs_powers, const int64_t *rows,
+                   const int64_t *classes, int64_t P, int64_t M, double gamma, double alpha,
+                   double lam, double eps, double *loss, double *d_scores, double *d_logits)
+{
+    const int64_t count = 3 * P;
+    const double *pos_log = logs_powers, *neg_log = pos_log + count, *q_g = neg_log + count;
+    const double *q_g1 = q_g + count, *s_g = q_g1 + count, *s_g1 = s_g + count;
+    for (int64_t i = 0; i < count; i++) {
+        loss[i] = (1.0 - alpha) * s_g[i] * -neg_log[i];
+        d_scores[i] = lam * ((1.0 - alpha) * (-gamma * s_g1[i] * neg_log[i]
+                                              + s_g[i] / (1.0 - s[i] + eps)));
+    }
+    for (int64_t k = 0; k < M; k++) {
+        const int64_t i = 3 * rows[k] + classes[k];
+        loss[i] = alpha * q_g[i] * -pos_log[i];
+        d_scores[i] = lam * (alpha * (gamma * q_g1[i] * pos_log[i] - q_g[i] / (s[i] + eps)));
+    }
+    for (int64_t i = 0; i < count; i++)
+        d_logits[i] = d_scores[i] * s[i] * (1.0 - s[i]);
+    return 0.0 + pairwise_sum(loss, count);
+}
+
+/* One bias-corrected adaptive-moment step on count parameters x, in place,
+ * as _pure.adam_into takes it: with gradient g, the moments m and v become
+ * b1 * m + (1 - b1) * g and b2 * v + (1 - b2) * (g * g), and x moves by
+ * -(lr * (m / c1)) / (sqrt(v / c2) + eps), then is clipped to [0, 1] when
+ * clip is nonzero as np.clip clips: NaN and -0.0 stay.  c1 and c2 are the
+ * bias corrections 1 - b1^t and 1 - b2^t of step t.
+ */
+CLONED void adam_step(double *x, const double *g, double *m, double *v, int64_t count,
+                      int64_t clip, double b1, double b2, double lr, double eps, double c1,
+                      double c2)
+{
+    for (int64_t i = 0; i < count; i++) {
+        m[i] = b1 * m[i] + (1.0 - b1) * g[i];
+        v[i] = b2 * v[i] + (1.0 - b2) * (g[i] * g[i]);
+        const double y = x[i] - lr * (m[i] / c1) / (sqrt(v[i] / c2) + eps);
+        x[i] = clip ? (y < 0.0 ? 0.0 : y > 1.0 ? 1.0 : y) : y;
+    }
+}
+
 #define DIGIT(c) ((unsigned char)((c) - '0') < 10)
 #define IN_NUMBER(c) (DIGIT(c) || (c) == '.' || (c) == 'e' || (c) == 'E' || (c) == '+' || (c) == '-')
 
@@ -297,8 +358,13 @@ static const double POW10[23] = {1e0,  1e1,  1e2,  1e3,  1e4,  1e5,  1e6,  1e7,
  * digits, the number is mant / 10^k of two exact doubles, one correctly
  * rounded division (Clinger's fast path, PLDI 1990), so it equals what
  * strtod_l gives; every number write_scene writes is of that form.  Any
- * other number is copied out and parsed by strtod_l. */
-int64_t json_tokens(const char *text, int64_t len, double *numbers, int64_t ncap,
+ * other number is copied out and parsed by strtod_l.
+ *
+ * The function starts on a 64-byte boundary, so its byte loop's branches
+ * keep one placement whatever code precedes it: placed 48 bytes past a
+ * boundary, the same instructions scanned prediction files about 20% more
+ * slowly (x86-64 Xeon with AVX-512, gcc 12). */
+__attribute__((aligned(64))) int64_t json_tokens(const char *text, int64_t len, double *numbers, int64_t ncap,
                     char *skeleton, int64_t scap, int64_t *skeleton_len)
 {
     int64_t count = 0, s = 0;

@@ -15,10 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# fit binds the array core once (BoundMatcher, BoundLoss) and runs its
-# kernels raw every iteration.  The dataclass entry points apply_permutation,
-# hierarchical_match, total_loss and loss_gradients stay bound here:
-# perfbench/tracer.py wraps these names.
+from . import _kernels
+
+# fit binds the array core once (BoundMatcher, BoundLoss, the Adam steps) to
+# one set of parameter buffers and runs its kernels raw every iteration.  The
+# dataclass entry points apply_permutation, hierarchical_match, total_loss
+# and loss_gradients stay bound here: perfbench/tracer.py wraps these names.
 from .geometry import ElementKind, apply_permutation  # noqa: F401
 from .losses import (  # noqa: F401
     BoundLoss,
@@ -74,8 +76,10 @@ class FitTrace:
     final_report: APReport
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
+def _sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)), computed into out."""
+    np.exp(np.negative(x, out=out), out=out)
+    return np.divide(1.0, np.add(1.0, out, out=out), out=out)
 
 
 def fit(gt: MapScene, cfg: FitConfig = FitConfig()) -> FitTrace:
@@ -98,8 +102,10 @@ def fit(gt: MapScene, cfg: FitConfig = FitConfig()) -> FitTrace:
         raise ValueError("ground-truth scene is empty")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     n, nv = cfg.n_slots, gt.n_points
+    # The parameters: every kernel below reads and writes these buffers.
     points = rng.uniform(0.0, 1.0, size=(n, nv, 2))
     logits = np.full((n, 3), -2.0)
+    scores = _sigmoid(logits, np.empty_like(logits))
 
     gts_norm = [el.normalized(gt.range) for el in gt.elements]
     check_match_inputs(n, gts_norm, nv)
@@ -117,38 +123,30 @@ def fit(gt: MapScene, cfg: FitConfig = FitConfig()) -> FitTrace:
         np.random.PCG64(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1,)))
     )
     cost_cfg = CostConfig()
-    matcher = BoundMatcher(n, nv, flat, kinds, classes, cost_cfg, cfg.mode is FitMode.FIXED_ORDER)
+    matcher = BoundMatcher(n, nv, flat, kinds, classes, cost_cfg, cfg.mode is FitMode.FIXED_ORDER,
+                           points=points, scores=scores)
     n_pairs = min(n, len(maps))  # the assignment matches every slot or every element
-    loss = BoundLoss(np.zeros_like(points), np.arange(n_pairs), np.zeros(n_pairs),
+    loss = BoundLoss(points, scores, np.arange(n_pairs), np.zeros(n_pairs, dtype=np.int64),
                      np.zeros((n_pairs, nv, 2)), np.zeros(n_pairs, dtype=bool), cfg.weights, cost_cfg)
-
-    m_pts = np.zeros_like(points)
-    v_pts = np.zeros_like(points)
-    m_log = np.zeros_like(logits)
-    v_log = np.zeros_like(logits)
-    b1, b2, lr = cfg.moment_decay_1, cfg.moment_decay_2, cfg.step_size
-    eps = 1e-8
+    b1, b2 = cfg.moment_decay_1, cfg.moment_decay_2
+    # Points stay in the unit square; logits are unbounded.
+    steps = [_kernels._bind_adam(x, g, np.zeros_like(x), np.zeros_like(x), clip, b1, b2,
+                                 cfg.step_size, 1e-8)
+             for x, g, clip in ((points, loss.d_points, True), (logits, loss.d_logits, False))]
 
     trace = []
     for t in range(1, cfg.iterations + 1):
-        scores = _sigmoid(logits)
         gts_iter = flat[at, all_maps[at[:, 0], order_rng.integers(n_orderings)]]
         rows, cols, orderings, _ = matcher(points, scores, gts_iter)
         aligned = gts_iter[cols[:, None], all_maps[cols, orderings]]
-        breakdown, grads = loss(points, scores, rows, classes[cols], aligned, closed[cols])
+        breakdown, _ = loss(points, scores, rows, classes[cols], aligned, closed[cols])
         trace.append(breakdown)
         if t == cfg.iterations:  # the final predictions: no step after the last loss
             break
-        g_pts = grads.d_points
-        g_log = grads.d_scores * scores * (1.0 - scores)
-
-        m_pts = b1 * m_pts + (1 - b1) * g_pts
-        v_pts = b2 * v_pts + (1 - b2) * g_pts**2
-        m_log = b1 * m_log + (1 - b1) * g_log
-        v_log = b2 * v_log + (1 - b2) * g_log**2
         c1, c2 = 1 - b1**t, 1 - b2**t
-        points = np.clip(points - lr * (m_pts / c1) / (np.sqrt(v_pts / c2) + eps), 0.0, 1.0)
-        logits = logits - lr * (m_log / c1) / (np.sqrt(v_log / c2) + eps)
+        for step in steps:
+            step(c1, c2)
+        _sigmoid(logits, scores)
 
     preds = [PredictedElement(scores=s, points=p) for p, s in zip(points, scores)]
     report = evaluate_ap([preds], [list(gt.elements)], APConfig(), gt.range)

@@ -7,10 +7,11 @@ paired edges of aligned elements.  Gradients are analytic, with the
 hierarchical assignment held fixed (no differentiation through either
 argmin), which is how set-prediction losses are trained in practice.
 
-The classification term and its gradient are numpy here; the point2point
-and edge-direction terms and their gradient come from one kernel pass over
-the matched pairs (``pair_terms`` in ``_kernels``), bound by
-:class:`BoundLoss`, which ``fit`` binds once per fit.
+Two kernel passes give every term and its gradient: ``focal_terms`` in
+``_kernels`` the classification term, from numpy's logs and powers of the
+scores, and ``pair_terms`` the point2point and edge-direction terms of the
+matched pairs.  :class:`BoundLoss` binds both, and ``fit`` binds it once per
+fit.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._kernels._pure import EDGE_NORM_FLOOR, FOCAL_EPS  # noqa: F401
+from ._kernels._pure import EDGE_NORM_FLOOR  # noqa: F401
 from .geometry import ElementKind, MapElement, apply_permutation
 from .matching import (
     CostConfig,
@@ -63,68 +64,51 @@ class LossGradients:
     d_scores: np.ndarray  # (n_preds, 3)
 
 
-def _focal_terms(scores: np.ndarray, targets: np.ndarray, cfg: CostConfig):
-    """Per-slot sigmoid focal loss and its gradient wrt the scores."""
-    gamma, alpha = cfg.focal_gamma, cfg.focal_alpha
-    p = scores
-    pos_log = np.log(p + FOCAL_EPS)
-    neg_log = np.log(1.0 - p + FOCAL_EPS)
-    loss = np.where(
-        targets > 0.5,
-        alpha * (1.0 - p) ** gamma * -pos_log,
-        (1.0 - alpha) * p**gamma * -neg_log,
-    )
-    grad = np.where(
-        targets > 0.5,
-        alpha * (gamma * (1.0 - p) ** (gamma - 1.0) * pos_log - (1.0 - p) ** gamma / (p + FOCAL_EPS)),
-        (1.0 - alpha) * (-gamma * p ** (gamma - 1.0) * neg_log + p**gamma / (1.0 - p + FOCAL_EPS)),
-    )
-    return loss, grad
-
-
 class BoundLoss:
     """:func:`loss_and_gradients` bound to buffers for a fixed pair count.
 
     Binding checks its arguments as :func:`loss_and_gradients` does and
-    keeps those already contiguous in the kernel's dtype as its buffers.  A
-    call copies valid predictions and pairs of the bound shapes into them,
-    unchecked, and runs the pair kernel raw; the ``d_points`` it returns is
-    the bound output, which the next call refills.
+    keeps those already contiguous in the kernels' dtypes as its buffers.
+    A call copies valid predictions and pairs of the bound shapes into
+    them, unchecked, skipping an argument that is its own buffer, and runs
+    both kernels raw; the gradients it returns are the bound outputs, which
+    the next call refills.  ``d_logits`` is ``d_scores * s * (1 - s)``: the
+    gradient wrt the logits whose sigmoids the scores ``s`` are.
     """
 
-    def __init__(self, points, rows, classes, aligned, closed,
+    def __init__(self, points, scores, rows, classes, aligned, closed,
                  weights: LossWeights = LossWeights(), cfg: CostConfig = CostConfig()):
         (self.points, self.rows, self.aligned, self.closed, self.p2p_each, self.dir_each,
-         self.d_points, self._run) = _kernels._bind_pair_terms(
+         self.d_points, self._pairs) = _kernels._bind_pair_terms(
             points, rows, aligned, closed, weights.alpha_p2p, weights.beta_dir)
-        self.classes = np.array(classes, dtype=np.int64)
-        if self.classes.shape != self.rows.shape or not np.isin(self.classes, (0, 1, 2)).all():
-            raise ValueError(f"classes must be one of 0, 1, 2 per row, got {classes}")
-        self.targets = np.zeros((len(self.points), 3))
-        self.weights, self.cfg = weights, cfg
+        if np.shape(scores)[:1] != (len(self.points),):  # the focal binder counts rows
+            raise ValueError(f"scores must have one row per prediction ({len(self.points)}), "
+                             f"got shape {np.shape(scores)}")
+        (self.scores, _, self.classes, self.cls_each, self.d_scores, self.d_logits,
+         self._focal) = _kernels._bind_focal_terms(
+            scores, self.rows, classes, cfg.focal_gamma, cfg.focal_alpha, weights.lambda_cls)
+        self.weights = weights
 
     def __call__(self, points, scores, rows, classes, aligned, closed):
-        for buf, new in zip((self.points, self.rows, self.classes, self.aligned, self.closed),
-                            (points, rows, classes, aligned, closed)):
-            np.copyto(buf, new)
-        return self.run(scores)
+        for buf, new in zip((self.points, self.scores, self.rows, self.classes, self.aligned,
+                             self.closed), (points, scores, rows, classes, aligned, closed)):
+            if new is not buf:
+                np.copyto(buf, new)
+        return self.run()
 
-    def run(self, scores) -> tuple[LossBreakdown, LossGradients]:
-        """The loss and gradients of the bound buffers' contents with scores (P, 3)."""
+    def run(self) -> tuple[LossBreakdown, LossGradients]:
+        """The loss and gradients of the bound buffers' contents."""
         w = self.weights
-        self.targets.fill(0.0)
-        self.targets[self.rows, self.classes] = 1.0
-        cls_each, d_cls = _focal_terms(scores, self.targets, self.cfg)
-        self._run()
+        cls = self._focal()
+        self._pairs()
         p2p = dir_ = 0.0
         for a, c in zip(self.p2p_each.tolist(), self.dir_each.tolist()):
             p2p += a
             dir_ -= c
-        cls = float(cls_each.sum())
         total = w.lambda_cls * cls + w.alpha_p2p * p2p + w.beta_dir * dir_
         return (
             LossBreakdown(cls=cls, p2p=p2p, dir=dir_, total=total),
-            LossGradients(d_points=self.d_points, d_scores=w.lambda_cls * d_cls),
+            LossGradients(d_points=self.d_points, d_scores=self.d_scores),
         )
 
 
@@ -153,14 +137,7 @@ def loss_and_gradients(
     subgradient (0 at exact coordinate ties).  No-object predictions get
     zero point gradients and only the negative-target score gradient.
     """
-    loss = BoundLoss(points, rows, classes, aligned, closed, weights, cfg)
-    scores = np.asarray(scores, dtype=np.float64)
-    want = (len(loss.points), 3)
-    # Written so that NaN, which fails every comparison, is rejected too.
-    if scores.shape != want or not ((scores >= 0) & (scores <= 1)).all():
-        raise ValueError(f"scores must have shape {want} with every value in [0, 1], "
-                         f"got shape {scores.shape}")
-    return loss.run(scores)
+    return BoundLoss(points, scores, rows, classes, aligned, closed, weights, cfg).run()
 
 
 def _fused(preds, gts, match, weights=LossWeights(), cfg=CostConfig()):

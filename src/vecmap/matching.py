@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from ._kernels._pure import focal_cost
+from ._kernels import _pure
 from .geometry import (
     ElementClass,
     ElementKind,
@@ -122,7 +122,7 @@ def focal_class_cost(
     target-class score approaches 1.
     """
     p = float(np.asarray(scores)[int(target_class)])
-    return focal_cost(p, cfg.focal_gamma, cfg.focal_alpha)
+    return _pure.focal_cost(p, cfg.focal_gamma, cfg.focal_alpha)
 
 
 def _orderings(kind: ElementKind | None, n: int) -> np.ndarray:
@@ -143,31 +143,66 @@ def point_level_match(pred_points, gt: MapElement) -> PointAssignment:
     return PointAssignment(perm=gt.group().members[int(best[0, 0])], cost=float(costs[0, 0]))
 
 
+def _kind_groups(gt_kinds, fixed_order: bool):
+    """(key, ground-truth indices) per ordering group: one per kind in order
+    of first appearance, or with ``fixed_order`` one identity group."""
+    keys = [None if fixed_order else kind for kind in gt_kinds]
+    return [(key, np.array([g for g, k in enumerate(keys) if k is key]))
+            for key in dict.fromkeys(keys)]
+
+
+def _least_manhattan(points, gt_points, gt_kinds, fixed_order: bool):
+    """The least Manhattan cost (P, G) of every pair over its ground truth's
+    orderings, and the first ordering attaining it: one kernel call per
+    ordering group, binding nothing."""
+    gt_points = np.asarray(gt_points, dtype=np.float64)
+    costs = np.empty((len(points), len(gt_points)))
+    best = np.empty(costs.shape, dtype=np.int64)
+    for key, gs in _kind_groups(gt_kinds, fixed_order):
+        costs[:, gs], best[:, gs] = _kernels.manhattan_matrix(
+            points, gt_points[gs], _orderings(key, points.shape[1]))
+    return costs, best
+
+
+def _class_cost(scores, gt_classes, cfg: CostConfig) -> np.ndarray:
+    """The focal class cost (P, G) of every prediction for each ground
+    truth's class."""
+    table = _kernels.focal_cost_table(scores, cfg.focal_gamma, cfg.focal_alpha)
+    return table[:, list(gt_classes)]
+
+
 class BoundMatcher:
     """Point2point hierarchical matching against one ground-truth set.
 
     Binding checks the ground truth (G, n, 2) and its orderings, groups it
     by kind (one identity-ordering group with ``fixed_order``) and binds the
-    kernels to buffers.  A call checks only that points (P, n, 2) are finite
-    and scores (P, 3) lie in [0, 1], copies them and ``gt_points`` (the bound
-    ground truth, each element under any of its orderings) in, and runs the
-    kernels raw.
+    kernels to buffers: ``points`` (P, n, 2) and ``scores`` (P, 3) when
+    given, which must then be C-contiguous float64 holding a valid
+    prediction, else zero-filled ones.  A call checks only that points are
+    finite and scores lie in [0, 1], copies in each of them that is not the
+    bound buffer itself and ``gt_points`` (the bound ground truth, each
+    element under any of its orderings), and runs the kernels raw.  A
+    caller that updates the bound buffers in place passes them and copies
+    nothing.
     """
 
     def __init__(self, n_preds, n_points, gt_points, gt_kinds, gt_classes,
-                 cfg: CostConfig = CostConfig(), fixed_order: bool = False):
-        self.points = np.zeros((n_preds, n_points, 2))
-        flat, table, self._focal = _kernels._bind_focal(
-            np.zeros(3 * n_preds), cfg.focal_gamma, cfg.focal_alpha)
-        self.scores, self.table = flat.reshape(-1, 3), table.reshape(-1, 3)
+                 cfg: CostConfig = CostConfig(), fixed_order: bool = False,
+                 points=None, scores=None):
+        for name, buf, shape in (("points", points, (n_preds, n_points, 2)),
+                                 ("scores", scores, (n_preds, 3))):
+            if buf is not None:
+                _pure.check_buffer(name, buf, shape)
+        self.points = np.zeros((n_preds, n_points, 2)) if points is None else points
+        self.scores = np.zeros((n_preds, 3)) if scores is None else scores
+        _, table, self._focal = _kernels._bind_focal(self.scores, cfg.focal_gamma, cfg.focal_alpha)
+        self.table = table.reshape(-1, 3)
         self.classes = np.asarray(gt_classes, dtype=np.int64)
         self.manhattan = np.empty((n_preds, len(self.classes)))  # least cost per pair
         self.best = np.empty(self.manhattan.shape, dtype=np.int64)  # its first ordering
         gt_points = np.asarray(gt_points, dtype=np.float64)
-        keys = [None if fixed_order else kind for kind in gt_kinds]
         self._groups = []
-        for key in dict.fromkeys(keys):
-            gs = np.array([g for g, k in enumerate(keys) if k is key])
+        for key, gs in _kind_groups(gt_kinds, fixed_order):
             _, *bound = _kernels._bind_manhattan(self.points, gt_points[gs], _orderings(key, n_points))
             self._groups.append((gs, *bound))
 
@@ -176,8 +211,10 @@ class BoundMatcher:
         # Written so that NaN, which fails every comparison, is rejected too.
         if not (np.isfinite(points).all() and ((scores >= 0) & (scores <= 1)).all()):
             raise ValueError("predicted points must be finite and scores lie in [0, 1]")
-        np.copyto(self.points, points)
-        np.copyto(self.scores, scores)
+        if points is not self.points:
+            np.copyto(self.points, points)
+        if scores is not self.scores:
+            np.copyto(self.scores, scores)
         for gs, gts, costs, best, run in self._groups:
             np.take(gt_points, gs, axis=0, out=gts)
             run()
@@ -193,8 +230,7 @@ class BoundMatcher:
 
 def _chamfer_cost(points, scores, gt_points, gt_classes, cfg):
     """Class + Chamfer position cost matrix (P, G)."""
-    table = _kernels.focal_cost_table(scores, cfg.focal_gamma, cfg.focal_alpha)
-    return table[:, list(gt_classes)] + chamfer_distances(points, gt_points)
+    return _class_cost(scores, gt_classes, cfg) + chamfer_distances(points, gt_points)
 
 
 def match_arrays(
@@ -218,22 +254,21 @@ def match_arrays(
     truth ``cols[i]``, ``orderings[i]`` indexes the members of that ground
     truth's permutation group, and ``costs[i]`` is the pair's point-level
     Manhattan cost under that ordering.  Under the point2point cost, each
-    pair's ordering and cost are the ones the cost matrix already computed
-    (one :class:`BoundMatcher` call); under Chamfer, the diagonal of one
-    ordering search over the matched elements.
+    pair's ordering and cost are the ones the cost matrix already computed;
+    under Chamfer, the diagonal of one ordering search over the matched
+    elements.  A call binds nothing: each kernel runs once, through its
+    public entry.
     """
-    P, n = points.shape[:2]
     if cfg.position_cost is PositionCost.POINT2POINT:
-        gt_points = np.asarray(gt_points, dtype=np.float64)  # converted once, not per kind
-        return BoundMatcher(P, n, gt_points, gt_kinds, gt_classes, cfg, fixed_order)(
-            points, scores, gt_points)
+        manhattan, best = _least_manhattan(points, gt_points, gt_kinds, fixed_order)
+        rows, cols = linear_sum_assignment(_class_cost(scores, gt_classes, cfg) + manhattan)
+        return rows, cols, best[rows, cols], manhattan[rows, cols]
     rows, cols = linear_sum_assignment(_chamfer_cost(points, scores, gt_points, gt_classes, cfg))
-    gts = [gt_points[g] for g in cols]  # matched prediction i against matched ground truth i
-    matched = BoundMatcher(len(rows), n, gts, [gt_kinds[g] for g in cols],
-                           np.asarray(gt_classes)[cols], cfg, fixed_order)
-    matched.cost(points[rows], scores[rows], gts)
+    # Matched prediction i against matched ground truth i.
+    manhattan, best = _least_manhattan(points[rows], [gt_points[g] for g in cols],
+                                       [gt_kinds[g] for g in cols], fixed_order)
     at = np.diag_indices(len(rows))
-    return rows, cols, matched.best[at], matched.manhattan[at]
+    return rows, cols, best[at], manhattan[at]
 
 
 def stack_predictions(preds: list[PredictedElement]) -> tuple[np.ndarray, np.ndarray]:
@@ -287,8 +322,8 @@ def _cost_matrix(
     check_match_inputs(len(preds), gts, None if chamfer else points.shape[1])
     if chamfer:
         return _chamfer_cost(points, scores, gt_points, classes, cfg)
-    matcher = BoundMatcher(*points.shape[:2], gt_points, kinds, classes, cfg, fixed_order)
-    return matcher.cost(points, scores, gt_points)
+    manhattan, _ = _least_manhattan(points, gt_points, kinds, fixed_order)
+    return _class_cost(scores, classes, cfg) + manhattan
 
 
 def instance_match(

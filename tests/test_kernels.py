@@ -528,6 +528,136 @@ def test_pair_terms_bit_identical(c_library, n, rng):
             assert d_points.tobytes() == want_d_points.tobytes()
 
 
+def _focal_terms_cases(rng):
+    """(scores, rows, classes) cases for ``focal_terms``: 1 to 129 slots,
+    uniform and quarter-grid scores with exact 0s and 1s, and no pairs, a
+    few pairs or every slot matched."""
+    for n_slots in (1, 2, 5, 50, 129):
+        scores = rng.uniform(size=(n_slots, 3))
+        grid = np.round(scores * 4) / 4  # many exact 0s and 1s
+        scores.flat[::7] = 0.0
+        scores.flat[3::11] = 1.0
+        for s in (scores, grid):
+            for n_pairs in sorted({0, min(3, n_slots), n_slots}):
+                rows = np.sort(rng.choice(n_slots, n_pairs, replace=False))
+                yield s, rows, rng.integers(3, size=n_pairs)
+
+
+def _assert_focal_terms_parity(bind_c, gamma):
+    """``bind_c``'s focal terms equal the numpy body's as bytes."""
+    bind_pure = kernels._binders(None)[5]
+    rng = np.random.default_rng(7)
+    for case in _focal_terms_cases(rng):
+        for alpha, lam in ((0.25, 2.0), (0.9, 1.5), (0.5, 0.0)):
+            *_, loss, d_scores, d_logits, run = bind_c(*case, gamma, alpha, lam)
+            *_, want_loss, want_d_scores, want_d_logits, want_run = bind_pure(*case, gamma, alpha,
+                                                                             lam)
+            # 0 ** negative is inf, and inf * 0 NaN, in both backends alike.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cls, want_cls = run(), want_run()
+            assert np.float64(cls).tobytes() == np.float64(want_cls).tobytes()
+            assert loss.tobytes() == want_loss.tobytes()
+            assert d_scores.tobytes() == want_d_scores.tobytes()
+            assert d_logits.tobytes() == want_d_logits.tobytes()
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0, 3.7])
+def test_focal_terms_bit_identical(c_library, gamma):
+    # The numpy logs and powers are shared; the C arithmetic after them,
+    # the pair branch of each entry and the pairwise sum must match.
+    _assert_focal_terms_parity(kernels._binders(c_library)[5], gamma)
+
+
+def _assert_adam_parity(bind_c):
+    """Ten chained steps of ``bind_c``'s Adam equal the numpy body's as bytes,
+    on parameters of 1 to 2,000 entries, clipped and not."""
+    bind_pure = kernels._binders(None)[6]
+    rng = np.random.default_rng(11)
+    for shape in ((1,), (7,), (50, 3), (33,), (50, 20, 2)):
+        for clip in (True, False):
+            x = rng.uniform(size=shape)
+            x.flat[::5], x.flat[1::5], x.flat[2::9] = 0.0, 1.0, -0.0  # at and on the bounds
+            g = rng.normal(size=shape) * rng.choice([0.0, 1e-9, 1.0, 1e3], size=shape)
+            m, v = rng.normal(size=shape), rng.uniform(size=shape)
+            m.flat[::3], v.flat[::3] = 0.0, 0.0  # zero moments with zero gradients
+            # A -0.0 that no step moves: np.clip keeps its sign.
+            x.flat[0], g.flat[0], m.flat[0], v.flat[0] = -0.0, 0.0, 0.0, 0.0
+            c_args = [a.copy() for a in (x, g, m, v)]
+            pure_args = [a.copy() for a in (x, g, m, v)]
+            # A step size of 0.3 takes updates across both clip bounds.
+            step_c = bind_c(*c_args, clip, 0.9, 0.999, 0.3, 1e-8)
+            step_pure = bind_pure(*pure_args, clip, 0.9, 0.999, 0.3, 1e-8)
+            for t in range(1, 11):
+                c1, c2 = 1 - 0.9**t, 1 - 0.999**t
+                step_c(c1, c2)
+                step_pure(c1, c2)
+                for a, b in zip(c_args, pure_args):
+                    assert a.tobytes() == b.tobytes()
+                if t == 1:
+                    assert np.signbit(c_args[0].flat[0])
+                c_args[1][...] = pure_args[1][...] = rng.normal(size=shape)
+            if clip:
+                assert ((c_args[0] >= 0) & (c_args[0] <= 1)).all()
+            elif x.size > 1:  # the same steps unclipped leave the unit interval both ways
+                assert (c_args[0] < 0).any() and (c_args[0] > 1).any()
+
+
+def test_adam_step_bit_identical(c_library):
+    _assert_adam_parity(kernels._binders(c_library)[6])
+
+
+_FOCAL_ARGS = dict(scores=np.full((4, 3), 0.5), rows=[0, 2], classes=[0, 1], gamma=2.0,
+                   alpha=0.25, lam=2.0)
+
+
+@pytest.mark.parametrize(
+    "name, change",
+    [
+        ("scores", {"scores": np.full((4, 2), 0.5)}),
+        ("scores", {"scores": np.full(12, 0.5)}),
+        ("scores", {"scores": np.full((4, 3), 1.5)}),
+        ("scores", {"scores": np.full((4, 3), np.nan)}),
+        ("rows", {"rows": [-1, 0]}),
+        ("rows", {"rows": [1, 1]}),
+        ("rows", {"rows": [2, 1]}),
+        ("rows", {"rows": [1, 4]}),
+        ("rows", {"rows": [[0, 1]]}),
+        ("classes", {"classes": [-1, 0]}),
+        ("classes", {"classes": [3, 0]}),
+        ("classes", {"classes": [0]}),
+        ("gamma", {"gamma": -1.0}),
+        ("gamma", {"gamma": math.nan}),
+        ("gamma", {"gamma": math.inf}),
+        ("alpha", {"alpha": 0.0}),
+        ("alpha", {"alpha": 1.0}),
+        ("alpha", {"alpha": math.nan}),
+    ],
+)
+def test_focal_terms_binders_reject_bad_input_naming_it(name, change):
+    for dll in {None, kernels._dll}:
+        bind = kernels._binders(dll)[5]
+        bind(*_FOCAL_ARGS.values())  # the consistent arguments bind
+        with pytest.raises(ValueError, match=f"^{name} "):
+            bind(*{**_FOCAL_ARGS, **change}.values())
+
+
+@pytest.mark.parametrize(
+    "name, bad",
+    [(name, bad) for name in ("params", "grads", "m", "v")
+     for bad in ("shape", "float32", "strided", "list") if (name, bad) != ("params", "shape")],
+)
+def test_adam_binders_reject_bad_input_naming_it(name, bad):
+    # The step updates params, m and v in place: a converted copy would
+    # leave the caller's arrays unchanged, so each must be bound as it is.
+    args = {key: np.zeros((5, 3)) for key in ("params", "grads", "m", "v")}
+    args[name] = {"shape": np.zeros((3, 5)), "float32": np.zeros((5, 3), np.float32),
+                  "strided": np.zeros((5, 6))[:, ::2], "list": np.zeros((5, 3)).tolist()}[bad]
+    for dll in {None, kernels._dll}:
+        bind = kernels._binders(dll)[6]
+        with pytest.raises(ValueError, match=f"^{name} "):
+            bind(*args.values(), True, 0.9, 0.999, 0.01, 1e-8)
+
+
 def test_kernels_build_without_warnings(tmp_path):
     # The production flags plus -Wall -Wextra -Werror: no entry lands with
     # a compiler warning.
@@ -583,9 +713,9 @@ def _cpu_flags():
 
 
 @pytest.fixture(scope="module", params=["avx512f", "avx2", "default"])
-def clone_kernels(request, tmp_path_factory):
-    """The entries of a copy of ``kernels.c`` whose marked loops are built for
-    one ISA only: each clone the loader may pick, tested whichever it picks."""
+def clone_library(request, tmp_path_factory):
+    """A copy of ``kernels.c`` whose marked loops are built for one ISA only,
+    opened: each clone the loader may pick, tested whichever it picks."""
     isa = request.param
     if shutil.which("cc") is None:
         pytest.skip("no C compiler (cc) on PATH")
@@ -596,7 +726,13 @@ def clone_kernels(request, tmp_path_factory):
     only = "" if isa == "default" else f' __attribute__((target("{isa}")))'
     copy = tmp_path_factory.mktemp(f"clone-{isa}") / "kernels.c"
     copy.write_text(source.replace(_CLONE_MACRO, "#define CLONED" + only))
-    return _entries(kernels.load(kernels.build(copy.parent, source=copy)))
+    return kernels.load(kernels.build(copy.parent, source=copy))
+
+
+@pytest.fixture(scope="module")
+def clone_kernels(clone_library):
+    """The matrix entries of one clone's library."""
+    return _entries(clone_library)
 
 
 def test_clone_manhattan_bit_identical(clone_kernels, rng):
@@ -620,6 +756,10 @@ def test_clone_chamfer_cutoff_bit_identical(clone_kernels, rng):
         _assert_cutoff_parity(clone_kernels["chamfer_matrix"], a, b, cutoff)
 
 
+def test_clone_adam_step_bit_identical(clone_library):
+    _assert_adam_parity(kernels._binders(clone_library)[6])
+
+
 def test_clone_guard_leaves_other_targets_plain(tmp_path):
     # The guard keys on the target alone, so the copy drops the #include
     # lines: an x86-64 host's system headers do not preprocess for another
@@ -635,7 +775,9 @@ def test_clone_guard_leaves_other_targets_plain(tmp_path):
         return subprocess.run(["cc", "-E", *flags, str(copy)], capture_output=True,
                               text=True, check=True).stdout
 
-    assert preprocess("-D__x86_64__", "-D__ELF__").count("target_clones") == 2
+    cloned = kernels.SOURCE.read_text().count("\nCLONED ")
+    assert cloned >= 3  # the Manhattan, Chamfer and Adam loops
+    assert preprocess("-D__x86_64__", "-D__ELF__").count("target_clones") == cloned
     assert "target_clones" not in preprocess("-U__x86_64__")
 
 

@@ -11,6 +11,7 @@ from conftest import (
     reordering_problems,
     unique_best_ordering,
 )
+from vecmap._kernels import _binders
 from vecmap.geometry import ElementClass
 from vecmap.geometry import (
     ElementKind,
@@ -22,7 +23,6 @@ from vecmap.geometry import (
 from vecmap.losses import (
     EDGE_NORM_FLOOR,
     LossWeights,
-    _focal_terms,
     loss_and_gradients,
     loss_gradients,
     total_loss,
@@ -380,13 +380,23 @@ def _oracle_edge_cosines(pred_pts, gt_aligned, kind):
     return cos, d_points
 
 
+def _focal_terms(scores, rows, classes, cfg):
+    """Per-slot sigmoid focal loss and its gradient wrt the scores, from the
+    numpy body of the ``focal_terms`` kernel; slot rows[k] has a positive
+    target at classes[k]."""
+    bind_numpy = _binders(None)[5]
+    *_, loss, d_scores, _, run = bind_numpy(scores, rows, classes, cfg.focal_gamma,
+                                            cfg.focal_alpha, 1.0)
+    run()
+    return loss, d_scores
+
+
 def _oracle_loss_and_gradients(preds, gts, match, weights):
     """Each term and its gradient computed pair by pair, one pair at a time."""
     scores = np.stack([p.scores for p in preds])
-    targets = np.zeros((len(preds), 3))
-    for p, g in match.instance.pairs:
-        targets[p, int(gts[g].element_class)] = 1.0
-    cls_slots, d_cls = _focal_terms(scores, targets, CostConfig())
+    rows = [p for p, _ in match.instance.pairs]
+    classes = [int(gts[g].element_class) for _, g in match.instance.pairs]
+    cls_slots, d_cls = _focal_terms(scores, rows, classes, CostConfig())
     p2p = dir_ = 0.0
     d_points = np.zeros((len(preds),) + preds[0].points.shape)
     for pair in match.instance.pairs:

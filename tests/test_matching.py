@@ -388,6 +388,36 @@ def test_bound_matcher_keeps_no_stale_state(rng, fixed_order):
             assert np.array_equal(a, b)
 
 
+def test_bound_matcher_reads_buffers_updated_in_place(rng):
+    # Bound to the caller's points and scores, the matcher copies nothing:
+    # each call sees their current contents, which it leaves as they are.
+    kinds = [ElementKind.POLYGON, ElementKind.POLYLINE, ElementKind.POLYLINE]
+    gts = [random_element(rng, kind, n_points=6) for kind in kinds]
+    gt_points, kinds, classes = _gt_arrays(gts)
+    points, scores = rng.uniform(size=(5, 6, 2)), rng.uniform(size=(5, 3))
+    matcher = BoundMatcher(5, 6, gt_points, kinds, classes, points=points, scores=scores)
+    for _ in range(5):
+        points[...], scores[...] = rng.uniform(size=points.shape), rng.uniform(size=scores.shape)
+        want = match_arrays(points.copy(), scores.copy(), gt_points, kinds, classes)
+        for a, b in zip(matcher(points, scores, np.stack(gt_points)), want):
+            assert np.array_equal(a, b)
+        assert matcher.points is points and matcher.scores is scores
+
+
+@pytest.mark.parametrize("name, buf", [
+    ("points", np.zeros((5, 6, 2), dtype=np.float32)),
+    ("points", np.zeros((5, 6, 4))[..., ::2]),
+    ("points", np.zeros((5, 7, 2))),
+    ("scores", np.zeros((5, 3)).tolist()),
+    ("scores", np.zeros((3, 5)).T),
+])
+def test_bound_matcher_rejects_buffers_it_would_copy(rng, name, buf):
+    # A converted copy would never see the caller's updates.
+    gts = [random_element(rng, ElementKind.POLYLINE, n_points=6)]
+    with pytest.raises(ValueError, match=f"^{name} "):
+        BoundMatcher(5, 6, *_gt_arrays(gts), **{name: buf})
+
+
 def _fixed_order_positions(preds, gts):
     """Position entries of the fixed-order cost matrix: the in-order
     Manhattan sum of every (prediction, ground truth) in stored order."""
