@@ -358,13 +358,8 @@ static const double POW10[23] = {1e0,  1e1,  1e2,  1e3,  1e4,  1e5,  1e6,  1e7,
  * digits, the number is mant / 10^k of two exact doubles, one correctly
  * rounded division (Clinger's fast path, PLDI 1990), so it equals what
  * strtod_l gives; every number write_scene writes is of that form.  Any
- * other number is copied out and parsed by strtod_l.
- *
- * The function starts on a 64-byte boundary, so its byte loop's branches
- * keep one placement whatever code precedes it: placed 48 bytes past a
- * boundary, the same instructions scanned prediction files about 20% more
- * slowly (x86-64 Xeon with AVX-512, gcc 12). */
-__attribute__((aligned(64))) int64_t json_tokens(const char *text, int64_t len, double *numbers, int64_t ncap,
+ * other number is copied out and parsed by strtod_l. */
+int64_t json_tokens(const char *text, int64_t len, double *numbers, int64_t ncap,
                     char *skeleton, int64_t scap, int64_t *skeleton_len)
 {
     int64_t count = 0, s = 0;

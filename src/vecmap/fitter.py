@@ -137,7 +137,7 @@ def fit(gt: MapScene, cfg: FitConfig = FitConfig()) -> FitTrace:
     trace = []
     for t in range(1, cfg.iterations + 1):
         gts_iter = flat[at, all_maps[at[:, 0], order_rng.integers(n_orderings)]]
-        rows, cols, orderings, _ = matcher(points, scores, gts_iter)
+        rows, cols, orderings, _ = matcher(gts_iter)
         aligned = gts_iter[cols[:, None], all_maps[cols, orderings]]
         breakdown, _ = loss(points, scores, rows, classes[cols], aligned, closed[cols])
         trace.append(breakdown)

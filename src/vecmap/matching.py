@@ -143,78 +143,42 @@ def point_level_match(pred_points, gt: MapElement) -> PointAssignment:
     return PointAssignment(perm=gt.group().members[int(best[0, 0])], cost=float(costs[0, 0]))
 
 
-def _kind_groups(gt_kinds, fixed_order: bool):
-    """(key, ground-truth indices) per ordering group: one per kind in order
-    of first appearance, or with ``fixed_order`` one identity group."""
-    keys = [None if fixed_order else kind for kind in gt_kinds]
-    return [(key, np.array([g for g, k in enumerate(keys) if k is key]))
-            for key in dict.fromkeys(keys)]
-
-
-def _least_manhattan(points, gt_points, gt_kinds, fixed_order: bool):
-    """The least Manhattan cost (P, G) of every pair over its ground truth's
-    orderings, and the first ordering attaining it: one kernel call per
-    ordering group, binding nothing."""
-    gt_points = np.asarray(gt_points, dtype=np.float64)
-    costs = np.empty((len(points), len(gt_points)))
-    best = np.empty(costs.shape, dtype=np.int64)
-    for key, gs in _kind_groups(gt_kinds, fixed_order):
-        costs[:, gs], best[:, gs] = _kernels.manhattan_matrix(
-            points, gt_points[gs], _orderings(key, points.shape[1]))
-    return costs, best
-
-
-def _class_cost(scores, gt_classes, cfg: CostConfig) -> np.ndarray:
-    """The focal class cost (P, G) of every prediction for each ground
-    truth's class."""
-    table = _kernels.focal_cost_table(scores, cfg.focal_gamma, cfg.focal_alpha)
-    return table[:, list(gt_classes)]
-
-
 class BoundMatcher:
     """Point2point hierarchical matching against one ground-truth set.
 
     Binding checks the ground truth (G, n, 2) and its orderings, groups it
     by kind (one identity-ordering group with ``fixed_order``) and binds the
-    kernels to buffers: ``points`` (P, n, 2) and ``scores`` (P, 3) when
-    given, which must then be C-contiguous float64 holding a valid
-    prediction, else zero-filled ones.  A call checks only that points are
-    finite and scores lie in [0, 1], copies in each of them that is not the
-    bound buffer itself and ``gt_points`` (the bound ground truth, each
-    element under any of its orderings), and runs the kernels raw.  A
-    caller that updates the bound buffers in place passes them and copies
-    nothing.
+    kernels to the caller's ``points`` (P, n, 2) and ``scores`` (P, 3),
+    which must be C-contiguous float64 holding a valid prediction.  A call
+    reads their current contents, so a caller that updates them in place
+    copies nothing: it checks only that the points are finite and the
+    scores lie in [0, 1], copies in ``gt_points`` (the bound ground truth,
+    each element under any of its orderings) and runs the kernels raw.
     """
 
     def __init__(self, n_preds, n_points, gt_points, gt_kinds, gt_classes,
-                 cfg: CostConfig = CostConfig(), fixed_order: bool = False,
-                 points=None, scores=None):
-        for name, buf, shape in (("points", points, (n_preds, n_points, 2)),
-                                 ("scores", scores, (n_preds, 3))):
-            if buf is not None:
-                _pure.check_buffer(name, buf, shape)
-        self.points = np.zeros((n_preds, n_points, 2)) if points is None else points
-        self.scores = np.zeros((n_preds, 3)) if scores is None else scores
-        _, table, self._focal = _kernels._bind_focal(self.scores, cfg.focal_gamma, cfg.focal_alpha)
+                 cfg: CostConfig = CostConfig(), fixed_order: bool = False, *, points, scores):
+        _pure.check_buffer("points", points, (n_preds, n_points, 2))
+        _pure.check_buffer("scores", scores, (n_preds, 3))
+        self.points, self.scores = points, scores
+        _, table, self._focal = _kernels._bind_focal(scores, cfg.focal_gamma, cfg.focal_alpha)
         self.table = table.reshape(-1, 3)
         self.classes = np.asarray(gt_classes, dtype=np.int64)
         self.manhattan = np.empty((n_preds, len(self.classes)))  # least cost per pair
         self.best = np.empty(self.manhattan.shape, dtype=np.int64)  # its first ordering
         gt_points = np.asarray(gt_points, dtype=np.float64)
+        keys = [None if fixed_order else kind for kind in gt_kinds]
         self._groups = []
-        for key, gs in _kind_groups(gt_kinds, fixed_order):
-            _, *bound = _kernels._bind_manhattan(self.points, gt_points[gs], _orderings(key, n_points))
+        for key in dict.fromkeys(keys):
+            gs = np.array([g for g, k in enumerate(keys) if k is key])
+            _, *bound = _kernels._bind_manhattan(points, gt_points[gs], _orderings(key, n_points))
             self._groups.append((gs, *bound))
 
-    def cost(self, points, scores, gt_points) -> np.ndarray:
+    def cost(self, gt_points) -> np.ndarray:
         """The (P, G) class + position cost matrix; refills ``manhattan`` and ``best``."""
         # Written so that NaN, which fails every comparison, is rejected too.
-        if not (np.isfinite(points).all() and ((scores >= 0) & (scores <= 1)).all()):
+        if not (np.isfinite(self.points).all() and ((self.scores >= 0) & (self.scores <= 1)).all()):
             raise ValueError("predicted points must be finite and scores lie in [0, 1]")
-        if points is not self.points:
-            np.copyto(self.points, points)
-        if scores is not self.scores:
-            np.copyto(self.scores, scores)
         for gs, gts, costs, best, run in self._groups:
             np.take(gt_points, gs, axis=0, out=gts)
             run()
@@ -222,15 +186,16 @@ class BoundMatcher:
         self._focal()
         return self.table[:, self.classes] + self.manhattan
 
-    def __call__(self, points, scores, gt_points):
+    def __call__(self, gt_points):
         """``(rows, cols, orderings, costs)``, as :func:`match_arrays` returns."""
-        rows, cols = linear_sum_assignment(self.cost(points, scores, gt_points))  # rows ascending
+        rows, cols = linear_sum_assignment(self.cost(gt_points))  # rows ascending
         return rows, cols, self.best[rows, cols], self.manhattan[rows, cols]
 
 
 def _chamfer_cost(points, scores, gt_points, gt_classes, cfg):
     """Class + Chamfer position cost matrix (P, G)."""
-    return _class_cost(scores, gt_classes, cfg) + chamfer_distances(points, gt_points)
+    table = _kernels.focal_cost_table(scores, cfg.focal_gamma, cfg.focal_alpha)
+    return table[:, list(gt_classes)] + chamfer_distances(points, gt_points)
 
 
 def match_arrays(
@@ -254,21 +219,25 @@ def match_arrays(
     truth ``cols[i]``, ``orderings[i]`` indexes the members of that ground
     truth's permutation group, and ``costs[i]`` is the pair's point-level
     Manhattan cost under that ordering.  Under the point2point cost, each
-    pair's ordering and cost are the ones the cost matrix already computed;
-    under Chamfer, the diagonal of one ordering search over the matched
-    elements.  A call binds nothing: each kernel runs once, through its
-    public entry.
+    pair's ordering and cost are the ones the cost matrix already computed
+    (one :class:`BoundMatcher` call); under Chamfer, the diagonal of one
+    ordering search over the matched elements.
     """
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    scores = np.ascontiguousarray(scores, dtype=np.float64)
+    P, n = points.shape[:2]
     if cfg.position_cost is PositionCost.POINT2POINT:
-        manhattan, best = _least_manhattan(points, gt_points, gt_kinds, fixed_order)
-        rows, cols = linear_sum_assignment(_class_cost(scores, gt_classes, cfg) + manhattan)
-        return rows, cols, best[rows, cols], manhattan[rows, cols]
+        gt_points = np.asarray(gt_points, dtype=np.float64)  # converted once, not per kind
+        return BoundMatcher(P, n, gt_points, gt_kinds, gt_classes, cfg, fixed_order,
+                            points=points, scores=scores)(gt_points)
     rows, cols = linear_sum_assignment(_chamfer_cost(points, scores, gt_points, gt_classes, cfg))
-    # Matched prediction i against matched ground truth i.
-    manhattan, best = _least_manhattan(points[rows], [gt_points[g] for g in cols],
-                                       [gt_kinds[g] for g in cols], fixed_order)
+    gts = [gt_points[g] for g in cols]  # matched prediction i against matched ground truth i
+    matched = BoundMatcher(len(rows), n, gts, [gt_kinds[g] for g in cols],
+                           np.asarray(gt_classes)[cols], cfg, fixed_order,
+                           points=points[rows], scores=scores[rows])
+    matched.cost(gts)
     at = np.diag_indices(len(rows))
-    return rows, cols, best[at], manhattan[at]
+    return rows, cols, matched.best[at], matched.manhattan[at]
 
 
 def stack_predictions(preds: list[PredictedElement]) -> tuple[np.ndarray, np.ndarray]:
@@ -322,8 +291,9 @@ def _cost_matrix(
     check_match_inputs(len(preds), gts, None if chamfer else points.shape[1])
     if chamfer:
         return _chamfer_cost(points, scores, gt_points, classes, cfg)
-    manhattan, _ = _least_manhattan(points, gt_points, kinds, fixed_order)
-    return _class_cost(scores, classes, cfg) + manhattan
+    matcher = BoundMatcher(*points.shape[:2], gt_points, kinds, classes, cfg, fixed_order,
+                           points=points, scores=scores)
+    return matcher.cost(gt_points)
 
 
 def instance_match(

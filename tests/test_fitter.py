@@ -66,8 +66,8 @@ class TestFit:
         assignments = []
 
         class RecordingMatcher(BoundMatcher):
-            def __call__(self, points, scores, gt_points):
-                rows, cols, *rest = super().__call__(points, scores, gt_points)
+            def __call__(self, gt_points):
+                rows, cols, *rest = super().__call__(gt_points)
                 assignments.append((rows, cols))
                 return (rows, cols, *rest)
 

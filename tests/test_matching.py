@@ -335,8 +335,9 @@ def test_grouped_costs_equal_per_ground_truth_loop(problem, fixed_order):
     points, scores = stack_predictions(preds)
     cfg = CostConfig()
     gt_points, kinds, classes = _gt_arrays(gts)
-    matcher = BoundMatcher(*points.shape[:2], gt_points, kinds, classes, cfg, fixed_order)
-    cost = matcher.cost(points, scores, gt_points)
+    matcher = BoundMatcher(*points.shape[:2], gt_points, kinds, classes, cfg, fixed_order,
+                           points=points, scores=scores)
+    cost = matcher.cost(gt_points)
     grouped_pos, grouped_best = matcher.manhattan, matcher.best
     table = _kernels.focal_cost_table(scores, cfg.focal_gamma, cfg.focal_alpha)
     for g, gt in enumerate(gts):
@@ -352,16 +353,23 @@ def test_grouped_costs_equal_per_ground_truth_loop(problem, fixed_order):
 
 @pytest.mark.parametrize("fixed_order", [False, True], ids=["order-free", "fixed-order"])
 def test_bound_matcher_keeps_no_stale_state(rng, fixed_order):
-    # One matcher, called again and again with fresh predictions and its
-    # ground truth stored under freshly drawn orderings, equals a fresh
-    # match_arrays on the same inputs every time.  A NaN point or score
-    # raises, and the call after it is unaffected; returned arrays are not
-    # overwritten by later calls.
+    # One matcher, called again and again with fresh predictions written
+    # into its bound buffers and its ground truth stored under freshly drawn
+    # orderings, equals a fresh match_arrays on the same inputs every time.
+    # A NaN point or score raises, and the call after it is unaffected;
+    # returned arrays are not overwritten by later calls.
     kinds = [ElementKind.POLYGON, ElementKind.POLYLINE, ElementKind.POLYGON, ElementKind.POLYLINE]
     gts = [random_element(rng, kind, n_points=8) for kind in kinds]
     gt_points, kinds, classes = _gt_arrays(gts)
     cfg = CostConfig()
-    matcher = BoundMatcher(6, 8, gt_points, kinds, classes, cfg, fixed_order)
+    bound_points, bound_scores = np.zeros((6, 8, 2)), np.zeros((6, 3))
+    matcher = BoundMatcher(6, 8, gt_points, kinds, classes, cfg, fixed_order,
+                           points=bound_points, scores=bound_scores)
+
+    def call(points, scores, gt_points):
+        bound_points[...], bound_scores[...] = points, scores
+        return matcher(gt_points)
+
     seen = []
     for step in range(12):
         points, scores = rng.uniform(size=(6, 8, 2)), rng.uniform(size=(6, 3))
@@ -375,10 +383,10 @@ def test_bound_matcher_keeps_no_stale_state(rng, fixed_order):
             bad_points, bad_scores = points.copy(), scores.copy()
             bad_points[2, 3, 0], bad_scores[4, 1] = math.nan, math.nan
             with pytest.raises(ValueError, match="finite"):
-                matcher(bad_points, scores, reordered)
+                call(bad_points, scores, reordered)
             with pytest.raises(ValueError, match=r"\[0, 1\]"):
-                matcher(points, bad_scores, reordered)
-        got = matcher(points, scores, reordered)
+                call(points, bad_scores, reordered)
+        got = call(points, scores, reordered)
         want = match_arrays(points, scores, list(reordered), kinds, classes, cfg, fixed_order)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -399,7 +407,7 @@ def test_bound_matcher_reads_buffers_updated_in_place(rng):
     for _ in range(5):
         points[...], scores[...] = rng.uniform(size=points.shape), rng.uniform(size=scores.shape)
         want = match_arrays(points.copy(), scores.copy(), gt_points, kinds, classes)
-        for a, b in zip(matcher(points, scores, np.stack(gt_points)), want):
+        for a, b in zip(matcher(np.stack(gt_points)), want):
             assert np.array_equal(a, b)
         assert matcher.points is points and matcher.scores is scores
 
@@ -414,8 +422,9 @@ def test_bound_matcher_reads_buffers_updated_in_place(rng):
 def test_bound_matcher_rejects_buffers_it_would_copy(rng, name, buf):
     # A converted copy would never see the caller's updates.
     gts = [random_element(rng, ElementKind.POLYLINE, n_points=6)]
+    bufs = {"points": np.zeros((5, 6, 2)), "scores": np.zeros((5, 3)), name: buf}
     with pytest.raises(ValueError, match=f"^{name} "):
-        BoundMatcher(5, 6, *_gt_arrays(gts), **{name: buf})
+        BoundMatcher(5, 6, *_gt_arrays(gts), **bufs)
 
 
 def _fixed_order_positions(preds, gts):
