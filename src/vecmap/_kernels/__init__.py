@@ -99,6 +99,14 @@ def build(cache_dir: Path, source: Path = SOURCE) -> Path | None:
     return lib
 
 
+def _aligned_empty(size):
+    """An uninitialized float64 array of ``size`` that starts on a 64-byte
+    boundary: a slice of a buffer 8 doubles longer, which it keeps alive."""
+    buf = np.empty(size + 8)
+    start = -buf.ctypes.data % 64 // 8
+    return buf[start:start + size]
+
+
 def _binders(dll):
     """(bind_manhattan, bind_chamfer, bind_focal, json_tokens,
     bind_pair_terms, bind_focal_terms, bind_adam) running ``dll``, or the
@@ -109,7 +117,10 @@ def _binders(dll):
     from the inputs' current contents unchecked.  An input already
     contiguous in the kernel's dtype is bound as it is (scores as a flat
     view), so a caller may refill it.  ``bind_adam`` binds the caller's
-    arrays themselves, which its ``run(c1, c2)`` updates in place."""
+    arrays themselves, which its ``run(c1, c2)`` updates in place.
+    ``bind_manhattan``'s scratch holds the predictions transposed into rows
+    of a stride of P rounded up to 8 doubles, and starts on a 64-byte
+    boundary, so every row does (see ``kernels.c``)."""
 
     def bind_manhattan(pred_pts, gt_pts, perms):
         pred, gts, perms = _pure.check_manhattan_inputs(pred_pts, gt_pts, perms)
@@ -117,7 +128,8 @@ def _binders(dll):
         costs, best = np.empty((P, G)), np.empty((P, G), dtype=np.int64)
         if dll is None:
             return pred, gts, costs, best, partial(_pure.manhattan_into, pred, gts, perms, costs, best)
-        bufs = pred, gts, perms, costs, best, np.empty(2 * n * P + P)
+        S = (P + 7) // 8 * 8  # the kernel's row stride, in doubles
+        bufs = pred, gts, perms, costs, best, _aligned_empty(2 * n * S + S)
         a, b, c, d, e, f = (x.ctypes.data for x in bufs)
         run = partial(dll.manhattan_matrix, a, b, c, P, G, K, n, d, e, f)
         run.bufs = bufs  # the library reads them by address: alive as long as run

@@ -71,29 +71,40 @@ const char *kernel_isa(void)
  * k aligns pred[p, j] with gts[g, perms[k, j]].  Writes costs (P, G) and
  * best (P, G), the first ordering attaining each minimum.  Each cost adds
  * term = |dx| + |dy| over j in order, starting from 0.  The predictions are
- * transposed into scratch (2 * n * P + P doubles) as (n, P) rows first, so
+ * transposed into scratch (2 * n * S + S doubles) as (n, S) rows first, so
  * the innermost loop runs over p with one independent sum per prediction.
+ * The row stride S is P rounded up to a multiple of 8 doubles (64 bytes),
+ * and pad lanes P..S-1 hold 0: the sums run over whole vectors with no
+ * scalar tail, and no pad lane is ever compared or written out.  The
+ * binder hands in scratch on a 64-byte boundary, so with that stride every
+ * row starts on one too: the loop's speed then does not depend on where
+ * the heap put the buffer (16 or 40 bytes off it, the AVX-512 clone took
+ * up to 1.6x as long).
  */
 CLONED void manhattan_matrix(const double *pred, const double *gts, const int64_t *perms,
                              int64_t P, int64_t G, int64_t K, int64_t n,
                              double *costs, int64_t *best, double *scratch)
 {
-    double *px = scratch, *py = px + n * P, *acc = py + n * P;
+    const int64_t S = (P + 7) / 8 * 8;
+    double *px = scratch, *py = px + n * S, *acc = py + n * S;
+    for (int64_t j = 0; j < n; j++)
+        for (int64_t p = P; p < S; p++)
+            px[j * S + p] = py[j * S + p] = 0.0;
     for (int64_t p = 0; p < P; p++)
         for (int64_t j = 0; j < n; j++) {
-            px[j * P + p] = pred[(p * n + j) * 2];
-            py[j * P + p] = pred[(p * n + j) * 2 + 1];
+            px[j * S + p] = pred[(p * n + j) * 2];
+            py[j * S + p] = pred[(p * n + j) * 2 + 1];
         }
     for (int64_t g = 0; g < G; g++) {
         const double *gt = gts + g * n * 2;
         for (int64_t k = 0; k < K; k++) {
             const int64_t *perm = perms + k * n;
-            for (int64_t p = 0; p < P; p++)
+            for (int64_t p = 0; p < S; p++)
                 acc[p] = 0.0;
             for (int64_t j = 0; j < n; j++) {
                 const double qx = gt[perm[j] * 2], qy = gt[perm[j] * 2 + 1];
-                const double *x = px + j * P, *y = py + j * P;
-                for (int64_t p = 0; p < P; p++)
+                const double *x = px + j * S, *y = py + j * S;
+                for (int64_t p = 0; p < S; p++)
                     acc[p] = acc[p] + (fabs(x[p] - qx) + fabs(y[p] - qy));
             }
             for (int64_t p = 0; p < P; p++)

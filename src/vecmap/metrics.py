@@ -75,7 +75,7 @@ class ScenePredictions:
         """Arrays of already validated predictions; nothing is checked again."""
         points = [p.points for p in preds]
         if len({len(p) for p in points}) == 1:
-            points = np.stack(points)
+            points = np.array(points)
         return cls(points, np.array([p.scores for p in preds]).reshape(-1, 3))
 
 

@@ -379,12 +379,18 @@ def c_kernels(c_library):
     return _entries(c_library)
 
 
+#: Prediction counts around the C kernel's row stride of 8 lanes: none,
+#: one row short of, at and just past each of the first multiples of 8, and
+#: 50 and 57, which leave pad lanes.
+_PAD_PREDS = (0, 1, 6, 7, 8, 9, 15, 16, 17, 50, 57, 64, 65)
+
+
 def _assert_manhattan_parity(entries, kind, n, grid, rng):
     """``entries``' Manhattan matrix equals the numpy body's under ``==``, and
-    its first column the per-point oracle, over 9 stack sizes."""
+    its first column the per-point oracle, over 39 stack sizes."""
     perms = _orderings(kind, n)
     for n_gts in (1, 3, 8):
-        for n_preds in (1, 6, 50):
+        for n_preds in _PAD_PREDS:
             pred = rng.uniform(size=(n_preds, n, 2))
             gts = rng.uniform(size=(n_gts, n, 2))
             if grid:
@@ -415,6 +421,39 @@ def _assert_tie_break_parity(entries):
         assert got[0][0, 0] == want[0][0, 0] == cost
 
 
+def _assert_manhattan_pad_parity(dll, rng):
+    """The library ``dll``'s bound Manhattan run equals numpy's under ``==``
+    for every count in ``_PAD_PREDS``: on predictions far from a ground
+    truth at the origin, where a zero pad lane would cost least if it were
+    ever read out, and on a binding refilled in place across calls, as
+    ``fit`` reruns its matcher."""
+    bind_c, bind_pure = (kernels._binders(lib)[0] for lib in (dll, None))
+    perms = _orderings(ElementKind.POLYGON, 5)
+    for n_preds in _PAD_PREDS:
+        far = 1000 + rng.uniform(size=(n_preds, 5, 2))
+        for pred, gts in ((far, np.zeros((2, 5, 2))), (-far, np.zeros((1, 5, 2)))):
+            got, want = (_bound_run(bind, pred, gts, perms) for bind in (bind_c, bind_pure))
+            for got_part, want_part in zip(got, want):
+                np.testing.assert_array_equal(got_part, want_part)
+            assert (got[0] >= 5 * 2000).all()  # each point at least 1000 off in x and y
+        pred_c, gts_c, costs_c, best_c, run_c = bind_c(far, np.zeros((3, 5, 2)), perms)
+        pred_p, gts_p, costs_p, best_p, run_p = bind_pure(far.copy(), np.zeros((3, 5, 2)), perms)
+        for _ in range(4):
+            pred_c[...] = pred_p[...] = np.round(rng.uniform(size=pred_c.shape) * 4) / 4
+            gts_c[...] = gts_p[...] = np.round(rng.uniform(size=gts_c.shape) * 4) / 4
+            run_c()
+            run_p()
+            np.testing.assert_array_equal(costs_c, costs_p)
+            np.testing.assert_array_equal(best_c, best_p)
+
+
+def _bound_run(bind, pred, gts, perms):
+    """(costs, best) of one bound run of ``bind``."""
+    *_, costs, best, run = bind(pred, gts, perms)
+    run()
+    return costs, best
+
+
 def _assert_chamfer_parity(entries, n, rng):
     """Unequal point counts, mixed scales, on and off the grid; each case
     alone and one stack of all of them against each partner: ``entries``'
@@ -436,6 +475,25 @@ def _assert_chamfer_parity(entries, n, rng):
 @pytest.mark.parametrize("grid", [False, True], ids=["uniform", "quarter-grid"])
 def test_manhattan_costs_bit_identical(c_kernels, kind, n, grid, rng):
     _assert_manhattan_parity(c_kernels, kind, n, grid, rng)
+
+
+def test_manhattan_pad_lanes_never_read_out(c_library, rng):
+    _assert_manhattan_pad_parity(c_library, rng)
+
+
+def test_manhattan_scratch_starts_on_64_bytes(c_library):
+    # Odd-sized allocations kept alive between binds move where the heap
+    # puts the next buffer; each bound scratch must still start on a
+    # 64-byte boundary, which keeps the kernel's speed the same per call.
+    bind = kernels._binders(c_library)[0]
+    perms = _orderings(None, 3)
+    held = []
+    for n_preds in range(1, 71):
+        held.append(np.empty(n_preds % 13 + 1))
+        *_, run = bind(np.zeros((n_preds, 3, 2)), np.zeros((1, 3, 2)), perms)
+        scratch = run.bufs[-1]
+        assert scratch.ctypes.data % 64 == 0
+        assert len(scratch) == 7 * ((n_preds + 7) // 8 * 8)  # 2 * n * S + S
 
 
 def test_manhattan_tie_break_identical(c_kernels):
@@ -740,6 +798,10 @@ def test_clone_manhattan_bit_identical(clone_kernels, rng):
         for n in (3, 7, 20, 40):
             for grid in (False, True):
                 _assert_manhattan_parity(clone_kernels, kind, n, grid, rng)
+
+
+def test_clone_manhattan_pad_lanes_never_read_out(clone_library, rng):
+    _assert_manhattan_pad_parity(clone_library, rng)
 
 
 def test_clone_tie_break_identical(clone_kernels):
