@@ -40,6 +40,7 @@ from .metrics import (
     APConfig,
     APCounts,
     APReport,
+    SceneGroundTruth,
     ScenePredictions,
     chamfer_distance,
     evaluate_ap,

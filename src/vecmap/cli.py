@@ -18,7 +18,8 @@ from .geometry import ElementClass
 from .matching import PredictedElement, hierarchical_match
 from .metrics import APConfig, APReport, evaluate_ap
 from .scenegen import SceneSpec, generate_scene
-from .sceneio import CLASS_NAMES, SceneFormatError, read_predictions, read_scene, write_scene
+from .sceneio import CLASS_NAMES, SceneFormatError, read_ground_truth, read_predictions
+from .sceneio import read_scene, write_scene
 from .svgplot import convergence_svg, scene_overlay_svg
 
 
@@ -110,14 +111,13 @@ def cmd_eval(args) -> int:
     if len(args.gt) != len(args.pred):
         print("--gt and --pred need the same number of files", file=sys.stderr)
         return 1
-    gt_scenes = [read_scene(p) for p in args.gt]
+    gts = [read_ground_truth(p) for p in args.gt]
     preds = [read_predictions(p) for p in args.pred]
     # Predictions are mapped back to meters with their ground truth's range.
-    for gt_path, gt, pred_path, (pred_range, _) in zip(args.gt, gt_scenes, args.pred, preds):
-        _check_range(pred_path, pred_range, gt_path, gt.range)
+    for gt_path, (gt_range, _), pred_path, (pred_range, _) in zip(args.gt, gts, args.pred, preds):
+        _check_range(pred_path, pred_range, gt_path, gt_range)
     cfg = APConfig()
-    report = evaluate_ap([p for _, p in preds], [list(s.elements) for s in gt_scenes], cfg,
-                         [s.range for s in gt_scenes])
+    report = evaluate_ap([p for _, p in preds], [g for _, g in gts], cfg, [r for r, _ in gts])
     print("\n".join(_report_lines(report, cfg)))
     if args.json_out:
         doc = {
@@ -190,11 +190,16 @@ def cmd_fit(args) -> int:
         )
     if args.svg:
         curves = {m.value: [b.total for b in tr.losses] for m, tr in traces.items()}
-        base = Path(args.svg)
-        base.write_text(convergence_svg(curves))
-        overlay = base.with_name(base.stem + "_overlay" + base.suffix)
-        overlay.write_text(scene_overlay_svg(gt_scene, last.final_predictions))
+        Path(args.svg).write_text(convergence_svg(curves))
+        _overlay_path(args.svg).write_text(scene_overlay_svg(gt_scene, last.final_predictions))
     return 0
+
+
+def _overlay_path(svg) -> Path:
+    """Where ``fit --svg`` writes its overlay, beside the convergence SVG.
+    Never raises, so that ``main`` can check ``svg`` itself first."""
+    base = Path(svg)
+    return base.parent / (base.stem + "_overlay" + base.suffix)
 
 
 def main(argv=None) -> int:
@@ -211,7 +216,9 @@ def main(argv=None) -> int:
     }
     try:
         # Output paths are checked before any work, so that none leaves partial output.
-        for path in filter(None, (getattr(args, k, None) for k in ("out", "json_out", "trace", "svg"))):
+        outputs = [getattr(args, k, None) for k in ("out", "json_out", "trace")]
+        svg = getattr(args, "svg", None)
+        for path in filter(None, [*outputs, svg, svg and _overlay_path(svg)]):
             if Path(path).is_dir() or not Path(path).parent.is_dir():
                 raise ValueError(f"cannot write {path}: not a file in an existing directory")
         return handlers[args.command](args)

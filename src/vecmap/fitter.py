@@ -21,7 +21,7 @@ from . import _kernels
 # one set of parameter buffers and runs its kernels raw every iteration.  The
 # dataclass entry points apply_permutation, hierarchical_match, total_loss
 # and loss_gradients stay bound here: perfbench/tracer.py wraps these names.
-from .geometry import ElementKind, apply_permutation  # noqa: F401
+from .geometry import ElementKind, KIND_FOR_CLASS, apply_permutation, permutation_group  # noqa: F401
 from .losses import (  # noqa: F401
     BoundLoss,
     LossBreakdown,
@@ -36,7 +36,7 @@ from .matching import (  # noqa: F401
     check_match_inputs,
     hierarchical_match,
 )
-from .metrics import APConfig, APReport, evaluate_ap
+from .metrics import APConfig, APReport, SceneGroundTruth, evaluate_ap
 from .scenegen import DEFAULT_SLOTS, MapScene
 
 
@@ -107,23 +107,24 @@ def fit(gt: MapScene, cfg: FitConfig = FitConfig()) -> FitTrace:
     logits = np.full((n, 3), -2.0)
     scores = _sigmoid(logits, np.empty_like(logits))
 
-    gts_norm = [el.normalized(gt.range) for el in gt.elements]
-    check_match_inputs(n, gts_norm, nv)
-    kinds = [el.kind for el in gts_norm]
-    classes = np.array([int(el.element_class) for el in gts_norm])
+    stacked = SceneGroundTruth.stack(gt.elements)
+    check_match_inputs(n, stacked.points, nv)
+    classes = stacked.classes
+    kinds = [KIND_FOR_CLASS[c] for c in classes.tolist()]
     closed = np.array([k is ElementKind.POLYGON for k in kinds])
-    maps = [el.group().index_maps() for el in gts_norm]
+    maps = [permutation_group(k, nv).index_maps() for k in kinds]
     # The maps padded into one (G, K, nv) table: one fancy index gathers them.
     all_maps = np.zeros((len(maps), max(map(len, maps)), nv), dtype=np.int64)
     for g, m in enumerate(maps):
         all_maps[g, : len(m)] = m
-    flat, at = np.stack([el.points for el in gts_norm]), np.arange(len(maps))[:, None]
+    flat = (stacked.points - gt.range.lower) / gt.range.extent  # normalize(), elementwise
+    at = np.arange(len(maps))[:, None]
     n_orderings = np.array([len(m) for m in maps])
     order_rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1,)))
     )
     cost_cfg = CostConfig()
-    matcher = BoundMatcher(n, nv, flat, kinds, classes, cost_cfg, cfg.mode is FitMode.FIXED_ORDER,
+    matcher = BoundMatcher(n, nv, flat, classes, cost_cfg, cfg.mode is FitMode.FIXED_ORDER,
                            points=points, scores=scores)
     n_pairs = min(n, len(maps))  # the assignment matches every slot or every element
     loss = BoundLoss(points, scores, np.arange(n_pairs), np.zeros(n_pairs, dtype=np.int64),
@@ -149,7 +150,7 @@ def fit(gt: MapScene, cfg: FitConfig = FitConfig()) -> FitTrace:
         _sigmoid(logits, scores)
 
     preds = [PredictedElement(scores=s, points=p) for p, s in zip(points, scores)]
-    report = evaluate_ap([preds], [list(gt.elements)], APConfig(), gt.range)
+    report = evaluate_ap([preds], [stacked], APConfig(), gt.range)
     return FitTrace(
         losses=tuple(trace), final_predictions=tuple(preds), final_report=report
     )

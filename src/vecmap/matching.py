@@ -24,12 +24,13 @@ from ._kernels import _pure
 from .geometry import (
     ElementClass,
     ElementKind,
+    KIND_FOR_CLASS,
     MapElement,
     PermutationDescriptor,
     as_points,
     permutation_group,
 )
-from .metrics import chamfer_distances
+from .metrics import SceneGroundTruth, ScenePredictions, chamfer_distances
 
 
 def linear_sum_assignment(cost):
@@ -147,16 +148,16 @@ class BoundMatcher:
     """Point2point hierarchical matching against one ground-truth set.
 
     Binding checks the ground truth (G, n, 2) and its orderings, groups it
-    by kind (one identity-ordering group with ``fixed_order``) and binds the
-    kernels to the caller's ``points`` (P, n, 2) and ``scores`` (P, 3),
-    which must be C-contiguous float64 holding a valid prediction.  A call
-    reads their current contents, so a caller that updates them in place
-    copies nothing: it checks only that the points are finite and the
-    scores lie in [0, 1], copies in ``gt_points`` (the bound ground truth,
-    each element under any of its orderings) and runs the kernels raw.
+    by kind, ``KIND_FOR_CLASS`` of each of its ``gt_classes`` (one identity
+    group with ``fixed_order``), and binds the kernels to the caller's
+    ``points`` (P, n, 2) and ``scores`` (P, 3), C-contiguous float64 holding
+    a valid prediction.  A call reads their current contents, so a caller
+    that updates them in place copies nothing: it checks only that the points
+    are finite and the scores lie in [0, 1], copies in ``gt_points`` (the bound
+    ground truth, each element under any ordering) and runs the kernels raw.
     """
 
-    def __init__(self, n_preds, n_points, gt_points, gt_kinds, gt_classes,
+    def __init__(self, n_preds, n_points, gt_points, gt_classes,
                  cfg: CostConfig = CostConfig(), fixed_order: bool = False, *, points, scores):
         _pure.check_buffer("points", points, (n_preds, n_points, 2))
         _pure.check_buffer("scores", scores, (n_preds, 3))
@@ -167,7 +168,7 @@ class BoundMatcher:
         self.manhattan = np.empty((n_preds, len(self.classes)))  # least cost per pair
         self.best = np.empty(self.manhattan.shape, dtype=np.int64)  # its first ordering
         gt_points = np.asarray(gt_points, dtype=np.float64)
-        keys = [None if fixed_order else kind for kind in gt_kinds]
+        keys = [None if fixed_order else KIND_FOR_CLASS[c] for c in self.classes.tolist()]
         self._groups = []
         for key in dict.fromkeys(keys):
             gs = np.array([g for g, k in enumerate(keys) if k is key])
@@ -202,7 +203,6 @@ def match_arrays(
     points: np.ndarray,
     scores: np.ndarray,
     gt_points,
-    gt_kinds,
     gt_classes,
     cfg: CostConfig = CostConfig(),
     fixed_order: bool = False,
@@ -210,8 +210,8 @@ def match_arrays(
     """Hierarchical matching on arrays: the core of :func:`hierarchical_match`.
 
     points (P, n, 2) and scores (P, 3) describe the predictions; ground
-    truth g has points ``gt_points[g]`` (n, 2), kind ``gt_kinds[g]`` and
-    class ``gt_classes[g]``.  Callers check the counts with
+    truth g has points ``gt_points[g]`` (n, 2) and class ``gt_classes[g]``,
+    whose ``KIND_FOR_CLASS`` is its kind.  Callers check the counts with
     :func:`check_match_inputs`.
 
     Returns ``(rows, cols, orderings, costs)``, one entry per matched pair,
@@ -228,12 +228,11 @@ def match_arrays(
     P, n = points.shape[:2]
     if cfg.position_cost is PositionCost.POINT2POINT:
         gt_points = np.asarray(gt_points, dtype=np.float64)  # converted once, not per kind
-        return BoundMatcher(P, n, gt_points, gt_kinds, gt_classes, cfg, fixed_order,
+        return BoundMatcher(P, n, gt_points, gt_classes, cfg, fixed_order,
                             points=points, scores=scores)(gt_points)
     rows, cols = linear_sum_assignment(_chamfer_cost(points, scores, gt_points, gt_classes, cfg))
     gts = [gt_points[g] for g in cols]  # matched prediction i against matched ground truth i
-    matched = BoundMatcher(len(rows), n, gts, [gt_kinds[g] for g in cols],
-                           np.asarray(gt_classes)[cols], cfg, fixed_order,
+    matched = BoundMatcher(len(rows), n, gts, np.asarray(gt_classes)[cols], cfg, fixed_order,
                            points=points[rows], scores=scores[rows])
     matched.cost(gts)
     at = np.diag_indices(len(rows))
@@ -242,40 +241,33 @@ def match_arrays(
 
 def stack_predictions(preds: list[PredictedElement]) -> tuple[np.ndarray, np.ndarray]:
     """Points (P, n, 2) and scores (P, 3) of equally sized predictions."""
-    counts = sorted({len(p.points) for p in preds})
-    if len(counts) > 1:
-        raise ValueError(f"predictions have differing point counts {counts}")
     if not preds:
         return np.zeros((0, 0, 2)), np.zeros((0, 3))
-    # np.array builds the same bits as np.stack here, in under half the time.
-    return np.array([p.points for p in preds]), np.array([p.scores for p in preds])
+    stacked = ScenePredictions.stack(preds)
+    if isinstance(stacked.points, list):
+        counts = sorted({len(p) for p in stacked.points})
+        raise ValueError(f"predictions have differing point counts {counts}")
+    return stacked.points, stacked.scores
 
 
-def _gt_arrays(gts: list[MapElement]):
-    return (
-        [gt.points for gt in gts],
-        [gt.kind for gt in gts],
-        [int(gt.element_class) for gt in gts],
-    )
-
-
-def check_match_inputs(n_preds: int, gts: list[MapElement], n_points: int | None = None) -> None:
-    """Raise unless ``n_preds`` predictions can cover ``gts``.
+def check_match_inputs(n_preds: int, gt_points, n_points: int | None = None) -> None:
+    """Raise unless ``n_preds`` predictions can cover the ground truth
+    ``gt_points``, (G, n, 2) or a list of G point sets.
 
     With ``n_points``, also raise unless every ground truth has that many
     points, as the Manhattan position cost needs.
     """
-    if n_preds < len(gts):
+    if n_preds < len(gt_points):
         raise CapacityError(
-            f"{n_preds} predictions cannot cover {len(gts)} ground-truth elements"
+            f"{n_preds} predictions cannot cover {len(gt_points)} ground-truth elements"
         )
     if n_points is None:
         return
-    for g, gt in enumerate(gts):
-        if gt.n_points != n_points:
+    for g, pts in enumerate(gt_points):
+        if len(pts) != n_points:
             raise ValueError(
                 f"point count mismatch: predictions have {n_points} points, "
-                f"ground truth {g} has {gt.n_points}"
+                f"ground truth {g} has {len(pts)}"
             )
 
 
@@ -287,14 +279,14 @@ def _cost_matrix(
 ) -> np.ndarray:
     """The checked class + position cost matrix (P, G) of :func:`instance_match`."""
     points, scores = stack_predictions(preds)
-    gt_points, kinds, classes = _gt_arrays(gts)
+    gt = SceneGroundTruth.stack(gts)
     chamfer = cfg.position_cost is PositionCost.CHAMFER
-    check_match_inputs(len(preds), gts, None if chamfer else points.shape[1])
+    check_match_inputs(len(preds), gt.points, None if chamfer else points.shape[1])
     if chamfer:
-        return _chamfer_cost(points, scores, gt_points, classes, cfg)
-    matcher = BoundMatcher(*points.shape[:2], gt_points, kinds, classes, cfg, fixed_order,
+        return _chamfer_cost(points, scores, gt.points, gt.classes, cfg)
+    matcher = BoundMatcher(*points.shape[:2], gt.points, gt.classes, cfg, fixed_order,
                            points=points, scores=scores)
-    return matcher.cost(gt_points)
+    return matcher.cost(gt.points)
 
 
 def instance_match(
@@ -328,8 +320,9 @@ def hierarchical_match(
     permutation.  Every element must have the same point count.
     """
     points, scores = stack_predictions(preds)
-    check_match_inputs(len(preds), gts, points.shape[1])
-    match = match_arrays(points, scores, *_gt_arrays(gts), cfg, fixed_order)
+    gt = SceneGroundTruth.stack(gts)
+    check_match_inputs(len(preds), gt.points, points.shape[1])
+    match = match_arrays(points, scores, gt.points, gt.classes, cfg, fixed_order)
     rows, cols, orderings, costs = (a.tolist() for a in match)
     point_level = {
         (p, g): PointAssignment(perm=gts[g].group().members[k], cost=c)

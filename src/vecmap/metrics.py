@@ -8,9 +8,9 @@ threshold.  AP per (class, threshold) comes from 101-point interpolation
 of the precision-recall curve; the final score averages over thresholds
 and then classes.
 
-:func:`evaluate_ap` runs on per-scene arrays (:class:`ScenePredictions`)
-and trusts their values: they were checked where they entered, by the
-prediction file reader (``sceneio``) or by :class:`PredictedElement`.
+:func:`evaluate_ap` runs on per-scene arrays and trusts their values: they
+were checked where they entered, by the file readers (``sceneio``) or by
+:class:`PredictedElement` and :class:`MapElement`.
 It checks only what is its own to check: scene counts and empty point
 sets.
 """
@@ -59,6 +59,12 @@ class APCounts:
     n_gt: int
 
 
+def _stack_points(point_sets: list[np.ndarray]) -> np.ndarray | list[np.ndarray]:
+    """One (E, n, 2) array of E point sets of n points each, else the list.
+    np.array builds the same bits as np.stack here, in under half the time."""
+    return np.array(point_sets) if len({len(p) for p in point_sets}) == 1 else point_sets
+
+
 @dataclass(frozen=True)
 class ScenePredictions:
     """One scene's predictions as arrays, in normalized coordinates.
@@ -73,10 +79,23 @@ class ScenePredictions:
     @classmethod
     def stack(cls, preds: list[PredictedElement]) -> ScenePredictions:
         """Arrays of already validated predictions; nothing is checked again."""
-        points = [p.points for p in preds]
-        if len({len(p) for p in points}) == 1:
-            points = np.array(points)
+        points = _stack_points([p.points for p in preds])
         return cls(points, np.array([p.scores for p in preds]).reshape(-1, 3))
+
+
+@dataclass(frozen=True)
+class SceneGroundTruth:
+    """One scene's ground truth as arrays, in meters: finite ``points`` shaped as
+    :class:`ScenePredictions`'s, and ``classes`` (G,); ``KIND_FOR_CLASS`` gives each kind."""
+
+    points: np.ndarray | list[np.ndarray]
+    classes: np.ndarray
+
+    @classmethod
+    def stack(cls, elements: list[MapElement]) -> SceneGroundTruth:
+        """Arrays of already validated elements; nothing is checked again."""
+        classes = np.array([el.element_class for el in elements], dtype=np.int64)
+        return cls(_stack_points([el.points for el in elements]), classes)
 
 
 @dataclass(frozen=True)
@@ -182,17 +201,18 @@ def _greedy_flags(dist: np.ndarray, tau: float) -> np.ndarray:
 
 def evaluate_ap(
     pred_scenes: Sequence[ScenePredictions | list[PredictedElement]],
-    gt_scenes: list[list[MapElement]],
+    gt_scenes: Sequence[SceneGroundTruth | list[MapElement]],
     cfg: APConfig = APConfig(),
     scene_range: SceneRange | Sequence[SceneRange] = SceneRange(),
 ) -> APReport:
     """Evaluate predicted scenes against aligned ground-truth scenes.
 
     Each scene's predictions are :class:`ScenePredictions`, or a list of
-    :class:`PredictedElement`, which is stacked into one.  Predicted
-    points are normalized; they are mapped back to meters with their
-    scene's range (``scene_range`` is one range for every scene, or one
-    per scene), so thresholds keep their physical meaning.  Each scene's
+    :class:`PredictedElement`, and its ground truth :class:`SceneGroundTruth`,
+    or a list of :class:`MapElement`; a list is stacked into one.  Predicted
+    points are normalized; they are mapped back to meters with their scene's
+    range (``scene_range`` is one range for every scene, or one per scene),
+    so thresholds keep their physical meaning.  Each scene's
     Chamfer distances are computed once and serve every class and
     threshold.
 
@@ -215,16 +235,16 @@ def evaluate_ap(
         s if isinstance(s, ScenePredictions) else ScenePredictions.stack(s)
         for s in pred_scenes
     ]
-    gt_points = [[gt.points for gt in gts] for gts in gt_scenes]
-    for si, (scene, gts) in enumerate(zip(scenes, gt_points)):
-        for what, sets in (("prediction", scene.points), ("ground truth", gts)):
+    gts = [g if isinstance(g, SceneGroundTruth) else SceneGroundTruth.stack(g) for g in gt_scenes]
+    for si, (scene, gt) in enumerate(zip(scenes, gts)):
+        for what, sets in (("prediction", scene.points), ("ground truth", gt.points)):
             i = _empty_index(sets)
             if i is not None:
                 raise ValueError(f"scene {si}: {what} {i} has an empty point set")
 
     dists = [
-        chamfer_distances(_to_meters(scene.points, sr), gts, 2 * cfg.thresholds[-1])
-        for scene, gts, sr in zip(scenes, gt_points, ranges)
+        chamfer_distances(_to_meters(scene.points, sr), gt.points, 2 * cfg.thresholds[-1])
+        for scene, gt, sr in zip(scenes, gts, ranges)
     ]
     # Every prediction of every scene, in scene then element order.
     scores = np.concatenate([np.empty((0, 3)), *(s.scores for s in scenes)])
@@ -235,9 +255,7 @@ def evaluate_ap(
     per_cell: dict[tuple[ElementClass, float], float] = {}
     counts: dict[tuple[ElementClass, float], APCounts] = {}
     for cls in ElementClass:
-        gt_idx = [
-            [g for g, gt in enumerate(gts) if gt.element_class is cls] for gts in gt_scenes
-        ]
+        gt_idx = [np.flatnonzero(np.equal(gt.classes, cls)) for gt in gts]  # classes may be a list
         n_gt = sum(len(g) for g in gt_idx)
         # Each prediction's distances to its scene's ground truth of this
         # class, padded with inf to a common width.

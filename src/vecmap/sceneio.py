@@ -8,17 +8,17 @@ is byte-identical.  Unknown fields are rejected.
 This module is where file input is validated.  Each reader has one
 element parser, which checks the whole file at once with one array
 conversion per field: element keys, shapes, numbers that are JSON ints or
-floats (not strings or bools), finite points, classes and kinds, scores
-in [0, 1].  Only when it fails is the same parser run on each element
-alone, to name the first bad one.  Code downstream of the readers trusts
-what they return.
+floats (not strings or bools), finite points, classes and kinds, a point
+count each kind allows, scores in [0, 1].  Only when it fails is the same
+parser run on each element alone, to name the first bad one.
+Code downstream of the readers trusts what they return.
 
 A prediction file in the layout ``write_scene`` writes (whitespace aside)
 is read from one C token scan, ``_kernels.json_tokens`` (numbers parsed
 exactly, whatever the process's locale), and its values pass the same
 checks.  Every other file, valid or not, is read with ``json``, so every
-error message comes from there.  Ground-truth files are not scanned: their
-read time goes to building ``MapElement``s, not to parsing.
+error message comes from there.  Ground-truth files are not scanned; they
+are read as arrays, and only ``read_scene`` builds ``MapElement``s.
 """
 
 from __future__ import annotations
@@ -38,9 +38,10 @@ from .geometry import (
     MapElement,
     SceneRange,
     denormalize,
+    permutation_group,
 )
 from .matching import PredictedElement
-from .metrics import ScenePredictions
+from .metrics import SceneGroundTruth, ScenePredictions
 from .scenegen import MapScene
 
 CLASS_NAMES = {
@@ -168,9 +169,8 @@ def _lookup(table: dict, name):
     return table.get(name) if isinstance(name, str) else None
 
 
-def _scene_elements(path, els: list, n_points: int, where: str) -> list[MapElement]:
-    """The ground-truth element parser.  ``MapElement`` checks that the
-    points are finite."""
+def _ground_truth(path, els: list, n_points: int, where: str) -> SceneGroundTruth:
+    """The ground-truth element parser."""
     points = _points(path, els, n_points, {"class", "kind", "points"}, where)
     classes = [_lookup(_CLASS_BY_NAME, el.get("class")) for el in els]
     kinds = [_lookup(_KIND_BY_NAME, el.get("kind")) for el in els]
@@ -178,10 +178,14 @@ def _scene_elements(path, els: list, n_points: int, where: str) -> list[MapEleme
         raise SceneFormatError(path, f"{where}: bad class or kind")
     if any(kind is not KIND_FOR_CLASS[cls] for cls, kind in zip(classes, kinds)):
         raise SceneFormatError(path, f"{where}: class/kind mismatch")
+    if not np.isfinite(points).all():
+        raise SceneFormatError(path, f"{where}: points contain NaN or Inf")
     try:
-        return [MapElement(c, k, pts) for c, k, pts in zip(classes, kinds, points)]
+        for kind in set(kinds):
+            permutation_group(kind, n_points)  # raises below the kind's minimum count
     except ValueError as exc:
         raise SceneFormatError(path, f"{where}: {exc}") from exc
+    return SceneGroundTruth(points, np.array(classes, dtype=np.int64))
 
 
 def _check_predictions(path, points: np.ndarray, scores: np.ndarray, where: str):
@@ -261,8 +265,16 @@ def _scanned_predictions(path, data: bytes):
 
 def read_scene(path) -> MapScene:
     """Read a ground-truth scene file."""
-    sr, n_points, elements = _read(path, _scene_elements)
-    return MapScene(range=sr, n_points=n_points, elements=tuple(elements))
+    sr, n_points, gt = _read(path, _ground_truth)
+    classes = map(ElementClass, gt.classes.tolist())
+    elements = tuple(MapElement(c, KIND_FOR_CLASS[c], p) for c, p in zip(classes, gt.points))
+    return MapScene(range=sr, n_points=n_points, elements=elements)
+
+
+def read_ground_truth(path) -> tuple[SceneRange, SceneGroundTruth]:
+    """Read a ground-truth file: its range, and its elements as arrays in meters."""
+    sr, _, gt = _read(path, _ground_truth)
+    return sr, gt
 
 
 def read_predictions(path) -> tuple[SceneRange, ScenePredictions]:

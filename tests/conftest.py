@@ -11,6 +11,8 @@ from vecmap.geometry import (
     apply_permutation,
 )
 from vecmap.matching import PredictedElement
+from vecmap.metrics import SceneGroundTruth
+from vecmap.sceneio import SceneFormatError, read_ground_truth, read_scene
 
 CLASS_FOR_KIND = {
     ElementKind.POLYGON: ElementClass.PED_CROSSING,
@@ -28,6 +30,27 @@ def random_element(rng, kind=None, n_points=20, element_class=None):
     kind = KIND_FOR_CLASS[element_class]
     pts = rng.uniform(0.0, 1.0, size=(n_points, 2))
     return MapElement(element_class, kind, pts)
+
+
+def ground_truth_readers_agree(path) -> str | None:
+    """Assert that ``read_ground_truth`` gives the arrays of ``read_scene``'s
+    elements stacked, or raises the same ``SceneFormatError``; return its
+    message (None for a valid file)."""
+    try:
+        scene = read_scene(path)
+    except SceneFormatError as exc:
+        with pytest.raises(SceneFormatError) as info:
+            read_ground_truth(path)
+        assert str(info.value) == str(exc)
+        return str(exc)
+    scene_range, gt = read_ground_truth(path)
+    want = SceneGroundTruth.stack(scene.elements)
+    assert scene_range == scene.range
+    assert gt.points.shape == (len(scene.elements), scene.n_points, 2)
+    # An empty scene stacks to [], the reader's (0, n, 2) in another shape.
+    assert np.array_equal(gt.points, np.reshape(want.points, gt.points.shape))
+    assert gt.classes.dtype == want.classes.dtype and np.array_equal(gt.classes, want.classes)
+    return None
 
 
 def random_prediction(rng, n_points=20, score_lo=0.05, score_hi=0.95):

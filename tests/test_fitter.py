@@ -3,6 +3,7 @@ import pytest
 
 from vecmap import fitter
 from vecmap.fitter import FitConfig, FitMode, fit, trace_table
+from vecmap.geometry import permutation_group
 from vecmap.losses import LossWeights
 from vecmap.matching import BoundMatcher, CostConfig
 from vecmap.metrics import APConfig
@@ -82,6 +83,23 @@ class TestFit:
                 per_scene.append(np.mean([np.mean(a != b) for a, b in zip(slots, slots[1:])]))
             churn[mode] = np.mean(per_scene)
         assert churn[FitMode.PERMUTATION_EQUIVALENT] < churn[FitMode.FIXED_ORDER]
+
+    @pytest.mark.parametrize("seed, n_points", [(0, 20), (7, 3), (11, 40)])
+    def test_vectorized_ordering_draw_equals_scalar_draws(self, seed, n_points):
+        # fit draws every element's ordering with one integers() call per
+        # iteration, on the stream below.  Pinned here against one scalar
+        # draw per element in order: were numpy to change either, this
+        # fails, where otherwise every fit trace would change silently.
+        scene = generate_scene(SceneSpec(seed=seed, n_points=n_points))
+        n_orderings = [len(permutation_group(el.kind, n_points).members) for el in scene.elements]
+        assert sorted(set(n_orderings)) == [2, 2 * n_points]  # polylines 2, polygons 2n
+        vector, scalar = (
+            np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(1,))))
+            for _ in range(2)
+        )
+        for _ in range(500):
+            want = [scalar.integers(k) for k in n_orderings]
+            assert vector.integers(np.array(n_orderings)).tolist() == want
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):

@@ -29,7 +29,6 @@ from vecmap.matching import (
     PositionCost,
     PredictedElement,
     _cost_matrix,
-    _gt_arrays,
     focal_class_cost,
     hierarchical_match,
     instance_match,
@@ -38,7 +37,7 @@ from vecmap.matching import (
     point_level_match,
     stack_predictions,
 )
-from vecmap.metrics import chamfer_distance
+from vecmap.metrics import SceneGroundTruth, chamfer_distance
 
 
 class TestPredictedElement:
@@ -334,10 +333,10 @@ def test_grouped_costs_equal_per_ground_truth_loop(problem, fixed_order):
     preds, gts = problem
     points, scores = stack_predictions(preds)
     cfg = CostConfig()
-    gt_points, kinds, classes = _gt_arrays(gts)
-    matcher = BoundMatcher(*points.shape[:2], gt_points, kinds, classes, cfg, fixed_order,
+    stacked = SceneGroundTruth.stack(gts)
+    matcher = BoundMatcher(*points.shape[:2], stacked.points, stacked.classes, cfg, fixed_order,
                            points=points, scores=scores)
-    cost = matcher.cost(gt_points)
+    cost = matcher.cost(stacked.points)
     grouped_pos, grouped_best = matcher.manhattan, matcher.best
     table = _kernels.focal_cost_table(scores, cfg.focal_gamma, cfg.focal_alpha)
     for g, gt in enumerate(gts):
@@ -360,10 +359,10 @@ def test_bound_matcher_keeps_no_stale_state(rng, fixed_order):
     # returned arrays are not overwritten by later calls.
     kinds = [ElementKind.POLYGON, ElementKind.POLYLINE, ElementKind.POLYGON, ElementKind.POLYLINE]
     gts = [random_element(rng, kind, n_points=8) for kind in kinds]
-    gt_points, kinds, classes = _gt_arrays(gts)
+    stacked = SceneGroundTruth.stack(gts)
     cfg = CostConfig()
     bound_points, bound_scores = np.zeros((6, 8, 2)), np.zeros((6, 3))
-    matcher = BoundMatcher(6, 8, gt_points, kinds, classes, cfg, fixed_order,
+    matcher = BoundMatcher(6, 8, stacked.points, stacked.classes, cfg, fixed_order,
                            points=bound_points, scores=bound_scores)
 
     def call(points, scores, gt_points):
@@ -387,7 +386,7 @@ def test_bound_matcher_keeps_no_stale_state(rng, fixed_order):
             with pytest.raises(ValueError, match=r"\[0, 1\]"):
                 call(points, bad_scores, reordered)
         got = call(points, scores, reordered)
-        want = match_arrays(points, scores, list(reordered), kinds, classes, cfg, fixed_order)
+        want = match_arrays(points, scores, list(reordered), stacked.classes, cfg, fixed_order)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         seen.append((got, [a.copy() for a in got]))
@@ -401,13 +400,13 @@ def test_bound_matcher_reads_buffers_updated_in_place(rng):
     # each call sees their current contents, which it leaves as they are.
     kinds = [ElementKind.POLYGON, ElementKind.POLYLINE, ElementKind.POLYLINE]
     gts = [random_element(rng, kind, n_points=6) for kind in kinds]
-    gt_points, kinds, classes = _gt_arrays(gts)
+    stacked = SceneGroundTruth.stack(gts)
     points, scores = rng.uniform(size=(5, 6, 2)), rng.uniform(size=(5, 3))
-    matcher = BoundMatcher(5, 6, gt_points, kinds, classes, points=points, scores=scores)
+    matcher = BoundMatcher(5, 6, stacked.points, stacked.classes, points=points, scores=scores)
     for _ in range(5):
         points[...], scores[...] = rng.uniform(size=points.shape), rng.uniform(size=scores.shape)
-        want = match_arrays(points.copy(), scores.copy(), gt_points, kinds, classes)
-        for a, b in zip(matcher(np.stack(gt_points)), want):
+        want = match_arrays(points.copy(), scores.copy(), list(stacked.points), stacked.classes)
+        for a, b in zip(matcher(stacked.points.copy()), want):
             assert np.array_equal(a, b)
         assert matcher.points is points and matcher.scores is scores
 
@@ -421,10 +420,10 @@ def test_bound_matcher_reads_buffers_updated_in_place(rng):
 ])
 def test_bound_matcher_rejects_buffers_it_would_copy(rng, name, buf):
     # A converted copy would never see the caller's updates.
-    gts = [random_element(rng, ElementKind.POLYLINE, n_points=6)]
+    stacked = SceneGroundTruth.stack([random_element(rng, ElementKind.POLYLINE, n_points=6)])
     bufs = {"points": np.zeros((5, 6, 2)), "scores": np.zeros((5, 3)), name: buf}
     with pytest.raises(ValueError, match=f"^{name} "):
-        BoundMatcher(5, 6, *_gt_arrays(gts), **bufs)
+        BoundMatcher(5, 6, stacked.points, stacked.classes, **bufs)
 
 
 def _fixed_order_positions(preds, gts):

@@ -20,6 +20,7 @@ from vecmap.metrics import (
     APConfig,
     APCounts,
     APReport,
+    SceneGroundTruth,
     ScenePredictions,
     _interpolated_ap,
     _stack_by_count,
@@ -115,8 +116,9 @@ class TestEvaluateAP:
             evaluate_ap([[], []], [[], []], APConfig(), [SceneRange()])
 
     def test_arrays_equal_list_form(self):
-        # The array form and the list form are one core; per-scene ranges
-        # given as a list equal the one shared range.
+        # The array forms and the list forms are one core; per-scene ranges
+        # given as a list equal the one shared range.  Ground-truth classes
+        # may be given as a list.
         scenes = [generate_scene(SceneSpec(seed=s)) for s in range(3)]
         preds = [perturb(sc, PerturbSpec(seed=s, point_noise_sigma=0.4, false_positive_count=3,
                                          score_model="noisy_confidence"))
@@ -124,8 +126,13 @@ class TestEvaluateAP:
         gts = [list(sc.elements) for sc in scenes]
         arrays = [ScenePredictions(np.stack([p.points for p in ps]),
                                    np.stack([p.scores for p in ps])) for ps in preds]
+        gt_arrays = [SceneGroundTruth(np.stack([el.points for el in g]),
+                                      np.array([el.element_class for el in g])) for g in gts]
+        gt_lists = [SceneGroundTruth(a.points, a.classes.tolist()) for a in gt_arrays]
         base = evaluate_ap(preds, gts, APConfig(), SceneRange())
         assert evaluate_ap(arrays, gts, APConfig(), [SceneRange()] * 3) == base
+        assert evaluate_ap(arrays, gt_arrays, APConfig(), SceneRange()) == base
+        assert evaluate_ap(preds, gt_lists, APConfig(), SceneRange()) == base
         assert base.mean_ap > 0
 
     def test_score_scaling_invariance(self):

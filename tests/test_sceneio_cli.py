@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 import vecmap
+from conftest import ground_truth_readers_agree
 from vecmap.cli import main
-from vecmap.geometry import SceneRange, normalize
-from vecmap.metrics import evaluate_ap
+from vecmap.geometry import MapElement, SceneRange, normalize
+from vecmap.metrics import APConfig, evaluate_ap
 from vecmap.scenegen import PerturbSpec, SceneSpec, generate_scene, perturb
 from vecmap.sceneio import (
     CLASS_NAMES,
@@ -232,6 +233,55 @@ class TestCliEval:
             assert cell["tp"] == cell["n_gt"] == n_gt[cell["class"]]
             assert cell["fp"] >= 0
 
+    def test_builds_no_map_element(self, tmp_path, capsys, monkeypatch):
+        # Ground truth goes from the reader to AP as arrays: with MapElement
+        # unbuildable, eval reports what evaluate_ap gives on read_scene's
+        # elements, the form eval read before.
+        files = [_noisy_files(tmp_path, seed, _WIDE if seed % 2 else SceneRange())
+                 for seed in range(3)]
+        scenes = [read_scene(gt) for gt, _ in files]
+        want = evaluate_ap([read_predictions(pred)[1] for _, pred in files],
+                           [list(s.elements) for s in scenes], APConfig(), [s.range for s in scenes])
+        report = tmp_path / "report.json"
+
+        def refuse(self):
+            raise AssertionError("a MapElement was built")
+
+        monkeypatch.setattr(MapElement, "__post_init__", refuse)
+        code = main(["eval", "--gt", *(str(gt) for gt, _ in files),
+                     "--pred", *(str(pred) for _, pred in files), "--json", str(report)])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert captured.out.splitlines()[-1] == f"mAP {want.mean_ap:.3f}"
+        doc = json.loads(report.read_text())
+        got = {(c["class"], c["tau"]): (c["ap"], c["tp"], c["fp"], c["n_gt"])
+               for c in doc["per_class_per_threshold"]}
+        assert got == {
+            (CLASS_NAMES[cls], tau): (ap, *vars(want.counts[(cls, tau)]).values())
+            for (cls, tau), ap in want.per_class_per_threshold.items()
+        }
+        assert doc["map"] == want.mean_ap > 0
+
+    def test_two_point_polygon_rejected(self, tmp_path, capsys):
+        # Two points make a polyline but no polygon; both ground-truth entries
+        # name the file and the first polygon.
+        scene = generate_scene(SceneSpec(seed=1, n_ped=0, n_points=2))
+        gt, pred = tmp_path / "gt.scene", tmp_path / "pred.scene"
+        write_scene(gt, scene)
+        write_scene(pred, scene, predictions=perturb(scene, PerturbSpec(seed=2)))
+        assert main(["eval", "--gt", str(gt), "--pred", str(pred)]) == 0
+        capsys.readouterr()
+        doc = json.loads(gt.read_text())
+        for el in doc["elements"][1:3]:
+            el.update({"class": "ped_crossing", "kind": "polygon"})
+        gt.write_text(json.dumps(doc))
+        message = f"{gt}: elements[1]: polygon needs at least 3 points, got 2"
+        assert ground_truth_readers_agree(gt) == message
+        code = main(["eval", "--gt", str(gt), "--pred", str(pred)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == f"error: {message}\n"
+
     def test_prediction_range_mismatch_names_file(self, tmp_path, capsys):
         gt, pred = _own_points_files(tmp_path)
         assert main(["eval", "--gt", str(gt), "--pred", str(pred)]) == 0
@@ -406,6 +456,7 @@ class TestCliEval:
         assert code == 1
         assert captured.out == ""
         assert f"{gt}: {message}" in captured.err
+        assert ground_truth_readers_agree(gt) == f"{gt}: {message}"
 
     @pytest.mark.parametrize("scene_range", [["-15", 15, -30, 30], [-15, 15, -30, True]])
     def test_range_entry_not_a_number_names_file(self, tmp_path, capsys, scene_range):
@@ -609,17 +660,20 @@ def test_unwritable_output_is_input_error(tmp_path, capsys, command):
 
 @pytest.mark.parametrize(
     "command", ["generate", "eval --json", "eval --json to a directory", "fit --trace",
-                "fit --svg", "fit --svg after --trace"]
+                "fit --svg", "fit --svg after --trace", "fit --svg with its overlay a directory"]
 )
 def test_bad_output_path_fails_before_any_output(tmp_path, capsys, command):
     # Output paths are checked before any reading or fitting: the command
     # prints nothing and writes no file, not even a valid output.
     gt, pred = _own_points_files(tmp_path)
     (tmp_path / "folder").mkdir()
+    (tmp_path / "c_overlay.svg").mkdir()  # where --svg c.svg would write its overlay
     before = sorted(tmp_path.rglob("*"))
     out, ok = tmp_path / "missing" / "out.txt", tmp_path / "ok.txt"
     if command == "eval --json to a directory":
         out = tmp_path / "folder"
+    if command == "fit --svg with its overlay a directory":
+        out = tmp_path / "c_overlay.svg"
     argv = {
         "generate": ["generate", "--seed", "1", "--out", str(out)],
         "eval --json": ["eval", "--gt", str(gt), "--pred", str(pred), "--json", str(out)],
@@ -630,6 +684,9 @@ def test_bad_output_path_fails_before_any_output(tmp_path, capsys, command):
         "fit --svg": ["fit", str(gt), "--iterations", "2", "--svg", str(out)],
         "fit --svg after --trace": ["fit", str(gt), "--iterations", "2", "--trace", str(ok),
                                     "--svg", str(out)],
+        "fit --svg with its overlay a directory": ["fit", str(gt), "--iterations", "3",
+                                                   "--svg", str(tmp_path / "c.svg"),
+                                                   "--trace", str(ok)],
     }[command]
     assert main(argv) == 1
     captured = capsys.readouterr()

@@ -33,6 +33,7 @@ import numpy as np
 import pytest
 
 import vecmap._kernels as kernels
+from conftest import ground_truth_readers_agree
 from vecmap import sceneio
 from vecmap.cli import main
 from vecmap.geometry import ElementClass, ElementKind, MapElement, SceneRange
@@ -125,6 +126,8 @@ def test_corpus_takes_the_scan_and_equals_json(tmp_path, scan, monkeypatch):
     monkeypatch.setattr(kernels, "json_tokens", lambda data: None)
     for path in paths:
         assert fast[path] == _reads(path), path
+    for path in set(paths) - set(preds):
+        assert ground_truth_readers_agree(path) is None, path
 
 
 #: Literals put in place of one number: none is a finite JSON number, or
@@ -220,6 +223,8 @@ def test_malformed_sweep_matches_json_path(tmp_path, monkeypatch):
             code, out, err = got
             assert (code, out) == (1, ""), (bad.name, name, err)
             assert str(bad) in err, (bad.name, name, err)
+            if bad is gt:  # the ground-truth readers raise one error, the one eval reports
+                assert err == f"error: {ground_truth_readers_agree(gt)}\n", (name, err)
             n_cases += 1
         bad.write_text(text)
     assert n_cases >= 300
