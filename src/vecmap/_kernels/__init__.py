@@ -22,13 +22,11 @@ call's predicted points (finite) and scores (in [0, 1]).
 ``chamfer_matrix(a, b, cutoff)`` writes +inf for each pair whose bounding
 boxes lie at least ``cutoff`` apart, without computing it; the default,
 ``inf``, computes every pair.
-The fit step's kernels have binders only.  ``losses.BoundLoss`` binds
-``_bind_pair_terms`` (the point2point and edge-direction terms) and
-``_bind_focal_terms`` (the focal classification term, from numpy's logs and
-powers of the scores: libm's round some values differently), and ``fit``
-binds one ``_bind_adam`` step for the points and one for the logits.  ``fit``
-binds each once per fit, all on the same parameter buffers, and reruns them
-on the pairs the assignment solver gives.
+The fit step's kernels have binders only.  ``fit`` binds ``_bind_loss``
+(in ``losses.BoundLoss``: one check, then ``focal_terms`` and ``pair_terms``,
+which reads each pair's closing edge by its class) and one ``_bind_adam``
+step each for the points and the logits, once per fit on the same parameter
+buffers, and reruns them on the pairs the assignment solver gives.
 
 ``json_tokens(data)`` gives the scene reader the numbers of JSON text and
 its layout (see ``kernels.c``); or None, for text of another form and always
@@ -41,11 +39,13 @@ import ctypes
 import hashlib
 import os
 import warnings
+from collections import namedtuple
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
+from ..geometry import KIND_FOR_CLASS, ElementKind
 from . import _pure
 
 SOURCE = Path(__file__).with_name("kernels.c")
@@ -107,20 +107,26 @@ def _aligned_empty(size):
     return buf[start:start + size]
 
 
+#: Whether a pair of class 0, 1 or 2 has a closing edge (a polygon's).
+_CLOSED_FOR_CLASS = np.array([KIND_FOR_CLASS[c] is ElementKind.POLYGON
+                              for c in sorted(KIND_FOR_CLASS)])
+
+Binders = namedtuple("Binders", "manhattan chamfer focal json_tokens loss adam")
+
+
 def _binders(dll):
-    """(bind_manhattan, bind_chamfer, bind_focal, json_tokens,
-    bind_pair_terms, bind_focal_terms, bind_adam) running ``dll``, or the
-    ``_pure`` bodies with ``dll`` None, where ``json_tokens`` returns None:
-    the only code that differs by backend.  Each binder checks its input,
-    allocates outputs and scratch and takes every address once, and returns
-    the checked inputs, the outputs and ``run()``, which refills the outputs
-    from the inputs' current contents unchecked.  An input already
-    contiguous in the kernel's dtype is bound as it is (scores as a flat
-    view), so a caller may refill it.  ``bind_adam`` binds the caller's
-    arrays themselves, which its ``run(c1, c2)`` updates in place.
-    ``bind_manhattan``'s scratch holds the predictions transposed into rows
-    of a stride of P rounded up to 8 doubles, and starts on a 64-byte
-    boundary, so every row does (see ``kernels.c``)."""
+    """The :class:`Binders` running ``dll``, or the ``_pure`` bodies with
+    ``dll`` None, where ``json_tokens`` returns None: the only code that
+    differs by backend.  Each binder checks its input, allocates outputs
+    and scratch and takes every address once, and returns the checked
+    inputs, the outputs and ``run()``, which refills the outputs from the
+    inputs' current contents unchecked.  An input already contiguous in the
+    kernel's dtype is bound as it is (scores as a flat view), so a caller
+    may refill it.  ``adam`` binds the caller's arrays themselves, which its
+    ``run(c1, c2)`` updates in place.  ``manhattan``'s scratch holds the
+    predictions transposed into rows of a stride of P rounded up to 8
+    doubles, and starts on a 64-byte boundary, so every row does (see
+    ``kernels.c``)."""
 
     def bind_manhattan(pred_pts, gt_pts, perms):
         pred, gts, perms = _pure.check_manhattan_inputs(pred_pts, gt_pts, perms)
@@ -168,38 +174,35 @@ def _binders(dll):
                                 skeleton.ctypes.data, len(data), ctypes.byref(size))
         return None if count < 0 else (numbers[:count], skeleton[:size.value].tobytes())
 
-    def bind_pair_terms(points, rows, aligned, closed, alpha, beta):
-        ins = _pure.check_pair_inputs(points, rows, aligned, closed)
-        (P, n), M = ins[0].shape[:2], len(ins[1])
-        outs = np.empty(M), np.empty(M), np.empty_like(ins[0])  # p2p, dir, d_points
-        if dll is None:
-            return *ins, *outs, partial(_pure.pair_terms_into, *ins, alpha, beta, *outs)
-        bufs = *ins, *outs, np.empty(5 * n)
-        a, b, c, d, e, f, g, h = (x.ctypes.data for x in bufs)
-        run = partial(dll.pair_terms, a, b, c, d, P, M, n, alpha, beta, _pure.EDGE_NORM_FLOOR,
-                      e, f, g, h)
-        run.bufs = bufs
-        return *ins, *outs, run
-
-    def bind_focal_terms(scores, rows, classes, gamma, alpha, lam):
-        ins = _pure.check_focal_terms_inputs(scores, rows, classes, gamma, alpha)
-        (P, _), M = ins[0].shape, len(ins[1])
+    def bind_loss(points, scores, rows, classes, aligned, gamma, alpha, lam, alpha_p2p,
+                  beta_dir):
+        ins = _pure.check_loss_inputs(points, scores, rows, classes, aligned, gamma, alpha)
+        points, scores, rows, classes, aligned = ins
+        (P, n), M = points.shape[:2], len(rows)
         logs_powers = np.empty((6, P, 3))
-        outs = np.empty((P, 3)), np.empty((P, 3)), np.empty((P, 3))  # loss, d_scores, d_logits
+        outs = (np.empty(M), np.empty(M), np.empty_like(points),  # p2p, dir, d_points
+                np.empty((P, 3)), np.empty((P, 3)), np.empty((P, 3)))  # loss, d_scores, d_logits
         if dll is None:
-            terms = partial(_pure.focal_terms_into, ins[0], logs_powers, *ins[1:], gamma, alpha,
-                            lam, *outs)
+            pairs = partial(_pure.pair_terms_into, points, rows, classes, _CLOSED_FOR_CLASS,
+                            aligned, alpha_p2p, beta_dir, *outs[:3])
+            focal = partial(_pure.focal_terms_into, scores, logs_powers, rows, classes, gamma,
+                            alpha, lam, *outs[3:])
         else:
-            bufs = *ins, logs_powers, *outs
-            a, b, c, d, e, f, g = (x.ctypes.data for x in bufs)
-            terms = partial(dll.focal_terms, a, d, b, c, P, M, gamma, alpha, lam,
-                            _pure.FOCAL_EPS, e, f, g)
-            terms.bufs = bufs
+            bufs = *ins, _CLOSED_FOR_CLASS, logs_powers, *outs, np.empty(5 * n)
+            pts, s, r, c, al, closed, lp, p2p, dir_, d_pts, loss, d_s, d_l, scratch = (
+                x.ctypes.data for x in bufs)
+            pairs = partial(dll.pair_terms, pts, r, c, closed, al, P, M, n, alpha_p2p, beta_dir,
+                            _pure.EDGE_NORM_FLOOR, p2p, dir_, d_pts, scratch)
+            focal = partial(dll.focal_terms, s, lp, r, c, P, M, gamma, alpha, lam,
+                            _pure.FOCAL_EPS, loss, d_s, d_l)
+            pairs.bufs = bufs
 
         def run():
-            """The losses' sum; refills the outputs."""
-            _pure.focal_logs_powers(ins[0], gamma, logs_powers)
-            return terms()
+            """The focal losses' sum; refills every output."""
+            _pure.focal_logs_powers(scores, gamma, logs_powers)
+            cls = focal()
+            pairs()
+            return cls
 
         return *ins, *outs, run
 
@@ -212,8 +215,7 @@ def _binders(dll):
         run.bufs = params, grads, m, v
         return run
 
-    return (bind_manhattan, bind_chamfer, bind_focal, json_tokens, bind_pair_terms,
-            bind_focal_terms, bind_adam)
+    return Binders(bind_manhattan, bind_chamfer, bind_focal, json_tokens, bind_loss, bind_adam)
 
 
 def load(lib: Path) -> ctypes.CDLL:
@@ -223,7 +225,8 @@ def load(lib: Path) -> ctypes.CDLL:
     dll.manhattan_matrix.argtypes = [ptr, ptr, ptr, n, n, n, n, ptr, ptr, ptr]
     dll.chamfer_matrix.argtypes = [ptr, ptr, n, n, n, n, real, ptr, ptr, ptr]
     dll.focal_cost_table.argtypes = [ptr, n, real, real, real, ptr]
-    dll.pair_terms.argtypes = [ptr, ptr, ptr, ptr, n, n, n, real, real, real, ptr, ptr, ptr, ptr]
+    dll.pair_terms.argtypes = [ptr, ptr, ptr, ptr, ptr, n, n, n, real, real, real, ptr, ptr,
+                               ptr, ptr]
     dll.focal_terms.argtypes = [ptr, ptr, ptr, ptr, n, n, real, real, real, real, ptr, ptr, ptr]
     dll.focal_terms.restype = real
     dll.adam_step.argtypes = [ptr, ptr, ptr, ptr, n, n, real, real, real, real, real, real]
@@ -296,8 +299,7 @@ BACKEND = "pure" if _dll is None else "compiled"
 #: The clone of each cloned C loop that the loader picked for this CPU
 #: ("avx512f", "avx2" or "default"); None on the numpy backend.
 ISA = None if _dll is None else _dll.kernel_isa().decode()
-(_bind_manhattan, _, _bind_focal, json_tokens, _bind_pair_terms, _bind_focal_terms,
- _bind_adam) = _binders(_dll)
+_bind_manhattan, _, _bind_focal, json_tokens, _bind_loss, _bind_adam = _binders(_dll)
 manhattan_matrix, chamfer_matrix, focal_cost_table = _entries(_dll)
 
 

@@ -5,14 +5,16 @@ reports the first minimum; ``chamfer_into`` sums each direction's
 nearest-point distances in point order; ``focal_into`` evaluates
 :func:`focal_cost` with scalar ``math.log`` and ``**``; ``pair_terms_into``
 gives the loss's point2point and edge-direction terms and their gradient,
-each per-pair sum added pairwise as ``ndarray.sum`` adds; ``focal_terms_into``
-gives the loss's focal term and its gradient from the numpy logs and powers
-of :func:`focal_logs_powers`, which both backends share; ``adam_into`` takes
-one fit step.  The C loops of ``kernels.c`` do the same operations in the
-same order, so both backends return the same floats and the same argmin
-ties.  Nothing here picks a
-backend: the binders of ``vecmap._kernels`` run a ``check_*`` once, then
-the library or the ``*_into`` body on the checked inputs.
+each pair's closing edge read from its class and each per-pair sum added
+pairwise as ``ndarray.sum`` adds; ``focal_terms_into`` gives the loss's
+focal term and its gradient from the numpy logs and powers of
+:func:`focal_logs_powers`, which both backends share; the two take inputs
+of one check, :func:`check_loss_inputs`; ``adam_into`` takes one fit step.
+The C loops of ``kernels.c`` do the same operations in the same order, so
+both backends return the same floats and the same argmin ties.  Nothing
+here picks a backend: the binders of ``vecmap._kernels`` run a
+``check_*`` once, then the library or the ``*_into`` body on the checked
+inputs.
 """
 
 from __future__ import annotations
@@ -52,9 +54,9 @@ def check_manhattan_inputs(
     """Contiguous float64 pred (P, n, 2) and gts (G, n, 2), int64 perms (K, n).
 
     Raises ValueError when a point is not finite, when the point counts
-    differ, when ``perms`` is not (K, n) with K >= 1, or when an entry of
-    ``perms`` lies outside [0, n): the C kernel reads memory unchecked, and
-    numpy would wrap a negative index.
+    differ or are 0, when ``perms`` is not (K, n) with K >= 1, or when an
+    entry of ``perms`` lies outside [0, n): the C kernel reads memory
+    unchecked, and numpy would wrap a negative index.
     """
     pred = np.ascontiguousarray(pred_pts, dtype=np.float64)
     gts = np.ascontiguousarray(gt_pts, dtype=np.float64)
@@ -66,6 +68,8 @@ def check_manhattan_inputs(
         raise ValueError(
             f"point count mismatch: {pred.shape[1]} predicted vs {n} ground truth"
         )
+    if not n:
+        raise ValueError("point sets must have at least one point, got 0")
     if perms.ndim != 2 or perms.shape[1] != n or not len(perms):
         raise ValueError(f"perms must have shape (K, {n}) with K >= 1, got {perms.shape}")
     if perms.min() < 0 or perms.max() >= n:
@@ -193,39 +197,49 @@ def focal_into(flat, gamma: float, alpha: float, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_rows(rows: np.ndarray, count: int) -> None:
-    """Raise ValueError unless rows (M,) strictly ascend within [0, count):
-    the C kernels index by them unchecked."""
-    if rows.ndim != 1 or (len(rows) and (rows[0] < 0 or rows[-1] >= count
-                                         or (np.diff(rows) <= 0).any())):
-        raise ValueError(f"rows must ascend strictly within [0, {count}), got {rows}")
-
-
-def check_pair_inputs(points, rows, aligned, closed):
-    """Contiguous float64 points (P, n, 2) and aligned (M, n, 2), int64 rows
-    (M,) and bool closed (M,).  Raises ValueError, naming the argument,
-    unless both stacks are finite and the rows strictly ascend within
-    [0, P): the C kernel reads points at the rows unchecked."""
+def check_loss_inputs(points, scores, rows, classes, aligned, gamma: float, alpha: float):
+    """Contiguous float64 points (P, n, 2), scores (P, 3) and aligned
+    (M, n, 2), and int64 rows and classes (M,).  Raises ValueError, naming
+    the argument, unless both point stacks are finite with n >= 1, every
+    score lies in [0, 1] (NaN fails), the rows strictly ascend within
+    [0, P), each class is 0, 1 or 2, 0 <= gamma < inf and 0 < alpha < 1:
+    the C kernels index by rows and classes unchecked."""
     points = np.ascontiguousarray(points, dtype=np.float64)
+    scores = np.ascontiguousarray(scores, dtype=np.float64)
     rows = np.ascontiguousarray(rows, dtype=np.int64)
+    classes = np.ascontiguousarray(classes, dtype=np.int64)
     aligned = np.ascontiguousarray(aligned, dtype=np.float64)
-    closed = np.ascontiguousarray(closed, dtype=bool)
     _check_points("points", points)
-    _check_rows(rows, len(points))
+    if not points.shape[1]:  # numpy's edges would index point -1
+        raise ValueError(f"points must have at least one point per set, got {points.shape}")
+    P = len(points)
+    if scores.shape != (P, 3) or not ((scores >= 0) & (scores <= 1)).all():
+        raise ValueError(f"scores must have shape {(P, 3)} with every value in [0, 1], "
+                         f"got shape {scores.shape}")
+    if rows.ndim != 1 or (len(rows) and (rows[0] < 0 or rows[-1] >= P
+                                         or (np.diff(rows) <= 0).any())):
+        raise ValueError(f"rows must ascend strictly within [0, {P}), got {rows}")
+    if classes.shape != rows.shape or not np.isin(classes, (0, 1, 2)).all():
+        raise ValueError(f"classes must be one of 0, 1, 2 per row, got {classes}")
     want = (len(rows),) + points.shape[1:]
     if aligned.shape != want:
         raise ValueError(f"aligned must have shape {want}, got {aligned.shape}")
     _check_points("aligned", aligned)
-    if closed.shape != rows.shape:
-        raise ValueError(f"closed must have one entry per row, got shape {closed.shape}")
-    return points, rows, aligned, closed
+    if not 0 <= gamma < math.inf:
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    return points, scores, rows, classes, aligned
 
 
-def pair_terms_into(points, rows, aligned, closed, alpha, beta, p2p, dir_, d_points):
+def pair_terms_into(points, rows, classes, closed_for_class, aligned, alpha, beta, p2p, dir_,
+                    d_points):
     """``kernels.c``'s ``pair_terms`` on inputs checked by
-    :func:`check_pair_inputs`: each pair's point2point sum into p2p (M,),
+    :func:`check_loss_inputs`: each pair's point2point sum into p2p (M,),
     its summed edge cosines into dir_ (M,), and the weighted gradient wrt
-    points into d_points (P, n, 2)."""
+    points into d_points (P, n, 2).  A pair has a closing edge when
+    ``closed_for_class`` (3,) is True at its class."""
+    closed = closed_for_class[classes]
     pred = points[rows]
     diff = pred - aligned
     # Per-pair sums, each over that pair's own elements.
@@ -260,31 +274,6 @@ def pair_terms_into(points, rows, aligned, closed, alpha, beta, p2p, dir_, d_poi
     d_points[rows] -= beta * grad
 
 
-def check_focal_terms_inputs(scores, rows, classes, gamma: float, alpha: float):
-    """Contiguous float64 scores (P, 3) and int64 rows and classes (M,).
-
-    Raises ValueError, naming the argument, unless the rows strictly ascend
-    within [0, P), each class is 0, 1 or 2, scores is (P, 3) with every
-    value in [0, 1] (NaN fails), 0 <= gamma < inf and 0 < alpha < 1: the C
-    kernel writes at each row's class unchecked.
-    """
-    scores = np.ascontiguousarray(scores, dtype=np.float64)
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    classes = np.ascontiguousarray(classes, dtype=np.int64)
-    want = (len(scores), 3)
-    if scores.shape != want or not ((scores >= 0) & (scores <= 1)).all():
-        raise ValueError(f"scores must have shape {want} with every value in [0, 1], "
-                         f"got shape {scores.shape}")
-    _check_rows(rows, len(scores))
-    if classes.shape != rows.shape or not np.isin(classes, (0, 1, 2)).all():
-        raise ValueError(f"classes must be one of 0, 1, 2 per row, got {classes}")
-    if not 0 <= gamma < math.inf:
-        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    return scores, rows, classes
-
-
 def focal_logs_powers(p: np.ndarray, gamma: float, out: np.ndarray) -> None:
     """Into out (6, P, 3): numpy's log(p + eps), log((1 - p) + eps),
     (1 - p)^gamma, (1 - p)^(gamma - 1), p^gamma and p^(gamma - 1) of scores p.
@@ -306,7 +295,7 @@ def focal_logs_powers(p: np.ndarray, gamma: float, out: np.ndarray) -> None:
 def focal_terms_into(scores, logs_powers, rows, classes, gamma, alpha, lam, loss, d_scores,
                      d_logits) -> float:
     """``kernels.c``'s ``focal_terms`` on inputs checked by
-    :func:`check_focal_terms_inputs`, from :func:`focal_logs_powers`: each
+    :func:`check_loss_inputs`, from :func:`focal_logs_powers`: each
     slot's sigmoid focal loss into loss (P, 3), ``lam`` times its gradient
     wrt the scores into d_scores, and that times the sigmoid's derivative
     into d_logits; returns the losses' sum.  Entry (rows[k], classes[k])

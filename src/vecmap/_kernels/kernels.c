@@ -3,10 +3,10 @@
  * vecmap._kernels compiles this file on first import and binds the seven
  * entries below through ctypes.  For the six numeric kernels the caller
  * checks every shape, index and value domain first (pair_terms' and
- * focal_terms' rows too: they index by them), so they do not validate their
- * input.  Each returns the same bits as its numpy body in _pure.py: the
- * same operations on the same operands in the same order, sums in numpy's
- * pairwise order.  That needs -ffp-contract=off, so that no multiply and
+ * focal_terms' rows and classes too: they index by them), so they do not
+ * validate their input.  Each returns the same bits as its numpy body in
+ * _pure.py: the same operations on the same operands in the same order,
+ * sums in numpy's pairwise order.  That needs -ffp-contract=off, so that no multiply and
  * add fuse into one rounding.  focal_terms takes its logs and powers from
  * numpy, whose log and power round differently from libm's.
  * chamfer_matrix takes a cutoff: a pair whose bounding boxes lie at least
@@ -236,32 +236,34 @@ static double pairwise_sum(const double *a, int64_t n)
 /* The point2point and edge-direction terms of M matched pairs, and their
  * gradient wrt points (P, n, 2), as _pure.pair_terms_into computes them.
  *
- * Pair i joins points[rows[i]] to aligned[i] (n, 2); closed[i] marks a
- * polygon.  Edge j runs from point j to point j+1 mod n; a polyline has no
- * edge n - 1, and an edge of either side no longer than norm_floor has
+ * Pair i joins points[rows[i]] to aligned[i] (n, 2); it is a polygon,
+ * with a closing edge, when closed_for_class[classes[i]] is nonzero.
+ * Edge j runs from point j to point j+1 mod n; a polyline has no edge
+ * n - 1, and an edge of either side no longer than norm_floor has
  * cosine 0.  Writes p2p[i], the sum of |diff| over x0, y0, x1, ..., and
  * dir[i], the sum of pair i's edge cosines, each as numpy's .sum(axis=1)
  * adds them; d_points is 0 off the matched rows, and on them
  * (0 + alpha * sign(diff)) - beta * (dcos_j - dcos_{j-1}).  scratch holds
  * 5 * n doubles.
  */
-void pair_terms(const double *points, const int64_t *rows, const double *aligned,
-                const uint8_t *closed, int64_t P, int64_t M, int64_t n, double alpha,
-                double beta, double norm_floor, double *p2p, double *dir,
-                double *d_points, double *scratch)
+void pair_terms(const double *points, const int64_t *rows, const int64_t *classes,
+                const uint8_t *closed_for_class, const double *aligned, int64_t P, int64_t M,
+                int64_t n, double alpha, double beta, double norm_floor, double *p2p,
+                double *dir, double *d_points, double *scratch)
 {
     double *absdiff = scratch, *cosine = absdiff + 2 * n, *dcos = cosine + n;
     memset(d_points, 0, (size_t)(P * n * 2) * sizeof(double));
     for (int64_t i = 0; i < M; i++) {
         const double *p = points + rows[i] * n * 2, *g = aligned + i * n * 2;
         double *d = d_points + rows[i] * n * 2;
+        const int closed = closed_for_class[classes[i]];
         for (int64_t j = 0; j < n; j++) {
             const int64_t k = j + 1 < n ? 2 * (j + 1) : 0;
             const double pex = p[2 * j] - p[k], pey = p[2 * j + 1] - p[k + 1];
             const double gex = g[2 * j] - g[k], gey = g[2 * j + 1] - g[k + 1];
             const double pn = sqrt(pex * pex + pey * pey), gn = sqrt(gex * gex + gey * gey);
             double c = 0.0, dx = 0.0, dy = 0.0;
-            if (pn > norm_floor && gn > norm_floor && (closed[i] || j < n - 1)) {
+            if (pn > norm_floor && gn > norm_floor && (closed || j < n - 1)) {
                 c = (0.0 + (pex * gex + pey * gey)) / (pn * gn);
                 dx = gex / (pn * gn) - c * pex / (pn * pn);
                 dy = gey / (pn * gn) - c * pey / (pn * pn);
@@ -274,7 +276,7 @@ void pair_terms(const double *points, const int64_t *rows, const double *aligned
             d[j] = (0.0 + alpha * sign) - beta * (dcos[j] - dcos[j >= 2 ? j - 2 : j + 2 * n - 2]);
         }
         p2p[i] = 0.0 + pairwise_sum(absdiff, 2 * n);
-        dir[i] = 0.0 + pairwise_sum(cosine, closed[i] ? n : n - 1);
+        dir[i] = 0.0 + pairwise_sum(cosine, closed ? n : n - 1);
     }
 }
 

@@ -21,7 +21,7 @@ from . import _kernels
 # one set of parameter buffers and runs its kernels raw every iteration.  The
 # dataclass entry points apply_permutation, hierarchical_match, total_loss
 # and loss_gradients stay bound here: perfbench/tracer.py wraps these names.
-from .geometry import ElementKind, KIND_FOR_CLASS, apply_permutation, permutation_group  # noqa: F401
+from .geometry import KIND_FOR_CLASS, apply_permutation, permutation_group  # noqa: F401
 from .losses import (  # noqa: F401
     BoundLoss,
     LossBreakdown,
@@ -110,9 +110,7 @@ def fit(gt: MapScene, cfg: FitConfig = FitConfig()) -> FitTrace:
     stacked = SceneGroundTruth.stack(gt.elements)
     check_match_inputs(n, stacked.points, nv)
     classes = stacked.classes
-    kinds = [KIND_FOR_CLASS[c] for c in classes.tolist()]
-    closed = np.array([k is ElementKind.POLYGON for k in kinds])
-    maps = [permutation_group(k, nv).index_maps() for k in kinds]
+    maps = [permutation_group(KIND_FOR_CLASS[c], nv).index_maps() for c in classes.tolist()]
     # The maps padded into one (G, K, nv) table: one fancy index gathers them.
     all_maps = np.zeros((len(maps), max(map(len, maps)), nv), dtype=np.int64)
     for g, m in enumerate(maps):
@@ -128,7 +126,7 @@ def fit(gt: MapScene, cfg: FitConfig = FitConfig()) -> FitTrace:
                            points=points, scores=scores)
     n_pairs = min(n, len(maps))  # the assignment matches every slot or every element
     loss = BoundLoss(points, scores, np.arange(n_pairs), np.zeros(n_pairs, dtype=np.int64),
-                     np.zeros((n_pairs, nv, 2)), np.zeros(n_pairs, dtype=bool), cfg.weights, cost_cfg)
+                     np.zeros((n_pairs, nv, 2)), cfg.weights, cost_cfg)
     b1, b2 = cfg.moment_decay_1, cfg.moment_decay_2
     # Points stay in the unit square; logits are unbounded.
     steps = [_kernels._bind_adam(x, g, np.zeros_like(x), np.zeros_like(x), clip, b1, b2,
@@ -140,7 +138,7 @@ def fit(gt: MapScene, cfg: FitConfig = FitConfig()) -> FitTrace:
         gts_iter = flat[at, all_maps[at[:, 0], order_rng.integers(n_orderings)]]
         rows, cols, orderings, _ = matcher(gts_iter)
         aligned = gts_iter[cols[:, None], all_maps[cols, orderings]]
-        breakdown, _ = loss(points, scores, rows, classes[cols], aligned, closed[cols])
+        breakdown, _ = loss(points, scores, rows, classes[cols], aligned)
         trace.append(breakdown)
         if t == cfg.iterations:  # the final predictions: no step after the last loss
             break

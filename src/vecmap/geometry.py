@@ -129,9 +129,10 @@ class SceneRange:
     y_max: float = 30.0
 
     def __post_init__(self):
-        finite = np.isfinite([self.x_min, self.x_max, self.y_min, self.y_max]).all()
+        # An extent that overflows to inf would normalize every point to 0.
+        finite = np.isfinite([self.x_min, self.y_min, *self.extent]).all()
         if not (finite and self.x_min < self.x_max and self.y_min < self.y_max):
-            raise ValueError(f"scene range must be finite and non-empty: {self}")
+            raise ValueError(f"scene range bounds and extent must be finite, and non-empty: {self}")
 
     @property
     def lower(self) -> np.ndarray:

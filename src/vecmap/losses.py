@@ -10,8 +10,9 @@ argmin), which is how set-prediction losses are trained in practice.
 Two kernel passes give every term and its gradient: ``focal_terms`` in
 ``_kernels`` the classification term, from numpy's logs and powers of the
 scores, and ``pair_terms`` the point2point and edge-direction terms of the
-matched pairs.  :class:`BoundLoss` binds both, and ``fit`` binds it once per
-fit.
+matched pairs.  A pair's class alone decides whether it has a closing edge
+(a polygon's).  :class:`BoundLoss` binds both through one check, and
+``fit`` binds it once per fit.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels._pure import EDGE_NORM_FLOOR  # noqa: F401
-from .geometry import ElementKind, MapElement, apply_permutation
+from .geometry import MapElement, apply_permutation
 from .matching import (
     CostConfig,
     HierarchicalMatch,
@@ -76,22 +77,18 @@ class BoundLoss:
     gradient wrt the logits whose sigmoids the scores ``s`` are.
     """
 
-    def __init__(self, points, scores, rows, classes, aligned, closed,
+    def __init__(self, points, scores, rows, classes, aligned,
                  weights: LossWeights = LossWeights(), cfg: CostConfig = CostConfig()):
-        (self.points, self.rows, self.aligned, self.closed, self.p2p_each, self.dir_each,
-         self.d_points, self._pairs) = _kernels._bind_pair_terms(
-            points, rows, aligned, closed, weights.alpha_p2p, weights.beta_dir)
-        if np.shape(scores)[:1] != (len(self.points),):  # the focal binder counts rows
-            raise ValueError(f"scores must have one row per prediction ({len(self.points)}), "
-                             f"got shape {np.shape(scores)}")
-        (self.scores, _, self.classes, self.cls_each, self.d_scores, self.d_logits,
-         self._focal) = _kernels._bind_focal_terms(
-            scores, self.rows, classes, cfg.focal_gamma, cfg.focal_alpha, weights.lambda_cls)
+        (self.points, self.scores, self.rows, self.classes, self.aligned, self.p2p_each,
+         self.dir_each, self.d_points, self.cls_each, self.d_scores, self.d_logits,
+         self._run) = _kernels._bind_loss(points, scores, rows, classes, aligned,
+                                          cfg.focal_gamma, cfg.focal_alpha, weights.lambda_cls,
+                                          weights.alpha_p2p, weights.beta_dir)
         self.weights = weights
 
-    def __call__(self, points, scores, rows, classes, aligned, closed):
-        for buf, new in zip((self.points, self.scores, self.rows, self.classes, self.aligned,
-                             self.closed), (points, scores, rows, classes, aligned, closed)):
+    def __call__(self, points, scores, rows, classes, aligned):
+        for buf, new in zip((self.points, self.scores, self.rows, self.classes, self.aligned),
+                            (points, scores, rows, classes, aligned)):
             if new is not buf:
                 np.copyto(buf, new)
         return self.run()
@@ -99,8 +96,7 @@ class BoundLoss:
     def run(self) -> tuple[LossBreakdown, LossGradients]:
         """The loss and gradients of the bound buffers' contents."""
         w = self.weights
-        cls = self._focal()
-        self._pairs()
+        cls = self._run()
         p2p = dir_ = 0.0
         for a, c in zip(self.p2p_each.tolist(), self.dir_each.tolist()):
             p2p += a
@@ -118,7 +114,6 @@ def loss_and_gradients(
     rows,
     classes,
     aligned: np.ndarray,
-    closed: np.ndarray,
     weights: LossWeights = LossWeights(),
     cfg: CostConfig = CostConfig(),
 ) -> tuple[LossBreakdown, LossGradients]:
@@ -127,17 +122,18 @@ def loss_and_gradients(
     points (P, n, 2) and scores (P, 3) describe the predictions.  Matched
     pair i joins prediction ``rows[i]`` (ascending) to a ground truth of
     class ``classes[i]`` whose points, in the matched ordering, are
-    ``aligned[i]`` (n, 2); ``closed[i]`` is True for a polygon.  Raises
+    ``aligned[i]`` (n, 2); the class's kind (``KIND_FOR_CLASS``) decides
+    whether the pair has a closing edge, which only a polygon has.  Raises
     ValueError, naming the argument, unless the rows strictly ascend within
     [0, P), each class is 0, 1 or 2, both point stacks are finite with
-    ``aligned`` (len(rows), n, 2), ``closed`` has one entry per row, and
-    ``scores`` is (P, 3) with every value in [0, 1].
+    ``aligned`` (len(rows), n, 2), and ``scores`` is (P, 3) with every
+    value in [0, 1].
 
     The assignment is frozen; the Manhattan term uses the minimum-norm
     subgradient (0 at exact coordinate ties).  No-object predictions get
     zero point gradients and only the negative-target score gradient.
     """
-    return BoundLoss(points, scores, rows, classes, aligned, closed, weights, cfg).run()
+    return BoundLoss(points, scores, rows, classes, aligned, weights, cfg).run()
 
 
 def _fused(preds, gts, match, weights=LossWeights(), cfg=CostConfig()):
@@ -151,7 +147,6 @@ def _fused(preds, gts, match, weights=LossWeights(), cfg=CostConfig()):
         [p for p, _ in pairs],
         [int(gts[g].element_class) for _, g in pairs],
         np.stack(aligned) if aligned else np.zeros((0,) + points.shape[1:]),
-        [gts[g].kind is ElementKind.POLYGON for _, g in pairs],
         weights,
         cfg,
     )

@@ -179,6 +179,20 @@ def test_manhattan_entries_reject_bad_inputs(pred, gts, perms):
         kernels.min_manhattan_over_perms(pred, gts[0], perms)
 
 
+def _assert_rejects_zero_points(entries):
+    """``entries``' Manhattan matrix rejects point sets of no points with its
+    own message: numpy's minimum over no cost would raise its own."""
+    with pytest.raises(ValueError, match="^point sets must have at least one point"):
+        entries["manhattan_matrix"](np.zeros((3, 0, 2)), np.zeros((2, 0, 2)),
+                                    np.zeros((1, 0), dtype=np.int64))
+
+
+def test_pure_manhattan_rejects_zero_points():
+    _assert_rejects_zero_points(PURE)
+    with pytest.raises(ValueError, match="^point sets must have at least one point"):
+        vecmap.matching.manhattan_distance([], [])
+
+
 def _chamfer_loop_oracle(a, b):
     """The compiled Chamfer loop in Python floats: first minimum, then sqrt."""
 
@@ -427,7 +441,7 @@ def _assert_manhattan_pad_parity(dll, rng):
     truth at the origin, where a zero pad lane would cost least if it were
     ever read out, and on a binding refilled in place across calls, as
     ``fit`` reruns its matcher."""
-    bind_c, bind_pure = (kernels._binders(lib)[0] for lib in (dll, None))
+    bind_c, bind_pure = (kernels._binders(lib).manhattan for lib in (dll, None))
     perms = _orderings(ElementKind.POLYGON, 5)
     for n_preds in _PAD_PREDS:
         far = 1000 + rng.uniform(size=(n_preds, 5, 2))
@@ -485,7 +499,7 @@ def test_manhattan_scratch_starts_on_64_bytes(c_library):
     # Odd-sized allocations kept alive between binds move where the heap
     # puts the next buffer; each bound scratch must still start on a
     # 64-byte boundary, which keeps the kernel's speed the same per call.
-    bind = kernels._binders(c_library)[0]
+    bind = kernels._binders(c_library).manhattan
     perms = _orderings(None, 3)
     held = []
     for n_preds in range(1, 71):
@@ -498,6 +512,10 @@ def test_manhattan_scratch_starts_on_64_bytes(c_library):
 
 def test_manhattan_tie_break_identical(c_kernels):
     _assert_tie_break_parity(c_kernels)
+
+
+def test_compiled_manhattan_rejects_zero_points(c_kernels):
+    _assert_rejects_zero_points(c_kernels)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 20, 40])
@@ -542,30 +560,32 @@ def test_focal_cost_table_rejects_out_of_domain_input():
 
 
 def _pair_cases(rng, n):
-    """(points, rows, aligned, closed) cases for ``pair_terms``: polylines,
-    polygons and both; each on the unit interval, and on a quarter grid
-    where coordinates tie the ground truth exactly, repeated points make
-    zero-length edges and some zeros are -0.0; edges exactly
+    """(points, rows, classes, aligned) cases for ``pair_terms``: polylines
+    (classes 1 and 2), polygons (class 0) and both; each on the unit
+    interval, and on a quarter grid where coordinates tie the ground truth
+    exactly, repeated points make zero-length edges and some zeros are
+    -0.0; edges exactly
     ``EDGE_NORM_FLOOR`` long on either side; plus matches on the ground
     truth itself and no pairs at all."""
     for n_pairs in (0, 1, 4, 7):
         for kinds in ("polyline", "polygon", "mixed"):
-            closed = {"polyline": np.zeros(n_pairs, dtype=bool), "polygon": np.ones(n_pairs, dtype=bool),
-                      "mixed": np.arange(n_pairs) % 2 == 1}[kinds]
+            i = np.arange(n_pairs)
+            classes = {"polyline": 1 + i % 2, "polygon": np.zeros(n_pairs, dtype=np.int64),
+                       "mixed": np.where(i % 2 == 1, 0, 1 + i // 2 % 2)}[kinds]
             rows = np.sort(rng.choice(7, n_pairs, replace=False))
             points, aligned = rng.uniform(size=(7, n, 2)), rng.uniform(size=(n_pairs, n, 2))
-            yield points, rows, aligned, closed
+            yield points, rows, classes, aligned
             floor = np.zeros((7, n, 2))
             floor[:, ::2, 0] = EDGE_NORM_FLOOR  # each edge (+-floor, 0): no cosine
-            yield floor, rows, aligned, closed
-            yield points, rows, floor[:n_pairs], closed
+            yield floor, rows, classes, aligned
+            yield points, rows, classes, floor[:n_pairs]
             points, aligned = np.round(points * 4) / 4, np.round(aligned * 4) / 4
             points[:, min(1, n - 1)] = points[:, 0]
             for a in (points, aligned):
                 a[(a == 0) & (rng.uniform(size=a.shape) < 0.5)] = -0.0
-            yield points, rows, aligned, closed
+            yield points, rows, classes, aligned
             aligned[::2] = points[rows[::2]]
-            yield points, rows, aligned, closed
+            yield points, rows, classes, aligned
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 20, 64, 65, 70, 129])
@@ -574,11 +594,13 @@ def test_pair_terms_bit_identical(c_library, n, rng):
     # polyline n - 1 (none for n = 1): together these n cover each branch
     # of numpy's pairwise summation (under 8, 8 to 128, and halves above
     # 128) and its edges.  -0.0 counts: the outputs compare as bytes.
-    bind_c, bind_pure = (kernels._binders(dll)[4] for dll in (c_library, None))
-    for case in _pair_cases(rng, n):
+    bind_c, bind_pure = (kernels._binders(dll).loss for dll in (c_library, None))
+    for points, rows, classes, aligned in _pair_cases(rng, n):
+        scores = np.full((len(points), 3), 0.5)  # the pair terms do not read them
         for alpha, beta in ((5.0, 5e-3), (1.5, 0.0), (0.0, 0.7)):
-            *_, p2p, dir_, d_points, run = bind_c(*case, alpha, beta)
-            *_, want_p2p, want_dir, want_d_points, want_run = bind_pure(*case, alpha, beta)
+            case = points, scores, rows, classes, aligned, 2.0, 0.25, 2.0, alpha, beta
+            *_, p2p, dir_, d_points, _, _, _, run = bind_c(*case)
+            *_, want_p2p, want_dir, want_d_points, _, _, _, want_run = bind_pure(*case)
             run()
             want_run()
             assert p2p.tobytes() == want_p2p.tobytes()
@@ -587,9 +609,9 @@ def test_pair_terms_bit_identical(c_library, n, rng):
 
 
 def _focal_terms_cases(rng):
-    """(scores, rows, classes) cases for ``focal_terms``: 1 to 129 slots,
-    uniform and quarter-grid scores with exact 0s and 1s, and no pairs, a
-    few pairs or every slot matched."""
+    """(points, scores, rows, classes, aligned) cases for ``focal_terms``: 1
+    to 129 slots, uniform and quarter-grid scores with exact 0s and 1s, and
+    no pairs, a few pairs or every slot matched."""
     for n_slots in (1, 2, 5, 50, 129):
         scores = rng.uniform(size=(n_slots, 3))
         grid = np.round(scores * 4) / 4  # many exact 0s and 1s
@@ -598,18 +620,19 @@ def _focal_terms_cases(rng):
         for s in (scores, grid):
             for n_pairs in sorted({0, min(3, n_slots), n_slots}):
                 rows = np.sort(rng.choice(n_slots, n_pairs, replace=False))
-                yield s, rows, rng.integers(3, size=n_pairs)
+                yield (np.zeros((n_slots, 3, 2)), s, rows, rng.integers(3, size=n_pairs),
+                       np.zeros((n_pairs, 3, 2)))
 
 
 def _assert_focal_terms_parity(bind_c, gamma):
     """``bind_c``'s focal terms equal the numpy body's as bytes."""
-    bind_pure = kernels._binders(None)[5]
+    bind_pure = kernels._binders(None).loss
     rng = np.random.default_rng(7)
     for case in _focal_terms_cases(rng):
         for alpha, lam in ((0.25, 2.0), (0.9, 1.5), (0.5, 0.0)):
-            *_, loss, d_scores, d_logits, run = bind_c(*case, gamma, alpha, lam)
-            *_, want_loss, want_d_scores, want_d_logits, want_run = bind_pure(*case, gamma, alpha,
-                                                                             lam)
+            *_, loss, d_scores, d_logits, run = bind_c(*case, gamma, alpha, lam, 5.0, 5e-3)
+            *_, want_loss, want_d_scores, want_d_logits, want_run = bind_pure(
+                *case, gamma, alpha, lam, 5.0, 5e-3)
             # 0 ** negative is inf, and inf * 0 NaN, in both backends alike.
             with np.errstate(divide="ignore", invalid="ignore"):
                 cls, want_cls = run(), want_run()
@@ -623,13 +646,13 @@ def _assert_focal_terms_parity(bind_c, gamma):
 def test_focal_terms_bit_identical(c_library, gamma):
     # The numpy logs and powers are shared; the C arithmetic after them,
     # the pair branch of each entry and the pairwise sum must match.
-    _assert_focal_terms_parity(kernels._binders(c_library)[5], gamma)
+    _assert_focal_terms_parity(kernels._binders(c_library).loss, gamma)
 
 
 def _assert_adam_parity(bind_c):
     """Ten chained steps of ``bind_c``'s Adam equal the numpy body's as bytes,
     on parameters of 1 to 2,000 entries, clipped and not."""
-    bind_pure = kernels._binders(None)[6]
+    bind_pure = kernels._binders(None).adam
     rng = np.random.default_rng(11)
     for shape in ((1,), (7,), (50, 3), (33,), (50, 20, 2)):
         for clip in (True, False):
@@ -661,11 +684,12 @@ def _assert_adam_parity(bind_c):
 
 
 def test_adam_step_bit_identical(c_library):
-    _assert_adam_parity(kernels._binders(c_library)[6])
+    _assert_adam_parity(kernels._binders(c_library).adam)
 
 
-_FOCAL_ARGS = dict(scores=np.full((4, 3), 0.5), rows=[0, 2], classes=[0, 1], gamma=2.0,
-                   alpha=0.25, lam=2.0)
+_FOCAL_ARGS = dict(points=np.zeros((4, 3, 2)), scores=np.full((4, 3), 0.5), rows=[0, 2],
+                   classes=[0, 1], aligned=np.zeros((2, 3, 2)), gamma=2.0, alpha=0.25, lam=2.0,
+                   alpha_p2p=5.0, beta_dir=5e-3)
 
 
 @pytest.mark.parametrize(
@@ -693,7 +717,7 @@ _FOCAL_ARGS = dict(scores=np.full((4, 3), 0.5), rows=[0, 2], classes=[0, 1], gam
 )
 def test_focal_terms_binders_reject_bad_input_naming_it(name, change):
     for dll in {None, kernels._dll}:
-        bind = kernels._binders(dll)[5]
+        bind = kernels._binders(dll).loss
         bind(*_FOCAL_ARGS.values())  # the consistent arguments bind
         with pytest.raises(ValueError, match=f"^{name} "):
             bind(*{**_FOCAL_ARGS, **change}.values())
@@ -711,7 +735,7 @@ def test_adam_binders_reject_bad_input_naming_it(name, bad):
     args[name] = {"shape": np.zeros((3, 5)), "float32": np.zeros((5, 3), np.float32),
                   "strided": np.zeros((5, 6))[:, ::2], "list": np.zeros((5, 3)).tolist()}[bad]
     for dll in {None, kernels._dll}:
-        bind = kernels._binders(dll)[6]
+        bind = kernels._binders(dll).adam
         with pytest.raises(ValueError, match=f"^{name} "):
             bind(*args.values(), True, 0.9, 0.999, 0.01, 1e-8)
 
@@ -819,7 +843,7 @@ def test_clone_chamfer_cutoff_bit_identical(clone_kernels, rng):
 
 
 def test_clone_adam_step_bit_identical(clone_library):
-    _assert_adam_parity(kernels._binders(clone_library)[6])
+    _assert_adam_parity(kernels._binders(clone_library).adam)
 
 
 def test_clone_guard_leaves_other_targets_plain(tmp_path):

@@ -11,9 +11,11 @@ from conftest import (
     reordering_problems,
     unique_best_ordering,
 )
+import vecmap._kernels
 from vecmap._kernels import _binders
 from vecmap.geometry import ElementClass
 from vecmap.geometry import (
+    KIND_FOR_CLASS,
     ElementKind,
     MapElement,
     apply_permutation,
@@ -321,9 +323,8 @@ class TestLossGradients:
             ("aligned", {"aligned": np.zeros((2, 6, 2))}),
             ("aligned", {"aligned": np.full((2, 5, 2), np.nan)}),
             ("aligned", {"aligned": np.full((2, 5, 2), np.inf)}),
-            ("closed", {"closed": [True]}),
-            ("closed", {"closed": [True, False, True]}),
             ("points", {"points": np.full((4, 5, 2), np.nan)}),
+            ("points", {"points": np.zeros((4, 0, 2)), "aligned": np.zeros((2, 0, 2))}),
             ("scores", {"scores": np.full((1, 3), 0.5)}),  # numpy would broadcast it
             ("scores", {"scores": np.full((4, 2), 0.5)}),
             ("scores", {"scores": np.full(12, 0.5)}),
@@ -339,7 +340,6 @@ class TestLossGradients:
             "rows": [0, 2],
             "classes": [0, 1],
             "aligned": rng.uniform(size=(2, 5, 2)),
-            "closed": [True, False],
         }
         loss_and_gradients(**args)  # the consistent pairs score
         with pytest.raises(ValueError, match=f"^{name} "):
@@ -384,9 +384,10 @@ def _focal_terms(scores, rows, classes, cfg):
     """Per-slot sigmoid focal loss and its gradient wrt the scores, from the
     numpy body of the ``focal_terms`` kernel; slot rows[k] has a positive
     target at classes[k]."""
-    bind_numpy = _binders(None)[5]
-    *_, loss, d_scores, _, run = bind_numpy(scores, rows, classes, cfg.focal_gamma,
-                                            cfg.focal_alpha, 1.0)
+    points, aligned = np.zeros((len(scores), 1, 2)), np.zeros((len(rows), 1, 2))
+    *_, loss, d_scores, _, run = _binders(None).loss(points, scores, rows, classes, aligned,
+                                                     cfg.focal_gamma, cfg.focal_alpha, 1.0,
+                                                     0.0, 0.0)
     run()
     return loss, d_scores
 
@@ -410,6 +411,44 @@ def _oracle_loss_and_gradients(preds, gts, match, weights):
     cls = float(cls_slots.sum())
     total = weights.lambda_cls * cls + weights.alpha_p2p * p2p + weights.beta_dir * dir_
     return (cls, p2p, dir_, total), d_points, weights.lambda_cls * d_cls
+
+
+#: A pentagon of axis-parallel edges: each edge against itself has cosine
+#: exactly 1, so a pair on it sums to minus its edge count.
+_PENTAGON = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("cls, n_edges", [(0, 5), (1, 4), (2, 4)])
+def test_closing_edge_follows_from_class(rng, monkeypatch, cls, n_edges):
+    # The array entry takes no kind: class 0 (a polygon) sums the closing
+    # edge as well, classes 1 and 2 (polylines) do not.
+    weights = LossWeights()
+    scores = rng.uniform(size=(2, 3))
+    for points in (np.stack([_PENTAGON, _PENTAGON + 3.0]), rng.uniform(size=(2, 5, 2))):
+        terms, grads = loss_and_gradients(points, scores, [0], [cls], _PENTAGON[None])
+        cos, d_dir = _oracle_edge_cosines(points[0], _PENTAGON, KIND_FOR_CLASS[cls])
+        assert len(cos) == n_edges
+        cls_slots, d_cls = _focal_terms(scores, [0], [cls], CostConfig())
+        p2p, dir_ = float(np.abs(points[0] - _PENTAGON).sum()), -float(cos.sum())
+        total = (weights.lambda_cls * float(cls_slots.sum()) + weights.alpha_p2p * p2p
+                 + weights.beta_dir * dir_)
+        assert (terms.cls, terms.p2p, terms.dir, terms.total) == (float(cls_slots.sum()), p2p,
+                                                                 dir_, total)
+        d_points = np.zeros_like(points)
+        d_points[0] += weights.alpha_p2p * np.sign(points[0] - _PENTAGON)
+        d_points[0] -= weights.beta_dir * d_dir
+        np.testing.assert_array_equal(grads.d_points, d_points)
+        np.testing.assert_array_equal(grads.d_scores, weights.lambda_cls * d_cls)
+        if (points[0] == _PENTAGON).all():
+            assert terms.dir == -n_edges
+        # The numpy backend's binder gives the same bits.
+        with monkeypatch.context() as m:
+            m.setattr(vecmap._kernels, "_bind_loss", _binders(None).loss)
+            pure_terms, pure_grads = loss_and_gradients(points, scores, [0], [cls],
+                                                        _PENTAGON[None])
+        assert pure_terms == terms
+        assert pure_grads.d_points.tobytes() == grads.d_points.tobytes()
+        assert pure_grads.d_scores.tobytes() == grads.d_scores.tobytes()
 
 
 _WEIGHTS = st.sampled_from(

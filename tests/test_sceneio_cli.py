@@ -693,3 +693,23 @@ def test_bad_output_path_fails_before_any_output(tmp_path, capsys, command):
     assert captured.out == ""
     assert str(out) in captured.err and "not a file in an existing directory" in captured.err
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "command, where", [("eval", "gt"), ("eval", "pred"), ("match", "gt"), ("match", "pred"),
+                       ("fit", "gt")]
+)
+def test_overflowing_range_extent_names_file(tmp_path, capsys, command, where):
+    # Finite bounds 2e308 apart: the extent overflows to inf, which would
+    # normalize every point to 0 and score every match 0.
+    gt, pred = _own_points_files(tmp_path)
+    bad = gt if where == "gt" else pred
+    _set_range(bad, [-1e308, 1e308, -30, 30])
+    argv = {"eval": ["eval", "--gt", str(gt), "--pred", str(pred)],
+            "match": ["match", str(gt), str(pred)],
+            "fit": ["fit", str(gt), "--iterations", "2"]}[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{bad}: scene range bounds and extent must be finite" in captured.err

@@ -52,7 +52,7 @@ def c_library(tmp_path_factory):
 @pytest.fixture
 def scan(c_library, monkeypatch):
     """The fresh library's ``json_tokens``, patched in for ``sceneio``."""
-    json_tokens = kernels._binders(c_library)[3]
+    json_tokens = kernels._binders(c_library).json_tokens
     monkeypatch.setattr(kernels, "json_tokens", json_tokens)
     return json_tokens
 
