@@ -16,8 +16,9 @@ defined once, for both backends, by ``_entries(dll)``: bind, run once,
 return.  A bind runs one ``_pure.check_*`` (finite points, consistent
 shapes and indices, focal scores in [0, 1], a finite gamma >= 0 and
 0 < alpha < 1, else ValueError) before any kernel.
-``matching.BoundMatcher`` binds once and reruns, so it checks only each
-call's predicted points (finite) and scores (in [0, 1]).
+``matching.BoundMatcher`` checks its capacity, point counts and classes and
+binds once, then reruns, so it checks only each call's predicted points
+(finite) and scores (in [0, 1]).
 ``min_manhattan_over_perms`` and ``chamfer_mean`` slice the matrix kernels.
 ``chamfer_matrix(a, b, cutoff)`` writes +inf for each pair whose bounding
 boxes lie at least ``cutoff`` apart, without computing it; the default,

@@ -33,7 +33,6 @@ from .matching import (  # noqa: F401
     BoundMatcher,
     CostConfig,
     PredictedElement,
-    check_match_inputs,
     hierarchical_match,
 )
 from .metrics import APConfig, APReport, SceneGroundTruth, evaluate_ap
@@ -108,8 +107,11 @@ def fit(gt: MapScene, cfg: FitConfig = FitConfig()) -> FitTrace:
     scores = _sigmoid(logits, np.empty_like(logits))
 
     stacked = SceneGroundTruth.stack(gt.elements)
-    check_match_inputs(n, stacked.points, nv)
     classes = stacked.classes
+    cost_cfg = CostConfig()
+    # Bound before normalizing: on a ragged stack the bind names the odd element.
+    matcher = BoundMatcher(points, scores, stacked.points, classes, cost_cfg,
+                           cfg.mode is FitMode.FIXED_ORDER)
     maps = [permutation_group(KIND_FOR_CLASS[c], nv).index_maps() for c in classes.tolist()]
     # The maps padded into one (G, K, nv) table: one fancy index gathers them.
     all_maps = np.zeros((len(maps), max(map(len, maps)), nv), dtype=np.int64)
@@ -121,10 +123,7 @@ def fit(gt: MapScene, cfg: FitConfig = FitConfig()) -> FitTrace:
     order_rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1,)))
     )
-    cost_cfg = CostConfig()
-    matcher = BoundMatcher(n, nv, flat, classes, cost_cfg, cfg.mode is FitMode.FIXED_ORDER,
-                           points=points, scores=scores)
-    n_pairs = min(n, len(maps))  # the assignment matches every slot or every element
+    n_pairs = len(maps)  # the bind checked n >= G: the assignment matches every element
     loss = BoundLoss(points, scores, np.arange(n_pairs), np.zeros(n_pairs, dtype=np.int64),
                      np.zeros((n_pairs, nv, 2)), cfg.weights, cost_cfg)
     b1, b2 = cfg.moment_decay_1, cfg.moment_decay_2

@@ -147,32 +147,45 @@ def point_level_match(pred_points, gt: MapElement) -> PointAssignment:
 class BoundMatcher:
     """Point2point hierarchical matching against one ground-truth set.
 
-    Binding checks the ground truth (G, n, 2) and its orderings, groups it
-    by kind, ``KIND_FOR_CLASS`` of each of its ``gt_classes`` (one identity
-    group with ``fixed_order``), and binds the kernels to the caller's
-    ``points`` (P, n, 2) and ``scores`` (P, 3), C-contiguous float64 holding
-    a valid prediction.  A call reads their current contents, so a caller
-    that updates them in place copies nothing: it checks only that the points
-    are finite and the scores lie in [0, 1], copies in ``gt_points`` (the bound
-    ground truth, each element under any ordering) and runs the kernels raw.
+    Binding checks the input once: ``points`` (P, n, 2) and ``scores`` (P, 3)
+    are C-contiguous float64 holding a valid prediction, P is at least G
+    (else :class:`CapacityError`), each of the G sets of ``gt_points`` has n
+    points, and ``gt_classes`` gives each a class 0, 1 or 2.  It groups the
+    ground truth by kind, ``KIND_FOR_CLASS`` of its class (one identity group
+    with ``fixed_order``), and binds the kernels to ``points`` and ``scores``.
+    A call reads their current contents, so a caller that updates them in
+    place copies nothing: it checks only that the points are finite and the
+    scores lie in [0, 1], copies in ``gt_points`` (the bound ground truth, each
+    element under any ordering) and runs the kernels raw.
     """
 
-    def __init__(self, n_preds, n_points, gt_points, gt_classes,
-                 cfg: CostConfig = CostConfig(), fixed_order: bool = False, *, points, scores):
-        _pure.check_buffer("points", points, (n_preds, n_points, 2))
-        _pure.check_buffer("scores", scores, (n_preds, 3))
+    def __init__(self, points, scores, gt_points, gt_classes,
+                 cfg: CostConfig = CostConfig(), fixed_order: bool = False):
+        _pure.check_buffer("points", points, (*getattr(points, "shape", ())[:2], 2))
+        (P, n), G = points.shape[:2], len(gt_points)
+        _pure.check_buffer("scores", scores, (P, 3))
+        if P < G:
+            raise CapacityError(f"{P} predictions cannot cover {G} ground-truth elements")
+        for g, pts in enumerate(gt_points):
+            if len(pts) != n:
+                raise ValueError(f"point count mismatch: predictions have {n} points, "
+                                 f"ground truth {g} has {len(pts)}")
+        self.classes = np.asarray(gt_classes, dtype=np.int64)
+        kinds = [KIND_FOR_CLASS.get(c) for c in self.classes.ravel().tolist()]
+        if self.classes.shape != (G,) or None in kinds:
+            raise ValueError(f"gt_classes must be {G} classes, each 0, 1 or 2, "
+                             f"got {self.classes.tolist()}")
         self.points, self.scores = points, scores
         _, table, self._focal = _kernels._bind_focal(scores, cfg.focal_gamma, cfg.focal_alpha)
         self.table = table.reshape(-1, 3)
-        self.classes = np.asarray(gt_classes, dtype=np.int64)
-        self.manhattan = np.empty((n_preds, len(self.classes)))  # least cost per pair
+        self.manhattan = np.empty((P, G))  # least cost per pair
         self.best = np.empty(self.manhattan.shape, dtype=np.int64)  # its first ordering
         gt_points = np.asarray(gt_points, dtype=np.float64)
-        keys = [None if fixed_order else KIND_FOR_CLASS[c] for c in self.classes.tolist()]
+        keys = [None] * G if fixed_order else kinds
         self._groups = []
         for key in dict.fromkeys(keys):
             gs = np.array([g for g, k in enumerate(keys) if k is key])
-            _, *bound = _kernels._bind_manhattan(points, gt_points[gs], _orderings(key, n_points))
+            _, *bound = _kernels._bind_manhattan(points, gt_points[gs], _orderings(key, n))
             self._groups.append((gs, *bound))
 
     def cost(self, gt_points) -> np.ndarray:
@@ -193,12 +206,6 @@ class BoundMatcher:
         return rows, cols, self.best[rows, cols], self.manhattan[rows, cols]
 
 
-def _chamfer_cost(points, scores, gt_points, gt_classes, cfg):
-    """Class + Chamfer position cost matrix (P, G)."""
-    table = _kernels.focal_cost_table(scores, cfg.focal_gamma, cfg.focal_alpha)
-    return table[:, list(gt_classes)] + chamfer_distances(points, gt_points)
-
-
 def match_arrays(
     points: np.ndarray,
     scores: np.ndarray,
@@ -211,32 +218,27 @@ def match_arrays(
 
     points (P, n, 2) and scores (P, 3) describe the predictions; ground
     truth g has points ``gt_points[g]`` (n, 2) and class ``gt_classes[g]``,
-    whose ``KIND_FOR_CLASS`` is its kind.  Callers check the counts with
-    :func:`check_match_inputs`.
+    whose ``KIND_FOR_CLASS`` is its kind.  The :class:`BoundMatcher` bind
+    checks them, and raises :class:`CapacityError` when P < G.
 
     Returns ``(rows, cols, orderings, costs)``, one entry per matched pair,
     with ``rows`` ascending: pair i joins prediction ``rows[i]`` to ground
     truth ``cols[i]``, ``orderings[i]`` indexes the members of that ground
     truth's permutation group, and ``costs[i]`` is the pair's point-level
-    Manhattan cost under that ordering.  Under the point2point cost, each
-    pair's ordering and cost are the ones the cost matrix already computed
-    (one :class:`BoundMatcher` call); under Chamfer, the diagonal of one
-    ordering search over the matched elements.
+    Manhattan cost under that ordering.  Each pair's ordering and cost are
+    the ones one :class:`BoundMatcher` computed for every (P, G) pair; under
+    Chamfer, the assignment solves the class + Chamfer cost instead.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     scores = np.ascontiguousarray(scores, dtype=np.float64)
-    P, n = points.shape[:2]
+    matcher = BoundMatcher(points, scores, gt_points, gt_classes, cfg, fixed_order)
+    gt_points = np.asarray(gt_points, dtype=np.float64)  # converted once, not per kind
     if cfg.position_cost is PositionCost.POINT2POINT:
-        gt_points = np.asarray(gt_points, dtype=np.float64)  # converted once, not per kind
-        return BoundMatcher(P, n, gt_points, gt_classes, cfg, fixed_order,
-                            points=points, scores=scores)(gt_points)
-    rows, cols = linear_sum_assignment(_chamfer_cost(points, scores, gt_points, gt_classes, cfg))
-    gts = [gt_points[g] for g in cols]  # matched prediction i against matched ground truth i
-    matched = BoundMatcher(len(rows), n, gts, np.asarray(gt_classes)[cols], cfg, fixed_order,
-                           points=points[rows], scores=scores[rows])
-    matched.cost(gts)
-    at = np.diag_indices(len(rows))
-    return rows, cols, matched.best[at], matched.manhattan[at]
+        return matcher(gt_points)
+    matcher.cost(gt_points)
+    chamfer = matcher.table[:, matcher.classes] + chamfer_distances(points, gt_points)
+    rows, cols = linear_sum_assignment(chamfer)
+    return rows, cols, matcher.best[rows, cols], matcher.manhattan[rows, cols]
 
 
 def stack_predictions(preds: list[PredictedElement]) -> tuple[np.ndarray, np.ndarray]:
@@ -250,27 +252,6 @@ def stack_predictions(preds: list[PredictedElement]) -> tuple[np.ndarray, np.nda
     return stacked.points, stacked.scores
 
 
-def check_match_inputs(n_preds: int, gt_points, n_points: int | None = None) -> None:
-    """Raise unless ``n_preds`` predictions can cover the ground truth
-    ``gt_points``, (G, n, 2) or a list of G point sets.
-
-    With ``n_points``, also raise unless every ground truth has that many
-    points, as the Manhattan position cost needs.
-    """
-    if n_preds < len(gt_points):
-        raise CapacityError(
-            f"{n_preds} predictions cannot cover {len(gt_points)} ground-truth elements"
-        )
-    if n_points is None:
-        return
-    for g, pts in enumerate(gt_points):
-        if len(pts) != n_points:
-            raise ValueError(
-                f"point count mismatch: predictions have {n_points} points, "
-                f"ground truth {g} has {len(pts)}"
-            )
-
-
 def _cost_matrix(
     preds: list[PredictedElement],
     gts: list[MapElement],
@@ -280,13 +261,14 @@ def _cost_matrix(
     """The checked class + position cost matrix (P, G) of :func:`instance_match`."""
     points, scores = stack_predictions(preds)
     gt = SceneGroundTruth.stack(gts)
-    chamfer = cfg.position_cost is PositionCost.CHAMFER
-    check_match_inputs(len(preds), gt.points, None if chamfer else points.shape[1])
-    if chamfer:
-        return _chamfer_cost(points, scores, gt.points, gt.classes, cfg)
-    matcher = BoundMatcher(*points.shape[:2], gt.points, gt.classes, cfg, fixed_order,
-                           points=points, scores=scores)
-    return matcher.cost(gt.points)
+    if cfg.position_cost is PositionCost.POINT2POINT:
+        matcher = BoundMatcher(points, scores, gt.points, gt.classes, cfg, fixed_order)
+        return matcher.cost(gt.points)
+    P, G = len(preds), len(gts)  # Chamfer: point counts may differ
+    if P < G:
+        raise CapacityError(f"{P} predictions cannot cover {G} ground-truth elements")
+    table = _kernels.focal_cost_table(scores, cfg.focal_gamma, cfg.focal_alpha)
+    return table[:, gt.classes] + chamfer_distances(points, gt.points)
 
 
 def instance_match(
@@ -321,7 +303,6 @@ def hierarchical_match(
     """
     points, scores = stack_predictions(preds)
     gt = SceneGroundTruth.stack(gts)
-    check_match_inputs(len(preds), gt.points, points.shape[1])
     match = match_arrays(points, scores, gt.points, gt.classes, cfg, fixed_order)
     rows, cols, orderings, costs = (a.tolist() for a in match)
     point_level = {

@@ -11,8 +11,9 @@ and then classes.
 :func:`evaluate_ap` runs on per-scene arrays and trusts their values: they
 were checked where they entered, by the file readers (``sceneio``) or by
 :class:`PredictedElement` and :class:`MapElement`.
-It checks only what is its own to check: scene counts and empty point
-sets.
+It checks only what is its own to check: scene counts, that each scene
+has one score row per predicted point set and one class (0, 1 or 2) per
+ground-truth point set, and empty point sets.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ if TYPE_CHECKING:  # matching imports this module for its Chamfer cost
     from .matching import PredictedElement
 
 DEFAULT_THRESHOLDS = (0.5, 1.0, 1.5)
+_CLASSES = frozenset(ElementClass)
 
 
 @dataclass(frozen=True)
@@ -237,6 +239,14 @@ def evaluate_ap(
     ]
     gts = [g if isinstance(g, SceneGroundTruth) else SceneGroundTruth.stack(g) for g in gt_scenes]
     for si, (scene, gt) in enumerate(zip(scenes, gts)):
+        E, G = len(scene.points), len(gt.points)
+        if np.shape(scene.scores) != (E, 3):
+            raise ValueError(f"scene {si}: scores must have shape ({E}, 3) for {E} "
+                             f"predicted point sets, got {np.shape(scene.scores)}")
+        classes = np.asarray(gt.classes)  # may be a list
+        if classes.shape != (G,) or not _CLASSES.issuperset(classes.tolist()):
+            raise ValueError(f"scene {si}: classes must be {G} classes, one per ground-truth "
+                             f"point set, each 0, 1 or 2, got {classes.tolist()}")
         for what, sets in (("prediction", scene.points), ("ground truth", gt.points)):
             i = _empty_index(sets)
             if i is not None:

@@ -1,11 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from vecmap import fitter
 from vecmap.fitter import FitConfig, FitMode, fit, trace_table
-from vecmap.geometry import permutation_group
+from vecmap.geometry import MapElement, permutation_group
 from vecmap.losses import LossWeights
-from vecmap.matching import BoundMatcher, CostConfig
+from vecmap.matching import BoundMatcher, CapacityError, CostConfig
 from vecmap.metrics import APConfig
 from vecmap.scenegen import SceneSpec, generate_scene
 
@@ -53,6 +55,20 @@ class TestFit:
         empty = generate_scene(SceneSpec(seed=0, n_ped=0, n_divider=0, n_boundary=0))
         with pytest.raises(ValueError):
             fit(empty, _small_cfg())
+
+    def test_point_count_mismatch_names_ground_truth(self, small_scene):
+        # The slots get the scene's n_points; element 1 has one point fewer.
+        first, el, *rest = small_scene.elements
+        short = MapElement(el.element_class, el.kind, el.points[:-1])
+        scene = dataclasses.replace(small_scene, elements=(first, short, *rest))
+        n = small_scene.n_points
+        with pytest.raises(ValueError, match=f"predictions have {n} points, "
+                                             f"ground truth 1 has {n - 1}"):
+            fit(scene, _small_cfg())
+
+    def test_more_elements_than_slots_rejected(self, small_scene):
+        with pytest.raises(CapacityError, match="2 predictions cannot cover 3"):
+            fit(small_scene, _small_cfg(n_slots=2))
 
     def test_fixed_order_worse_on_ambiguous_scene(self, small_scene):
         perm = fit(small_scene, _small_cfg(iterations=300, mode=FitMode.PERMUTATION_EQUIVALENT))

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 
@@ -309,9 +310,9 @@ class TestHierarchicalMatch:
     def test_point_level_entries_equal_point_level_match(
         self, problem, position_cost, fixed_order
     ):
-        # Under point2point the entries come from the cost matrix's argmin;
-        # under Chamfer from one search over the matched pairs.  Either way
-        # each pair gets its own search's result.
+        # The entries come from the point2point matcher's argmin at the
+        # matched pairs, whichever cost chose the pairs.  Either way each
+        # pair gets its own search's result.
         preds, gts = problem
         cfg = CostConfig(position_cost=position_cost)
         match = hierarchical_match(preds, gts, cfg, fixed_order)
@@ -325,18 +326,34 @@ class TestHierarchicalMatch:
                 assert pa == point_level_match(preds[p].points, gts[g])
 
 
+@contextlib.contextmanager
+def _matcher_backend(backend):
+    """The matcher's binders: the loaded backend's, or with "numpy" the
+    ``_pure`` bodies, whichever backend was loaded."""
+    with pytest.MonkeyPatch.context() as m:
+        if backend == "numpy":
+            binders = _kernels._binders(None)
+            m.setattr(_kernels, "_bind_manhattan", binders.manhattan)
+            m.setattr(_kernels, "_bind_focal", binders.focal)
+        yield
+
+
+_BACKENDS = pytest.mark.parametrize("backend", ["loaded", "numpy"])
+
+
+@_BACKENDS
 @settings(max_examples=80, deadline=None)
 @given(problem=matching_problems(), fixed_order=st.booleans())
-def test_grouped_costs_equal_per_ground_truth_loop(problem, fixed_order):
+def test_grouped_costs_equal_per_ground_truth_loop(backend, problem, fixed_order):
     # One kernel call per kind (or one identity call) against one call per
     # ground truth: the same cost bits and the same orderings.
     preds, gts = problem
     points, scores = stack_predictions(preds)
     cfg = CostConfig()
     stacked = SceneGroundTruth.stack(gts)
-    matcher = BoundMatcher(*points.shape[:2], stacked.points, stacked.classes, cfg, fixed_order,
-                           points=points, scores=scores)
-    cost = matcher.cost(stacked.points)
+    with _matcher_backend(backend):
+        matcher = BoundMatcher(points, scores, stacked.points, stacked.classes, cfg, fixed_order)
+        cost = matcher.cost(stacked.points)
     grouped_pos, grouped_best = matcher.manhattan, matcher.best
     table = _kernels.focal_cost_table(scores, cfg.focal_gamma, cfg.focal_alpha)
     for g, gt in enumerate(gts):
@@ -350,8 +367,9 @@ def test_grouped_costs_equal_per_ground_truth_loop(problem, fixed_order):
         np.testing.assert_array_equal(grouped_best[:, g], best)
 
 
+@_BACKENDS
 @pytest.mark.parametrize("fixed_order", [False, True], ids=["order-free", "fixed-order"])
-def test_bound_matcher_keeps_no_stale_state(rng, fixed_order):
+def test_bound_matcher_keeps_no_stale_state(rng, fixed_order, backend):
     # One matcher, called again and again with fresh predictions written
     # into its bound buffers and its ground truth stored under freshly drawn
     # orderings, equals a fresh match_arrays on the same inputs every time.
@@ -362,8 +380,9 @@ def test_bound_matcher_keeps_no_stale_state(rng, fixed_order):
     stacked = SceneGroundTruth.stack(gts)
     cfg = CostConfig()
     bound_points, bound_scores = np.zeros((6, 8, 2)), np.zeros((6, 3))
-    matcher = BoundMatcher(6, 8, stacked.points, stacked.classes, cfg, fixed_order,
-                           points=bound_points, scores=bound_scores)
+    with _matcher_backend(backend):
+        matcher = BoundMatcher(bound_points, bound_scores, stacked.points, stacked.classes, cfg,
+                               fixed_order)
 
     def call(points, scores, gt_points):
         bound_points[...], bound_scores[...] = points, scores
@@ -386,7 +405,9 @@ def test_bound_matcher_keeps_no_stale_state(rng, fixed_order):
             with pytest.raises(ValueError, match=r"\[0, 1\]"):
                 call(points, bad_scores, reordered)
         got = call(points, scores, reordered)
-        want = match_arrays(points, scores, list(reordered), stacked.classes, cfg, fixed_order)
+        with _matcher_backend(backend):
+            want = match_arrays(points, scores, list(reordered), stacked.classes, cfg,
+                                fixed_order)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         seen.append((got, [a.copy() for a in got]))
@@ -402,7 +423,7 @@ def test_bound_matcher_reads_buffers_updated_in_place(rng):
     gts = [random_element(rng, kind, n_points=6) for kind in kinds]
     stacked = SceneGroundTruth.stack(gts)
     points, scores = rng.uniform(size=(5, 6, 2)), rng.uniform(size=(5, 3))
-    matcher = BoundMatcher(5, 6, stacked.points, stacked.classes, points=points, scores=scores)
+    matcher = BoundMatcher(points, scores, stacked.points, stacked.classes)
     for _ in range(5):
         points[...], scores[...] = rng.uniform(size=points.shape), rng.uniform(size=scores.shape)
         want = match_arrays(points.copy(), scores.copy(), list(stacked.points), stacked.classes)
@@ -419,11 +440,30 @@ def test_bound_matcher_reads_buffers_updated_in_place(rng):
     ("scores", np.zeros((3, 5)).T),
 ])
 def test_bound_matcher_rejects_buffers_it_would_copy(rng, name, buf):
-    # A converted copy would never see the caller's updates.
+    # A converted copy would never see the caller's updates.  P and n come
+    # from the points: 7 of them against 6-point ground truth is a mismatch.
     stacked = SceneGroundTruth.stack([random_element(rng, ElementKind.POLYLINE, n_points=6)])
     bufs = {"points": np.zeros((5, 6, 2)), "scores": np.zeros((5, 3)), name: buf}
-    with pytest.raises(ValueError, match=f"^{name} "):
-        BoundMatcher(5, 6, stacked.points, stacked.classes, **bufs)
+    message = "have 7 points.* has 6" if np.shape(buf) == (5, 7, 2) else f"^{name} "
+    with pytest.raises(ValueError, match=message):
+        BoundMatcher(bufs["points"], bufs["scores"], stacked.points, stacked.classes)
+
+
+@pytest.mark.parametrize("entry", [match_arrays, BoundMatcher], ids=["match_arrays", "bind"])
+@pytest.mark.parametrize("n_preds, classes, error, message", [
+    (3, [0, 1], ValueError, r"^gt_classes must be 3 classes, each 0, 1 or 2, got \[0, 1\]"),
+    (3, [0, 1, 2, 0], ValueError, "^gt_classes must be 3 classes"),
+    (3, [0, 5, 1], ValueError, r"^gt_classes must be 3 classes, each 0, 1 or 2, got \[0, 5, 1\]"),
+    (3, [0, -1, 1], ValueError, "^gt_classes must be 3 classes"),
+    (2, [0, 1, 2], CapacityError, "^2 predictions cannot cover 3 ground-truth elements"),
+], ids=["short-classes", "long-classes", "class-5", "class-minus-1", "capacity"])
+def test_matcher_rejects_inconsistent_input(rng, entry, n_preds, classes, error, message):
+    # Every matching entry binds a matcher, and the bind checks its input:
+    # none drops a ground truth, returns a partial assignment or a KeyError.
+    gt_points = rng.uniform(size=(3, 6, 2))
+    points, scores = rng.uniform(size=(n_preds, 6, 2)), rng.uniform(size=(n_preds, 3))
+    with pytest.raises(error, match=message):
+        entry(points, scores, gt_points, classes)
 
 
 def _fixed_order_positions(preds, gts):

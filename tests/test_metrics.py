@@ -107,6 +107,26 @@ class TestEvaluateAP:
             assert report.counts[(ElementClass.DIVIDER, tau)] == APCounts(tp=1, fp=1, n_gt=2)
             assert report.counts[(ElementClass.BOUNDARY, tau)] == APCounts(tp=0, fp=0, n_gt=0)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p, g: (ScenePredictions(p.points[:2], p.scores), g),
+         r"scene 1: scores must have shape \(2, 3\) for 2 predicted point sets, got \(3, 3\)"),
+        (lambda p, g: (p, SceneGroundTruth(g.points, g.classes[:2])),
+         r"scene 1: classes must be 3 classes, .* got \[0, 1\]"),
+        (lambda p, g: (p, SceneGroundTruth(g.points, np.append(g.classes[:2], 7))),
+         r"scene 1: classes must be 3 classes, .*each 0, 1 or 2, got \[0, 1, 7\]"),
+    ], ids=["extra-score-row", "short-classes", "class-7"])
+    def test_inconsistent_scene_arrays_rejected(self, edit, message):
+        # Unchecked, each of these scores a perfect detector 2/3: a phantom
+        # false positive, or a class whose ground truth is lost.
+        scene = generate_scene(SceneSpec(seed=0, n_ped=1, n_divider=1, n_boundary=1))
+        preds = ScenePredictions.stack(perturb(scene, PerturbSpec(seed=0))[:3])  # no padding
+        gt = SceneGroundTruth.stack(list(scene.elements))
+        assert gt.classes.tolist() == [0, 1, 2]
+        assert evaluate_ap([preds], [gt], APConfig(), scene.range).mean_ap == 1.0
+        bad_preds, bad_gt = edit(preds, gt)
+        with pytest.raises(ValueError, match=message):
+            evaluate_ap([preds, bad_preds], [gt, bad_gt], APConfig(), scene.range)
+
     def test_scene_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             evaluate_ap([[]], [[], []])
