@@ -32,7 +32,8 @@
  * clones keep one portable library.  The focal table, pair_terms,
  * focal_terms and json_tokens are not cloned: their time goes to scalar
  * libm pow and log, to the call itself, and to json_tokens' byte loop,
- * which parses the short decimals scene files hold without strtod_l.
+ * which parses the short decimals scene files hold without strtod_l and
+ * skips each run of indenting spaces in a loop of its own.
  */
 
 #define _GNU_SOURCE /* for strtod_l */
@@ -366,6 +367,10 @@ static const double POW10[23] = {1e0,  1e1,  1e2,  1e3,  1e4,  1e5,  1e6,  1e7,
  * string with a backslash or a control byte, a number outside the JSON
  * grammar or over 31 bytes, any other byte, or a full buffer.
  *
+ * The spaces after a whitespace byte are skipped in a loop of their own,
+ * not one pass of the token dispatch per byte: write_scene's indentation
+ * is 37-50% of a scene file's bytes.
+ *
  * One pass checks a number's grammar and gathers its significant digits.
  * With no exponent, at most 15 significant digits and at most 22 fraction
  * digits, the number is mant / 10^k of two exact doubles, one correctly
@@ -379,8 +384,11 @@ int64_t json_tokens(const char *text, int64_t len, double *numbers, int64_t ncap
     for (int64_t i = 0, j; i < len; i = j) {
         const char c = text[i];
         j = i + 1;
-        if (c == ' ' || c == '\t' || c == '\n' || c == '\r')
+        if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
+            while (j < len && text[j] == ' ') /* indentation: a run of spaces */
+                j++;
             continue;
+        }
         if (s == scap)
             return -1;
         if (c == '"') {

@@ -109,8 +109,7 @@ def _check_range(path, scene_range, ref_path, ref_range) -> None:
 
 def cmd_eval(args) -> int:
     if len(args.gt) != len(args.pred):
-        print("--gt and --pred need the same number of files", file=sys.stderr)
-        return 1
+        raise ValueError(f"--gt has {len(args.gt)} files but --pred has {len(args.pred)}")
     gts = [read_ground_truth(p) for p in args.gt]
     preds = [read_predictions(p) for p in args.pred]
     # Predictions are mapped back to meters with their ground truth's range.

@@ -21,7 +21,12 @@ from . import _kernels
 # one set of parameter buffers and runs its kernels raw every iteration.  The
 # dataclass entry points apply_permutation, hierarchical_match, total_loss
 # and loss_gradients stay bound here: perfbench/tracer.py wraps these names.
-from .geometry import KIND_FOR_CLASS, apply_permutation, permutation_group  # noqa: F401
+from .geometry import (  # noqa: F401
+    KIND_FOR_CLASS,
+    apply_permutation,
+    normalize_stack,
+    permutation_group,
+)
 from .losses import (  # noqa: F401
     BoundLoss,
     LossBreakdown,
@@ -117,7 +122,7 @@ def fit(gt: MapScene, cfg: FitConfig = FitConfig()) -> FitTrace:
     all_maps = np.zeros((len(maps), max(map(len, maps)), nv), dtype=np.int64)
     for g, m in enumerate(maps):
         all_maps[g, : len(m)] = m
-    flat = (stacked.points - gt.range.lower) / gt.range.extent  # normalize(), elementwise
+    flat = normalize_stack(stacked.points, gt.range)
     at = np.arange(len(maps))[:, None]
     n_orderings = np.array([len(m) for m in maps])
     order_rng = np.random.Generator(

@@ -236,6 +236,33 @@ def denormalize(points, scene_range: SceneRange) -> np.ndarray:
     return pts * scene_range.extent + scene_range.lower
 
 
+def _columns(scene_range: SceneRange):
+    """(lower bound, extent) of x, then of y."""
+    r = scene_range
+    return enumerate(((r.x_min, r.x_max - r.x_min), (r.y_min, r.y_max - r.y_min)))
+
+
+def normalize_stack(points: np.ndarray, scene_range: SceneRange) -> np.ndarray:
+    """:func:`normalize` of every point of a float array (..., 2), unchecked,
+    into a new array.  Bit-identical: the same operations on the same
+    operands, one coordinate column at a time, where broadcasting the range
+    runs numpy's inner loop two elements long."""
+    out = np.empty(points.shape)
+    for k, (low, extent) in _columns(scene_range):
+        np.subtract(points[..., k], low, out=out[..., k])
+        np.divide(out[..., k], extent, out=out[..., k])
+    return out
+
+
+def denormalize_stack(points: np.ndarray, scene_range: SceneRange) -> np.ndarray:
+    """:func:`denormalize` as :func:`normalize_stack` is :func:`normalize`."""
+    out = np.empty(points.shape)
+    for k, (low, extent) in _columns(scene_range):
+        np.multiply(points[..., k], extent, out=out[..., k])
+        np.add(out[..., k], low, out=out[..., k])
+    return out
+
+
 def edges(points, kind: ElementKind) -> np.ndarray:
     """Edge vectors edge[j] = points[j] - points[j+1 mod n].
 

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import _kernels
-from .geometry import ElementClass, MapElement, SceneRange, as_points
+from .geometry import ElementClass, MapElement, SceneRange, as_points, denormalize_stack
 
 if TYPE_CHECKING:  # matching imports this module for its Chamfer cost
     from .matching import PredictedElement
@@ -162,12 +162,11 @@ def _interpolated_ap(tp_flags, n_gt: int, n_interp: int) -> float:
 
 
 def _to_meters(points, scene_range: SceneRange):
-    """Normalized prediction points in meters: ``geometry.denormalize``,
-    applied to the whole stack at once (or to each set of a ragged list)."""
-    extent, lower = scene_range.extent, scene_range.lower
+    """Normalized prediction points in meters: ``geometry.denormalize_stack``
+    of the whole stack at once (or of each set of a ragged list)."""
     if isinstance(points, np.ndarray):
-        return points * extent + lower
-    return [p * extent + lower for p in points]
+        return denormalize_stack(points, scene_range)
+    return [denormalize_stack(p, scene_range) for p in points]
 
 
 def _empty_index(point_sets) -> int | None:

@@ -13,18 +13,21 @@ count each kind allows, scores in [0, 1].  Only when it fails is the same
 parser run on each element alone, to name the first bad one.
 Code downstream of the readers trusts what they return.
 
-A prediction file in the layout ``write_scene`` writes (whitespace aside)
-is read from one C token scan, ``_kernels.json_tokens`` (numbers parsed
-exactly, whatever the process's locale), and its values pass the same
+A file in the layout ``write_scene`` writes (whitespace aside) is read
+from one C token scan, ``_kernels.json_tokens`` (numbers parsed exactly,
+whatever the process's locale).  Its layout must match, element by
+element, the prediction template or one ground-truth template per class,
+with the class and kind strings in place, and its values pass the same
 checks.  Every other file, valid or not, is read with ``json``, so every
-error message comes from there.  Ground-truth files are not scanned; they
-are read as arrays, and only ``read_scene`` builds ``MapElement``s.
+error message comes from there.  Ground truth is read as arrays, and only
+``read_scene`` builds ``MapElement``s.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import re
 from itertools import chain
 from pathlib import Path
 
@@ -38,6 +41,7 @@ from .geometry import (
     MapElement,
     SceneRange,
     denormalize,
+    normalize_stack,
     permutation_group,
 )
 from .matching import PredictedElement
@@ -169,6 +173,19 @@ def _lookup(table: dict, name):
     return table.get(name) if isinstance(name, str) else None
 
 
+def _check_ground_truth(path, points: np.ndarray, classes: list, where: str):
+    """Ground truth of points (E, n, 2) and ``ElementClass``es, once the
+    points are finite and n is a point count each class's kind allows."""
+    if not np.isfinite(points).all():
+        raise SceneFormatError(path, f"{where}: points contain NaN or Inf")
+    try:
+        for kind in {KIND_FOR_CLASS[cls] for cls in classes}:
+            permutation_group(kind, points.shape[1])  # raises below the kind's minimum count
+    except ValueError as exc:
+        raise SceneFormatError(path, f"{where}: {exc}") from exc
+    return SceneGroundTruth(points, np.array(classes, dtype=np.int64))
+
+
 def _ground_truth(path, els: list, n_points: int, where: str) -> SceneGroundTruth:
     """The ground-truth element parser."""
     points = _points(path, els, n_points, {"class", "kind", "points"}, where)
@@ -178,14 +195,7 @@ def _ground_truth(path, els: list, n_points: int, where: str) -> SceneGroundTrut
         raise SceneFormatError(path, f"{where}: bad class or kind")
     if any(kind is not KIND_FOR_CLASS[cls] for cls, kind in zip(classes, kinds)):
         raise SceneFormatError(path, f"{where}: class/kind mismatch")
-    if not np.isfinite(points).all():
-        raise SceneFormatError(path, f"{where}: points contain NaN or Inf")
-    try:
-        for kind in set(kinds):
-            permutation_group(kind, n_points)  # raises below the kind's minimum count
-    except ValueError as exc:
-        raise SceneFormatError(path, f"{where}: {exc}") from exc
-    return SceneGroundTruth(points, np.array(classes, dtype=np.int64))
+    return _check_ground_truth(path, points, classes, where)
 
 
 def _check_predictions(path, points: np.ndarray, scores: np.ndarray, where: str):
@@ -208,7 +218,7 @@ def _prediction_arrays(path, els: list, n_points: int, where: str):
     return _check_predictions(path, points, scores, where)
 
 
-def _read(path, parse, scan=None):
+def _read(path, parse, scan):
     """Range, point count and parsed elements of file ``path``: from
     ``scan(path, text)`` when it gives them, else with ``json``, so that
     every error message comes from one place.  There ``parse(path,
@@ -218,7 +228,7 @@ def _read(path, parse, scan=None):
     try:
         data = Path(path).read_bytes()
         with contextlib.suppress(SceneFormatError):  # the json path reports it
-            if scan and (read := scan(path, data)):
+            if read := scan(path, data):
                 return read
         doc = json.loads(data.decode())
     except OSError as exc:
@@ -241,31 +251,65 @@ def _read(path, parse, scan=None):
 
 #: write_scene's layout as ``json_tokens`` gives it, around the elements.
 _HEAD, _TAIL = b'{"meta":{"range":[#,#,#,#],"n_points":i},"elements":[', b"]}"
+#: What precedes "points" in each element write_scene writes: the scores
+#: of a prediction, or the class and kind of a ground-truth element (by class).
+_PREDICTION_HEAD = b'{"scores":[#,#,#],'
+_GROUND_TRUTH_HEADS = {
+    b'{"class":"%s","kind":"%s",' % (name.encode(), KIND_FOR_CLASS[cls].value.encode()): cls
+    for cls, name in CLASS_NAMES.items()
+}
+_GROUND_TRUTH_HEAD = re.compile(b"|".join(map(re.escape, _GROUND_TRUTH_HEADS)))
 
 
-def _scanned_predictions(path, data: bytes):
-    """What ``_read`` gives for prediction text ``data`` in write_scene's
-    layout, from the C token scan; else None.  The arrays own their memory,
-    not views of the scan's buffer, which is four times the text's size."""
+def _scanned(path, data: bytes, width: int, heads_of):
+    """Range, point count, element heads and the elements' numbers, flat,
+    of text ``data`` in write_scene's layout, from the C token scan; else
+    None.  Each element holds ``width`` numbers before its points, and
+    ``heads_of(elements, count)`` gives what precedes "points" in each of
+    the ``count`` elements of the skeleton ``elements``; the whole layout is
+    then checked against those heads.  The numbers are a view of the scan's
+    buffer, which is four times the text's size."""
     numbers, skeleton = _kernels.json_tokens(data) or (None, b"")
     # An n_points within the skeleton's length is an exact int, and its
-    # element layout no longer than the skeleton.
+    # points' layout no longer than the skeleton.
     if not (skeleton.startswith(_HEAD) and numbers[4] <= len(skeleton)):
         return None
     meta = {"range": numbers[:4].tolist(), "n_points": int(numbers[4])}
     sr, n = _parse_meta(path, {"meta": meta})
-    element = b'{"scores":[#,#,#],"points":[%s]}' % b",".join([b"[#,#]"] * n)
-    count = (len(numbers) - 5) // (3 + 2 * n)
-    if skeleton != _HEAD + b",".join([element] * count) + _TAIL:
+    count = (len(numbers) - 5) // (width + 2 * n)
+    heads = heads_of(skeleton[len(_HEAD):-len(_TAIL)], count)
+    points = b'"points":[%s]}' % b",".join([b"[#,#]"] * n)
+    layout = (points + b",").join(heads) + points if heads else b""
+    if skeleton != _HEAD + layout + _TAIL:
         return None
-    rows = numbers[5:].reshape(count, 3 + 2 * n)
-    points = rows[:, 3:].reshape(count, n, 2)  # read_predictions copies it
+    return sr, n, heads, numbers[5:]
+
+
+def _scanned_ground_truth(path, data: bytes):
+    """What ``_read`` gives for ground-truth text ``data`` in write_scene's
+    layout, from the C token scan; else None."""
+    if not (read := _scanned(path, data, 0, lambda els, _: _GROUND_TRUTH_HEAD.findall(els))):
+        return None
+    sr, n, heads, numbers = read
+    classes = [_GROUND_TRUTH_HEADS[h] for h in heads]
+    points = numbers.reshape(len(heads), n, 2).copy()  # owns its memory
+    return sr, n, _check_ground_truth(path, points, classes, "elements")
+
+
+def _scanned_predictions(path, data: bytes):
+    """What ``_read`` gives for prediction text ``data`` in write_scene's
+    layout, from the C token scan; else None."""
+    if not (read := _scanned(path, data, 3, lambda _, count: [_PREDICTION_HEAD] * count)):
+        return None
+    sr, n, heads, numbers = read
+    rows = numbers.reshape(len(heads), 3 + 2 * n)
+    points = rows[:, 3:].reshape(len(heads), n, 2)  # read_predictions copies it
     return sr, n, _check_predictions(path, points, rows[:, :3].copy(), "elements")
 
 
 def read_scene(path) -> MapScene:
     """Read a ground-truth scene file."""
-    sr, n_points, gt = _read(path, _ground_truth)
+    sr, n_points, gt = _read(path, _ground_truth, _scanned_ground_truth)
     classes = map(ElementClass, gt.classes.tolist())
     elements = tuple(MapElement(c, KIND_FOR_CLASS[c], p) for c, p in zip(classes, gt.points))
     return MapScene(range=sr, n_points=n_points, elements=elements)
@@ -273,7 +317,7 @@ def read_scene(path) -> MapScene:
 
 def read_ground_truth(path) -> tuple[SceneRange, SceneGroundTruth]:
     """Read a ground-truth file: its range, and its elements as arrays in meters."""
-    sr, _, gt = _read(path, _ground_truth)
+    sr, _, gt = _read(path, _ground_truth, _scanned_ground_truth)
     return sr, gt
 
 
@@ -281,6 +325,4 @@ def read_predictions(path) -> tuple[SceneRange, ScenePredictions]:
     """Read a prediction file: its range, and its predictions as arrays
     with points normalized against that range."""
     sr, _, (points, scores) = _read(path, _prediction_arrays, _scanned_predictions)
-    # Elementwise, so bit-identical to normalize() on each element.
-    points = (points - sr.lower) / sr.extent
-    return sr, ScenePredictions(points, scores)
+    return sr, ScenePredictions(normalize_stack(points, sr), scores)

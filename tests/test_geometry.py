@@ -14,11 +14,14 @@ from vecmap.geometry import (
     SceneRange,
     apply_permutation,
     denormalize,
+    denormalize_stack,
     edges,
     normalize,
+    normalize_stack,
     permutation_group,
     resample,
 )
+from vecmap.metrics import _to_meters
 
 
 class TestPermutationGroup:
@@ -197,6 +200,36 @@ class TestNormalize:
         sr = SceneRange()
         pts = np.array(coords)
         np.testing.assert_allclose(denormalize(normalize(pts, sr), sr), pts, atol=1e-12)
+
+    def test_stack_helpers_equal_per_element_bytes(self, rng):
+        # Coordinates and bounds with -0.0, subnormals and large values;
+        # a product past the float range is inf on both sides.
+        odd = np.array([-0.0, 0.0, 5e-324, -1e-310, 2.5e-308, 1e300, -7e299, 3.0])
+
+        def draw(size):
+            x = rng.uniform(-50.0, 50.0, size)
+            return np.where(rng.random(size) < 0.3, rng.choice(odd, size), x)
+
+        def bounds():
+            low = draw(1)[0]
+            extent = rng.uniform(1.0, 100.0) * 10.0 ** rng.integers(-3, 4)
+            return low, max(low + extent, np.nextafter(low, np.inf))
+
+        for _ in range(200):
+            sr = SceneRange(*bounds(), *bounds())
+            E, n = rng.integers(0, 6), rng.integers(1, 7)
+            # A contiguous stack, and the scan's view of score-led rows.
+            rows = draw((E, 3 + 2 * n))
+            with np.errstate(over="ignore"):
+                for stack in (draw((E, n, 2)), rows[:, 3:].reshape(E, n, 2)):
+                    norm, meters = normalize_stack(stack, sr), denormalize_stack(stack, sr)
+                    assert norm.shape == meters.shape == stack.shape
+                    for got, reference in ((norm, normalize), (meters, denormalize)):
+                        want = [reference(p, sr) for p in stack]
+                        assert got.tobytes() == np.reshape(want, stack.shape).tobytes()
+                ragged = [draw((k, 2)) for k in (1, 3, 2)]
+                for got, p in zip(_to_meters(ragged, sr), ragged, strict=True):
+                    assert got.tobytes() == denormalize(p, sr).tobytes()
 
     def test_invalid_range_rejected(self):
         with pytest.raises(ValueError):

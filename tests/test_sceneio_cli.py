@@ -475,6 +475,13 @@ class TestCliEval:
         assert code == 1
         assert "nope.scene" in capsys.readouterr().err
 
+    def test_file_counts_differ_is_input_error(self, tmp_path, capsys):
+        # Checked before any file is read: none of these exists.
+        code = main(["eval", "--gt", *(str(tmp_path / f"g{i}") for i in range(3)),
+                     "--pred", str(tmp_path / "p")])
+        assert code == 1
+        assert capsys.readouterr() == ("", "error: --gt has 3 files but --pred has 1\n")
+
     def test_point_count_differs_from_ground_truth(self, tmp_path, capsys):
         # Chamfer-AP is defined for any point counts, so eval scores a
         # 10-point prediction file against 20-point ground truth; match,

@@ -1,12 +1,12 @@
 """The scene readers' C token scan against their ``json`` path.
 
-``sceneio`` reads a prediction file that ``write_scene`` produced from
-the numbers and layout that ``vecmap._kernels.json_tokens`` returns, and
-every other file with ``json``.  These tests hold the two paths to one
-behaviour:
+``sceneio`` reads a ground-truth or prediction file that ``write_scene``
+produced from the numbers and layout that ``vecmap._kernels.json_tokens``
+returns, and every other file with ``json``.  These tests hold the two
+paths to one behaviour:
 
-- every prediction file ``write_scene`` writes takes the scan, and the
-  arrays it gives equal the ``json`` path's bit for bit;
+- every file ``write_scene`` writes takes the scan, and the arrays it
+  gives equal the ``json`` path's bit for bit;
 - a seeded sweep of malformed files exits 1 naming the file, with the
   same stderr as a run with the scan switched off;
 - the scan never reads past its text or writes past its buffers, and any
@@ -111,18 +111,23 @@ def test_corpus_takes_the_scan_and_equals_json(tmp_path, scan, monkeypatch):
     text = "".join(p.read_text() for p in preds)
     for form in ("-0.0", "1.5e-05", "5e-324", "1e-320"):
         assert form in text, form
-    fast, scanned_predictions, hits = {}, sceneio._scanned_predictions, []
+    fast, hits = {}, []
 
-    def scanned(path, data):
-        # A silent fall back to json would pass the parity check below.
-        hits.append(path)
-        return scanned_predictions(path, data) or pytest.fail(f"{path} not scanned")
+    def must_scan(scanned):
+        def scan(path, data):
+            # A silent fall back to json would pass the parity check below.
+            hits.append(path)
+            return scanned(path, data) or pytest.fail(f"{path} not scanned")
+        return scan
 
     with monkeypatch.context() as m:
-        m.setattr(sceneio, "_scanned_predictions", scanned)
+        for name in ("_scanned_ground_truth", "_scanned_predictions"):
+            m.setattr(sceneio, name, must_scan(getattr(sceneio, name)))
         for path in paths:
             fast[path] = _reads(path)
-    assert hits == preds
+        assert hits == paths
+        for path in set(paths) - set(preds):
+            assert ground_truth_readers_agree(path) is None, path
     monkeypatch.setattr(kernels, "json_tokens", lambda data: None)
     for path in paths:
         assert fast[path] == _reads(path), path
@@ -230,55 +235,88 @@ def test_malformed_sweep_matches_json_path(tmp_path, monkeypatch):
     assert n_cases >= 300
 
 
+def _outcome(path):
+    """``_reads(path)``, or the message of the error it raises."""
+    try:
+        return _reads(path)
+    except sceneio.SceneFormatError as exc:
+        return str(exc)
+
+
 def test_valid_non_canonical_files_read_as_with_json(tmp_path, scan, monkeypatch):
-    # Valid files write_scene never writes.  Only whitespace may differ for
-    # the scan to read one; a scan that took the first of two duplicate
-    # keys, say, would read other numbers than json.
+    # Files write_scene never writes.  Only whitespace may differ for the
+    # scan to read one; a scan that took the first of two duplicate keys,
+    # say, would read other numbers than json.  Ground truth whose class or
+    # kind no template holds is invalid, and json names it.
     scene = generate_scene(SceneSpec(seed=5, n_points=4))
-    pred = tmp_path / "pred.scene"
+    gt, pred = tmp_path / "gt.scene", tmp_path / "pred.scene"
+    sceneio.write_scene(gt, scene)
     sceneio.write_scene(pred, scene, perturb(scene, PerturbSpec(seed=6)))
-    text = pred.read_text()
-    doc = json.loads(text)
-    n = doc["meta"]["n_points"]
-    variants = {
-        "compact": json.dumps(doc),
-        "int coordinate": text.replace(f"{doc['elements'][0]['points'][0][0]!r}", "3", 1),
-        "int range": text.replace("-15.0", "-15", 1),
-        "duplicate n_points, last wins": text.replace(
-            '"n_points": ', f'"n_points": {n + 1}, "n_points": ', 1),
-        "reordered element keys": json.dumps({"meta": doc["meta"], "elements": [
-            dict(reversed(el.items())) for el in doc["elements"]]}),
-        "meta after elements": json.dumps({"elements": doc["elements"], "meta": doc["meta"]}),
-    }
-    want = _reads(pred)
-    for name, variant in variants.items():
-        pred.write_text(variant)
-        assert _scanned(pred, pred.read_bytes()) == (name == "compact"), name
-        with monkeypatch.context() as m:
-            m.setattr(kernels, "json_tokens", lambda data: None)
-            json_read = _reads(pred)
-        assert _reads(pred) == json_read, name
-        if name not in ("int coordinate", "int range"):
-            assert json_read == want, name
+    dump = lambda d: json.dumps(d, indent=1) + "\n"  # noqa: E731
+    n_cases = 0
+    for path in (gt, pred):
+        text = path.read_text()
+        doc = json.loads(text)
+        n = doc["meta"]["n_points"]
+        els = doc["elements"]
+        variants = {
+            "compact": json.dumps(doc),
+            "int coordinate": text.replace(f"{els[0]['points'][0][0]!r}", "3", 1),
+            "int range": text.replace("-15.0", "-15", 1),
+            "duplicate n_points, last wins": text.replace(
+                '"n_points": ', f'"n_points": {n + 1}, "n_points": ', 1),
+            "reordered element keys": json.dumps({"meta": doc["meta"], "elements": [
+                dict(reversed(el.items())) for el in els]}),
+            "meta after elements": json.dumps({"elements": els, "meta": doc["meta"]}),
+        }
+        if path is gt:
+            divider = next(i for i, el in enumerate(els) if el["class"] == "divider")
+            variants |= {
+                "kind before class": dump({"meta": doc["meta"], "elements": [
+                    {"kind": el["kind"], **el} for el in els]}),
+                "divider as polygon": dump({"meta": doc["meta"], "elements": [
+                    {**el, "kind": "polygon"} if i == divider else el
+                    for i, el in enumerate(els)]}),
+                "unknown class": dump({"meta": doc["meta"], "elements": [
+                    {**el, "class": "lane"} for el in els]}),
+            }
+        want = _reads(path)
+        for name, variant in variants.items():
+            path.write_text(variant)
+            assert _scanned(path, path.read_bytes()) == (name == "compact"), (path.name, name)
+            with monkeypatch.context() as m:
+                m.setattr(kernels, "json_tokens", lambda data: None)
+                json_read = _outcome(path)
+            assert _outcome(path) == json_read, (path.name, name)
+            if name in ("divider as polygon", "unknown class"):
+                assert json_read.startswith(f"{path}: elements["), name
+            elif name not in ("int coordinate", "int range"):
+                assert json_read == want, (path.name, name)
+            n_cases += 1
+    assert n_cases == 15
 
 
 def _small_canonical(tmp_path):
+    """A small ground-truth file and its prediction file, as write_scene writes them."""
     scene = generate_scene(SceneSpec(seed=2, n_ped=1, n_divider=1, n_boundary=0, n_points=3))
-    path = tmp_path / "pred.scene"
-    sceneio.write_scene(path, scene, perturb(scene, PerturbSpec(seed=2)))
-    return path, path.read_bytes()
+    gt, pred = tmp_path / "gt.scene", tmp_path / "pred.scene"
+    sceneio.write_scene(gt, scene)
+    sceneio.write_scene(pred, scene, perturb(scene, PerturbSpec(seed=2)))
+    return gt, pred
 
 
 def _scanned(path, data):
-    """Whether prediction text ``data`` is read from the scan."""
+    """Whether text ``data`` is read from the scan, as ground truth or, for
+    a file named pred*, as predictions."""
+    scanned = sceneio._scanned_predictions if "pred" in path.name else sceneio._scanned_ground_truth
     with contextlib.suppress(sceneio.SceneFormatError):
-        return sceneio._scanned_predictions(path, data) is not None
+        return scanned(path, data) is not None
     return False
 
 
 def _not_canonical(path, data):
     """Whether the scan gives no tokens for ``data``, or tokens that the
-    prediction reader then leaves to ``json``."""
+    reader then leaves to ``json``."""
     tokens = kernels.json_tokens(data)
     if tokens is not None:
         numbers, skeleton = tokens
@@ -287,10 +325,15 @@ def _not_canonical(path, data):
 
 
 def test_scan_rejects_every_prefix_and_bad_token(tmp_path, scan):
-    path, data = _small_canonical(tmp_path)
-    assert _scanned(path, data)
-    for cut in range(len(data.rstrip())):
-        assert _not_canonical(path, data[:cut]), cut
+    gt, pred = _small_canonical(tmp_path)
+    for path in (gt, pred):
+        data = path.read_bytes()
+        assert _scanned(path, data)
+        for cut in range(len(data.rstrip())):
+            assert _not_canonical(path, data[:cut]), (path.name, cut)
+        # Whitespace is not layout: a reindented file still takes the scan.
+        assert not _not_canonical(path, data.replace(b"\n", b"\n\t \r")), path.name
+    path, data = pred, pred.read_bytes()
     # One whole coordinate token, and the text with another token in its place.
     coordinate = re.compile(rb"(?<=\s)-?\d+\.\d+(?=,)")
     start, end = coordinate.search(data, data.index(b'"points"')).span()
@@ -306,8 +349,6 @@ def test_scan_rejects_every_prefix_and_bad_token(tmp_path, scan):
     numbers, skeleton = scan('"é"'.encode())
     assert len(numbers) == 0 and skeleton == '"é"'.encode()
     assert _not_canonical(path, data.replace(b'"scores"', '"scorés"'.encode(), 1))
-    # Whitespace is not layout: a reindented file still takes the scan.
-    assert not _not_canonical(path, data.replace(b"\n", b"\n\t \r"))
 
 
 def test_scan_tokens(scan):
