@@ -14,8 +14,9 @@ from pathlib import Path
 
 from ._kernels import BACKEND as KERNEL_BACKEND, ISA as KERNEL_ISA
 from .fitter import FitConfig, FitMode, fit, trace_table
-from .geometry import ElementClass
-from .matching import PredictedElement, hierarchical_match
+from .geometry import KIND_FOR_CLASS, ElementClass, normalize_stack, permutation_group
+from .matching import hierarchical_match  # noqa: F401 -- perfbench/tracer.py wraps this name
+from .matching import match_arrays
 from .metrics import APConfig, APReport, evaluate_ap
 from .scenegen import SceneSpec, generate_scene
 from .sceneio import CLASS_NAMES, SceneFormatError, read_ground_truth, read_predictions
@@ -137,28 +138,24 @@ def cmd_eval(args) -> int:
 
 
 def cmd_match(args) -> int:
-    gt_scene = read_scene(args.gt)
-    pred_range, arrays = read_predictions(args.pred)
-    _check_range(args.pred, pred_range, args.gt, gt_scene.range)
-    preds = [
-        PredictedElement(scores=s, points=p) for p, s in zip(arrays.points, arrays.scores)
-    ]
-    gts_norm = [el.normalized(gt_scene.range) for el in gt_scene.elements]
+    gt_range, gt = read_ground_truth(args.gt)
+    pred_range, pred = read_predictions(args.pred)
+    _check_range(args.pred, pred_range, args.gt, gt_range)
     try:
-        match = hierarchical_match(preds, gts_norm)
+        match = match_arrays(pred.points, pred.scores, normalize_stack(gt.points, gt_range),
+                             gt.classes)
     except ValueError as exc:
         raise ValueError(f"{args.pred}: {exc}") from exc
+    rows, cols, orderings, costs = (a.tolist() for a in match)
     print(f"{'pred':>5} {'gt':>4} {'class':<14}{'direction':<10}{'offset':>6} {'cost':>12}")
-    for pair in match.instance.pairs:
-        p, g = pair
-        pa = match.point_level[pair]
+    for p, g, k, cost in zip(rows, cols, orderings, costs):
+        cls = int(gt.classes[g])
+        perm = permutation_group(KIND_FOR_CLASS[cls], gt.points.shape[1]).members[k]
         print(
-            f"{p:>5} {g:>4} {CLASS_NAMES[gt_scene.elements[g].element_class]:<14}"
-            f"{pa.perm.direction.value:<10}{pa.perm.offset:>6} {pa.cost:>12.6f}"
+            f"{p:>5} {g:>4} {CLASS_NAMES[cls]:<14}"
+            f"{perm.direction.value:<10}{perm.offset:>6} {cost:>12.6f}"
         )
-    matched = {p for p, _ in match.instance.pairs}
-    unmatched = [i for i in range(len(preds)) if i not in matched]
-    print(f"unmatched predictions: {len(unmatched)}")
+    print(f"unmatched predictions: {len(pred.scores) - len(rows)}")
     return 0
 
 

@@ -40,7 +40,7 @@ from .matching import (  # noqa: F401
     PredictedElement,
     hierarchical_match,
 )
-from .metrics import APConfig, APReport, SceneGroundTruth, evaluate_ap
+from .metrics import APConfig, APReport, SceneGroundTruth, ScenePredictions, evaluate_ap
 from .scenegen import DEFAULT_SLOTS, MapScene
 
 
@@ -142,7 +142,7 @@ def fit(gt: MapScene, cfg: FitConfig = FitConfig()) -> FitTrace:
         gts_iter = flat[at, all_maps[at[:, 0], order_rng.integers(n_orderings)]]
         rows, cols, orderings, _ = matcher(gts_iter)
         aligned = gts_iter[cols[:, None], all_maps[cols, orderings]]
-        breakdown, _ = loss(points, scores, rows, classes[cols], aligned)
+        breakdown, _ = loss(rows, classes[cols], aligned)
         trace.append(breakdown)
         if t == cfg.iterations:  # the final predictions: no step after the last loss
             break
@@ -151,11 +151,9 @@ def fit(gt: MapScene, cfg: FitConfig = FitConfig()) -> FitTrace:
             step(c1, c2)
         _sigmoid(logits, scores)
 
-    preds = [PredictedElement(scores=s, points=p) for p, s in zip(points, scores)]
-    report = evaluate_ap([preds], [stacked], APConfig(), gt.range)
-    return FitTrace(
-        losses=tuple(trace), final_predictions=tuple(preds), final_report=report
-    )
+    report = evaluate_ap([ScenePredictions(points, scores)], [stacked], APConfig(), gt.range)
+    preds = tuple(PredictedElement(scores=s, points=p) for p, s in zip(points, scores))
+    return FitTrace(losses=tuple(trace), final_predictions=preds, final_report=report)
 
 
 def trace_table(trace: FitTrace) -> str:

@@ -70,11 +70,13 @@ class BoundLoss:
 
     Binding checks its arguments as :func:`loss_and_gradients` does and
     keeps those already contiguous in the kernels' dtypes as its buffers.
-    A call copies valid predictions and pairs of the bound shapes into
-    them, unchecked, skipping an argument that is its own buffer, and runs
-    both kernels raw; the gradients it returns are the bound outputs, which
-    the next call refills.  ``d_logits`` is ``d_scores * s * (1 - s)``: the
-    gradient wrt the logits whose sigmoids the scores ``s`` are.
+    A call reads the predictions' current contents, so a caller updates
+    ``points`` and ``scores`` in place, as with ``matching.BoundMatcher``.
+    It copies valid pairs of the bound shapes into the pair buffers,
+    unchecked, and runs both kernels raw; the gradients it returns are the
+    bound outputs, which the next call refills.  ``d_logits`` is
+    ``d_scores * s * (1 - s)``: the gradient wrt the logits whose sigmoids
+    the scores ``s`` are.
     """
 
     def __init__(self, points, scores, rows, classes, aligned,
@@ -86,11 +88,9 @@ class BoundLoss:
                                           weights.alpha_p2p, weights.beta_dir)
         self.weights = weights
 
-    def __call__(self, points, scores, rows, classes, aligned):
-        for buf, new in zip((self.points, self.scores, self.rows, self.classes, self.aligned),
-                            (points, scores, rows, classes, aligned)):
-            if new is not buf:
-                np.copyto(buf, new)
+    def __call__(self, rows, classes, aligned):
+        for buf, new in zip((self.rows, self.classes, self.aligned), (rows, classes, aligned)):
+            np.copyto(buf, new)
         return self.run()
 
     def run(self) -> tuple[LossBreakdown, LossGradients]:

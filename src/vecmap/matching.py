@@ -259,16 +259,16 @@ def _cost_matrix(
     fixed_order: bool,
 ) -> np.ndarray:
     """The checked class + position cost matrix (P, G) of :func:`instance_match`."""
-    points, scores = stack_predictions(preds)
     gt = SceneGroundTruth.stack(gts)
     if cfg.position_cost is PositionCost.POINT2POINT:
-        matcher = BoundMatcher(points, scores, gt.points, gt.classes, cfg, fixed_order)
+        matcher = BoundMatcher(*stack_predictions(preds), gt.points, gt.classes, cfg, fixed_order)
         return matcher.cost(gt.points)
-    P, G = len(preds), len(gts)  # Chamfer: point counts may differ
+    P, G = len(preds), len(gts)  # Chamfer: point counts may differ on either side
     if P < G:
         raise CapacityError(f"{P} predictions cannot cover {G} ground-truth elements")
-    table = _kernels.focal_cost_table(scores, cfg.focal_gamma, cfg.focal_alpha)
-    return table[:, gt.classes] + chamfer_distances(points, gt.points)
+    pred = ScenePredictions.stack(preds)
+    table = _kernels.focal_cost_table(pred.scores, cfg.focal_gamma, cfg.focal_alpha)
+    return table[:, gt.classes] + chamfer_distances(pred.points, gt.points)
 
 
 def instance_match(
@@ -283,7 +283,8 @@ def instance_match(
     cost matrix; predictions left without a ground truth are implicitly
     no-object.  ``fixed_order`` restricts the point2point position cost
     to the stored point order (the fixed-permutation baseline).  The
-    point2point cost needs every element to have the same point count.
+    point2point cost needs every element to have the same point count; the
+    Chamfer cost takes any counts on either side.
     """
     rows, cols = linear_sum_assignment(_cost_matrix(preds, gts, cfg, fixed_order))
     return InstanceAssignment(pairs=tuple(zip(rows.tolist(), cols.tolist())))

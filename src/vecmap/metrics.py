@@ -118,9 +118,10 @@ def chamfer_distance(a, b) -> float:
 
 
 def _stack_by_count(point_sets) -> list[tuple[Sequence[int], np.ndarray]]:
-    """(indices, stacked (k, n, 2) points) per point count n; a stack is one group, itself."""
+    """(indices, stacked (k, n, 2) points) per point count n; a stack is one
+    group, itself, and an empty stack none, whatever its shape."""
     if isinstance(point_sets, np.ndarray):
-        return [(range(len(point_sets)), point_sets)]
+        return [(range(len(point_sets)), point_sets)] if len(point_sets) else []
     groups: dict[int, list[int]] = {}
     for i, pts in enumerate(point_sets):
         groups.setdefault(len(pts), []).append(i)

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .geometry import ElementClass, ElementKind, SceneRange, denormalize
+from .geometry import KIND_FOR_CLASS, ElementClass, ElementKind, normalize
 from .scenegen import MapScene
 
 CLASS_COLORS = {
@@ -20,6 +20,9 @@ CLASS_COLORS = {
 }
 
 _CURVE_COLORS = ["#d62728", "#1f77b4", "#2ca02c", "#9467bd"]
+
+#: A prediction is drawn when its highest class score reaches this.
+SCORE_FLOOR = 0.3
 
 
 def _fmt(v: float) -> str:
@@ -45,8 +48,8 @@ def _document(width, height, body: list[str]) -> str:
     return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
-def convergence_svg(curves: dict[str, list[float]], title: str = "total loss") -> str:
-    """Line plot of per-iteration values, one labeled curve per mode."""
+def convergence_svg(curves: dict[str, list[float]]) -> str:
+    """Line plot of per-iteration total losses, one labeled curve per mode."""
     width, height, margin = 640, 420, 55
     all_vals = [v for c in curves.values() for v in c]
     n_iter = max(len(c) for c in curves.values())
@@ -65,7 +68,7 @@ def convergence_svg(curves: dict[str, list[float]], title: str = "total loss") -
         f'<rect x="{margin}" y="{margin}" width="{pw}" height="{ph}" '
         'fill="none" stroke="#999" stroke-width="1"/>',
         f'<text x="{width / 2}" y="25" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{title}</text>',
+        'font-family="sans-serif" font-size="15">total loss</text>',
         f'<text x="{width / 2}" y="{height - 12}" text-anchor="middle" '
         'font-family="sans-serif" font-size="12">iteration</text>',
         f'<text x="12" y="{margin - 8}" font-family="sans-serif" font-size="11">{_fmt(hi)}</text>',
@@ -82,15 +85,12 @@ def convergence_svg(curves: dict[str, list[float]], title: str = "total loss") -
     return _document(width, height, body)
 
 
-def scene_overlay_svg(
-    gt: MapScene,
-    predictions=None,
-    score_floor: float = 0.3,
-) -> str:
+def scene_overlay_svg(gt: MapScene, predictions) -> str:
     """Top-down overlay: dashed ground truth, solid predictions.
 
     Predictions (normalized points + scores) are drawn in the color of
-    their highest-scoring class when that score clears ``score_floor``.
+    their highest-scoring class when that score reaches ``SCORE_FLOOR``.
+    Both are drawn from the unit square of the scene's range.
     """
     sr = gt.range
     scale = 8.0
@@ -98,8 +98,7 @@ def scene_overlay_svg(
     width = int(sr.extent[0] * scale) + 2 * margin
     height = int(sr.extent[1] * scale) + 2 * margin
 
-    def to_xy(pts_m: np.ndarray):
-        rel = (pts_m - sr.lower) / sr.extent
+    def to_xy(rel: np.ndarray):
         return [
             (margin + rel_x * (width - 2 * margin), margin + (1 - rel_y) * (height - 2 * margin))
             for rel_x, rel_y in rel
@@ -109,23 +108,23 @@ def scene_overlay_svg(
     for el in gt.elements:
         body.append(
             _polyline(
-                to_xy(el.points),
+                to_xy(normalize(el.points, sr)),
                 CLASS_COLORS[el.element_class],
                 dashed=True,
                 closed=el.kind is ElementKind.POLYGON,
             )
         )
-    for pred in predictions or []:
+    for pred in predictions:
         best = int(np.argmax(pred.scores))
-        if pred.scores[best] < score_floor:
+        if pred.scores[best] < SCORE_FLOOR:
             continue
         cls = ElementClass(best)
         body.append(
             _polyline(
-                to_xy(denormalize(pred.points, sr)),
+                to_xy(pred.points),
                 CLASS_COLORS[cls],
                 width=1.0,
-                closed=cls is ElementClass.PED_CROSSING,
+                closed=KIND_FOR_CLASS[cls] is ElementKind.POLYGON,
             )
         )
     return _document(width, height, body)

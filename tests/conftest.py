@@ -1,8 +1,11 @@
+import contextlib
+
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from vecmap import _kernels
 from vecmap.geometry import (
     ElementClass,
     ElementKind,
@@ -105,3 +108,15 @@ def unique_best_ordering(pred_points, gt) -> bool:
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@contextlib.contextmanager
+def matcher_backend(backend):
+    """The matcher's binders: the loaded backend's, or with "numpy" the
+    ``_pure`` bodies, whichever backend was loaded."""
+    with pytest.MonkeyPatch.context() as m:
+        if backend == "numpy":
+            binders = _kernels._binders(None)
+            m.setattr(_kernels, "_bind_manhattan", binders.manhattan)
+            m.setattr(_kernels, "_bind_focal", binders.focal)
+        yield

@@ -139,6 +139,7 @@ NAN, INF = float("nan"), float("inf")
         (APConfig, dict(interpolation_points=0)),
         (CostConfig, dict(focal_gamma=NAN)),
         (CostConfig, dict(focal_gamma=INF)),
+        (CostConfig, dict(focal_alpha=1.0)),
         (LossWeights, dict(lambda_cls=NAN)),
         (LossWeights, dict(alpha_p2p=NAN)),
         (LossWeights, dict(beta_dir=NAN)),

@@ -13,6 +13,7 @@ from vecmap.geometry import (
     PermutationDescriptor,
     SceneRange,
     apply_permutation,
+    as_points,
     denormalize,
     denormalize_stack,
     edges,
@@ -70,6 +71,19 @@ class TestPermutationGroup:
         cls = ElementClass.PED_CROSSING if kind is ElementKind.POLYGON else ElementClass.DIVIDER
         with pytest.raises(ValueError, match=f"{kind.value} needs at least"):
             MapElement(cls, kind, np.zeros((n, 2)))
+
+    def test_class_kind_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="DIVIDER must have kind polyline"):
+            MapElement(ElementClass.DIVIDER, ElementKind.POLYGON, np.zeros((4, 2)))
+
+
+@pytest.mark.parametrize("points, message", [
+    (np.zeros((3, 3)), r"expected an \(n, 2\) point array, got shape \(3, 3\)"),
+    ([[0.0, 1.0], [np.inf, 2.0]], "points contain NaN or Inf"),
+], ids=["wrong shape", "non-finite"])
+def test_as_points_rejects(points, message):
+    with pytest.raises(ValueError, match=message):
+        as_points(points)
 
 
 class TestApplyPermutation:
@@ -183,6 +197,10 @@ class TestResample:
         with pytest.raises(DegenerateShapeError):
             resample([[1.0, 1.0], [1.0, 1.0]], ElementKind.POLYLINE, 5)
 
+    def test_single_vertex_rejected(self):
+        with pytest.raises(ValueError, match="at least 2 vertices"):
+            resample([[1.0, 1.0]], ElementKind.POLYGON, 5)
+
 
 class TestNormalize:
     def test_corners_and_center(self):
@@ -254,3 +272,7 @@ class TestEdges:
         pts = rng.uniform(size=(20, 2))
         assert len(edges(pts, ElementKind.POLYGON)) == 20
         assert len(edges(pts, ElementKind.POLYLINE)) == 19
+
+    def test_single_point_rejected(self):
+        with pytest.raises(ValueError, match="at least 2 points"):
+            edges([[0.5, 0.5]], ElementKind.POLYGON)

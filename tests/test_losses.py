@@ -24,6 +24,7 @@ from vecmap.geometry import (
 )
 from vecmap.losses import (
     EDGE_NORM_FLOOR,
+    BoundLoss,
     LossWeights,
     loss_and_gradients,
     loss_gradients,
@@ -454,6 +455,26 @@ def test_closing_edge_follows_from_class(rng, monkeypatch, cls, n_edges):
 _WEIGHTS = st.sampled_from(
     [LossWeights(), LossWeights(0.0, 1.5, 0.0), LossWeights(1.0, 0.0, 0.7)]
 )
+
+
+def test_bound_loss_reads_predictions_updated_in_place(rng):
+    # Bound to the caller's points and scores, the loss copies neither: a
+    # call takes only the pairs, reads the predictions' current contents,
+    # and equals a fresh loss_and_gradients on them.
+    P, n, M = 5, 6, 3
+    points, scores = rng.uniform(size=(P, n, 2)), rng.uniform(size=(P, 3))
+    loss = BoundLoss(points, scores, np.arange(M), np.zeros(M, dtype=np.int64),
+                     np.zeros((M, n, 2)))
+    assert loss.points is points and loss.scores is scores
+    for _ in range(4):
+        points[...], scores[...] = rng.uniform(size=points.shape), rng.uniform(size=scores.shape)
+        rows, classes = np.sort(rng.choice(P, M, replace=False)), rng.integers(0, 3, M)
+        aligned = rng.uniform(size=(M, n, 2))
+        breakdown, grads = loss(rows, classes, aligned)
+        want, want_grads = loss_and_gradients(points.copy(), scores.copy(), rows, classes, aligned)
+        assert breakdown == want
+        assert np.array_equal(grads.d_points, want_grads.d_points)
+        assert np.array_equal(grads.d_scores, want_grads.d_scores)
 
 
 class TestFusedEqualsPerPair:

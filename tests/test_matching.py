@@ -1,4 +1,3 @@
-import contextlib
 import itertools
 import math
 
@@ -8,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    matcher_backend,
     matching_problems,
     random_element,
     random_prediction,
@@ -46,6 +46,10 @@ class TestPredictedElement:
     def test_score_outside_unit_interval_rejected(self, bad):
         with pytest.raises(ValueError, match=r"scores must lie in \[0, 1\]"):
             PredictedElement(scores=[bad, 0.5, 0.5], points=np.zeros((3, 2)))
+
+    def test_scores_of_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"expected 3 class scores, got shape \(2,\)"):
+            PredictedElement(scores=[0.5, 0.5], points=np.zeros((3, 2)))
 
 
 class TestManhattan:
@@ -257,12 +261,28 @@ class TestInstanceMatch:
         with pytest.raises(CapacityError):
             instance_match([random_prediction(rng)], [random_element(rng)] * 2)
 
+    def test_chamfer_capacity_error(self, rng):
+        cfg = CostConfig(position_cost=PositionCost.CHAMFER)
+        with pytest.raises(CapacityError, match="^1 predictions cannot cover 2 ground-truth"):
+            instance_match([random_prediction(rng)], [random_element(rng)] * 2, cfg)
+
 
 class TestHierarchicalMatch:
     def test_empty_gt(self, rng):
         match = hierarchical_match([random_prediction(rng)], [])
         assert match.instance.pairs == ()
         assert match.point_level == {}
+
+    @pytest.mark.parametrize("position_cost", list(PositionCost))
+    @pytest.mark.parametrize("n_preds", [0, 1])
+    def test_nothing_to_match(self, rng, position_cost, n_preds):
+        # No ground truth, with or without predictions: under either cost
+        # both entries return empty results rather than failing in a kernel.
+        cfg = CostConfig(position_cost=position_cost)
+        preds = [random_prediction(rng) for _ in range(n_preds)]
+        assert instance_match(preds, [], cfg).pairs == ()
+        match = hierarchical_match(preds, [], cfg)
+        assert match.instance.pairs == () and match.point_level == {}
 
     def test_perfect_predictions(self, rng):
         gts = [random_element(rng) for _ in range(3)]
@@ -326,18 +346,6 @@ class TestHierarchicalMatch:
                 assert pa == point_level_match(preds[p].points, gts[g])
 
 
-@contextlib.contextmanager
-def _matcher_backend(backend):
-    """The matcher's binders: the loaded backend's, or with "numpy" the
-    ``_pure`` bodies, whichever backend was loaded."""
-    with pytest.MonkeyPatch.context() as m:
-        if backend == "numpy":
-            binders = _kernels._binders(None)
-            m.setattr(_kernels, "_bind_manhattan", binders.manhattan)
-            m.setattr(_kernels, "_bind_focal", binders.focal)
-        yield
-
-
 _BACKENDS = pytest.mark.parametrize("backend", ["loaded", "numpy"])
 
 
@@ -351,7 +359,7 @@ def test_grouped_costs_equal_per_ground_truth_loop(backend, problem, fixed_order
     points, scores = stack_predictions(preds)
     cfg = CostConfig()
     stacked = SceneGroundTruth.stack(gts)
-    with _matcher_backend(backend):
+    with matcher_backend(backend):
         matcher = BoundMatcher(points, scores, stacked.points, stacked.classes, cfg, fixed_order)
         cost = matcher.cost(stacked.points)
     grouped_pos, grouped_best = matcher.manhattan, matcher.best
@@ -380,7 +388,7 @@ def test_bound_matcher_keeps_no_stale_state(rng, fixed_order, backend):
     stacked = SceneGroundTruth.stack(gts)
     cfg = CostConfig()
     bound_points, bound_scores = np.zeros((6, 8, 2)), np.zeros((6, 3))
-    with _matcher_backend(backend):
+    with matcher_backend(backend):
         matcher = BoundMatcher(bound_points, bound_scores, stacked.points, stacked.classes, cfg,
                                fixed_order)
 
@@ -405,7 +413,7 @@ def test_bound_matcher_keeps_no_stale_state(rng, fixed_order, backend):
             with pytest.raises(ValueError, match=r"\[0, 1\]"):
                 call(points, bad_scores, reordered)
         got = call(points, scores, reordered)
-        with _matcher_backend(backend):
+        with matcher_backend(backend):
             want = match_arrays(points, scores, list(reordered), stacked.classes, cfg,
                                 fixed_order)
         for a, b in zip(got, want):
@@ -545,6 +553,17 @@ class TestPointCountValidation:
         assert len(instance_match(preds, gts, cfg).pairs) == 1
         with pytest.raises(ValueError, match="have 6 points"):
             hierarchical_match(preds, gts, cfg)
+
+    def test_chamfer_cost_takes_any_counts_on_both_sides(self, rng):
+        # Ragged predictions against ragged ground truth: each entry is the
+        # pair's focal class cost plus its Chamfer distance, bit for bit.
+        cfg = CostConfig(position_cost=PositionCost.CHAMFER)
+        preds = [random_prediction(rng, n_points=n) for n in (4, 6, 4, 9)]
+        gts = [random_element(rng, n_points=n) for n in (5, 4, 7)]
+        want = [[focal_class_cost(p.scores, g.element_class, cfg)
+                 + chamfer_distance(p.points, g.points) for g in gts] for p in preds]
+        np.testing.assert_array_equal(_cost_matrix(preds, gts, cfg, False), want)
+        assert len(instance_match(preds, gts, cfg).pairs) == 3
 
     def test_unequal_predictions_rejected(self, rng):
         preds = [random_prediction(rng, n_points=4), random_prediction(rng, n_points=5)]

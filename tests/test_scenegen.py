@@ -120,8 +120,8 @@ class TestPerturb:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(score_model="typo"), dict(false_positive_count=-3)],
-        ids=["unknown score model", "negative false positives"],
+        [dict(score_model="typo"), dict(false_positive_count=-3), dict(drop_prob=1.5)],
+        ids=["unknown score model", "negative false positives", "drop prob above one"],
     )
     def test_invalid_spec_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 import vecmap
-from conftest import ground_truth_readers_agree
+from conftest import ground_truth_readers_agree, matcher_backend
 from vecmap.cli import main
-from vecmap.geometry import MapElement, SceneRange, normalize
+from vecmap.geometry import ElementClass, MapElement, SceneRange, normalize
+from vecmap.matching import PredictedElement, hierarchical_match
 from vecmap.metrics import APConfig, evaluate_ap
 from vecmap.scenegen import PerturbSpec, SceneSpec, generate_scene, perturb
 from vecmap.sceneio import (
@@ -24,6 +25,7 @@ from vecmap.sceneio import (
     read_scene,
     write_scene,
 )
+from vecmap.svgplot import CLASS_COLORS, SCORE_FLOOR, scene_overlay_svg
 
 
 #: A ground-truth range other than the default, for per-scene range tests.
@@ -591,6 +593,48 @@ class TestCliMatch:
         assert str(pred) in captured.err
         assert f"have {n_pred} points" in captured.err and "has 4" in captured.err
 
+    @pytest.mark.parametrize("backend", ["loaded", "numpy"])
+    @pytest.mark.parametrize("counts", [(3, 0, 0), (0, 2, 2)], ids=["polygons", "polylines"])
+    def test_builds_no_element_and_prints_hierarchical_match(
+        self, tmp_path, capsys, monkeypatch, backend, counts
+    ):
+        # match reads arrays and matches them once: with MapElement and
+        # PredictedElement unbuildable, it prints the rows of hierarchical_match
+        # on read_scene's elements normalized, the form match read before.
+        n_ped, n_divider, n_boundary = counts
+        scene = generate_scene(SceneSpec(seed=5, n_ped=n_ped, n_divider=n_divider,
+                                         n_boundary=n_boundary, range=_WIDE))
+        gt, pred = tmp_path / "gt.scene", tmp_path / "pred.scene"
+        write_scene(gt, scene)
+        write_scene(pred, scene, predictions=perturb(scene, PerturbSpec(
+            seed=5, point_noise_sigma=0.4, false_positive_count=3,
+            score_model="noisy_confidence", pad_to=12,
+        )))
+        scene, (_, arrays) = read_scene(gt), read_predictions(pred)
+        preds = [PredictedElement(scores=s, points=p) for p, s in zip(arrays.points, arrays.scores)]
+        gts = [el.normalized(scene.range) for el in scene.elements]
+        with matcher_backend(backend):
+            match = hierarchical_match(preds, gts)
+        want = [
+            f"{p:>5} {g:>4} {CLASS_NAMES[gts[g].element_class]:<14}"
+            f"{pa.perm.direction.value:<10}{pa.perm.offset:>6} {pa.cost:>12.6f}"
+            for (p, g), pa in ((pair, match.point_level[pair]) for pair in match.instance.pairs)
+        ]
+
+        def refuse(self):
+            raise AssertionError("an element was built")
+
+        monkeypatch.setattr(MapElement, "__post_init__", refuse)
+        monkeypatch.setattr(PredictedElement, "__post_init__", refuse)
+        with matcher_backend(backend):
+            code = main(["match", str(gt), str(pred)])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        lines = captured.out.splitlines()
+        assert lines[0].split() == ["pred", "gt", "class", "direction", "offset", "cost"]
+        assert lines[1:-1] == want and len(want) == len(gts)
+        assert lines[-1] == f"unmatched predictions: {len(preds) - len(gts)}"
+
 
 class TestCliFit:
     def test_fit_both_with_svg(self, tmp_path, capsys):
@@ -613,6 +657,24 @@ class TestCliFit:
             assert "href" not in path.read_text()
         assert "permutation_equivalent" in svg.read_text()
         assert "fixed_order" in svg.read_text()
+
+    def test_overlay_draws_confident_predictions_solid_in_class_color(self):
+        # A crossing prediction on its ground truth's points is drawn over it,
+        # as a solid polygon in the crossing color; one whose best score is
+        # below the floor (a divider) is not drawn at all.
+        scene = generate_scene(SceneSpec(seed=0, n_ped=1, n_divider=0, n_boundary=0))
+        points = normalize(scene.elements[0].points, scene.range)
+        confident = PredictedElement(scores=[0.9, 0.05, 0.05], points=points)
+        faint = PredictedElement(scores=[0.1, SCORE_FLOOR - 0.01, 0.05], points=points[::-1])
+        svg = scene_overlay_svg(scene, [confident, faint])
+        shapes = [el for el in ET.fromstring(svg) if el.tag.endswith(("polygon", "polyline"))]
+        assert len(shapes) == 2
+        drawn_gt, drawn = shapes
+        assert drawn_gt.get("stroke-dasharray") == "6,4"
+        assert drawn.tag.endswith("polygon") and drawn.get("stroke-dasharray") is None
+        assert drawn.get("stroke") == CLASS_COLORS[ElementClass.PED_CROSSING]
+        assert drawn.get("points") == drawn_gt.get("points")
+        assert CLASS_COLORS[ElementClass.DIVIDER] not in svg
 
     def test_non_finite_range_names_file(self, tmp_path, capsys):
         gt = _generate(tmp_path)
