@@ -178,8 +178,7 @@ def check_focal_inputs(scores, gamma: float, alpha: float) -> np.ndarray:
     each lies in [0, 1], 0 <= gamma < inf and 0 < alpha < 1, NaN failing
     each: outside that domain Python's ``**`` and ``math.log`` raise or
     special-case where libm does not, an infinite gamma zeroes every cost,
-    and an alpha outside (0, 1) weighs a term negatively, which
-    ``CostConfig`` forbids.
+    and an alpha outside (0, 1) weighs a term negatively.
     """
     flat = np.ascontiguousarray(np.ravel(scores), dtype=np.float64)
     if not (0 <= gamma < math.inf and 0 < alpha < 1 and ((flat >= 0) & (flat <= 1)).all()):

@@ -34,14 +34,13 @@ from .losses import (  # noqa: F401
     loss_gradients,
     total_loss,
 )
-from .matching import (  # noqa: F401
-    BoundMatcher,
-    CostConfig,
-    PredictedElement,
-    hierarchical_match,
-)
+from .matching import BoundMatcher, PredictedElement, hierarchical_match  # noqa: F401
 from .metrics import APConfig, APReport, SceneGroundTruth, ScenePredictions, evaluate_ap
 from .scenegen import DEFAULT_SLOTS, MapScene
+
+
+#: Adam's step size, first and second moment decays and epsilon.
+STEP_SIZE, MOMENT_DECAY_1, MOMENT_DECAY_2, ADAM_EPS = 0.01, 0.9, 0.999, 1e-8
 
 
 class FitMode(enum.Enum):
@@ -53,24 +52,17 @@ class FitMode(enum.Enum):
 class FitConfig:
     mode: FitMode = FitMode.PERMUTATION_EQUIVALENT
     iterations: int = 500
-    step_size: float = 0.01
-    moment_decay_1: float = 0.9
-    moment_decay_2: float = 0.999
     seed: int = 0
-    weights: LossWeights = LossWeights()
     n_slots: int = DEFAULT_SLOTS
 
     def __post_init__(self):
         if not isinstance(self.mode, FitMode):
             raise ValueError("mode must be a FitMode")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.n_slots < 1:
-            raise ValueError("n_slots must be >= 1")
-        if not 0 < self.step_size < np.inf:  # NaN fails too
-            raise ValueError("step_size must be finite and > 0")
-        if not (0 <= self.moment_decay_1 < 1 and 0 <= self.moment_decay_2 < 1):
-            raise ValueError("moment decays must lie in [0, 1)")
+        for name, low in (("iterations", 1), ("seed", 0), ("n_slots", 1)):
+            value = getattr(self, name)
+            # A bool is no integer here, as in sceneio.
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -113,10 +105,8 @@ def fit(gt: MapScene, cfg: FitConfig = FitConfig()) -> FitTrace:
 
     stacked = SceneGroundTruth.stack(gt.elements)
     classes = stacked.classes
-    cost_cfg = CostConfig()
     # Bound before normalizing: on a ragged stack the bind names the odd element.
-    matcher = BoundMatcher(points, scores, stacked.points, classes, cost_cfg,
-                           cfg.mode is FitMode.FIXED_ORDER)
+    matcher = BoundMatcher(points, scores, stacked.points, classes, cfg.mode is FitMode.FIXED_ORDER)
     maps = [permutation_group(KIND_FOR_CLASS[c], nv).index_maps() for c in classes.tolist()]
     # The maps padded into one (G, K, nv) table: one fancy index gathers them.
     all_maps = np.zeros((len(maps), max(map(len, maps)), nv), dtype=np.int64)
@@ -130,11 +120,10 @@ def fit(gt: MapScene, cfg: FitConfig = FitConfig()) -> FitTrace:
     )
     n_pairs = len(maps)  # the bind checked n >= G: the assignment matches every element
     loss = BoundLoss(points, scores, np.arange(n_pairs), np.zeros(n_pairs, dtype=np.int64),
-                     np.zeros((n_pairs, nv, 2)), cfg.weights, cost_cfg)
-    b1, b2 = cfg.moment_decay_1, cfg.moment_decay_2
+                     np.zeros((n_pairs, nv, 2)), LossWeights())
     # Points stay in the unit square; logits are unbounded.
-    steps = [_kernels._bind_adam(x, g, np.zeros_like(x), np.zeros_like(x), clip, b1, b2,
-                                 cfg.step_size, 1e-8)
+    steps = [_kernels._bind_adam(x, g, np.zeros_like(x), np.zeros_like(x), clip, MOMENT_DECAY_1,
+                                 MOMENT_DECAY_2, STEP_SIZE, ADAM_EPS)
              for x, g, clip in ((points, loss.d_points, True), (logits, loss.d_logits, False))]
 
     trace = []
@@ -146,7 +135,7 @@ def fit(gt: MapScene, cfg: FitConfig = FitConfig()) -> FitTrace:
         trace.append(breakdown)
         if t == cfg.iterations:  # the final predictions: no step after the last loss
             break
-        c1, c2 = 1 - b1**t, 1 - b2**t
+        c1, c2 = 1 - MOMENT_DECAY_1**t, 1 - MOMENT_DECAY_2**t
         for step in steps:
             step(c1, c2)
         _sigmoid(logits, scores)

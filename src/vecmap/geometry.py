@@ -226,14 +226,12 @@ def resample(raw_vertices, kind: ElementKind, n_points: int) -> np.ndarray:
 
 def normalize(points, scene_range: SceneRange) -> np.ndarray:
     """Map metric coordinates to the unit square defined by the range."""
-    pts = as_points(points)
-    return (pts - scene_range.lower) / scene_range.extent
+    return normalize_stack(as_points(points), scene_range)
 
 
 def denormalize(points, scene_range: SceneRange) -> np.ndarray:
     """Exact inverse of :func:`normalize`."""
-    pts = as_points(points)
-    return pts * scene_range.extent + scene_range.lower
+    return denormalize_stack(as_points(points), scene_range)
 
 
 def _columns(scene_range: SceneRange):
@@ -243,10 +241,9 @@ def _columns(scene_range: SceneRange):
 
 
 def normalize_stack(points: np.ndarray, scene_range: SceneRange) -> np.ndarray:
-    """:func:`normalize` of every point of a float array (..., 2), unchecked,
-    into a new array.  Bit-identical: the same operations on the same
-    operands, one coordinate column at a time, where broadcasting the range
-    runs numpy's inner loop two elements long."""
+    """``(points - lower) / extent`` of every point of a float array (..., 2),
+    unchecked, into a new array, one coordinate column at a time, where
+    broadcasting the range would run numpy's inner loop two elements long."""
     out = np.empty(points.shape)
     for k, (low, extent) in _columns(scene_range):
         np.subtract(points[..., k], low, out=out[..., k])
@@ -255,7 +252,7 @@ def normalize_stack(points: np.ndarray, scene_range: SceneRange) -> np.ndarray:
 
 
 def denormalize_stack(points: np.ndarray, scene_range: SceneRange) -> np.ndarray:
-    """:func:`denormalize` as :func:`normalize_stack` is :func:`normalize`."""
+    """``points * extent + lower``, the inverse of :func:`normalize_stack`."""
     out = np.empty(points.shape)
     for k, (low, extent) in _columns(scene_range):
         np.multiply(points[..., k], extent, out=out[..., k])

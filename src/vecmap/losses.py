@@ -1,7 +1,8 @@
 """Training objective: classification, point2point and edge-direction terms.
 
 The total loss is a weighted sum of a sigmoid focal classification loss
-over all prediction slots, the summed Manhattan distance over
+over all prediction slots (the class cost's ``FOCAL_GAMMA`` and
+``FOCAL_ALPHA``, from ``matching``), the summed Manhattan distance over
 point-level-aligned pairs, and the negative cosine similarity between
 paired edges of aligned elements.  Gradients are analytic, with the
 hierarchical assignment held fixed (no differentiation through either
@@ -22,10 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._kernels._pure import EDGE_NORM_FLOOR  # noqa: F401
 from .geometry import MapElement, apply_permutation
 from .matching import (
-    CostConfig,
+    FOCAL_ALPHA,
+    FOCAL_GAMMA,
     HierarchicalMatch,
     PredictedElement,
     stack_predictions,
@@ -80,11 +81,11 @@ class BoundLoss:
     """
 
     def __init__(self, points, scores, rows, classes, aligned,
-                 weights: LossWeights = LossWeights(), cfg: CostConfig = CostConfig()):
+                 weights: LossWeights = LossWeights()):
         (self.points, self.scores, self.rows, self.classes, self.aligned, self.p2p_each,
          self.dir_each, self.d_points, self.cls_each, self.d_scores, self.d_logits,
          self._run) = _kernels._bind_loss(points, scores, rows, classes, aligned,
-                                          cfg.focal_gamma, cfg.focal_alpha, weights.lambda_cls,
+                                          FOCAL_GAMMA, FOCAL_ALPHA, weights.lambda_cls,
                                           weights.alpha_p2p, weights.beta_dir)
         self.weights = weights
 
@@ -115,7 +116,6 @@ def loss_and_gradients(
     classes,
     aligned: np.ndarray,
     weights: LossWeights = LossWeights(),
-    cfg: CostConfig = CostConfig(),
 ) -> tuple[LossBreakdown, LossGradients]:
     """Weighted loss and its analytic gradient in one pass over the pairs.
 
@@ -133,10 +133,10 @@ def loss_and_gradients(
     subgradient (0 at exact coordinate ties).  No-object predictions get
     zero point gradients and only the negative-target score gradient.
     """
-    return BoundLoss(points, scores, rows, classes, aligned, weights, cfg).run()
+    return BoundLoss(points, scores, rows, classes, aligned, weights).run()
 
 
-def _fused(preds, gts, match, weights=LossWeights(), cfg=CostConfig()):
+def _fused(preds, gts, match, weights=LossWeights()):
     """:func:`loss_and_gradients` on dataclass inputs."""
     points, scores = stack_predictions(preds)
     pairs = match.instance.pairs
@@ -148,7 +148,6 @@ def _fused(preds, gts, match, weights=LossWeights(), cfg=CostConfig()):
         [int(gts[g].element_class) for _, g in pairs],
         np.stack(aligned) if aligned else np.zeros((0,) + points.shape[1:]),
         weights,
-        cfg,
     )
 
 
@@ -157,10 +156,9 @@ def total_loss(
     gts: list[MapElement],
     match: HierarchicalMatch,
     weights: LossWeights = LossWeights(),
-    cfg: CostConfig = CostConfig(),
 ) -> LossBreakdown:
     """The loss terms and their weighted total; see :class:`LossBreakdown`."""
-    return _fused(preds, gts, match, weights, cfg)[0]
+    return _fused(preds, gts, match, weights)[0]
 
 
 def loss_gradients(
@@ -168,10 +166,9 @@ def loss_gradients(
     gts: list[MapElement],
     match: HierarchicalMatch,
     weights: LossWeights = LossWeights(),
-    cfg: CostConfig = CostConfig(),
 ) -> LossGradients:
     """Analytic gradient of the weighted total wrt predicted points and scores.
 
     See :func:`loss_and_gradients`.
     """
-    return _fused(preds, gts, match, weights, cfg)[1]
+    return _fused(preds, gts, match, weights)[1]

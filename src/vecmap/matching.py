@@ -45,6 +45,11 @@ class CapacityError(ValueError):
     """Raised when there are fewer predictions than ground-truth elements."""
 
 
+#: The focal loss's gamma and alpha, which MapTR fixes: the class cost and
+#: the classification loss (``losses``) both use them.
+FOCAL_GAMMA, FOCAL_ALPHA = 2.0, 0.25
+
+
 class PositionCost(enum.Enum):
     POINT2POINT = "point2point"
     CHAMFER = "chamfer"
@@ -71,16 +76,10 @@ class PredictedElement:
 @dataclass(frozen=True)
 class CostConfig:
     position_cost: PositionCost = PositionCost.POINT2POINT
-    focal_gamma: float = 2.0
-    focal_alpha: float = 0.25
 
     def __post_init__(self):
         if not isinstance(self.position_cost, PositionCost):
             raise ValueError("position_cost must be a PositionCost")
-        if not 0 <= self.focal_gamma < np.inf:  # NaN fails too
-            raise ValueError("focal_gamma must be finite and >= 0")
-        if not 0 < self.focal_alpha < 1:
-            raise ValueError("focal_alpha must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -114,16 +113,14 @@ def manhattan_distance(a, b) -> float:
     return float(_kernels.manhattan_matrix(a[None], b[None], _orderings(None, len(b)))[0][0, 0])
 
 
-def focal_class_cost(
-    scores, target_class: ElementClass, cfg: CostConfig = CostConfig()
-) -> float:
+def focal_class_cost(scores, target_class: ElementClass) -> float:
     """Focal matching cost for one class slot: positive minus negative term.
 
     Lower is better; approaches -inf (capped by the epsilon floor) as the
     target-class score approaches 1.
     """
     p = float(np.asarray(scores)[int(target_class)])
-    return _pure.focal_cost(p, cfg.focal_gamma, cfg.focal_alpha)
+    return _pure.focal_cost(p, FOCAL_GAMMA, FOCAL_ALPHA)
 
 
 def _orderings(kind: ElementKind | None, n: int) -> np.ndarray:
@@ -159,8 +156,7 @@ class BoundMatcher:
     element under any ordering) and runs the kernels raw.
     """
 
-    def __init__(self, points, scores, gt_points, gt_classes,
-                 cfg: CostConfig = CostConfig(), fixed_order: bool = False):
+    def __init__(self, points, scores, gt_points, gt_classes, fixed_order: bool = False):
         _pure.check_buffer("points", points, (*getattr(points, "shape", ())[:2], 2))
         (P, n), G = points.shape[:2], len(gt_points)
         _pure.check_buffer("scores", scores, (P, 3))
@@ -176,7 +172,7 @@ class BoundMatcher:
             raise ValueError(f"gt_classes must be {G} classes, each 0, 1 or 2, "
                              f"got {self.classes.tolist()}")
         self.points, self.scores = points, scores
-        _, table, self._focal = _kernels._bind_focal(scores, cfg.focal_gamma, cfg.focal_alpha)
+        _, table, self._focal = _kernels._bind_focal(scores, FOCAL_GAMMA, FOCAL_ALPHA)
         self.table = table.reshape(-1, 3)
         self.manhattan = np.empty((P, G))  # least cost per pair
         self.best = np.empty(self.manhattan.shape, dtype=np.int64)  # its first ordering
@@ -231,7 +227,7 @@ def match_arrays(
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     scores = np.ascontiguousarray(scores, dtype=np.float64)
-    matcher = BoundMatcher(points, scores, gt_points, gt_classes, cfg, fixed_order)
+    matcher = BoundMatcher(points, scores, gt_points, gt_classes, fixed_order)
     gt_points = np.asarray(gt_points, dtype=np.float64)  # converted once, not per kind
     if cfg.position_cost is PositionCost.POINT2POINT:
         return matcher(gt_points)
@@ -261,13 +257,13 @@ def _cost_matrix(
     """The checked class + position cost matrix (P, G) of :func:`instance_match`."""
     gt = SceneGroundTruth.stack(gts)
     if cfg.position_cost is PositionCost.POINT2POINT:
-        matcher = BoundMatcher(*stack_predictions(preds), gt.points, gt.classes, cfg, fixed_order)
+        matcher = BoundMatcher(*stack_predictions(preds), gt.points, gt.classes, fixed_order)
         return matcher.cost(gt.points)
     P, G = len(preds), len(gts)  # Chamfer: point counts may differ on either side
     if P < G:
         raise CapacityError(f"{P} predictions cannot cover {G} ground-truth elements")
     pred = ScenePredictions.stack(preds)
-    table = _kernels.focal_cost_table(pred.scores, cfg.focal_gamma, cfg.focal_alpha)
+    table = _kernels.focal_cost_table(pred.scores, FOCAL_GAMMA, FOCAL_ALPHA)
     return table[:, gt.classes] + chamfer_distances(pred.points, gt.points)
 
 

@@ -31,24 +31,20 @@ if TYPE_CHECKING:  # matching imports this module for its Chamfer cost
     from .matching import PredictedElement
 
 DEFAULT_THRESHOLDS = (0.5, 1.0, 1.5)
+#: Recall levels of the interpolated precision-recall curve.
+INTERPOLATION_POINTS = 101
 _CLASSES = frozenset(ElementClass)
 
 
 @dataclass(frozen=True)
 class APConfig:
     thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
-    interpolation_points: int = 101
-    score_floor: float = 0.0
 
     def __post_init__(self):
         t = self.thresholds
         # Written so that NaN, which fails every comparison, is rejected too.
-        if not t or not all(x > 0 for x in t) or not all(a < b for a, b in zip(t, t[1:])):
-            raise ValueError("thresholds must be strictly positive and increasing")
-        if self.interpolation_points < 1:
-            raise ValueError("interpolation_points must be >= 1")
-        if not np.isfinite(self.score_floor):
-            raise ValueError("score_floor must be finite")
+        if not t or not all(0 < x < np.inf for x in t) or not all(a < b for a, b in zip(t, t[1:])):
+            raise ValueError("thresholds must be finite, strictly positive and increasing")
 
 
 @dataclass(frozen=True)
@@ -144,7 +140,7 @@ def chamfer_distances(a_sets, b_sets, cutoff: float = np.inf) -> np.ndarray:
     return out
 
 
-def _interpolated_ap(tp_flags, n_gt: int, n_interp: int) -> float:
+def _interpolated_ap(tp_flags, n_gt: int) -> float:
     """101-point interpolated AP from confidence-ordered TP/FP flags."""
     flags = np.asarray(tp_flags, dtype=bool)
     if n_gt == 0 or not len(flags):
@@ -153,13 +149,13 @@ def _interpolated_ap(tp_flags, n_gt: int, n_interp: int) -> float:
     fp = np.cumsum(~flags)
     recall = tp / n_gt
     precision = tp / (tp + fp)
-    levels = np.linspace(0.0, 1.0, n_interp)
+    levels = np.linspace(0.0, 1.0, INTERPOLATION_POINTS)
     # Recall never falls, so the points at or above a recall level are a
     # suffix, and their best precision is a reverse running maximum; 0
     # past the end.  Levels are added in order, as a running sum would.
     best = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
     first = np.searchsorted(recall, levels - 1e-12)
-    return float(np.cumsum(best[first])[-1]) / n_interp
+    return float(np.cumsum(best[first])[-1]) / INTERPOLATION_POINTS
 
 
 def _to_meters(points, scene_range: SceneRange):
@@ -273,7 +269,7 @@ def evaluate_ap(
         for d, idx, start in zip(dists, gt_idx, offsets):
             padded[start:start + len(d), :len(idx)] = d[:, idx]
         class_scores = scores[:, cls]
-        candidates = np.flatnonzero(class_scores > cfg.score_floor)
+        candidates = np.flatnonzero(class_scores > 0.0)  # a score of 0 ranks nothing
         # Descending score; ties keep scene/element order (scores are never NaN).
         order = candidates[np.argsort(-class_scores[candidates], kind="stable")]
         # Each candidate's scene, and its step: its rank among that scene's.
@@ -286,7 +282,7 @@ def evaluate_ap(
         dist[scene, step] = padded[order]
         for tau in cfg.thresholds:
             flags = _greedy_flags(dist, tau)[scene, step]
-            per_cell[(cls, tau)] = _interpolated_ap(flags, n_gt, cfg.interpolation_points)
+            per_cell[(cls, tau)] = _interpolated_ap(flags, n_gt)
             tp = int(flags.sum())
             counts[(cls, tau)] = APCounts(tp=tp, fp=len(flags) - tp, n_gt=n_gt)
 

@@ -4,6 +4,7 @@ Each test prints a single PASS line on success (run with ``pytest -s``
 to see them); a failing assertion marks the criterion FAIL.
 """
 
+import dataclasses
 import itertools
 import time
 
@@ -13,6 +14,7 @@ import pytest
 from conftest import random_element, random_prediction
 from test_losses import _fd_gradients, _kink_safe_config
 from test_matching import _oracle_point_match
+from vecmap import fitter, matching, metrics
 from vecmap.fitter import FitConfig, FitMode, fit
 from vecmap.geometry import (
     ElementClass,
@@ -206,7 +208,7 @@ def test_acceptance_7_scale_substitution_documented(pytestconfig):
 
 def test_acceptance_8_shipped_defaults():
     assert APConfig().thresholds == (0.5, 1.0, 1.5)
-    assert APConfig().interpolation_points == 101
+    assert metrics.INTERPOLATION_POINTS == 101
     assert DEFAULT_N_POINTS == 20
     assert DEFAULT_SLOTS == 50
     assert FitConfig().n_slots == 50
@@ -214,9 +216,13 @@ def test_acceptance_8_shipped_defaults():
     assert weights.lambda_cls == 2.0
     assert weights.alpha_p2p == 5.0
     assert weights.beta_dir == 5e-3
-    cfg = CostConfig()
-    assert cfg.focal_gamma == 2.0
-    assert cfg.focal_alpha == 0.25
+    assert (matching.FOCAL_GAMMA, matching.FOCAL_ALPHA) == (2.0, 0.25)
+    assert (fitter.STEP_SIZE, fitter.MOMENT_DECAY_1, fitter.MOMENT_DECAY_2,
+            fitter.ADAM_EPS) == (0.01, 0.9, 0.999, 1e-8)
+    # Only the settings a caller sets are config fields; the rest are the constants above.
+    fields = {c: [f.name for f in dataclasses.fields(c)] for c in (FitConfig, APConfig, CostConfig)}
+    assert fields == {FitConfig: ["mode", "iterations", "seed", "n_slots"],
+                      APConfig: ["thresholds"], CostConfig: ["position_cost"]}
     sr = SceneRange()
     assert (sr.x_min, sr.x_max, sr.y_min, sr.y_max) == (-15.0, 15.0, -30.0, 30.0)
     _report(8, "shipped defaults match the published configuration")

@@ -120,10 +120,6 @@ class TestFit:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             FitConfig(iterations=0)
-        with pytest.raises(ValueError):
-            FitConfig(step_size=0.0)
-        with pytest.raises(ValueError):
-            FitConfig(moment_decay_1=1.0)
 
 
 NAN, INF = float("nan"), float("inf")
@@ -134,28 +130,30 @@ NAN, INF = float("nan"), float("inf")
     [
         (APConfig, dict(thresholds=(NAN,))),
         (APConfig, dict(thresholds=(0.5, NAN, 1.5))),
-        (APConfig, dict(score_floor=NAN)),
-        (APConfig, dict(score_floor=INF)),
-        (APConfig, dict(interpolation_points=0)),
-        (CostConfig, dict(focal_gamma=NAN)),
-        (CostConfig, dict(focal_gamma=INF)),
-        (CostConfig, dict(focal_alpha=1.0)),
+        (APConfig, dict(thresholds=(0.5, INF))),
         (LossWeights, dict(lambda_cls=NAN)),
         (LossWeights, dict(alpha_p2p=NAN)),
         (LossWeights, dict(beta_dir=NAN)),
         (LossWeights, dict(lambda_cls=INF)),
         (LossWeights, dict(alpha_p2p=INF)),
         (LossWeights, dict(beta_dir=INF)),
-        (FitConfig, dict(step_size=NAN)),
-        (FitConfig, dict(step_size=INF)),
         (FitConfig, dict(n_slots=-1)),
+        (FitConfig, dict(n_slots=12.0)),
+        (FitConfig, dict(n_slots=True)),
+        (FitConfig, dict(iterations=2.5)),
+        (FitConfig, dict(iterations=True)),
+        (FitConfig, dict(seed=-1)),
+        (FitConfig, dict(seed=1.0)),
+        (FitConfig, dict(seed=False)),
     ],
     ids=lambda v: v.__name__ if isinstance(v, type) else repr(v),
 )
 def test_config_rejects_nan_and_out_of_range(config, kwargs):
     # Each comparison is written so that NaN fails it: a NaN accepted here
-    # would fail later with another layer's message, or give mAP 0.
-    with pytest.raises(ValueError):
+    # would fail later with another layer's message, or give mAP 0.  An
+    # infinite threshold would read every class AP 1.0.  A FitConfig value
+    # that is no int, or a bool, would fail inside fit, or run as 1.
+    with pytest.raises(ValueError, match=next(iter(kwargs)) if config is FitConfig else None):
         config(**kwargs)
 
 

@@ -242,9 +242,15 @@ class TestNormalize:
                 for stack in (draw((E, n, 2)), rows[:, 3:].reshape(E, n, 2)):
                     norm, meters = normalize_stack(stack, sr), denormalize_stack(stack, sr)
                     assert norm.shape == meters.shape == stack.shape
-                    for got, reference in ((norm, normalize), (meters, denormalize)):
-                        want = [reference(p, sr) for p in stack]
-                        assert got.tobytes() == np.reshape(want, stack.shape).tobytes()
+                    # Against the broadcast formulas, and the per-element entries.
+                    for got, public, formula in (
+                        (norm, normalize, lambda p: (p - sr.lower) / sr.extent),
+                        (meters, denormalize, lambda p: p * sr.extent + sr.lower),
+                    ):
+                        want = np.reshape([formula(p) for p in stack], stack.shape).tobytes()
+                        assert got.tobytes() == want
+                        each = [public(p, sr) for p in stack]
+                        assert np.reshape(each, stack.shape).tobytes() == want
                 ragged = [draw((k, 2)) for k in (1, 3, 2)]
                 for got, p in zip(_to_meters(ragged, sr), ragged, strict=True):
                     assert got.tobytes() == denormalize(p, sr).tobytes()

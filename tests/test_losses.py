@@ -13,6 +13,7 @@ from conftest import (
 )
 import vecmap._kernels
 from vecmap._kernels import _binders
+from vecmap._kernels._pure import EDGE_NORM_FLOOR
 from vecmap.geometry import ElementClass
 from vecmap.geometry import (
     KIND_FOR_CLASS,
@@ -23,7 +24,6 @@ from vecmap.geometry import (
     permutation_group,
 )
 from vecmap.losses import (
-    EDGE_NORM_FLOOR,
     BoundLoss,
     LossWeights,
     loss_and_gradients,
@@ -31,7 +31,8 @@ from vecmap.losses import (
     total_loss,
 )
 from vecmap.matching import (
-    CostConfig,
+    FOCAL_ALPHA,
+    FOCAL_GAMMA,
     HierarchicalMatch,
     InstanceAssignment,
     PointAssignment,
@@ -381,13 +382,13 @@ def _oracle_edge_cosines(pred_pts, gt_aligned, kind):
     return cos, d_points
 
 
-def _focal_terms(scores, rows, classes, cfg):
+def _focal_terms(scores, rows, classes):
     """Per-slot sigmoid focal loss and its gradient wrt the scores, from the
     numpy body of the ``focal_terms`` kernel; slot rows[k] has a positive
     target at classes[k]."""
     points, aligned = np.zeros((len(scores), 1, 2)), np.zeros((len(rows), 1, 2))
     *_, loss, d_scores, _, run = _binders(None).loss(points, scores, rows, classes, aligned,
-                                                     cfg.focal_gamma, cfg.focal_alpha, 1.0,
+                                                     FOCAL_GAMMA, FOCAL_ALPHA, 1.0,
                                                      0.0, 0.0)
     run()
     return loss, d_scores
@@ -398,7 +399,7 @@ def _oracle_loss_and_gradients(preds, gts, match, weights):
     scores = np.stack([p.scores for p in preds])
     rows = [p for p, _ in match.instance.pairs]
     classes = [int(gts[g].element_class) for _, g in match.instance.pairs]
-    cls_slots, d_cls = _focal_terms(scores, rows, classes, CostConfig())
+    cls_slots, d_cls = _focal_terms(scores, rows, classes)
     p2p = dir_ = 0.0
     d_points = np.zeros((len(preds),) + preds[0].points.shape)
     for pair in match.instance.pairs:
@@ -429,7 +430,7 @@ def test_closing_edge_follows_from_class(rng, monkeypatch, cls, n_edges):
         terms, grads = loss_and_gradients(points, scores, [0], [cls], _PENTAGON[None])
         cos, d_dir = _oracle_edge_cosines(points[0], _PENTAGON, KIND_FOR_CLASS[cls])
         assert len(cos) == n_edges
-        cls_slots, d_cls = _focal_terms(scores, [0], [cls], CostConfig())
+        cls_slots, d_cls = _focal_terms(scores, [0], [cls])
         p2p, dir_ = float(np.abs(points[0] - _PENTAGON).sum()), -float(cos.sum())
         total = (weights.lambda_cls * float(cls_slots.sum()) + weights.alpha_p2p * p2p
                  + weights.beta_dir * dir_)

@@ -15,6 +15,7 @@ from conftest import (
     unique_best_ordering,
 )
 from vecmap import _kernels
+from vecmap._kernels import _pure
 from vecmap.geometry import (
     Direction,
     ElementClass,
@@ -26,6 +27,8 @@ from vecmap.geometry import (
 from vecmap.matching import (
     BoundMatcher,
     CapacityError,
+    FOCAL_ALPHA,
+    FOCAL_GAMMA,
     CostConfig,
     PositionCost,
     PredictedElement,
@@ -105,22 +108,20 @@ class TestClassCostTable:
         gamma=st.sampled_from([0.0, 0.5, 2.0, 3.0]),
         alpha=st.sampled_from([0.01, 0.25, 0.9]),
     )
-    def test_entries_equal_focal_class_cost(self, scores, gamma, alpha):
-        cfg = CostConfig(focal_gamma=gamma, focal_alpha=alpha)
-        table = _kernels.focal_cost_table(scores, cfg.focal_gamma, cfg.focal_alpha)
+    def test_entries_equal_scalar_focal_cost(self, scores, gamma, alpha):
+        table = _kernels.focal_cost_table(scores, gamma, alpha)
         assert table.shape == (len(scores), 3)
         for p in range(len(scores)):
             for cls in ElementClass:
-                assert table[p, int(cls)] == focal_class_cost(scores[p], cls, cfg)
+                assert table[p, int(cls)] == _pure.focal_cost(scores[p, cls], gamma, alpha)
 
     @pytest.mark.parametrize("gamma", [2.0, 0.5])
-    def test_entries_equal_focal_class_cost_in_bulk(self, rng, gamma):
+    def test_entries_equal_scalar_focal_cost_in_bulk(self, rng, gamma):
         # numpy's vectorized log and power differ from the scalar ones in
         # the last ulp on a fraction of a percent of inputs: check many.
-        cfg = CostConfig(focal_gamma=gamma)
         scores = rng.uniform(size=(5000, 3))
-        expected = [[focal_class_cost(row, cls, cfg) for cls in ElementClass] for row in scores]
-        table = _kernels.focal_cost_table(scores, cfg.focal_gamma, cfg.focal_alpha)
+        expected = [[_pure.focal_cost(p, gamma, FOCAL_ALPHA) for p in row] for row in scores]
+        table = _kernels.focal_cost_table(scores, gamma, FOCAL_ALPHA)
         np.testing.assert_array_equal(table, expected)
 
 
@@ -212,7 +213,7 @@ class TestChamferPositionCost:
 
 
 def _pair_cost(pred, gt, cfg):
-    cost = focal_class_cost(pred.scores, gt.element_class, cfg)
+    cost = focal_class_cost(pred.scores, gt.element_class)
     if cfg.position_cost is PositionCost.CHAMFER:
         return cost + chamfer_distance(pred.points, gt.points)
     return cost + _oracle_point_match(pred.points, gt)[0]
@@ -357,13 +358,12 @@ def test_grouped_costs_equal_per_ground_truth_loop(backend, problem, fixed_order
     # ground truth: the same cost bits and the same orderings.
     preds, gts = problem
     points, scores = stack_predictions(preds)
-    cfg = CostConfig()
     stacked = SceneGroundTruth.stack(gts)
     with matcher_backend(backend):
-        matcher = BoundMatcher(points, scores, stacked.points, stacked.classes, cfg, fixed_order)
+        matcher = BoundMatcher(points, scores, stacked.points, stacked.classes, fixed_order)
         cost = matcher.cost(stacked.points)
     grouped_pos, grouped_best = matcher.manhattan, matcher.best
-    table = _kernels.focal_cost_table(scores, cfg.focal_gamma, cfg.focal_alpha)
+    table = _kernels.focal_cost_table(scores, FOCAL_GAMMA, FOCAL_ALPHA)
     for g, gt in enumerate(gts):
         if fixed_order:
             maps = np.arange(gt.n_points)[None, :]
@@ -389,7 +389,7 @@ def test_bound_matcher_keeps_no_stale_state(rng, fixed_order, backend):
     cfg = CostConfig()
     bound_points, bound_scores = np.zeros((6, 8, 2)), np.zeros((6, 3))
     with matcher_backend(backend):
-        matcher = BoundMatcher(bound_points, bound_scores, stacked.points, stacked.classes, cfg,
+        matcher = BoundMatcher(bound_points, bound_scores, stacked.points, stacked.classes,
                                fixed_order)
 
     def call(points, scores, gt_points):
@@ -560,7 +560,7 @@ class TestPointCountValidation:
         cfg = CostConfig(position_cost=PositionCost.CHAMFER)
         preds = [random_prediction(rng, n_points=n) for n in (4, 6, 4, 9)]
         gts = [random_element(rng, n_points=n) for n in (5, 4, 7)]
-        want = [[focal_class_cost(p.scores, g.element_class, cfg)
+        want = [[focal_class_cost(p.scores, g.element_class)
                  + chamfer_distance(p.points, g.points) for g in gts] for p in preds]
         np.testing.assert_array_equal(_cost_matrix(preds, gts, cfg, False), want)
         assert len(instance_match(preds, gts, cfg).pairs) == 3

@@ -1,4 +1,5 @@
 from types import SimpleNamespace
+from unittest import mock
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -17,6 +18,7 @@ from vecmap.geometry import (
 )
 from vecmap.matching import PredictedElement
 from vecmap.metrics import (
+    INTERPOLATION_POINTS,
     APConfig,
     APCounts,
     APReport,
@@ -302,9 +304,9 @@ class TestInterpolatedAP:
            n_interp=st.sampled_from([2, 11, 101]))
     def test_equals_loop_over_levels(self, flags, extra_gt, n_interp):
         n_gt = sum(flags) + extra_gt
-        assert _interpolated_ap(flags, n_gt, n_interp) == _loop_interpolated_ap(
-            flags, n_gt, n_interp
-        )
+        with mock.patch.object(metrics, "INTERPOLATION_POINTS", n_interp):
+            got = _interpolated_ap(flags, n_gt)
+        assert got == _loop_interpolated_ap(flags, n_gt, n_interp)
 
 
 def _oracle_evaluate_ap(pred_scenes, gt_scenes, cfg, scene_range):
@@ -325,7 +327,7 @@ def _oracle_evaluate_ap(pred_scenes, gt_scenes, cfg, scene_range):
         candidates = [
             (float(scores[cls]), si, pts)
             for si, scores, pts in pooled
-            if scores[cls] > cfg.score_floor
+            if scores[cls] > 0.0
         ]
         order = sorted(range(len(candidates)), key=lambda i: -candidates[i][0])
         for tau in cfg.thresholds:
@@ -345,7 +347,7 @@ def _oracle_evaluate_ap(pred_scenes, gt_scenes, cfg, scene_range):
                     flags.append(True)
                 else:
                     flags.append(False)
-            per_cell[(cls, tau)] = _loop_interpolated_ap(flags, n_gt, cfg.interpolation_points)
+            per_cell[(cls, tau)] = _loop_interpolated_ap(flags, n_gt, INTERPOLATION_POINTS)
             counts[(cls, tau)] = APCounts(tp=sum(flags), fp=flags.count(False), n_gt=n_gt)
     per_class = {
         cls: float(np.mean([per_cell[(cls, tau)] for tau in cfg.thresholds]))
@@ -461,6 +463,6 @@ class TestEvaluateAPOracle:
             for s, sc in enumerate(scenes)
         ]
         gts = [list(sc.elements) for sc in scenes]
-        cfg = APConfig(score_floor=0.05)
+        cfg = APConfig()
         got = evaluate_ap(preds, gts, cfg, scenes[0].range)
         assert got == _oracle_evaluate_ap(preds, gts, cfg, scenes[0].range)

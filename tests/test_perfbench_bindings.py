@@ -4,19 +4,22 @@
 their callers use.  A rename in the package that drops one of them breaks
 ``perfbench/run.py --trace 1``; the first test makes it fail here first.
 ``perfbench/workloads.py`` checks every op's output against the recorded
-``perfbench/reference.json``; the other tests run that check on the
+``perfbench/reference.json``; the output tests run that check on the
 ``fit_order_free``, ``match_dense`` and ``eval_ap`` inputs, so a change to
-the output bits of fitting, matching or ``vecmap eval`` fails here.  Both modules are loaded from
-their files, read-only.
+the output bits of fitting, matching or ``vecmap eval`` fails here.  One
+more test flags a ``# noqa: F401`` import that neither its module nor the
+tracer uses.  Both perfbench modules are loaded from their files, read-only.
 """
 
+import ast
 import importlib.util
 import sys
 from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def _load(monkeypatch, name):
@@ -34,6 +37,27 @@ def test_every_trace_target_resolves(monkeypatch):
     for name, _, module_path, attr_path in tracer.TARGETS:
         owner, attr = tracer._resolve(module_path, attr_path)
         assert callable(getattr(owner, attr, None)), f"{name}: {module_path}.{attr_path}"
+
+
+def test_no_stale_reexport(monkeypatch):
+    # An import marked ``# noqa: F401`` binds names its module may not use:
+    # each must be used there after all, or be a name the tracer wraps in
+    # that module.  Any other is a leftover re-export.
+    tracer = _load(monkeypatch, "tracer")
+    wrapped = {(module, attr.split(".")[0]) for _, _, module, attr in tracer.TARGETS}
+    for path in sorted((ROOT / "src" / "vecmap").rglob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        parts = path.relative_to(ROOT / "src").with_suffix("").parts
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+        for node in imports:
+            if "# noqa: F401" in lines[node.lineno - 1]:
+                for alias in node.names:
+                    name = alias.asname or alias.name
+                    assert name in used or (module, name) in wrapped, f"{module}: {name}"
 
 
 @pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
