@@ -36,7 +36,7 @@ from .losses import (  # noqa: F401
 )
 from .matching import BoundMatcher, PredictedElement, hierarchical_match  # noqa: F401
 from .metrics import APConfig, APReport, SceneGroundTruth, ScenePredictions, evaluate_ap
-from .scenegen import DEFAULT_SLOTS, MapScene
+from .scenegen import DEFAULT_SLOTS, MapScene, check_integers
 
 
 #: Adam's step size, first and second moment decays and epsilon.
@@ -58,11 +58,7 @@ class FitConfig:
     def __post_init__(self):
         if not isinstance(self.mode, FitMode):
             raise ValueError("mode must be a FitMode")
-        for name, low in (("iterations", 1), ("seed", 0), ("n_slots", 1)):
-            value = getattr(self, name)
-            # A bool is no integer here, as in sceneio.
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        check_integers(self, iterations=1, seed=0, n_slots=1)
 
 
 @dataclass(frozen=True)
@@ -131,8 +127,7 @@ def fit(gt: MapScene, cfg: FitConfig = FitConfig()) -> FitTrace:
         gts_iter = flat[at, all_maps[at[:, 0], order_rng.integers(n_orderings)]]
         rows, cols, orderings, _ = matcher(gts_iter)
         aligned = gts_iter[cols[:, None], all_maps[cols, orderings]]
-        breakdown, _ = loss(rows, classes[cols], aligned)
-        trace.append(breakdown)
+        trace.append(loss(rows, classes[cols], aligned))
         if t == cfg.iterations:  # the final predictions: no step after the last loss
             break
         c1, c2 = 1 - MOMENT_DECAY_1**t, 1 - MOMENT_DECAY_2**t

@@ -12,7 +12,8 @@ Two kernel passes give every term and its gradient: ``focal_terms`` in
 ``_kernels`` the classification term, from numpy's logs and powers of the
 scores, and ``pair_terms`` the point2point and edge-direction terms of the
 matched pairs.  A pair's class alone decides whether it has a closing edge
-(a polygon's).  :class:`BoundLoss` binds both through one check, and
+(a polygon's).  :class:`BoundLoss`, the loss's one array entry, binds
+both; its bind raises ValueError on bad input, naming the argument, and
 ``fit`` binds it once per fit.
 """
 
@@ -67,17 +68,30 @@ class LossGradients:
 
 
 class BoundLoss:
-    """:func:`loss_and_gradients` bound to buffers for a fixed pair count.
+    """The weighted loss and its analytic gradient, bound to buffers for a
+    fixed pair count: the loss's one array entry.
 
-    Binding checks its arguments as :func:`loss_and_gradients` does and
-    keeps those already contiguous in the kernels' dtypes as its buffers.
-    A call reads the predictions' current contents, so a caller updates
-    ``points`` and ``scores`` in place, as with ``matching.BoundMatcher``.
-    It copies valid pairs of the bound shapes into the pair buffers,
-    unchecked, and runs both kernels raw; the gradients it returns are the
-    bound outputs, which the next call refills.  ``d_logits`` is
-    ``d_scores * s * (1 - s)``: the gradient wrt the logits whose sigmoids
-    the scores ``s`` are.
+    points (P, n, 2) and scores (P, 3) describe the predictions.  Matched
+    pair i joins prediction ``rows[i]`` (ascending) to a ground truth of
+    class ``classes[i]`` whose points, in the matched ordering, are
+    ``aligned[i]`` (n, 2); the class's kind (``KIND_FOR_CLASS``) decides
+    whether the pair has a closing edge, which only a polygon has.  Binding
+    raises ValueError, naming the argument, unless the rows strictly ascend
+    within [0, P), each class is 0, 1 or 2, both point stacks are finite
+    with ``aligned`` (len(rows), n, 2), and ``scores`` is (P, 3) with every
+    value in [0, 1].  It keeps those already contiguous in the kernels'
+    dtypes as its buffers, so a caller updates ``points`` and ``scores`` in
+    place, as with ``matching.BoundMatcher``.
+
+    A call copies valid pairs of the bound shapes into the pair buffers,
+    unchecked, runs both kernels raw on the predictions' current contents
+    and returns the :class:`LossBreakdown`.  It refills the gradients, the
+    bound outputs ``d_points`` (P, n, 2), ``d_scores`` (P, 3) and
+    ``d_logits`` = ``d_scores * s * (1 - s)``, wrt the logits whose sigmoids
+    the scores ``s`` are.  The assignment is frozen; the Manhattan term uses
+    the minimum-norm subgradient (0 at exact coordinate ties).  No-object
+    predictions get zero point gradients and only the negative-target
+    score gradient.
     """
 
     def __init__(self, points, scores, rows, classes, aligned,
@@ -89,13 +103,13 @@ class BoundLoss:
                                           weights.alpha_p2p, weights.beta_dir)
         self.weights = weights
 
-    def __call__(self, rows, classes, aligned):
+    def __call__(self, rows, classes, aligned) -> LossBreakdown:
         for buf, new in zip((self.rows, self.classes, self.aligned), (rows, classes, aligned)):
             np.copyto(buf, new)
         return self.run()
 
-    def run(self) -> tuple[LossBreakdown, LossGradients]:
-        """The loss and gradients of the bound buffers' contents."""
+    def run(self) -> LossBreakdown:
+        """The loss of the bound buffers' contents; refills the gradients."""
         w = self.weights
         cls = self._run()
         p2p = dir_ = 0.0
@@ -103,52 +117,18 @@ class BoundLoss:
             p2p += a
             dir_ -= c
         total = w.lambda_cls * cls + w.alpha_p2p * p2p + w.beta_dir * dir_
-        return (
-            LossBreakdown(cls=cls, p2p=p2p, dir=dir_, total=total),
-            LossGradients(d_points=self.d_points, d_scores=self.d_scores),
-        )
-
-
-def loss_and_gradients(
-    points: np.ndarray,
-    scores: np.ndarray,
-    rows,
-    classes,
-    aligned: np.ndarray,
-    weights: LossWeights = LossWeights(),
-) -> tuple[LossBreakdown, LossGradients]:
-    """Weighted loss and its analytic gradient in one pass over the pairs.
-
-    points (P, n, 2) and scores (P, 3) describe the predictions.  Matched
-    pair i joins prediction ``rows[i]`` (ascending) to a ground truth of
-    class ``classes[i]`` whose points, in the matched ordering, are
-    ``aligned[i]`` (n, 2); the class's kind (``KIND_FOR_CLASS``) decides
-    whether the pair has a closing edge, which only a polygon has.  Raises
-    ValueError, naming the argument, unless the rows strictly ascend within
-    [0, P), each class is 0, 1 or 2, both point stacks are finite with
-    ``aligned`` (len(rows), n, 2), and ``scores`` is (P, 3) with every
-    value in [0, 1].
-
-    The assignment is frozen; the Manhattan term uses the minimum-norm
-    subgradient (0 at exact coordinate ties).  No-object predictions get
-    zero point gradients and only the negative-target score gradient.
-    """
-    return BoundLoss(points, scores, rows, classes, aligned, weights).run()
+        return LossBreakdown(cls=cls, p2p=p2p, dir=dir_, total=total)
 
 
 def _fused(preds, gts, match, weights=LossWeights()):
-    """:func:`loss_and_gradients` on dataclass inputs."""
+    """:class:`BoundLoss` on dataclass inputs: the breakdown and the gradients."""
     points, scores = stack_predictions(preds)
     pairs = match.instance.pairs
     aligned = [apply_permutation(gts[g].points, match.point_level[(p, g)].perm) for p, g in pairs]
-    return loss_and_gradients(
-        points,
-        scores,
-        [p for p, _ in pairs],
-        [int(gts[g].element_class) for _, g in pairs],
-        np.stack(aligned) if aligned else np.zeros((0,) + points.shape[1:]),
-        weights,
-    )
+    aligned = np.stack(aligned) if aligned else np.zeros((0,) + points.shape[1:])
+    loss = BoundLoss(points, scores, [p for p, _ in pairs],
+                     [int(gts[g].element_class) for _, g in pairs], aligned, weights)
+    return loss.run(), LossGradients(d_points=loss.d_points, d_scores=loss.d_scores)
 
 
 def total_loss(
@@ -167,8 +147,6 @@ def loss_gradients(
     match: HierarchicalMatch,
     weights: LossWeights = LossWeights(),
 ) -> LossGradients:
-    """Analytic gradient of the weighted total wrt predicted points and scores.
-
-    See :func:`loss_and_gradients`.
-    """
+    """Analytic gradient of the weighted total wrt predicted points and
+    scores; see :class:`BoundLoss`."""
     return _fused(preds, gts, match, weights)[1]

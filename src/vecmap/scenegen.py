@@ -33,6 +33,16 @@ DEFAULT_SLOTS = 50
 DEFAULT_N_POINTS = 20
 
 
+def check_integers(config, **floors) -> None:
+    """Raise ValueError, naming the field, unless each field of ``config``
+    named in ``floors`` is an int or numpy integer at or above its floor.
+    A bool is no integer here, as in ``sceneio``."""
+    for name, low in floors.items():
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SceneSpec:
     seed: int
@@ -43,12 +53,9 @@ class SceneSpec:
     n_points: int = DEFAULT_N_POINTS
 
     def __post_init__(self):
-        if min(self.n_ped, self.n_divider, self.n_boundary) < 0:
-            raise ValueError("element counts must be non-negative")
+        check_integers(self, seed=0, n_ped=0, n_divider=0, n_boundary=0, n_points=2)
         if self.n_ped + self.n_divider + self.n_boundary > DEFAULT_SLOTS:
             raise ValueError(f"total elements exceed the {DEFAULT_SLOTS}-slot budget")
-        if self.n_points < 2:
-            raise ValueError("n_points must be >= 2")
 
 
 class ScoreModel:
@@ -66,12 +73,11 @@ class PerturbSpec:
     pad_to: int = DEFAULT_SLOTS
 
     def __post_init__(self):
+        check_integers(self, seed=0, false_positive_count=0, pad_to=0)
         if not 0 <= self.point_noise_sigma < np.inf:  # NaN fails too
             raise ValueError("point_noise_sigma must be finite and >= 0")
         if not 0 <= self.drop_prob <= 1:
             raise ValueError("drop_prob must lie in [0, 1]")
-        if self.false_positive_count < 0:
-            raise ValueError("false_positive_count must be >= 0")
         if self.score_model not in (ScoreModel.ORACLE, ScoreModel.NOISY_CONFIDENCE):
             raise ValueError(f"unknown score_model {self.score_model!r}")
 

@@ -46,7 +46,7 @@ from .geometry import (
 )
 from .matching import PredictedElement
 from .metrics import SceneGroundTruth, ScenePredictions
-from .scenegen import MapScene
+from .scenegen import MapScene, check_integers
 
 CLASS_NAMES = {
     ElementClass.PED_CROSSING: "ped_crossing",
@@ -80,12 +80,21 @@ def write_scene(
     scene: MapScene,
     predictions: list[PredictedElement] | None = None,
 ) -> None:
-    """Write a ground-truth scene, or predictions when given (in meters)."""
+    """Write a ground-truth scene, or predictions when given (in meters).
+
+    Raises ValueError, writing nothing, when ``scene.n_points`` is no
+    integer >= 2 or an element's point count is not that ``meta.n_points``:
+    the readers reject either file."""
+    check_integers(scene, n_points=2)
+    for i, el in enumerate(scene.elements if predictions is None else predictions):
+        if len(el.points) != scene.n_points:
+            raise ValueError(f"{path}: elements[{i}] has {len(el.points)} points, "
+                             f"not meta.n_points {scene.n_points}")
     sr = scene.range
     doc = {
         "meta": {
             "range": [_num(sr.x_min), _num(sr.x_max), _num(sr.y_min), _num(sr.y_max)],
-            "n_points": scene.n_points,
+            "n_points": int(scene.n_points),  # a numpy integer is no JSON number
         },
         "elements": [],
     }

@@ -26,7 +26,6 @@ from vecmap.geometry import (
 from vecmap.losses import (
     BoundLoss,
     LossWeights,
-    loss_and_gradients,
     loss_gradients,
     total_loss,
 )
@@ -343,9 +342,9 @@ class TestLossGradients:
             "classes": [0, 1],
             "aligned": rng.uniform(size=(2, 5, 2)),
         }
-        loss_and_gradients(**args)  # the consistent pairs score
+        BoundLoss(**args).run()  # the consistent pairs score
         with pytest.raises(ValueError, match=f"^{name} "):
-            loss_and_gradients(**{**args, **change})
+            BoundLoss(**{**args, **change})
 
     def test_matches_finite_differences(self, rng):
         weights = LossWeights()
@@ -394,7 +393,7 @@ def _focal_terms(scores, rows, classes):
     return loss, d_scores
 
 
-def _oracle_loss_and_gradients(preds, gts, match, weights):
+def _oracle_terms_and_gradients(preds, gts, match, weights):
     """Each term and its gradient computed pair by pair, one pair at a time."""
     scores = np.stack([p.scores for p in preds])
     rows = [p for p, _ in match.instance.pairs]
@@ -427,7 +426,8 @@ def test_closing_edge_follows_from_class(rng, monkeypatch, cls, n_edges):
     weights = LossWeights()
     scores = rng.uniform(size=(2, 3))
     for points in (np.stack([_PENTAGON, _PENTAGON + 3.0]), rng.uniform(size=(2, 5, 2))):
-        terms, grads = loss_and_gradients(points, scores, [0], [cls], _PENTAGON[None])
+        loss = BoundLoss(points, scores, [0], [cls], _PENTAGON[None])
+        terms = loss.run()
         cos, d_dir = _oracle_edge_cosines(points[0], _PENTAGON, KIND_FOR_CLASS[cls])
         assert len(cos) == n_edges
         cls_slots, d_cls = _focal_terms(scores, [0], [cls])
@@ -439,18 +439,18 @@ def test_closing_edge_follows_from_class(rng, monkeypatch, cls, n_edges):
         d_points = np.zeros_like(points)
         d_points[0] += weights.alpha_p2p * np.sign(points[0] - _PENTAGON)
         d_points[0] -= weights.beta_dir * d_dir
-        np.testing.assert_array_equal(grads.d_points, d_points)
-        np.testing.assert_array_equal(grads.d_scores, weights.lambda_cls * d_cls)
+        np.testing.assert_array_equal(loss.d_points, d_points)
+        np.testing.assert_array_equal(loss.d_scores, weights.lambda_cls * d_cls)
         if (points[0] == _PENTAGON).all():
             assert terms.dir == -n_edges
         # The numpy backend's binder gives the same bits.
         with monkeypatch.context() as m:
             m.setattr(vecmap._kernels, "_bind_loss", _binders(None).loss)
-            pure_terms, pure_grads = loss_and_gradients(points, scores, [0], [cls],
-                                                        _PENTAGON[None])
+            pure = BoundLoss(points, scores, [0], [cls], _PENTAGON[None])
+            pure_terms = pure.run()
         assert pure_terms == terms
-        assert pure_grads.d_points.tobytes() == grads.d_points.tobytes()
-        assert pure_grads.d_scores.tobytes() == grads.d_scores.tobytes()
+        assert pure.d_points.tobytes() == loss.d_points.tobytes()
+        assert pure.d_scores.tobytes() == loss.d_scores.tobytes()
 
 
 _WEIGHTS = st.sampled_from(
@@ -461,7 +461,7 @@ _WEIGHTS = st.sampled_from(
 def test_bound_loss_reads_predictions_updated_in_place(rng):
     # Bound to the caller's points and scores, the loss copies neither: a
     # call takes only the pairs, reads the predictions' current contents,
-    # and equals a fresh loss_and_gradients on them.
+    # and equals a fresh BoundLoss on them.
     P, n, M = 5, 6, 3
     points, scores = rng.uniform(size=(P, n, 2)), rng.uniform(size=(P, 3))
     loss = BoundLoss(points, scores, np.arange(M), np.zeros(M, dtype=np.int64),
@@ -471,11 +471,11 @@ def test_bound_loss_reads_predictions_updated_in_place(rng):
         points[...], scores[...] = rng.uniform(size=points.shape), rng.uniform(size=scores.shape)
         rows, classes = np.sort(rng.choice(P, M, replace=False)), rng.integers(0, 3, M)
         aligned = rng.uniform(size=(M, n, 2))
-        breakdown, grads = loss(rows, classes, aligned)
-        want, want_grads = loss_and_gradients(points.copy(), scores.copy(), rows, classes, aligned)
-        assert breakdown == want
-        assert np.array_equal(grads.d_points, want_grads.d_points)
-        assert np.array_equal(grads.d_scores, want_grads.d_scores)
+        breakdown = loss(rows, classes, aligned)
+        want = BoundLoss(points.copy(), scores.copy(), rows, classes, aligned)
+        assert breakdown == want.run()
+        assert np.array_equal(loss.d_points, want.d_points)
+        assert np.array_equal(loss.d_scores, want.d_scores)
 
 
 class TestFusedEqualsPerPair:
@@ -506,7 +506,7 @@ class TestFusedEqualsPerPair:
     @staticmethod
     def _check(preds, gts, weights, fixed_order):
         match = hierarchical_match(preds, gts, fixed_order=fixed_order)
-        terms, d_points, d_scores = _oracle_loss_and_gradients(preds, gts, match, weights)
+        terms, d_points, d_scores = _oracle_terms_and_gradients(preds, gts, match, weights)
         out = total_loss(preds, gts, match, weights)
         assert (out.cls, out.p2p, out.dir, out.total) == terms
         grads = loss_gradients(preds, gts, match, weights)

@@ -10,9 +10,12 @@ preloaded (ASan refuses to start in a Python not built with it otherwise):
 file, and the Manhattan, Chamfer, loss and Adam entries at their edge
 shapes.  Every input, output and scratch buffer is its own block of
 exactly its size from the sanitized ``malloc``, so a read or write one
-byte past any of them is reported.  Any report or a nonzero exit fails a
-test, as do results that differ from the production library's.  The tests
-skip only when ``cc`` or a sanitizer runtime is missing, and say which.
+byte past any of them is reported.  Whole paths, ``fit`` in both modes and
+``hierarchical_match`` under both position costs, run with ``_kernels``'
+binders and entries rebound to the sanitized library, on numpy's buffers.
+Any report or a nonzero exit fails a test, as do results that differ from
+the production library's.  The tests skip only when ``cc`` or a sanitizer
+runtime is missing, and say which.
 """
 
 import hashlib
@@ -28,7 +31,9 @@ import pytest
 
 import vecmap._kernels as kernels
 from vecmap import sceneio
+from vecmap.fitter import FitConfig, FitMode, fit
 from vecmap.geometry import ElementKind, permutation_group
+from vecmap.matching import CostConfig, PositionCost, hierarchical_match
 from vecmap.scenegen import PerturbSpec, SceneSpec, generate_scene, perturb
 
 SANITIZE = ("-fsanitize=address,undefined", "-fno-sanitize-recover=undefined",
@@ -130,6 +135,52 @@ for entry, c in pickle.loads(Path(sys.argv[2]).read_bytes()):
         outputs.append((after[0], after[2], after[3]))
 Path(sys.argv[3]).write_bytes(pickle.dumps(outputs))
 """
+
+
+#: Run as ``python -c PATHS LIBRARY TESTS OUT``: points ``_kernels``' binders
+#: and entries at the library, runs ``_whole_paths`` of this module (in
+#: directory TESTS) and pickles its results.
+PATHS = """
+import pickle, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[2])
+import vecmap._kernels as kernels
+from test_sanitizers import _rebound, _whole_paths
+
+for name, value in _rebound(kernels.load(Path(sys.argv[1]))).items():
+    setattr(kernels, name, value)
+Path(sys.argv[3]).write_bytes(pickle.dumps(_whole_paths()))
+"""
+
+def _rebound(dll) -> dict:
+    """The binders and entries of ``_kernels`` that the package calls, by
+    name, on library ``dll``."""
+    b = kernels._binders(dll)
+    values = (b.manhattan, b.focal, b.json_tokens, b.loss, b.adam, *kernels._entries(dll))
+    names = ("_bind_manhattan", "_bind_focal", "json_tokens", "_bind_loss", "_bind_adam",
+             "manhattan_matrix", "chamfer_matrix", "focal_cost_table")
+    return dict(zip(names, values))
+
+
+def _whole_paths() -> list:
+    """One 20-iteration ``fit`` per mode and one ``hierarchical_match`` per
+    position cost on a small scene: each fit's loss trace, final points and
+    scores (as bytes) and AP, and each match's pairs, orderings and cost bits."""
+    scene = generate_scene(SceneSpec(seed=3, n_points=8))
+    out = []
+    for mode in FitMode:
+        trace = fit(scene, FitConfig(mode=mode, iterations=20))
+        final = trace.final_predictions
+        out.append((trace.losses, np.stack([p.points for p in final]).tobytes(),
+                    np.stack([p.scores for p in final]).tobytes(), trace.final_report.mean_ap))
+    preds = perturb(scene, PerturbSpec(seed=3, point_noise_sigma=0.4, false_positive_count=3,
+                                       score_model="noisy_confidence"))
+    gts = [el.normalized(scene.range) for el in scene.elements]
+    for cost in PositionCost:
+        match = hierarchical_match(preds, gts, CostConfig(cost))
+        out.append((match.instance.pairs,
+                    [(a.perm, a.cost.hex()) for a in match.point_level.values()]))
+    return out
 
 
 def _digest(json_tokens, paths) -> str:
@@ -261,3 +312,14 @@ def test_numeric_entries_at_edge_shapes_under_sanitizers(tmp_path, sanitized):
         assert len(outputs) == len(want)
         for a, b in zip(outputs, want):
             assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), entry
+
+
+def test_whole_paths_under_sanitizers(tmp_path, sanitized, monkeypatch):
+    # fit in both modes (matcher, loss and Adam binds, the final AP's
+    # Chamfer) and hierarchical_match under both position costs, every
+    # kernel call on the sanitized library, equal to the production one's.
+    _run_sanitized(sanitized, PATHS, Path(__file__).parent, tmp_path / "out.pkl")
+    got = pickle.loads((tmp_path / "out.pkl").read_bytes())
+    for name, value in _rebound(sanitized[2]).items():
+        monkeypatch.setattr(kernels, name, value)
+    assert got == _whole_paths()

@@ -54,6 +54,12 @@ class TestGenerateScene:
         for n_points in (0, 1, -3):
             with pytest.raises(ValueError, match="n_points"):
                 SceneSpec(seed=0, n_points=n_points)
+        # Each integer field is checked where it enters, naming the field: a
+        # float, a bool or a negative seed fails here, not in generate_scene.
+        for name, value in (("n_points", 2.5), ("n_ped", 1.5), ("seed", 1.5), ("n_ped", True),
+                            ("n_divider", np.float64(1.0)), ("seed", -1)):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                SceneSpec(**{"seed": 0, name: value})
 
 
 class TestPerturb:
@@ -120,9 +126,14 @@ class TestPerturb:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(score_model="typo"), dict(false_positive_count=-3), dict(drop_prob=1.5)],
-        ids=["unknown score model", "negative false positives", "drop prob above one"],
+        [dict(score_model="typo"), dict(false_positive_count=-3), dict(drop_prob=1.5),
+         dict(false_positive_count=1.5), dict(false_positive_count=True), dict(pad_to=2.5),
+         dict(pad_to=-1), dict(seed=1.5)],
+        ids=["unknown score model", "negative false positives", "drop prob above one",
+             "float false positives", "bool false positives", "float pad", "negative pad",
+             "float seed"],
     )
     def test_invalid_spec_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            PerturbSpec(seed=0, **kwargs)
+        (name,) = kwargs  # the message names the field
+        with pytest.raises(ValueError, match=name):
+            PerturbSpec(**{"seed": 0, **kwargs})

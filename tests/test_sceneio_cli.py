@@ -17,7 +17,7 @@ from vecmap.cli import main
 from vecmap.geometry import ElementClass, MapElement, SceneRange, normalize
 from vecmap.matching import PredictedElement, hierarchical_match
 from vecmap.metrics import APConfig, evaluate_ap
-from vecmap.scenegen import PerturbSpec, SceneSpec, generate_scene, perturb
+from vecmap.scenegen import MapScene, PerturbSpec, SceneSpec, generate_scene, perturb
 from vecmap.sceneio import (
     CLASS_NAMES,
     SceneFormatError,
@@ -90,6 +90,28 @@ class TestSceneIO:
         for points, scores, b in zip(back.points, back.scores, preds):
             np.testing.assert_allclose(points, b.points, atol=1e-7)
             np.testing.assert_allclose(scores, b.scores, atol=1e-9)
+
+    def test_inconsistent_point_count_not_written(self, tmp_path, scene):
+        # Five-point predictions under a 20-point scene, and a scene whose
+        # n_points is not its elements': each file would read back as
+        # "elements[0]: expected N [x, y] points", so none is written.
+        # A float n_points would read back as "meta.n_points must be an
+        # integer >= 2".
+        five = [PredictedElement(scores=np.full(3, 0.5), points=np.full((5, 2), 0.5))]
+        mislabeled = generate_scene(SceneSpec(seed=7, n_points=8))
+        for name, args, match in (
+            ("pred", (scene, five), r"elements\[0\] has 5 points"),
+            ("gt", (MapScene(scene.range, 20, mislabeled.elements),), r"elements\[0\] has 8"),
+            ("float", (MapScene(scene.range, 20.0, scene.elements),), "^n_points must be"),
+        ):
+            path = tmp_path / f"{name}.scene"
+            with pytest.raises(ValueError, match=match):
+                write_scene(path, *args)
+            assert not path.exists()
+        # A numpy-integer n_points is written as the int it equals.
+        write_scene(tmp_path / "int.scene", scene)
+        write_scene(tmp_path / "np.scene", MapScene(scene.range, np.int64(20), scene.elements))
+        assert (tmp_path / "np.scene").read_bytes() == (tmp_path / "int.scene").read_bytes()
 
     def test_unknown_field_rejected(self, tmp_path, scene):
         path = tmp_path / "gt.scene"
