@@ -16,18 +16,17 @@ defined once, for both backends, by ``_entries(dll)``: bind, run once,
 return.  A bind runs one ``_pure.check_*`` (finite points, consistent
 shapes and indices, focal scores in [0, 1], a finite gamma >= 0 and
 0 < alpha < 1, else ValueError) before any kernel.
-``matching.BoundMatcher`` checks its capacity, point counts and classes and
-binds once, then reruns, so it checks only each call's predicted points
-(finite) and scores (in [0, 1]).
 ``min_manhattan_over_perms`` and ``chamfer_mean`` slice the matrix kernels.
 ``chamfer_matrix(a, b, cutoff)`` writes +inf for each pair whose bounding
 boxes lie at least ``cutoff`` apart, without computing it; the default,
 ``inf``, computes every pair.
-The fit step's kernels have binders only.  ``fit`` binds ``_bind_loss``
-(in ``losses.BoundLoss``: one check, then ``focal_terms`` and ``pair_terms``,
-which reads each pair's closing edge by its class) and one ``_bind_adam``
-step each for the points and the logits, once per fit on the same parameter
-buffers, and reruns them on the pairs the assignment solver gives.
+The matcher's and the fit step's kernels have binders only, each bound once
+per matcher or fit and rerun on the buffers it bound: ``_bind_match`` (in
+``matching.BoundMatcher``: ``match_cost`` fills the whole cost matrix and
+``match_pairs`` gathers the assigned pairs), ``_bind_loss`` (in
+``losses.BoundLoss``: ``focal_terms`` and ``pair_terms``, which reads each
+pair's closing edge by its class) and one ``_bind_adam`` step each for the
+points and the logits, which reports whether they stayed finite.
 
 ``json_tokens(data)`` gives the scene reader the numbers of JSON text and
 its layout (see ``kernels.c``); or None, for text of another form and always
@@ -38,6 +37,7 @@ fraction digits is one exact division, and any other number goes to
 
 import ctypes
 import hashlib
+import math
 import os
 import warnings
 from collections import namedtuple
@@ -100,19 +100,28 @@ def build(cache_dir: Path, source: Path = SOURCE) -> Path | None:
     return lib
 
 
-def _aligned_empty(size):
-    """An uninitialized float64 array of ``size`` that starts on a 64-byte
-    boundary: a slice of a buffer 8 doubles longer, which it keeps alive."""
-    buf = np.empty(size + 8)
-    start = -buf.ctypes.data % 64 // 8
-    return buf[start:start + size]
+def _carve(dtype, *parts):
+    """Arrays of ``dtype`` (8 bytes wide), each on a 64-byte boundary of one
+    zeroed block: of each shape in ``parts``, or a copy of each array there.
+    Returns them and their addresses; the block's is read once."""
+    shapes = [np.shape(p) if isinstance(p, np.ndarray) else p for p in parts]
+    sizes = [math.prod(shape) for shape in shapes]
+    block = np.zeros(sum(-(-size // 8) * 8 for size in sizes) + 8, dtype)
+    address = block.ctypes.data
+    at, arrays, addresses = -address % 64 // 8, [], []
+    for part, shape, size in zip(parts, shapes, sizes):
+        arrays.append(block[at:at + size].reshape(shape))
+        arrays[-1][...] = part if isinstance(part, np.ndarray) else 0
+        addresses.append(address + 8 * at)
+        at += -(-size // 8) * 8
+    return arrays, addresses
 
 
 #: Whether a pair of class 0, 1 or 2 has a closing edge (a polygon's).
 _CLOSED_FOR_CLASS = np.array([KIND_FOR_CLASS[c] is ElementKind.POLYGON
                               for c in sorted(KIND_FOR_CLASS)])
 
-Binders = namedtuple("Binders", "manhattan chamfer focal json_tokens loss adam")
+Binders = namedtuple("Binders", "manhattan chamfer focal json_tokens loss adam match")
 
 
 def _binders(dll):
@@ -124,22 +133,27 @@ def _binders(dll):
     inputs' current contents unchecked.  An input already contiguous in the
     kernel's dtype is bound as it is (scores as a flat view), so a caller
     may refill it.  ``adam`` binds the caller's arrays themselves, which its
-    ``run(c1, c2)`` updates in place.  ``manhattan``'s scratch holds the
-    predictions transposed into rows of a stride of P rounded up to 8
-    doubles, and starts on a 64-byte boundary, so every row does (see
-    ``kernels.c``)."""
+    ``run(c1, c2)`` updates in place and which returns whether they stayed
+    finite.  ``match`` copies its ground truth, maps and classes into two
+    blocks, with its outputs and scratch, and reads each block's address
+    once; its second runner, ``pairs()``, gathers the pairs of ``rows`` and
+    ``cols``.  The scratch holds the predictions transposed into rows of a
+    stride of P rounded up to 8 doubles, and starts on a 64-byte boundary,
+    so every row does (see ``kernels.c``).  ``manhattan`` is ``match``
+    without scores."""
 
     def bind_manhattan(pred_pts, gt_pts, perms):
-        pred, gts, perms = _pure.check_manhattan_inputs(pred_pts, gt_pts, perms)
-        (P, n), G, K = pred.shape[:2], len(gts), len(perms)
-        costs, best = np.empty((P, G)), np.empty((P, G), dtype=np.int64)
-        if dll is None:
-            return pred, gts, costs, best, partial(_pure.manhattan_into, pred, gts, perms, costs, best)
-        S = (P + 7) // 8 * 8  # the kernel's row stride, in doubles
-        bufs = pred, gts, perms, costs, best, _aligned_empty(2 * n * S + S)
-        a, b, c, d, e, f = (x.ctypes.data for x in bufs)
-        run = partial(dll.manhattan_matrix, a, b, c, P, G, K, n, d, e, f)
-        run.bufs = bufs  # the library reads them by address: alive as long as run
+        """``match`` searching every ground truth over ``perms``, each shown in
+        its stored order (the map after them); no scores."""
+        perms = np.asarray(perms, dtype=np.int64)
+        if perms.ndim != 2 or not len(perms):
+            raise ValueError(f"perms must have shape (K, n) with K >= 1, got {perms.shape}")
+        K, G = len(perms), len(gt_pts)
+        maps = np.concatenate([perms, np.arange(perms.shape[1])[None]])
+        pred, gts, shown, _, costs, best, *_, run, _ = bind_match(
+            pred_pts, np.zeros((len(pred_pts), 3)), gt_pts, np.zeros(G), maps, np.zeros(G),
+            np.full(G, K), 0.0, 0.5)
+        shown[...] = K
         return pred, gts, costs, best, run
 
     def bind_chamfer(a, b, cutoff):
@@ -216,14 +230,42 @@ def _binders(dll):
         run.bufs = params, grads, m, v
         return run
 
-    return Binders(bind_manhattan, bind_chamfer, bind_focal, json_tokens, bind_loss, bind_adam)
+    def bind_match(pred_pts, scores, gt_pts, classes, maps, first, count, gamma, alpha):
+        pred, flat, gts, *ints = _pure.check_match_inputs(pred_pts, scores, gt_pts, classes, maps,
+                                                          first, count, gamma, alpha)
+        (P, n), G = pred.shape[:2], len(gts)
+        S = (P + 7) // 8 * 8  # the Manhattan loop's row stride, in doubles
+        floats, fa = _carve(np.float64, gts, (P, 3), (P, G), (P, G), (G,), (G, n, 2),
+                            (2 * n * S + S,))
+        # rows ascend from the start, and pair_classes are classes, so a loss may bind them.
+        ints, ia = _carve(np.int64, *ints, (G,), (P, G), np.arange(G), (G,), (G,), ints[0])
+        gts, table, manhattan, total, costs, aligned, scratch = floats
+        classes, maps, first, count, shown, best, rows, cols, orderings, pair_classes = ints
+        cost_args = (pred, flat, gts, classes, maps, first, count, shown, gamma, alpha, table,
+                     manhattan, best, total)
+        pairs_args = (gts, classes, maps, first, shown, manhattan, best, rows, cols, orderings,
+                      costs, pair_classes, aligned)
+        if dll is None:
+            cost = partial(_pure.match_cost_into, *cost_args)
+            pairs = partial(_pure.match_pairs_into, *pairs_args)
+        else:  # the same arguments, each array by its address
+            at = {id(a): x for a, x in zip((pred, flat, *floats, *ints),
+                                           (pred.ctypes.data, flat.ctypes.data, *fa, *ia))}
+            cost = partial(dll.match_cost, *[at.get(id(a), a) for a in cost_args], P, G, n,
+                           _pure.FOCAL_EPS, at[id(scratch)])
+            pairs = partial(dll.match_pairs, *[at.get(id(a), a) for a in pairs_args], G, n)
+            cost.bufs = pairs.bufs = pred, flat, *ints, *floats  # the library reads them
+        return (pred, gts, shown, table, manhattan, best, total, rows, cols, orderings, costs,
+                pair_classes, aligned, cost, pairs)
+
+    return Binders(bind_manhattan, bind_chamfer, bind_focal, json_tokens, bind_loss, bind_adam,
+                   bind_match)
 
 
 def load(lib: Path) -> ctypes.CDLL:
     """The library ``lib``, opened, with its entries' signatures declared."""
     dll = ctypes.CDLL(str(lib))
     ptr, n, real = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    dll.manhattan_matrix.argtypes = [ptr, ptr, ptr, n, n, n, n, ptr, ptr, ptr]
     dll.chamfer_matrix.argtypes = [ptr, ptr, n, n, n, n, real, ptr, ptr, ptr]
     dll.focal_cost_table.argtypes = [ptr, n, real, real, real, ptr]
     dll.pair_terms.argtypes = [ptr, ptr, ptr, ptr, ptr, n, n, n, real, real, real, ptr, ptr,
@@ -231,8 +273,11 @@ def load(lib: Path) -> ctypes.CDLL:
     dll.focal_terms.argtypes = [ptr, ptr, ptr, ptr, n, n, real, real, real, real, ptr, ptr, ptr]
     dll.focal_terms.restype = real
     dll.adam_step.argtypes = [ptr, ptr, ptr, ptr, n, n, real, real, real, real, real, real]
-    for entry in (dll.manhattan_matrix, dll.chamfer_matrix, dll.focal_cost_table, dll.pair_terms,
-                  dll.adam_step):
+    dll.adam_step.restype = n
+    dll.match_cost.argtypes = [ptr] * 8 + [real, real] + [ptr] * 4 + [n, n, n, real, ptr]
+    dll.match_pairs.argtypes = [ptr] * 13 + [n, n]
+    for entry in (dll.chamfer_matrix, dll.focal_cost_table, dll.pair_terms, dll.match_cost,
+                  dll.match_pairs):
         entry.restype = None
     dll.kernel_isa.argtypes, dll.kernel_isa.restype = [], ctypes.c_char_p
     dll.json_tokens.argtypes = [ctypes.c_char_p, n, ptr, n, ptr, n, ptr]
@@ -300,7 +345,7 @@ BACKEND = "pure" if _dll is None else "compiled"
 #: The clone of each cloned C loop that the loader picked for this CPU
 #: ("avx512f", "avx2" or "default"); None on the numpy backend.
 ISA = None if _dll is None else _dll.kernel_isa().decode()
-_bind_manhattan, _, _bind_focal, json_tokens, _bind_loss, _bind_adam = _binders(_dll)
+*_, json_tokens, _bind_loss, _bind_adam, _bind_match = _binders(_dll)
 manhattan_matrix, chamfer_matrix, focal_cost_table = _entries(_dll)
 
 

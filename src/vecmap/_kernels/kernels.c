@@ -1,19 +1,21 @@
 /* Compiled kernels of vecmap: plain C over double and int64_t arrays.
  *
- * vecmap._kernels compiles this file on first import and binds the seven
- * entries below through ctypes.  For the six numeric kernels the caller
- * checks every shape, index and value domain first (pair_terms' and
- * focal_terms' rows and classes too: they index by them), so they do not
- * validate their input.  Each returns the same bits as its numpy body in
- * _pure.py: the same operations on the same operands in the same order,
- * sums in numpy's pairwise order.  That needs -ffp-contract=off, so that no multiply and
+ * vecmap._kernels compiles this file on first import and binds the eight
+ * entries below through ctypes.  For the seven numeric kernels the caller
+ * checks every shape, index and value domain first (the rows, classes and
+ * index maps they index by too), so they do not validate their input.
+ * Each returns the same bits as its numpy body in _pure.py: the same
+ * operations on the same operands in the same order, sums in numpy's
+ * pairwise order.  That needs -ffp-contract=off, so that no multiply and
  * add fuse into one rounding.  focal_terms takes its logs and powers from
  * numpy, whose log and power round differently from libm's.
  * chamfer_matrix takes a cutoff: a pair whose bounding boxes lie at least
  * that far apart is written +inf and not computed, on both backends alike.
- * The seventh, json_tokens, reads untrusted text: it bounds every read by
- * the text's length and every write by its buffers' caps, and parses
- * numbers in the C locale whatever the process's locale is.
+ * match_cost and match_pairs are a bound matcher's two calls, before and
+ * after the assignment.  The eighth, json_tokens, reads untrusted text: it
+ * bounds every read by the text's length and every write by its buffers'
+ * caps, and parses numbers in the C locale whatever the process's locale
+ * is.
  *
  * The build also has -fno-math-errno, without which GCC keeps each sqrt a
  * call that may set errno and does not vectorize the loops around it.  It
@@ -21,17 +23,17 @@
  * way, and every sqrt operand here is >= 0 (sums of squares, nearest
  * squared distances and second moments), where sqrt sets no errno.
  *
- * The Manhattan, Chamfer and Adam loops are compiled once per ISA
- * (AVX-512F, AVX2 and the baseline) with GCC's target_clones, and the
+ * The Manhattan (in match_cost), Chamfer and Adam loops are compiled once
+ * per ISA (AVX-512F, AVX2 and the baseline) with GCC's target_clones, and the
  * dynamic loader picks the best clone for the running CPU when the library
  * is opened.  Every clone is compiled with the same -ffp-contract=off and
  * vectorizes only across independent sums, exact minima and independent
  * elements, so each returns the same bits.  The build has no -march=native:
  * the cached library is named by the source and the flags alone, so a tree
  * copied to another CPU would load code built for the wrong ISA.  The
- * clones keep one portable library.  The focal table, pair_terms,
- * focal_terms and json_tokens are not cloned: their time goes to scalar
- * libm pow and log, to the call itself, and to json_tokens' byte loop,
+ * clones keep one portable library.  The focal table, match_pairs,
+ * pair_terms, focal_terms and json_tokens are not cloned: their time goes
+ * to scalar libm pow and log, to the call itself, and to json_tokens' byte loop,
  * which parses the short decimals scene files hold without strtod_l and
  * skips each run of indenting spaces in a loop of its own.
  */
@@ -63,58 +65,6 @@ const char *kernel_isa(void)
     if (CPU_HAS("avx2"))
         return "avx2";
     return "default";
-}
-
-/* Least summed Manhattan cost over orderings, for every (prediction,
- * ground truth) pair.
- *
- * pred (P, n, 2), gts (G, n, 2) and perms (K, n) are C-contiguous; ordering
- * k aligns pred[p, j] with gts[g, perms[k, j]].  Writes costs (P, G) and
- * best (P, G), the first ordering attaining each minimum.  Each cost adds
- * term = |dx| + |dy| over j in order, starting from 0.  The predictions are
- * transposed into scratch (2 * n * S + S doubles) as (n, S) rows first, so
- * the innermost loop runs over p with one independent sum per prediction.
- * The row stride S is P rounded up to a multiple of 8 doubles (64 bytes),
- * and pad lanes P..S-1 hold 0: the sums run over whole vectors with no
- * scalar tail, and no pad lane is ever compared or written out.  The
- * binder hands in scratch on a 64-byte boundary, so with that stride every
- * row starts on one too: the loop's speed then does not depend on where
- * the heap put the buffer (16 or 40 bytes off it, the AVX-512 clone took
- * up to 1.6x as long).
- */
-CLONED void manhattan_matrix(const double *pred, const double *gts, const int64_t *perms,
-                             int64_t P, int64_t G, int64_t K, int64_t n,
-                             double *costs, int64_t *best, double *scratch)
-{
-    const int64_t S = (P + 7) / 8 * 8;
-    double *px = scratch, *py = px + n * S, *acc = py + n * S;
-    for (int64_t j = 0; j < n; j++)
-        for (int64_t p = P; p < S; p++)
-            px[j * S + p] = py[j * S + p] = 0.0;
-    for (int64_t p = 0; p < P; p++)
-        for (int64_t j = 0; j < n; j++) {
-            px[j * S + p] = pred[(p * n + j) * 2];
-            py[j * S + p] = pred[(p * n + j) * 2 + 1];
-        }
-    for (int64_t g = 0; g < G; g++) {
-        const double *gt = gts + g * n * 2;
-        for (int64_t k = 0; k < K; k++) {
-            const int64_t *perm = perms + k * n;
-            for (int64_t p = 0; p < S; p++)
-                acc[p] = 0.0;
-            for (int64_t j = 0; j < n; j++) {
-                const double qx = gt[perm[j] * 2], qy = gt[perm[j] * 2 + 1];
-                const double *x = px + j * S, *y = py + j * S;
-                for (int64_t p = 0; p < S; p++)
-                    acc[p] = acc[p] + (fabs(x[p] - qx) + fabs(y[p] - qy));
-            }
-            for (int64_t p = 0; p < P; p++)
-                if (k == 0 || acc[p] < costs[p * G + g]) {
-                    costs[p * G + g] = acc[p];
-                    best[p * G + g] = k;
-                }
-        }
-    }
 }
 
 /* Symmetric mean Chamfer distance of every pair of two point-set stacks,
@@ -203,6 +153,93 @@ void focal_cost_table(const double *scores, int64_t count, double gamma,
         const double pos = alpha * pow(1.0 - s, gamma) * -log(s + eps);
         const double neg = (1.0 - alpha) * pow(s, gamma) * -log(1.0 - s + eps);
         out[i] = pos - neg;
+    }
+}
+
+/* A matcher's whole class + position cost matrix, as _pure.match_cost_into
+ * computes it.
+ *
+ * First the least summed Manhattan cost over orderings, for every
+ * (prediction, ground truth) pair.  pred (P, n, 2), gts (G, n, 2) and maps
+ * (R, n) are C-contiguous.  Ground truth g is shown in the order of map
+ * s = maps[first[g] + shown[g]], and its orderings are the count[g] maps
+ * from map first[g]: ordering k aligns pred[p, j] with gts[g, s[m[j]]],
+ * m = maps[first[g] + k].  Writes manhattan (P, G) and best (P, G), the
+ * first ordering attaining each minimum.  Each cost adds term = |dx| + |dy|
+ * over j in order, starting from 0.  The predictions are transposed into
+ * scratch (2 * n * S + S doubles) as (n, S) rows first, so the innermost
+ * loop runs over p with one independent sum per prediction.  The row stride
+ * S is P rounded up to a multiple of 8 doubles (64 bytes), and pad lanes
+ * P..S-1 hold 0: the sums run over whole vectors with no scalar tail, and
+ * no pad lane is ever compared or written out.  The binder hands in
+ * scratch on a 64-byte boundary, so with that stride every row starts on
+ * one too: the loop's speed then does not depend on where the heap put
+ * the buffer (16 or 40 bytes off it, the AVX-512 clone took up to 1.6x as
+ * long).
+ *
+ * Then table (P, 3) as focal_cost_table writes it for scores (P, 3), and
+ * total (P, G) = table[p, classes[g]] + manhattan[p, g].
+ */
+CLONED void match_cost(const double *pred, const double *scores, const double *gts,
+                       const int64_t *classes, const int64_t *maps, const int64_t *first,
+                       const int64_t *count, const int64_t *shown, double gamma, double alpha,
+                       double *table, double *manhattan, int64_t *best, double *total,
+                       int64_t P, int64_t G, int64_t n, double eps, double *scratch)
+{
+    const int64_t S = (P + 7) / 8 * 8;
+    double *px = scratch, *py = px + n * S, *acc = py + n * S;
+    for (int64_t j = 0; j < n; j++)
+        for (int64_t p = P; p < S; p++)
+            px[j * S + p] = py[j * S + p] = 0.0;
+    for (int64_t p = 0; p < P; p++)
+        for (int64_t j = 0; j < n; j++) {
+            px[j * S + p] = pred[(p * n + j) * 2];
+            py[j * S + p] = pred[(p * n + j) * 2 + 1];
+        }
+    for (int64_t g = 0; g < G; g++) {
+        const double *gt = gts + g * n * 2;
+        const int64_t *show = maps + (first[g] + shown[g]) * n;
+        for (int64_t k = 0; k < count[g]; k++) {
+            const int64_t *perm = maps + (first[g] + k) * n;
+            for (int64_t p = 0; p < S; p++)
+                acc[p] = 0.0;
+            for (int64_t j = 0; j < n; j++) {
+                const double qx = gt[show[perm[j]] * 2], qy = gt[show[perm[j]] * 2 + 1];
+                const double *x = px + j * S, *y = py + j * S;
+                for (int64_t p = 0; p < S; p++)
+                    acc[p] = acc[p] + (fabs(x[p] - qx) + fabs(y[p] - qy));
+            }
+            for (int64_t p = 0; p < P; p++)
+                if (k == 0 || acc[p] < manhattan[p * G + g]) {
+                    manhattan[p * G + g] = acc[p];
+                    best[p * G + g] = k;
+                }
+        }
+    }
+    focal_cost_table(scores, 3 * P, gamma, alpha, eps, table);
+    for (int64_t p = 0; p < P; p++)
+        for (int64_t g = 0; g < G; g++)
+            total[p * G + g] = table[p * 3 + classes[g]] + manhattan[p * G + g];
+}
+
+/* The G assigned pairs, as _pure.match_pairs_into gathers them: pair i of
+ * prediction rows[i] and ground truth g = cols[i] gets its ordering k =
+ * best[rows[i], g], its cost manhattan[rows[i], g], its class classes[g],
+ * and aligned[i] (n, 2), the shown ground truth in ordering k. */
+void match_pairs(const double *gts, const int64_t *classes, const int64_t *maps,
+                 const int64_t *first, const int64_t *shown, const double *manhattan,
+                 const int64_t *best, const int64_t *rows, const int64_t *cols,
+                 int64_t *orderings, double *costs, int64_t *pair_classes, double *aligned,
+                 int64_t G, int64_t n)
+{
+    for (int64_t i = 0; i < G; i++) {
+        const int64_t g = cols[i], at = rows[i] * G + g, k = best[at];
+        const int64_t *show = maps + (first[g] + shown[g]) * n, *perm = maps + (first[g] + k) * n;
+        orderings[i] = k, costs[i] = manhattan[at], pair_classes[i] = classes[g];
+        for (int64_t j = 0; j < n; j++) {
+            aligned[(i * n + j) * 2] = gts[(g * n + show[perm[j]]) * 2];
+            aligned[(i * n + j) * 2 + 1] = gts[(g * n + show[perm[j]]) * 2 + 1];
+        }
     }
 }
 
@@ -320,18 +357,23 @@ double focal_terms(const double *s, const double *logs_powers, const int64_t *ro
  * b1 * m + (1 - b1) * g and b2 * v + (1 - b2) * (g * g), and x moves by
  * -(lr * (m / c1)) / (sqrt(v / c2) + eps), then is clipped to [0, 1] when
  * clip is nonzero as np.clip clips: NaN and -0.0 stay.  c1 and c2 are the
- * bias corrections 1 - b1^t and 1 - b2^t of step t.
+ * bias corrections 1 - b1^t and 1 - b2^t of step t.  Returns 1 when every
+ * x it wrote is finite, else 0.
  */
-CLONED void adam_step(double *x, const double *g, double *m, double *v, int64_t count,
-                      int64_t clip, double b1, double b2, double lr, double eps, double c1,
-                      double c2)
+CLONED int64_t adam_step(double *x, const double *g, double *m, double *v, int64_t count,
+                         int64_t clip, double b1, double b2, double lr, double eps, double c1,
+                         double c2)
 {
+    int64_t finite = 1;
     for (int64_t i = 0; i < count; i++) {
         m[i] = b1 * m[i] + (1.0 - b1) * g[i];
         v[i] = b2 * v[i] + (1.0 - b2) * (g[i] * g[i]);
         const double y = x[i] - lr * (m[i] / c1) / (sqrt(v[i] / c2) + eps);
         x[i] = clip ? (y < 0.0 ? 0.0 : y > 1.0 ? 1.0 : y) : y;
     }
+    for (int64_t i = 0; i < count; i++) /* twice as slow inside the loop above */
+        finite &= fabs(x[i]) <= DBL_MAX;
+    return finite;
 }
 
 #define DIGIT(c) ((unsigned char)((c) - '0') < 10)

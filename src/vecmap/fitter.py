@@ -21,12 +21,7 @@ from . import _kernels
 # one set of parameter buffers and runs its kernels raw every iteration.  The
 # dataclass entry points apply_permutation, hierarchical_match, total_loss
 # and loss_gradients stay bound here: perfbench/tracer.py wraps these names.
-from .geometry import (  # noqa: F401
-    KIND_FOR_CLASS,
-    apply_permutation,
-    normalize_stack,
-    permutation_group,
-)
+from .geometry import apply_permutation, normalize_stack  # noqa: F401
 from .losses import (  # noqa: F401
     BoundLoss,
     LossBreakdown,
@@ -41,6 +36,9 @@ from .scenegen import DEFAULT_SLOTS, MapScene, check_integers
 
 #: Adam's step size, first and second moment decays and epsilon.
 STEP_SIZE, MOMENT_DECAY_1, MOMENT_DECAY_2, ADAM_EPS = 0.01, 0.9, 0.999, 1e-8
+#: Iterations whose orderings ``fit`` draws at once: memory stays flat in
+#: ``iterations``.
+_DRAW_BLOCK = 256
 
 
 class FitMode(enum.Enum):
@@ -88,7 +86,10 @@ def fit(gt: MapScene, cfg: FitConfig = FitConfig()) -> FitTrace:
     annotation order a detector sees across training samples.  The
     permutation-equivalent mode is invariant to this by construction;
     the fixed-order baseline receives conflicting supervision, which is
-    precisely the start-point/direction ambiguity under study.
+    precisely the start-point/direction ambiguity under study.  Those
+    orderings are drawn for ``_DRAW_BLOCK`` iterations at once and shown to
+    the bound matcher, which reads the ground truth through them; the loss
+    reads the pairs where the matcher writes them.
     """
     if not gt.elements:
         raise ValueError("ground-truth scene is empty")
@@ -100,39 +101,33 @@ def fit(gt: MapScene, cfg: FitConfig = FitConfig()) -> FitTrace:
     scores = _sigmoid(logits, np.empty_like(logits))
 
     stacked = SceneGroundTruth.stack(gt.elements)
-    classes = stacked.classes
-    # Bound before normalizing: on a ragged stack the bind names the odd element.
-    matcher = BoundMatcher(points, scores, stacked.points, classes, cfg.mode is FitMode.FIXED_ORDER)
-    maps = [permutation_group(KIND_FOR_CLASS[c], nv).index_maps() for c in classes.tolist()]
-    # The maps padded into one (G, K, nv) table: one fancy index gathers them.
-    all_maps = np.zeros((len(maps), max(map(len, maps)), nv), dtype=np.int64)
-    for g, m in enumerate(maps):
-        all_maps[g, : len(m)] = m
-    flat = normalize_stack(stacked.points, gt.range)
-    at = np.arange(len(maps))[:, None]
-    n_orderings = np.array([len(m) for m in maps])
+    # Normalized after the bind, which names the odd element of a ragged stack.
+    matcher = BoundMatcher(points, scores, stacked.points, stacked.classes,
+                           cfg.mode is FitMode.FIXED_ORDER)
+    matcher.gt_points[...] = normalize_stack(matcher.gt_points, gt.range)
     order_rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1,)))
     )
-    n_pairs = len(maps)  # the bind checked n >= G: the assignment matches every element
-    loss = BoundLoss(points, scores, np.arange(n_pairs), np.zeros(n_pairs, dtype=np.int64),
-                     np.zeros((n_pairs, nv, 2)), LossWeights())
+    # The loss reads each iteration's pairs where the matcher writes them.
+    loss = BoundLoss(points, scores, matcher.rows, matcher.pair_classes, matcher.aligned,
+                     LossWeights())
     # Points stay in the unit square; logits are unbounded.
     steps = [_kernels._bind_adam(x, g, np.zeros_like(x), np.zeros_like(x), clip, MOMENT_DECAY_1,
                                  MOMENT_DECAY_2, STEP_SIZE, ADAM_EPS)
              for x, g, clip in ((points, loss.d_points, True), (logits, loss.d_logits, False))]
 
-    trace = []
+    trace, finite = [], False  # the first call checks the initial points and scores
     for t in range(1, cfg.iterations + 1):
-        gts_iter = flat[at, all_maps[at[:, 0], order_rng.integers(n_orderings)]]
-        rows, cols, orderings, _ = matcher(gts_iter)
-        aligned = gts_iter[cols[:, None], all_maps[cols, orderings]]
-        trace.append(loss(rows, classes[cols], aligned))
+        b = (t - 1) % _DRAW_BLOCK
+        if not b:  # one draw per block gives the stream of one draw per iteration
+            block = (_DRAW_BLOCK, len(matcher.n_orderings))
+            matcher.present(order_rng.integers(matcher.n_orderings, size=block))
+        matcher(b, finite)
+        trace.append(loss.run())
         if t == cfg.iterations:  # the final predictions: no step after the last loss
             break
         c1, c2 = 1 - MOMENT_DECAY_1**t, 1 - MOMENT_DECAY_2**t
-        for step in steps:
-            step(c1, c2)
+        finite = all([step(c1, c2) for step in steps])
         _sigmoid(logits, scores)
 
     report = evaluate_ap([ScenePredictions(points, scores)], [stacked], APConfig(), gt.range)

@@ -15,6 +15,7 @@ terms commensurate.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,10 +118,18 @@ def focal_class_cost(scores, target_class: ElementClass) -> float:
     """Focal matching cost for one class slot: positive minus negative term.
 
     Lower is better; approaches -inf (capped by the epsilon floor) as the
-    target-class score approaches 1.
+    target-class score approaches 1.  Raises ValueError, naming the
+    argument, unless ``scores`` holds 3 scores in [0, 1] and
+    ``target_class`` is a class 0, 1 or 2, as an int and not a bool.
     """
-    p = float(np.asarray(scores)[int(target_class)])
-    return _pure.focal_cost(p, FOCAL_GAMMA, FOCAL_ALPHA)
+    s = np.asarray(scores, dtype=np.float64)
+    # Written so that NaN, which fails every comparison, is rejected too.
+    if s.shape != (3,) or not ((s >= 0) & (s <= 1)).all():
+        raise ValueError(f"scores must be 3 scores in [0, 1], got {s.tolist()}")
+    if (isinstance(target_class, bool) or not isinstance(target_class, (int, np.integer))
+            or target_class not in KIND_FOR_CLASS):
+        raise ValueError(f"target_class must be a class 0, 1 or 2, got {target_class!r}")
+    return _pure.focal_cost(float(s[target_class]), FOCAL_GAMMA, FOCAL_ALPHA)
 
 
 def _orderings(kind: ElementKind | None, n: int) -> np.ndarray:
@@ -147,13 +156,17 @@ class BoundMatcher:
     Binding checks the input once: ``points`` (P, n, 2) and ``scores`` (P, 3)
     are C-contiguous float64 holding a valid prediction, P is at least G
     (else :class:`CapacityError`), each of the G sets of ``gt_points`` has n
-    points, and ``gt_classes`` gives each a class 0, 1 or 2.  It groups the
-    ground truth by kind, ``KIND_FOR_CLASS`` of its class (one identity group
-    with ``fixed_order``), and binds the kernels to ``points`` and ``scores``.
-    A call reads their current contents, so a caller that updates them in
-    place copies nothing: it checks only that the points are finite and the
-    scores lie in [0, 1], copies in ``gt_points`` (the bound ground truth, each
-    element under any ordering) and runs the kernels raw.
+    points, and ``gt_classes`` gives each a class 0, 1 or 2.  Each ground
+    truth is searched over its kind's ordering group, ``KIND_FOR_CLASS`` of
+    its class (its stored order alone with ``fixed_order``).  The bind copies
+    the ground truth into ``gt_points`` and binds one kernel entry to it, to
+    ``points`` and to ``scores``, so a caller may update any of them in place.
+    A call runs the entry twice: for the whole cost matrix, each ground truth
+    shown in the member of its group that :meth:`present` chose, and after
+    the assignment, for the pairs' ``rows``, ``pair_classes`` and ``aligned``
+    (G, n, 2) ground truth, where a bound loss may read them.  It checks that
+    the points are finite and the scores lie in [0, 1] unless ``checked``:
+    ``fit`` passes it when its Adam steps report finite parameters.
     """
 
     def __init__(self, points, scores, gt_points, gt_classes, fixed_order: bool = False):
@@ -172,34 +185,54 @@ class BoundMatcher:
             raise ValueError(f"gt_classes must be {G} classes, each 0, 1 or 2, "
                              f"got {self.classes.tolist()}")
         self.points, self.scores = points, scores
-        _, table, self._focal = _kernels._bind_focal(scores, FOCAL_GAMMA, FOCAL_ALPHA)
-        self.table = table.reshape(-1, 3)
-        self.manhattan = np.empty((P, G))  # least cost per pair
-        self.best = np.empty(self.manhattan.shape, dtype=np.int64)  # its first ordering
-        gt_points = np.asarray(gt_points, dtype=np.float64)
-        keys = [None] * G if fixed_order else kinds
-        self._groups = []
-        for key in dict.fromkeys(keys):
-            gs = np.array([g for g, k in enumerate(keys) if k is key])
-            _, *bound = _kernels._bind_manhattan(points, gt_points[gs], _orderings(key, n))
-            self._groups.append((gs, *bound))
+        groups = {kind: permutation_group(kind, n).index_maps() for kind in dict.fromkeys(kinds)}
+        starts = dict(zip(groups, itertools.accumulate(map(len, groups.values()), initial=0)))
+        #: Each ground truth's ordering count: :meth:`present` picks among them.
+        self.n_orderings = np.array([len(groups[k]) for k in kinds], dtype=np.int64)
+        (_, self.gt_points, self.shown, self.table, self.manhattan, self.best, self.total,
+         self.rows, self.cols, self.orderings, self.costs, self.pair_classes, self.aligned,
+         self._cost, self._pairs) = _kernels._bind_match(
+            points, scores, np.asarray(gt_points, dtype=np.float64).reshape(G, n, 2),
+            self.classes, np.concatenate([np.zeros((0, n), np.int64), *groups.values()]),
+            [starts[k] for k in kinds], np.ones(G) if fixed_order else self.n_orderings,
+            FOCAL_GAMMA, FOCAL_ALPHA)
+        self._block = self.shown[None].copy()  # every ground truth in its stored order
 
-    def cost(self, gt_points) -> np.ndarray:
-        """The (P, G) class + position cost matrix; refills ``manhattan`` and ``best``."""
+    def present(self, orderings) -> None:
+        """Show ground truth g, in the calls for row b, as member
+        ``orderings[b, g]`` of its ordering group: a block (B, G) of ints,
+        checked here, once per block.  Until then every call shows the
+        stored order, member 0."""
+        block = np.asarray(orderings)
+        if not (block.dtype.kind in "iu" and block.ndim == 2 and block.shape[1:] == self.shown.shape
+                and ((block >= 0) & (block < self.n_orderings)).all()):
+            raise ValueError(f"orderings must be a (B, {len(self.shown)}) block of ints, column g "
+                             f"below {self.n_orderings.tolist()}[g]")
+        self._block = block
+
+    def cost(self, b: int = 0, checked: bool = False) -> np.ndarray:
+        """``total``, the (P, G) class + position cost matrix with the ground
+        truth shown as row b presents it, refilled with ``manhattan``, ``best``
+        and ``table``."""
         # Written so that NaN, which fails every comparison, is rejected too.
-        if not (np.isfinite(self.points).all() and ((self.scores >= 0) & (self.scores <= 1)).all()):
+        if not (checked or np.isfinite(self.points).all()
+                and ((self.scores >= 0) & (self.scores <= 1)).all()):
             raise ValueError("predicted points must be finite and scores lie in [0, 1]")
-        for gs, gts, costs, best, run in self._groups:
-            np.take(gt_points, gs, axis=0, out=gts)
-            run()
-            self.manhattan[:, gs], self.best[:, gs] = costs, best
-        self._focal()
-        return self.table[:, self.classes] + self.manhattan
+        self.shown[...] = self._block[b]
+        self._cost()
+        return self.total
 
-    def __call__(self, gt_points):
-        """``(rows, cols, orderings, costs)``, as :func:`match_arrays` returns."""
-        rows, cols = linear_sum_assignment(self.cost(gt_points))  # rows ascending
-        return rows, cols, self.best[rows, cols], self.manhattan[rows, cols]
+    def __call__(self, b: int = 0, checked: bool = False):
+        """``(rows, cols, orderings, costs)``, as :func:`match_arrays` returns,
+        with the ground truth shown as row b presents it (see :meth:`cost`)."""
+        return self._assigned(*linear_sum_assignment(self.cost(b, checked)))
+
+    def _assigned(self, rows, cols):
+        """An assignment of every ground truth, rows ascending, as ``__call__``
+        returns it; refills the pair buffers."""
+        self.rows[...], self.cols[...] = rows, cols
+        self._pairs()
+        return rows, cols, self.orderings.copy(), self.costs.copy()
 
 
 def match_arrays(
@@ -228,13 +261,11 @@ def match_arrays(
     points = np.ascontiguousarray(points, dtype=np.float64)
     scores = np.ascontiguousarray(scores, dtype=np.float64)
     matcher = BoundMatcher(points, scores, gt_points, gt_classes, fixed_order)
-    gt_points = np.asarray(gt_points, dtype=np.float64)  # converted once, not per kind
     if cfg.position_cost is PositionCost.POINT2POINT:
-        return matcher(gt_points)
-    matcher.cost(gt_points)
-    chamfer = matcher.table[:, matcher.classes] + chamfer_distances(points, gt_points)
-    rows, cols = linear_sum_assignment(chamfer)
-    return rows, cols, matcher.best[rows, cols], matcher.manhattan[rows, cols]
+        return matcher()
+    matcher.cost()
+    chamfer = matcher.table[:, matcher.classes] + chamfer_distances(points, matcher.gt_points)
+    return matcher._assigned(*linear_sum_assignment(chamfer))
 
 
 def stack_predictions(preds: list[PredictedElement]) -> tuple[np.ndarray, np.ndarray]:
@@ -257,8 +288,7 @@ def _cost_matrix(
     """The checked class + position cost matrix (P, G) of :func:`instance_match`."""
     gt = SceneGroundTruth.stack(gts)
     if cfg.position_cost is PositionCost.POINT2POINT:
-        matcher = BoundMatcher(*stack_predictions(preds), gt.points, gt.classes, fixed_order)
-        return matcher.cost(gt.points)
+        return BoundMatcher(*stack_predictions(preds), gt.points, gt.classes, fixed_order).cost()
     P, G = len(preds), len(gts)  # Chamfer: point counts may differ on either side
     if P < G:
         raise CapacityError(f"{P} predictions cannot cover {G} ground-truth elements")

@@ -116,7 +116,5 @@ def matcher_backend(backend):
     ``_pure`` bodies, whichever backend was loaded."""
     with pytest.MonkeyPatch.context() as m:
         if backend == "numpy":
-            binders = _kernels._binders(None)
-            m.setattr(_kernels, "_bind_manhattan", binders.manhattan)
-            m.setattr(_kernels, "_bind_focal", binders.focal)
+            m.setattr(_kernels, "_bind_match", _kernels._binders(None).match)
         yield

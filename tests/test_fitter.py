@@ -83,8 +83,8 @@ class TestFit:
         assignments = []
 
         class RecordingMatcher(BoundMatcher):
-            def __call__(self, gt_points):
-                rows, cols, *rest = super().__call__(gt_points)
+            def __call__(self, b=0, checked=False):
+                rows, cols, *rest = super().__call__(b, checked)
                 assignments.append((rows, cols))
                 return (rows, cols, *rest)
 
@@ -113,9 +113,22 @@ class TestFit:
             np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(1,))))
             for _ in range(2)
         )
-        for _ in range(500):
+        block = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(1,))))
+        drawn = []  # fit's draw: one block of fitter._DRAW_BLOCK iterations at a time
+        while len(drawn) < 500:
+            drawn.extend(block.integers(n_orderings, size=(fitter._DRAW_BLOCK, len(n_orderings))))
+        for t in range(500):
             want = [scalar.integers(k) for k in n_orderings]
             assert vector.integers(np.array(n_orderings)).tolist() == want
+            assert drawn[t].tolist() == want
+
+    def test_non_finite_step_raises_the_matchers_check(self, small_scene, monkeypatch):
+        # After the first call, the matcher skips its own check while the Adam
+        # steps report finite parameters: a NaN step must still fail loudly.
+        monkeypatch.setattr(fitter, "STEP_SIZE", float("nan"))
+        with pytest.raises(ValueError, match="predicted points must be finite"):
+            fit(small_scene, _small_cfg(iterations=3))
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):

@@ -670,8 +670,7 @@ def _assert_adam_parity(bind_c):
             step_pure = bind_pure(*pure_args, clip, 0.9, 0.999, 0.3, 1e-8)
             for t in range(1, 11):
                 c1, c2 = 1 - 0.9**t, 1 - 0.999**t
-                step_c(c1, c2)
-                step_pure(c1, c2)
+                assert step_c(c1, c2) == step_pure(c1, c2) == 1  # finite
                 for a, b in zip(c_args, pure_args):
                     assert a.tobytes() == b.tobytes()
                 if t == 1:
@@ -844,6 +843,52 @@ def test_clone_chamfer_cutoff_bit_identical(clone_kernels, rng):
 
 def test_clone_adam_step_bit_identical(clone_library):
     _assert_adam_parity(kernels._binders(clone_library).adam)
+
+
+def _assert_match_parity(dll, rng):
+    """The library ``dll``'s matcher entry equals numpy's under ``==``, every
+    output of both runs: at P = G and P > G; polylines alone at n = 2,
+    polygons alone and both kinds at n = 3; each ground truth searched over
+    its group or, fixed order, its first map alone, and shown in a drawn
+    member; on integer coordinates, where orderings tie."""
+    from scipy.optimize import linear_sum_assignment
+
+    line, gon = ElementKind.POLYLINE, ElementKind.POLYGON
+    for n, kinds in ((2, [line] * 3), (3, [gon] * 2), (3, [gon, line, gon, line])):
+        groups = {kind: permutation_group(kind, n).index_maps() for kind in dict.fromkeys(kinds)}
+        starts = dict(zip(groups, np.cumsum([0] + [len(m) for m in groups.values()]).tolist()))
+        maps = np.concatenate(list(groups.values()))
+        first = np.array([starts[k] for k in kinds])
+        sizes = np.array([len(groups[k]) for k in kinds])
+        classes = np.array([0 if k is gon else 1 for k in kinds])
+        G = len(kinds)
+        for P, fixed in ((G, False), (G, True), (9, False), (9, True)):
+            pred = rng.integers(0, 3, size=(P, n, 2)).astype(float)
+            gts = rng.integers(0, 3, size=(G, n, 2)).astype(float)
+            scores = np.round(rng.uniform(size=(P, 3)) * 4) / 4
+            drawn = rng.integers(sizes)
+            got = []
+            for lib in (dll, None):
+                _, _, shown, *outs, cost, pairs = kernels._binders(lib).match(
+                    pred, scores, gts, classes, maps, first, np.ones(G) if fixed else sizes,
+                    2.0, 0.25)
+                shown[...] = drawn
+                cost()
+                outs[4][...], outs[5][...] = linear_sum_assignment(outs[3])  # rows, cols
+                pairs()
+                got.append([a.copy() for a in outs])
+            for a, b in zip(*got):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            if fixed:
+                assert (got[0][2] == 0).all()  # best: the one map searched
+
+
+def test_match_bit_identical(c_library, rng):
+    _assert_match_parity(c_library, rng)
+
+
+def test_clone_match_bit_identical(clone_library, rng):
+    _assert_match_parity(clone_library, rng)
 
 
 def test_clone_guard_leaves_other_targets_plain(tmp_path):

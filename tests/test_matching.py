@@ -96,6 +96,26 @@ class TestFocalClassCost:
         cost = focal_class_cost([0.0, 0, 0], ElementClass.PED_CROSSING)
         assert cost > 5 and math.isfinite(cost)
 
+    @pytest.mark.parametrize("scores, target, name", [
+        ([0.1, 0.5, 0.2], -1, "target_class"),
+        ([0.1, 0.5, 0.2], 5, "target_class"),
+        ([0.1, 0.5, 0.2], True, "target_class"),
+        ([0.1, 0.5, 0.2], 1.5, "target_class"),
+        ([0.1, 0.5, 0.2, 0.3], 1, "scores"),
+        ([0.1, math.nan, 0.2], 1, "scores"),
+        ([0.1, 1.5, 0.2], 1, "scores"),
+    ], ids=["class-minus-1", "class-5", "bool", "float", "4-scores", "nan", "above-one"])
+    def test_invalid_input_rejected_naming_it(self, scores, target, name):
+        # Each of these used to return a cost (another class's, or nan) or
+        # fail with IndexError or a math domain error.
+        with pytest.raises(ValueError, match=f"^{name} "):
+            focal_class_cost(scores, target)
+
+    def test_valid_class_forms_agree(self):
+        scores = [0.1, 0.5, 0.2]
+        assert focal_class_cost(scores, 1) == focal_class_cost(scores, np.int64(1)) \
+            == focal_class_cost(np.array(scores), ElementClass.DIVIDER)
+
 
 class TestClassCostTable:
     @settings(max_examples=60, deadline=None)
@@ -361,7 +381,7 @@ def test_grouped_costs_equal_per_ground_truth_loop(backend, problem, fixed_order
     stacked = SceneGroundTruth.stack(gts)
     with matcher_backend(backend):
         matcher = BoundMatcher(points, scores, stacked.points, stacked.classes, fixed_order)
-        cost = matcher.cost(stacked.points)
+        cost = matcher.cost()
     grouped_pos, grouped_best = matcher.manhattan, matcher.best
     table = _kernels.focal_cost_table(scores, FOCAL_GAMMA, FOCAL_ALPHA)
     for g, gt in enumerate(gts):
@@ -392,9 +412,10 @@ def test_bound_matcher_keeps_no_stale_state(rng, fixed_order, backend):
         matcher = BoundMatcher(bound_points, bound_scores, stacked.points, stacked.classes,
                                fixed_order)
 
-    def call(points, scores, gt_points):
+    def call(points, scores, shown):
         bound_points[...], bound_scores[...] = points, scores
-        return matcher(gt_points)
+        matcher.present([shown])
+        return matcher()
 
     seen = []
     for step in range(12):
@@ -404,15 +425,16 @@ def test_bound_matcher_keeps_no_stale_state(rng, fixed_order, backend):
         if step % 3 == 2:  # every prediction at the same points: the scores decide
             points[1:] = points[0]
         maps = [gt.group().index_maps() for gt in gts]
-        reordered = np.stack([gt.points[m[rng.integers(len(m))]] for gt, m in zip(gts, maps)])
+        shown = [rng.integers(len(m)) for m in maps]
+        reordered = np.stack([gt.points[m[k]] for gt, m, k in zip(gts, maps, shown)])
         if step == 5:
             bad_points, bad_scores = points.copy(), scores.copy()
             bad_points[2, 3, 0], bad_scores[4, 1] = math.nan, math.nan
             with pytest.raises(ValueError, match="finite"):
-                call(bad_points, scores, reordered)
+                call(bad_points, scores, shown)
             with pytest.raises(ValueError, match=r"\[0, 1\]"):
-                call(points, bad_scores, reordered)
-        got = call(points, scores, reordered)
+                call(points, bad_scores, shown)
+        got = call(points, scores, shown)
         with matcher_backend(backend):
             want = match_arrays(points, scores, list(reordered), stacked.classes, cfg,
                                 fixed_order)
@@ -435,7 +457,7 @@ def test_bound_matcher_reads_buffers_updated_in_place(rng):
     for _ in range(5):
         points[...], scores[...] = rng.uniform(size=points.shape), rng.uniform(size=scores.shape)
         want = match_arrays(points.copy(), scores.copy(), list(stacked.points), stacked.classes)
-        for a, b in zip(matcher(stacked.points.copy()), want):
+        for a, b in zip(matcher(), want):
             assert np.array_equal(a, b)
         assert matcher.points is points and matcher.scores is scores
 

@@ -103,13 +103,19 @@ def nan(*shape):  # outputs and scratch: an entry that reads one unwritten shows
 
 outputs = []
 for entry, c in pickle.loads(Path(sys.argv[2]).read_bytes()):
-    if entry == "manhattan":
-        (P, n), G, K = c["pred"].shape[:2], len(c["gts"]), len(c["perms"])
+    if entry == "match":
+        (P, n), G = c["pred"].shape[:2], len(c["gts"])
         S = (P + 7) // 8 * 8
-        args = (c["pred"], c["gts"], c["perms"], P, G, K, n, nan(P, G),
-                np.full((P, G), -1), nan(2 * n * S + S))
-        _, after = call(dll.manhattan_matrix, *args)
-        outputs.append((after[7], after[8]))
+        args = (c["pred"], c["scores"], c["gts"], c["classes"], c["maps"], c["first"],
+                c["count"], c["shown"], 2.0, 0.25, nan(P, 3), nan(P, G), np.full((P, G), -1),
+                nan(P, G), P, G, n, _pure.FOCAL_EPS, nan(2 * n * S + S))
+        _, after = call(dll.match_cost, *args)
+        rows, cols = np.arange(G), np.arange(G)[::-1].copy()
+        _, pairs = call(dll.match_pairs, c["gts"], c["classes"], c["maps"], c["first"],
+                        c["shown"], after[11], after[12], rows, cols, np.full(G, -1), nan(G),
+                        np.full(G, -1), nan(G, n, 2), G, n)
+        outputs.append((*(after[k] for k in (10, 11, 12, 13)),
+                        *(pairs[k] for k in (9, 10, 11, 12))))
     elif entry == "chamfer":
         (P, n), (G, m) = c["a"].shape[:2], c["b"].shape[:2]
         args = (c["a"], c["b"], P, n, G, m, c["cutoff"], nan(P, G), nan(m), nan(4 * (P + G)))
@@ -156,9 +162,9 @@ def _rebound(dll) -> dict:
     """The binders and entries of ``_kernels`` that the package calls, by
     name, on library ``dll``."""
     b = kernels._binders(dll)
-    values = (b.manhattan, b.focal, b.json_tokens, b.loss, b.adam, *kernels._entries(dll))
-    names = ("_bind_manhattan", "_bind_focal", "json_tokens", "_bind_loss", "_bind_adam",
-             "manhattan_matrix", "chamfer_matrix", "focal_cost_table")
+    values = (b.match, b.json_tokens, b.loss, b.adam, *kernels._entries(dll))
+    names = ("_bind_match", "json_tokens", "_bind_loss", "_bind_adam", "manhattan_matrix",
+             "chamfer_matrix", "focal_cost_table")
     return dict(zip(names, values))
 
 
@@ -247,19 +253,28 @@ def test_scan_every_prefix_under_sanitizers(tmp_path, sanitized):
 
 
 def _numeric_cases() -> list[tuple[str, dict]]:
-    """The numeric entries' edge shapes: Manhattan at P = 0, 1 and around
-    the 8-lane pad (n = G = K = 1, and one polygon group), Chamfer of
+    """The numeric entries' edge shapes: the matcher's two entries at P = 1
+    and around the 8-lane pad (n = G = K = 1), at G = K = 1 and n = 2 with a
+    reversed polyline shown, and on two polygons, one searched over its
+    group and one in its shown order alone; Chamfer of
     single points with the cutoff off and on, the loss with no pair and
     with every prediction paired, and Adam on one entry."""
     rng = np.random.default_rng(5)
     cases = []
-    for P in (0, 1, 7, 8, 9):
-        cases.append(("manhattan", dict(pred=rng.uniform(size=(P, 1, 2)),
-                                        gts=rng.uniform(size=(1, 1, 2)),
-                                        perms=np.zeros((1, 1), dtype=np.int64))))
+
+    def match(P, n, G, maps, first, count, shown):
+        return ("match", dict(pred=rng.uniform(size=(P, n, 2)), scores=rng.uniform(size=(P, 3)),
+                              gts=rng.uniform(size=(G, n, 2)), classes=np.arange(G) % 3,
+                              maps=maps, first=first, count=count, shown=shown))
+
+    one = np.zeros(1, dtype=np.int64)
+    for P in (1, 7, 8, 9):
+        cases.append(match(P, 1, 1, np.zeros((1, 1), dtype=np.int64), one, one + 1, one))
+    line = permutation_group(ElementKind.POLYLINE, 2).index_maps()  # G = 1, K = 1, n = 2
+    cases.append(match(1, 2, 1, line, one, one + 1, one + 1))
     maps = permutation_group(ElementKind.POLYGON, 3).index_maps()
-    cases.append(("manhattan", dict(pred=rng.uniform(size=(9, 3, 2)),
-                                    gts=rng.uniform(size=(2, 3, 2)), perms=maps)))
+    cases.append(match(9, 3, 2, maps, np.zeros(2, dtype=np.int64), np.array([6, 1]),
+                       np.array([5, 2])))
     for cutoff in (np.inf, 0.3):
         cases.append(("chamfer", dict(a=rng.uniform(size=(1, 1, 2)),
                                       b=rng.uniform(size=(1, 1, 2)), cutoff=cutoff)))
@@ -281,10 +296,15 @@ def _numeric_cases() -> list[tuple[str, dict]]:
 
 def _want(binders, entry, c) -> tuple:
     """What the production library's binders give for one case."""
-    if entry == "manhattan":
-        *_, costs, best, run = binders.manhattan(c["pred"], c["gts"], c["perms"])
-        run()
-        return costs, best
+    if entry == "match":
+        (_, _, shown, table, manhattan, best, total, rows, cols, orderings, costs, pair_classes,
+         aligned, cost, pairs) = binders.match(c["pred"], c["scores"], c["gts"], c["classes"],
+                                               c["maps"], c["first"], c["count"], 2.0, 0.25)
+        shown[...] = c["shown"]
+        cost()
+        rows[...], cols[...] = np.arange(len(rows)), np.arange(len(rows))[::-1]
+        pairs()
+        return table, manhattan, best, total, orderings, costs, pair_classes, aligned
     if entry == "chamfer":
         *_, out, run = binders.chamfer(c["a"], c["b"], c["cutoff"])
         run()
