@@ -37,6 +37,7 @@ fraction digits is one exact division, and any other number goes to
 
 import ctypes
 import hashlib
+import itertools
 import math
 import os
 import warnings
@@ -100,21 +101,15 @@ def build(cache_dir: Path, source: Path = SOURCE) -> Path | None:
     return lib
 
 
-def _carve(dtype, *parts):
-    """Arrays of ``dtype`` (8 bytes wide), each on a 64-byte boundary of one
-    zeroed block: of each shape in ``parts``, or a copy of each array there.
-    Returns them and their addresses; the block's is read once."""
-    shapes = [np.shape(p) if isinstance(p, np.ndarray) else p for p in parts]
-    sizes = [math.prod(shape) for shape in shapes]
-    block = np.zeros(sum(-(-size // 8) * 8 for size in sizes) + 8, dtype)
+def _carve(dtype, *shapes):
+    """Zeroed arrays of ``dtype`` (8 bytes wide) and ``shapes``, each on a
+    64-byte boundary of one block, and their addresses (the block's read once)."""
+    sizes = [-(-math.prod(shape) // 8) * 8 for shape in shapes]
+    block = np.zeros(sum(sizes) + 8, dtype)
     address = block.ctypes.data
-    at, arrays, addresses = -address % 64 // 8, [], []
-    for part, shape, size in zip(parts, shapes, sizes):
-        arrays.append(block[at:at + size].reshape(shape))
-        arrays[-1][...] = part if isinstance(part, np.ndarray) else 0
-        addresses.append(address + 8 * at)
-        at += -(-size // 8) * 8
-    return arrays, addresses
+    starts = list(itertools.accumulate(sizes, initial=-address % 64 // 8))
+    return ([block[at:at + math.prod(s)].reshape(s) for at, s in zip(starts, shapes)],
+            [address + 8 * at for at in starts[:-1]])
 
 
 #: Whether a pair of class 0, 1 or 2 has a closing edge (a polygon's).
@@ -135,24 +130,21 @@ def _binders(dll):
     may refill it.  ``adam`` binds the caller's arrays themselves, which its
     ``run(c1, c2)`` updates in place and which returns whether they stayed
     finite.  ``match`` copies its ground truth, maps and classes into two
-    blocks, with its outputs and scratch, and reads each block's address
-    once; its second runner, ``pairs()``, gathers the pairs of ``rows`` and
-    ``cols``.  The scratch holds the predictions transposed into rows of a
-    stride of P rounded up to 8 doubles, and starts on a 64-byte boundary,
-    so every row does (see ``kernels.c``).  ``manhattan`` is ``match``
-    without scores."""
+    blocks, with its outputs and scratch, whose addresses it reads once; its
+    second runner, ``pairs()``, gathers the pairs of ``rows`` and ``cols``.
+    The scratch starts on a 64-byte boundary (see ``kernels.c``).
+    ``manhattan`` is ``match`` with no scores."""
 
     def bind_manhattan(pred_pts, gt_pts, perms):
         """``match`` searching every ground truth over ``perms``, each shown in
-        its stored order (the map after them); no scores."""
+        its stored order (the map after them)."""
         perms = np.asarray(perms, dtype=np.int64)
-        if perms.ndim != 2 or not len(perms):
+        if perms.ndim != 2 or not len(perms) or perms.shape[1:] != np.shape(gt_pts)[1:2]:
             raise ValueError(f"perms must have shape (K, n) with K >= 1, got {perms.shape}")
-        K, G = len(perms), len(gt_pts)
-        maps = np.concatenate([perms, np.arange(perms.shape[1])[None]])
+        (K, n), G = perms.shape, len(gt_pts)
         pred, gts, shown, _, costs, best, *_, run, _ = bind_match(
-            pred_pts, np.zeros((len(pred_pts), 3)), gt_pts, np.zeros(G), maps, np.zeros(G),
-            np.full(G, K), 0.0, 0.5)
+            pred_pts, None, gt_pts, np.zeros(G), np.concatenate([perms, np.arange(n)[None]]),
+            np.zeros(G), np.full(G, K), 0.0, 0.5)
         shown[...] = K
         return pred, gts, costs, best, run
 
@@ -231,16 +223,19 @@ def _binders(dll):
         return run
 
     def bind_match(pred_pts, scores, gt_pts, classes, maps, first, count, gamma, alpha):
-        pred, flat, gts, *ints = _pure.check_match_inputs(pred_pts, scores, gt_pts, classes, maps,
-                                                          first, count, gamma, alpha)
-        (P, n), G = pred.shape[:2], len(gts)
+        pred, flat, *ins = _pure.check_match_inputs(pred_pts, scores, gt_pts, classes, maps,
+                                                    first, count, gamma, alpha)
+        (P, n), G = pred.shape[:2], len(ins[0])
         S = (P + 7) // 8 * 8  # the Manhattan loop's row stride, in doubles
-        floats, fa = _carve(np.float64, gts, (P, 3), (P, G), (P, G), (G,), (G, n, 2),
+        floats, fa = _carve(np.float64, (G, n, 2), (P, 3), (P, G), (P, G), (G,), (G, n, 2),
                             (2 * n * S + S,))
-        # rows ascend from the start, and pair_classes are classes, so a loss may bind them.
-        ints, ia = _carve(np.int64, *ints, (G,), (P, G), np.arange(G), (G,), (G,), ints[0])
+        ints, ia = _carve(np.int64, (G,), ins[2].shape, *[(G,)] * 3, (P, G), *[(G,)] * 4)
         gts, table, manhattan, total, costs, aligned, scratch = floats
         classes, maps, first, count, shown, best, rows, cols, orderings, pair_classes = ints
+        # rows ascend from the start, and pair_classes are classes, so a loss may bind them.
+        for a, b in zip((gts, classes, maps, first, count, rows, pair_classes),
+                        (*ins, np.arange(G), ins[1])):
+            a[...] = b
         cost_args = (pred, flat, gts, classes, maps, first, count, shown, gamma, alpha, table,
                      manhattan, best, total)
         pairs_args = (gts, classes, maps, first, shown, manhattan, best, rows, cols, orderings,
@@ -248,9 +243,9 @@ def _binders(dll):
         if dll is None:
             cost = partial(_pure.match_cost_into, *cost_args)
             pairs = partial(_pure.match_pairs_into, *pairs_args)
-        else:  # the same arguments, each array by its address
-            at = {id(a): x for a, x in zip((pred, flat, *floats, *ints),
-                                           (pred.ctypes.data, flat.ctypes.data, *fa, *ia))}
+        else:  # the same arguments, each array by its address (no scores: NULL)
+            at = dict(zip(map(id, (pred, flat, *floats, *ints)),
+                          (pred.ctypes.data, flat if flat is None else flat.ctypes.data, *fa, *ia)))
             cost = partial(dll.match_cost, *[at.get(id(a), a) for a in cost_args], P, G, n,
                            _pure.FOCAL_EPS, at[id(scratch)])
             pairs = partial(dll.match_pairs, *[at.get(id(a), a) for a in pairs_args], G, n)

@@ -79,37 +79,29 @@ def manhattan_into(pred, gts, perms, costs, best):
 
 def check_match_inputs(pred_pts, scores, gt_pts, classes, maps, first, count, gamma: float,
                        alpha: float):
-    """Contiguous float64 pred (P, n, 2) and gts (G, n, 2), the scores
-    flattened by :func:`check_focal_inputs`, and int64 maps (R, n) and
-    classes, first and count (G,).
-
-    Raises ValueError when a point is not finite, when the point counts
-    differ or are 0, when ``maps`` is not (R, n) with R >= 1 or has an entry
-    outside [0, n), and unless there are 3 scores per prediction, each class
-    is 0, 1 or 2 and the count[g] >= 1 maps of each ground truth's orderings,
-    from map first[g] >= 0, lie within ``maps``: the C kernel reads memory
-    unchecked, and numpy would wrap a negative index.  With no ground truth
-    no point or map is read, so those are only converted.
-    """
+    """Contiguous float64 pred (P, n, 2) and gts (G, n, 2), scores (or None)
+    as :func:`check_focal_inputs` flattens them, and int64 maps (R, n) and
+    classes, first and count (G,).  Raises ValueError unless the points are
+    finite, with n >= 1 each when G >= 1, the maps' entries in [0, n), 3
+    scores per prediction, and each ground truth a class 0, 1 or 2 and
+    count[g] >= 1 orderings from map first[g] >= 0 within the maps: the C
+    kernel reads memory unchecked, and numpy would wrap a negative index."""
     pred = np.ascontiguousarray(pred_pts, dtype=np.float64)
     gts = np.ascontiguousarray(gt_pts, dtype=np.float64)
     maps = np.ascontiguousarray(maps, dtype=np.int64)
-    if len(gts):
-        _check_points("predictions", pred)
-        _check_points("ground truth", gts)
-        n = gts.shape[1]
-        if pred.shape[1] != n:
-            raise ValueError(f"point count mismatch: {pred.shape[1]} predicted vs {n} ground truth")
-        if not n:
-            raise ValueError("point sets must have at least one point, got 0")
-        if maps.ndim != 2 or maps.shape[1] != n or not len(maps):
-            raise ValueError(f"perms must have shape (K, {n}) with K >= 1, got {maps.shape}")
-        if maps.min() < 0 or maps.max() >= n:
-            raise ValueError(f"perms entries must lie in [0, {n})")
-    flat = check_focal_inputs(scores, gamma, alpha)
+    _check_points("predictions", pred)
+    _check_points("ground truth", gts)
+    n = gts.shape[1]
+    if pred.shape[1] != n:
+        raise ValueError(f"point count mismatch: {pred.shape[1]} predicted vs {n} ground truth")
+    if not n and len(gts):
+        raise ValueError("point sets must have at least one point, got 0")
+    if maps.ndim != 2 or maps.shape[1] != n or maps.size and (maps.min() < 0 or maps.max() >= n):
+        raise ValueError(f"perms must have shape (K, {n}) and entries in [0, {n}), got {maps.shape}")
+    flat = None if scores is None else check_focal_inputs(scores, gamma, alpha)
     classes, first, count = (np.ascontiguousarray(a, dtype=np.int64)
                              for a in (classes, first, count))
-    if not (len(flat) == 3 * len(pred)
+    if not ((flat is None or len(flat) == 3 * len(pred))
             and classes.shape == first.shape == count.shape == (len(gts),)
             and ((classes >= 0) & (classes <= 2) & (first >= 0) & (count >= 1)
                  & (first + count <= len(maps))).all()):
@@ -120,31 +112,27 @@ def check_match_inputs(pred_pts, scores, gt_pts, classes, maps, first, count, ga
 
 def match_cost_into(pred, flat, gts, classes, maps, first, count, shown, gamma, alpha, table,
                     manhattan, best, total):
-    """``kernels.c``'s ``match_cost`` on inputs checked by
-    :func:`check_match_inputs`: the ground truth taken in its shown orders,
-    then :func:`manhattan_into` once per group of ground truth that shares its
-    orderings, scattered into the group's columns of manhattan and best;
-    :func:`focal_into` into table; and the table's class columns plus
-    manhattan into total."""
+    """``kernels.c``'s ``match_cost``: :func:`manhattan_into` per group of
+    ground truth sharing its orderings, each in its shown order; then, unless
+    ``flat`` is None, :func:`focal_into` and the class + position cost."""
     shown_gts = gts[np.arange(len(gts))[:, None], maps[first + shown]]
     for f, k in dict.fromkeys(zip(first.tolist(), count.tolist())):
         gs = np.flatnonzero((first == f) & (count == k))
         costs, bests = np.empty((len(pred), len(gs))), np.empty((len(pred), len(gs)), np.int64)
         manhattan_into(pred, shown_gts[gs], maps[f:f + k], costs, bests)
         manhattan[:, gs], best[:, gs] = costs, bests
-    focal_into(flat, gamma, alpha, table.reshape(-1))
-    total[...] = table[:, classes] + manhattan
+    if flat is not None:
+        focal_into(flat, gamma, alpha, table.reshape(-1))
+        total[...] = table[:, classes] + manhattan
 
 
 def match_pairs_into(gts, classes, maps, first, shown, manhattan, best, rows, cols, orderings,
                      costs, pair_classes, aligned):
     """``kernels.c``'s ``match_pairs``: each assigned pair's ordering, cost
-    and class, and its ground truth, shown as in :func:`match_cost_into`,
-    in that ordering into aligned."""
+    and class, and its shown ground truth in that ordering into aligned."""
     orderings[:], costs[:], pair_classes[:] = best[rows, cols], manhattan[rows, cols], classes[cols]
-    shown_maps = maps[first[cols] + shown[cols]]
-    aligned[...] = gts[cols[:, None], np.take_along_axis(shown_maps, maps[first[cols] + orderings],
-                                                         axis=1)]
+    shown_in = np.take_along_axis(maps[first[cols] + shown[cols]], maps[first[cols] + orderings], 1)
+    aligned[...] = gts[cols[:, None], shown_in]
 
 
 #: Elements per (rows, m, P*G) block of squared distances: 256 KiB of

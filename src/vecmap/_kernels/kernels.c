@@ -11,11 +11,9 @@
  * numpy, whose log and power round differently from libm's.
  * chamfer_matrix takes a cutoff: a pair whose bounding boxes lie at least
  * that far apart is written +inf and not computed, on both backends alike.
- * match_cost and match_pairs are a bound matcher's two calls, before and
- * after the assignment.  The eighth, json_tokens, reads untrusted text: it
- * bounds every read by the text's length and every write by its buffers'
- * caps, and parses numbers in the C locale whatever the process's locale
- * is.
+ * The eighth, json_tokens, reads untrusted text: it bounds every read by
+ * the text's length and every write by its buffers' caps, and parses
+ * numbers in the C locale whatever the process's locale is.
  *
  * The build also has -fno-math-errno, without which GCC keeps each sqrt a
  * call that may set errno and does not vectorize the loops around it.  It
@@ -23,17 +21,17 @@
  * way, and every sqrt operand here is >= 0 (sums of squares, nearest
  * squared distances and second moments), where sqrt sets no errno.
  *
- * The Manhattan (in match_cost), Chamfer and Adam loops are compiled once
- * per ISA (AVX-512F, AVX2 and the baseline) with GCC's target_clones, and the
+ * The Manhattan (match_cost), Chamfer and Adam loops are compiled once per
+ * ISA (AVX-512F, AVX2 and the baseline) with GCC's target_clones, and the
  * dynamic loader picks the best clone for the running CPU when the library
  * is opened.  Every clone is compiled with the same -ffp-contract=off and
  * vectorizes only across independent sums, exact minima and independent
  * elements, so each returns the same bits.  The build has no -march=native:
  * the cached library is named by the source and the flags alone, so a tree
  * copied to another CPU would load code built for the wrong ISA.  The
- * clones keep one portable library.  The focal table, match_pairs,
- * pair_terms, focal_terms and json_tokens are not cloned: their time goes
- * to scalar libm pow and log, to the call itself, and to json_tokens' byte loop,
+ * clones keep one portable library.  The focal table, match_pairs, pair_terms,
+ * focal_terms and json_tokens are not cloned: their time goes to scalar
+ * libm pow and log, to the call itself, and to json_tokens' byte loop,
  * which parses the short decimals scene files hold without strtod_l and
  * skips each run of indenting spaces in a loop of its own.
  */
@@ -156,29 +154,22 @@ void focal_cost_table(const double *scores, int64_t count, double gamma,
     }
 }
 
-/* A matcher's whole class + position cost matrix, as _pure.match_cost_into
- * computes it.
+/* A bound matcher's cost matrix, as _pure.match_cost_into computes it.
  *
- * First the least summed Manhattan cost over orderings, for every
- * (prediction, ground truth) pair.  pred (P, n, 2), gts (G, n, 2) and maps
- * (R, n) are C-contiguous.  Ground truth g is shown in the order of map
- * s = maps[first[g] + shown[g]], and its orderings are the count[g] maps
- * from map first[g]: ordering k aligns pred[p, j] with gts[g, s[m[j]]],
- * m = maps[first[g] + k].  Writes manhattan (P, G) and best (P, G), the
- * first ordering attaining each minimum.  Each cost adds term = |dx| + |dy|
- * over j in order, starting from 0.  The predictions are transposed into
- * scratch (2 * n * S + S doubles) as (n, S) rows first, so the innermost
- * loop runs over p with one independent sum per prediction.  The row stride
- * S is P rounded up to a multiple of 8 doubles (64 bytes), and pad lanes
- * P..S-1 hold 0: the sums run over whole vectors with no scalar tail, and
- * no pad lane is ever compared or written out.  The binder hands in
- * scratch on a 64-byte boundary, so with that stride every row starts on
- * one too: the loop's speed then does not depend on where the heap put
- * the buffer (16 or 40 bytes off it, the AVX-512 clone took up to 1.6x as
- * long).
- *
- * Then table (P, 3) as focal_cost_table writes it for scores (P, 3), and
- * total (P, G) = table[p, classes[g]] + manhattan[p, g].
+ * pred (P, n, 2), gts (G, n, 2) and maps (R, n) are C-contiguous.  Ground
+ * truth g is shown in the order of map s = maps[first[g] + shown[g]], and
+ * its orderings are the count[g] maps from map first[g]: ordering k aligns
+ * pred[p, j] with gts[g, s[m[j]]], m = maps[first[g] + k].  Writes
+ * manhattan (P, G), the least cost over orderings, each adding |dx| + |dy|
+ * over j in order from 0, and best (P, G), the first ordering attaining it.
+ * The predictions are transposed into scratch (2 * n * S + S doubles) as
+ * (n, S) rows, so the innermost loop runs over p with one sum per
+ * prediction.  S is P rounded up to 8 doubles, so every row starts on a
+ * 64-byte boundary, as the binder's scratch does (at offsets 16 or 40 the
+ * AVX-512 clone took up to 1.6x as long); pad lanes P..S-1 hold 0, so the
+ * sums need no scalar tail, and no pad lane is compared or written out.
+ * Then, unless scores is NULL, table (P, 3) as focal_cost_table writes it
+ * for scores (P, 3), and total[p, g] = table[p, classes[g]] + manhattan[p, g].
  */
 CLONED void match_cost(const double *pred, const double *scores, const double *gts,
                        const int64_t *classes, const int64_t *maps, const int64_t *first,
@@ -216,6 +207,8 @@ CLONED void match_cost(const double *pred, const double *scores, const double *g
                 }
         }
     }
+    if (!scores)
+        return;
     focal_cost_table(scores, 3 * P, gamma, alpha, eps, table);
     for (int64_t p = 0; p < P; p++)
         for (int64_t g = 0; g < G; g++)
@@ -236,10 +229,9 @@ void match_pairs(const double *gts, const int64_t *classes, const int64_t *maps,
         const int64_t g = cols[i], at = rows[i] * G + g, k = best[at];
         const int64_t *show = maps + (first[g] + shown[g]) * n, *perm = maps + (first[g] + k) * n;
         orderings[i] = k, costs[i] = manhattan[at], pair_classes[i] = classes[g];
-        for (int64_t j = 0; j < n; j++) {
-            aligned[(i * n + j) * 2] = gts[(g * n + show[perm[j]]) * 2];
-            aligned[(i * n + j) * 2 + 1] = gts[(g * n + show[perm[j]]) * 2 + 1];
-        }
+        for (int64_t j = 0; j < n; j++)
+            for (int64_t d = 0; d < 2; d++)
+                aligned[(i * n + j) * 2 + d] = gts[(g * n + show[perm[j]]) * 2 + d];
     }
 }
 

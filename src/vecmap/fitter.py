@@ -36,8 +36,7 @@ from .scenegen import DEFAULT_SLOTS, MapScene, check_integers
 
 #: Adam's step size, first and second moment decays and epsilon.
 STEP_SIZE, MOMENT_DECAY_1, MOMENT_DECAY_2, ADAM_EPS = 0.01, 0.9, 0.999, 1e-8
-#: Iterations whose orderings ``fit`` draws at once: memory stays flat in
-#: ``iterations``.
+#: Iterations whose orderings ``fit`` draws at once; memory stays flat in ``iterations``.
 _DRAW_BLOCK = 256
 
 
@@ -86,10 +85,9 @@ def fit(gt: MapScene, cfg: FitConfig = FitConfig()) -> FitTrace:
     annotation order a detector sees across training samples.  The
     permutation-equivalent mode is invariant to this by construction;
     the fixed-order baseline receives conflicting supervision, which is
-    precisely the start-point/direction ambiguity under study.  Those
-    orderings are drawn for ``_DRAW_BLOCK`` iterations at once and shown to
-    the bound matcher, which reads the ground truth through them; the loss
-    reads the pairs where the matcher writes them.
+    precisely the start-point/direction ambiguity under study.  The bound
+    matcher reads the ground truth through orderings drawn ``_DRAW_BLOCK``
+    iterations at a time, and the loss reads the pairs the matcher writes.
     """
     if not gt.elements:
         raise ValueError("ground-truth scene is empty")

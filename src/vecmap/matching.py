@@ -118,13 +118,11 @@ def focal_class_cost(scores, target_class: ElementClass) -> float:
     """Focal matching cost for one class slot: positive minus negative term.
 
     Lower is better; approaches -inf (capped by the epsilon floor) as the
-    target-class score approaches 1.  Raises ValueError, naming the
-    argument, unless ``scores`` holds 3 scores in [0, 1] and
-    ``target_class`` is a class 0, 1 or 2, as an int and not a bool.
+    target-class score approaches 1.  Raises ValueError, naming the argument,
+    unless ``scores`` is 3 scores in [0, 1] and ``target_class`` an int 0-2.
     """
     s = np.asarray(scores, dtype=np.float64)
-    # Written so that NaN, which fails every comparison, is rejected too.
-    if s.shape != (3,) or not ((s >= 0) & (s <= 1)).all():
+    if s.shape != (3,) or not ((s >= 0) & (s <= 1)).all():  # NaN fails both
         raise ValueError(f"scores must be 3 scores in [0, 1], got {s.tolist()}")
     if (isinstance(target_class, bool) or not isinstance(target_class, (int, np.integer))
             or target_class not in KIND_FOR_CLASS):
@@ -158,15 +156,13 @@ class BoundMatcher:
     (else :class:`CapacityError`), each of the G sets of ``gt_points`` has n
     points, and ``gt_classes`` gives each a class 0, 1 or 2.  Each ground
     truth is searched over its kind's ordering group, ``KIND_FOR_CLASS`` of
-    its class (its stored order alone with ``fixed_order``).  The bind copies
-    the ground truth into ``gt_points`` and binds one kernel entry to it, to
-    ``points`` and to ``scores``, so a caller may update any of them in place.
-    A call runs the entry twice: for the whole cost matrix, each ground truth
-    shown in the member of its group that :meth:`present` chose, and after
-    the assignment, for the pairs' ``rows``, ``pair_classes`` and ``aligned``
-    (G, n, 2) ground truth, where a bound loss may read them.  It checks that
-    the points are finite and the scores lie in [0, 1] unless ``checked``:
-    ``fit`` passes it when its Adam steps report finite parameters.
+    its class (its stored order alone with ``fixed_order``).  One kernel bind
+    copies the ground truth into ``gt_points`` and reads ``points`` and
+    ``scores`` in place.  A call fills the cost matrix, each ground truth
+    shown as :meth:`present` chose, then the assigned pairs' ``rows``,
+    ``pair_classes`` and ``aligned`` ground truth, where a bound loss reads
+    them.  It checks the points (finite) and scores (in [0, 1]) unless
+    ``checked``, which ``fit`` passes while Adam reports finite parameters.
     """
 
     def __init__(self, points, scores, gt_points, gt_classes, fixed_order: bool = False):
@@ -189,47 +185,44 @@ class BoundMatcher:
         starts = dict(zip(groups, itertools.accumulate(map(len, groups.values()), initial=0)))
         #: Each ground truth's ordering count: :meth:`present` picks among them.
         self.n_orderings = np.array([len(groups[k]) for k in kinds], dtype=np.int64)
-        (_, self.gt_points, self.shown, self.table, self.manhattan, self.best, self.total,
+        (_, self.gt_points, self._shown, self.table, self.manhattan, self.best, self.total,
          self.rows, self.cols, self.orderings, self.costs, self.pair_classes, self.aligned,
          self._cost, self._pairs) = _kernels._bind_match(
             points, scores, np.asarray(gt_points, dtype=np.float64).reshape(G, n, 2),
             self.classes, np.concatenate([np.zeros((0, n), np.int64), *groups.values()]),
             [starts[k] for k in kinds], np.ones(G) if fixed_order else self.n_orderings,
             FOCAL_GAMMA, FOCAL_ALPHA)
-        self._block = self.shown[None].copy()  # every ground truth in its stored order
+        self._block = self._shown[None].copy()  # every ground truth in its stored order
 
     def present(self, orderings) -> None:
         """Show ground truth g, in the calls for row b, as member
-        ``orderings[b, g]`` of its ordering group: a block (B, G) of ints,
-        checked here, once per block.  Until then every call shows the
-        stored order, member 0."""
+        ``orderings[b, g]`` of its ordering group, from a (B, G) block of ints
+        checked and copied here; until then, as member 0, its stored order."""
         block = np.asarray(orderings)
-        if not (block.dtype.kind in "iu" and block.ndim == 2 and block.shape[1:] == self.shown.shape
+        if not (block.dtype.kind in "iu" and block.ndim == 2
+                and block.shape[1:] == self._shown.shape
                 and ((block >= 0) & (block < self.n_orderings)).all()):
-            raise ValueError(f"orderings must be a (B, {len(self.shown)}) block of ints, column g "
+            raise ValueError(f"orderings must be a (B, {len(self._shown)}) block of ints, column g "
                              f"below {self.n_orderings.tolist()}[g]")
-        self._block = block
+        self._block = block.astype(np.int64)  # a copy: the kernel reads its rows unchecked
 
     def cost(self, b: int = 0, checked: bool = False) -> np.ndarray:
-        """``total``, the (P, G) class + position cost matrix with the ground
-        truth shown as row b presents it, refilled with ``manhattan``, ``best``
-        and ``table``."""
+        """``total``, the (P, G) class + position cost matrix, each ground truth
+        shown as row b presents it; refills ``manhattan``, ``best`` and ``table``."""
         # Written so that NaN, which fails every comparison, is rejected too.
         if not (checked or np.isfinite(self.points).all()
                 and ((self.scores >= 0) & (self.scores <= 1)).all()):
             raise ValueError("predicted points must be finite and scores lie in [0, 1]")
-        self.shown[...] = self._block[b]
+        self._shown[...] = self._block[b]
         self._cost()
         return self.total
 
     def __call__(self, b: int = 0, checked: bool = False):
-        """``(rows, cols, orderings, costs)``, as :func:`match_arrays` returns,
-        with the ground truth shown as row b presents it (see :meth:`cost`)."""
+        """``(rows, cols, orderings, costs)`` of :func:`match_arrays`, shown as in :meth:`cost`."""
         return self._assigned(*linear_sum_assignment(self.cost(b, checked)))
 
     def _assigned(self, rows, cols):
-        """An assignment of every ground truth, rows ascending, as ``__call__``
-        returns it; refills the pair buffers."""
+        """``__call__``'s result for an assignment, rows ascending; refills the pairs."""
         self.rows[...], self.cols[...] = rows, cols
         self._pairs()
         return rows, cols, self.orderings.copy(), self.costs.copy()

@@ -179,6 +179,25 @@ def test_manhattan_entries_reject_bad_inputs(pred, gts, perms):
         kernels.min_manhattan_over_perms(pred, gts[0], perms)
 
 
+def test_manhattan_entries_check_inputs_with_no_ground_truth():
+    # No ground truth means no point is read, but the entries still reject
+    # what they reject with some: a NaN prediction, an index out of range,
+    # and perms of the wrong width, named in the caller's shape.
+    pred, none = np.zeros((2, 4, 2)), np.zeros((0, 4, 2))
+    perms = _group_perms(ElementKind.POLYGON, 4)
+    nan_pred, bad_perms = pred.copy(), perms.copy()
+    nan_pred[1, 2, 0], bad_perms[0, 0] = np.nan, 4
+    for entry in (kernels.manhattan_matrix, PURE["manhattan_matrix"]):
+        with pytest.raises(ValueError, match="^predictions must be finite"):
+            entry(nan_pred, none, perms)
+        with pytest.raises(ValueError, match=r"entries in \[0, 4\)"):
+            entry(pred, none, bad_perms)
+        with pytest.raises(ValueError, match=r"got \(8, 5\)$"):
+            entry(pred, none, np.zeros((8, 5), dtype=np.int64))
+        costs, best = entry(pred, none, perms)
+        assert costs.shape == best.shape == (2, 0)
+
+
 def _assert_rejects_zero_points(entries):
     """``entries``' Manhattan matrix rejects point sets of no points with its
     own message: numpy's minimum over no cost would raise its own."""

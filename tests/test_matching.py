@@ -462,6 +462,27 @@ def test_bound_matcher_reads_buffers_updated_in_place(rng):
         assert matcher.points is points and matcher.scores is scores
 
 
+@_BACKENDS
+def test_bound_matcher_keeps_its_own_copy_of_a_presented_block(rng, backend):
+    # present checks the block once, so the kernel reads its rows unchecked:
+    # writing out-of-range members into the caller's array afterwards must
+    # reach neither the kernel nor the result.
+    kinds = [ElementKind.POLYGON, ElementKind.POLYLINE]
+    stacked = SceneGroundTruth.stack([random_element(rng, kind, n_points=5) for kind in kinds])
+    points, scores = rng.uniform(size=(3, 5, 2)), rng.uniform(size=(3, 3))
+    with matcher_backend(backend):
+        matcher = BoundMatcher(points, scores, stacked.points, stacked.classes)
+    block = np.array([[3, 1], [7, 0]])
+    matcher.present(block)
+    want = [[a.copy() for a in matcher(b)] for b in range(2)]
+    block[...] = 10**9
+    for b in range(2):
+        for a, w in zip(matcher(b), want[b]):
+            assert np.array_equal(a, w)
+    with pytest.raises(ValueError, match="^orderings must be"):
+        matcher.present(block)
+
+
 @pytest.mark.parametrize("name, buf", [
     ("points", np.zeros((5, 6, 2), dtype=np.float32)),
     ("points", np.zeros((5, 6, 4))[..., ::2]),

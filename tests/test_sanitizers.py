@@ -7,7 +7,7 @@ the production flags plus the sanitizers into a temporary directory.  Each
 test runs the entries in a subprocess, with the sanitizer runtimes
 preloaded (ASan refuses to start in a Python not built with it otherwise):
 ``json_tokens`` on every prefix of one ground-truth file and one prediction
-file, and the Manhattan, Chamfer, loss and Adam entries at their edge
+file, and the matcher's, Chamfer, loss and Adam entries at their edge
 shapes.  Every input, output and scratch buffer is its own block of
 exactly its size from the sanitized ``malloc``, so a read or write one
 byte past any of them is reported.  Whole paths, ``fit`` in both modes and
@@ -110,12 +110,13 @@ for entry, c in pickle.loads(Path(sys.argv[2]).read_bytes()):
                 c["count"], c["shown"], 2.0, 0.25, nan(P, 3), nan(P, G), np.full((P, G), -1),
                 nan(P, G), P, G, n, _pure.FOCAL_EPS, nan(2 * n * S + S))
         _, after = call(dll.match_cost, *args)
-        rows, cols = np.arange(G), np.arange(G)[::-1].copy()
-        _, pairs = call(dll.match_pairs, c["gts"], c["classes"], c["maps"], c["first"],
-                        c["shown"], after[11], after[12], rows, cols, np.full(G, -1), nan(G),
-                        np.full(G, -1), nan(G, n, 2), G, n)
-        outputs.append((*(after[k] for k in (10, 11, 12, 13)),
-                        *(pairs[k] for k in (9, 10, 11, 12))))
+        outputs.append(tuple(after[k] for k in (10, 11, 12, 13)))
+        if P >= G:  # match_pairs pairs every ground truth: at P = 0, match_cost alone
+            rows, cols = np.arange(G), np.arange(G)[::-1].copy()
+            _, pairs = call(dll.match_pairs, c["gts"], c["classes"], c["maps"], c["first"],
+                            c["shown"], after[11], after[12], rows, cols, np.full(G, -1), nan(G),
+                            np.full(G, -1), nan(G, n, 2), G, n)
+            outputs[-1] += tuple(pairs[k] for k in (9, 10, 11, 12))
     elif entry == "chamfer":
         (P, n), (G, m) = c["a"].shape[:2], c["b"].shape[:2]
         args = (c["a"], c["b"], P, n, G, m, c["cutoff"], nan(P, G), nan(m), nan(4 * (P + G)))
@@ -254,7 +255,8 @@ def test_scan_every_prefix_under_sanitizers(tmp_path, sanitized):
 
 def _numeric_cases() -> list[tuple[str, dict]]:
     """The numeric entries' edge shapes: the matcher's two entries at P = 1
-    and around the 8-lane pad (n = G = K = 1), at G = K = 1 and n = 2 with a
+    and around the 8-lane pad (n = G = K = 1), ``match_cost`` alone with no
+    prediction (P = 0: no pair to gather), at G = K = 1 and n = 2 with a
     reversed polyline shown, and on two polygons, one searched over its
     group and one in its shown order alone; Chamfer of
     single points with the cutoff off and on, the loss with no pair and
@@ -268,7 +270,7 @@ def _numeric_cases() -> list[tuple[str, dict]]:
                               maps=maps, first=first, count=count, shown=shown))
 
     one = np.zeros(1, dtype=np.int64)
-    for P in (1, 7, 8, 9):
+    for P in (0, 1, 7, 8, 9):
         cases.append(match(P, 1, 1, np.zeros((1, 1), dtype=np.int64), one, one + 1, one))
     line = permutation_group(ElementKind.POLYLINE, 2).index_maps()  # G = 1, K = 1, n = 2
     cases.append(match(1, 2, 1, line, one, one + 1, one + 1))
@@ -302,6 +304,8 @@ def _want(binders, entry, c) -> tuple:
                                                c["maps"], c["first"], c["count"], 2.0, 0.25)
         shown[...] = c["shown"]
         cost()
+        if len(rows) > len(c["pred"]):
+            return table, manhattan, best, total
         rows[...], cols[...] = np.arange(len(rows)), np.arange(len(rows))[::-1]
         pairs()
         return table, manhattan, best, total, orderings, costs, pair_classes, aligned
