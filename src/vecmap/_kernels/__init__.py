@@ -10,12 +10,13 @@ holds one clone of each Manhattan, Chamfer and Adam loop per ISA, and the
 loader picks one for the running CPU; ``ISA`` names it (None on the numpy
 backend).
 
-The backend is chosen in one place, ``_binders(dll)``: each binder calls
-the library, or with ``dll`` None the ``_pure`` body.  Each public entry is
-defined once, for both backends, by ``_entries(dll)``: bind, run once,
-return.  A bind runs one ``_pure.check_*`` (finite points, consistent
-shapes and indices, focal scores in [0, 1], a finite gamma >= 0 and
-0 < alpha < 1, else ValueError) before any kernel.
+The backend is chosen in one place, ``_binders(dll)``, which calls the
+library, or with ``dll`` None the ``_pure`` bodies.  It gives entries for
+the kernels that run once (``manhattan_matrix``, ``chamfer_matrix``,
+``focal_cost_table``, ``json_tokens``) and binders for those that rerun
+(below).  Each numeric entry and binder runs one ``_pure.check_*`` (finite
+points, consistent shapes and indices, focal scores in [0, 1], a finite
+gamma >= 0 and 0 < alpha < 1, else ValueError) before any kernel.
 ``min_manhattan_over_perms`` and ``chamfer_mean`` slice the matrix kernels.
 ``chamfer_matrix(a, b, cutoff)`` writes +inf for each pair whose bounding
 boxes lie at least ``cutoff`` apart, without computing it; the default,
@@ -116,59 +117,89 @@ def _carve(dtype, *shapes):
 _CLOSED_FOR_CLASS = np.array([KIND_FOR_CLASS[c] is ElementKind.POLYGON
                               for c in sorted(KIND_FOR_CLASS)])
 
-Binders = namedtuple("Binders", "manhattan chamfer focal json_tokens loss adam match")
+Binders = namedtuple("Binders", "manhattan_matrix chamfer_matrix focal_cost_table json_tokens "
+                                "loss adam match")
 
 
 def _binders(dll):
     """The :class:`Binders` running ``dll``, or the ``_pure`` bodies with
     ``dll`` None, where ``json_tokens`` returns None: the only code that
-    differs by backend.  Each binder checks its input, allocates outputs
-    and scratch and takes every address once, and returns the checked
-    inputs, the outputs and ``run()``, which refills the outputs from the
-    inputs' current contents unchecked.  An input already contiguous in the
-    kernel's dtype is bound as it is (scores as a flat view), so a caller
-    may refill it.  ``adam`` binds the caller's arrays themselves, which its
-    ``run(c1, c2)`` updates in place and which returns whether they stayed
-    finite.  ``match`` copies its ground truth, maps and classes into two
-    blocks, with its outputs and scratch, whose addresses it reads once; its
-    second runner, ``pairs()``, gathers the pairs of ``rows`` and ``cols``.
-    The scratch starts on a 64-byte boundary (see ``kernels.c``).
-    ``manhattan`` is ``match`` with no scores."""
+    differs by backend.  The first four are entries: each checks its input,
+    runs its kernel once and returns fresh outputs; ``manhattan_matrix`` is
+    ``match`` with no scores, its cost runner run once.  The last three are
+    binders: each checks its input, allocates outputs and scratch and takes
+    every address once, and returns the checked inputs, the outputs and
+    ``run()``, which refills the outputs from the inputs' current contents
+    unchecked.  An input already contiguous in the kernel's dtype is bound
+    as it is (scores as a flat view), so a caller may refill it.  ``adam``
+    binds the caller's arrays themselves, which its ``run(c1, c2)`` updates
+    in place and which returns whether they stayed finite.  ``match`` copies
+    its ground truth, maps and classes into two blocks, with its outputs and
+    scratch, whose addresses it reads once; its second runner, ``pairs()``,
+    gathers the pairs of ``rows`` and ``cols``.  The scratch starts on a
+    64-byte boundary (see ``kernels.c``)."""
 
-    def bind_manhattan(pred_pts, gt_pts, perms):
-        """``match`` searching every ground truth over ``perms``, each shown in
-        its stored order (the map after them)."""
+    def manhattan_matrix(pred_pts, gt_pts, perms):
+        """Minimum summed Manhattan distance over orderings, for every pair.
+
+        pred_pts: (P, n, 2) predicted point sets.
+        gt_pts:   (G, n, 2) ground-truth point sets.
+        perms:    (K, n) integer index maps; ordering k aligns pred[j] with
+                  gt[perms[k, j]].
+
+        Returns (costs (P, G), best (P, G)), where best is the index of the
+        first ordering attaining the minimum.  Each cost adds
+        term = |dx| + |dy| over point index j in order, so entry (p, g) does
+        not depend on the other pairs in the stacks.
+        """
         perms = np.asarray(perms, dtype=np.int64)
         if perms.ndim != 2 or not len(perms) or perms.shape[1:] != np.shape(gt_pts)[1:2]:
             raise ValueError(f"perms must have shape (K, n) with K >= 1, got {perms.shape}")
         (K, n), G = perms.shape, len(gt_pts)
-        pred, gts, shown, _, costs, best, *_, run, _ = bind_match(
+        # Every ground truth searched over perms, shown in its stored order (the map after them).
+        _, _, shown, _, costs, best, *_, cost, _ = bind_match(
             pred_pts, None, gt_pts, np.zeros(G), np.concatenate([perms, np.arange(n)[None]]),
             np.zeros(G), np.full(G, K), 0.0, 0.5)
         shown[...] = K
-        return pred, gts, costs, best, run
+        cost()
+        return costs, best
 
-    def bind_chamfer(a, b, cutoff):
+    def chamfer_matrix(a, b, cutoff=np.inf):
+        """Symmetric mean Chamfer distance of every pair of two point-set stacks.
+
+        a: (P, n, 2) and b: (G, m, 2), checked by ``_pure.check_chamfer_inputs``.
+        Returns (P, G): for each pair, the squared distances are dx*dx + dy*dy,
+        each direction sums the sqrt of its nearest ones left to right, divides
+        by its count, and the two are averaged.
+
+        A pair is +inf instead when cutoff * cutoff is a finite normal double
+        and its bounding boxes' gap (gx, gy), 0 on an axis where they overlap,
+        has gx*gx + gy*gy >= cutoff * cutoff: its distance is at least that
+        gap, up to rounding.  The default, ``inf``, computes every pair.
+        """
         a, b = _pure.check_chamfer_inputs(a, b)
         (P, n), (G, m) = a.shape[:2], b.shape[:2]
         out = np.empty((P, G))
         if dll is None:
-            return a, b, out, partial(_pure.chamfer_into, a, b, cutoff, out)
-        bufs = a, b, out, np.empty(m), np.empty(4 * (P + G))
-        pa, pb, po, near_b, box = (x.ctypes.data for x in bufs)
-        run = partial(dll.chamfer_matrix, pa, pb, P, n, G, m, cutoff, po, near_b, box)
-        run.bufs = bufs
-        return a, b, out, run
+            _pure.chamfer_into(a, b, cutoff, out)
+        else:
+            near_b, box = np.empty(m), np.empty(4 * (P + G))  # scratch, held through the call
+            dll.chamfer_matrix(a.ctypes.data, b.ctypes.data, P, n, G, m, cutoff,
+                               out.ctypes.data, near_b.ctypes.data, box.ctypes.data)
+        return out
 
-    def bind_focal(scores, gamma, alpha):
+    def focal_cost_table(scores, gamma, alpha):
+        """(P, 3) table of ``_pure.focal_cost`` for every entry of scores (P, 3),
+        entry by entry with scalar ``log`` and ``pow``: numpy's vectorized
+        ``log`` and ``power`` may round differently in the last ulp."""
         flat = _pure.check_focal_inputs(scores, gamma, alpha)
         out = np.empty(len(flat))
         if dll is None:
-            return flat, out, partial(_pure.focal_into, flat, gamma, alpha, out)
-        run = partial(dll.focal_cost_table, flat.ctypes.data, len(flat), gamma, alpha,
-                      _pure.FOCAL_EPS, out.ctypes.data)
-        run.bufs = flat, out
-        return flat, out, run
+            _pure.focal_into(flat, gamma, alpha, out)
+        else:
+            dll.focal_cost_table(flat.ctypes.data, len(flat), gamma, alpha, _pure.FOCAL_EPS,
+                                 out.ctypes.data)
+        return out.reshape(-1, 3)
 
     def json_tokens(data: bytes):
         """``(numbers, skeleton)`` of JSON text ``data``, or None (see ``kernels.c``)."""
@@ -253,8 +284,8 @@ def _binders(dll):
         return (pred, gts, shown, table, manhattan, best, total, rows, cols, orderings, costs,
                 pair_classes, aligned, cost, pairs)
 
-    return Binders(bind_manhattan, bind_chamfer, bind_focal, json_tokens, bind_loss, bind_adam,
-                   bind_match)
+    return Binders(manhattan_matrix, chamfer_matrix, focal_cost_table, json_tokens, bind_loss,
+                   bind_adam, bind_match)
 
 
 def load(lib: Path) -> ctypes.CDLL:
@@ -280,56 +311,6 @@ def load(lib: Path) -> ctypes.CDLL:
     return dll
 
 
-def _entries(dll):
-    """(manhattan_matrix, chamfer_matrix, focal_cost_table) over
-    ``_binders(dll)``: each binds, runs once and returns its outputs."""
-    bind_manhattan, bind_chamfer, bind_focal, *_ = _binders(dll)
-
-    def manhattan_matrix(pred_pts, gt_pts, perms):
-        """Minimum summed Manhattan distance over orderings, for every pair.
-
-        pred_pts: (P, n, 2) predicted point sets.
-        gt_pts:   (G, n, 2) ground-truth point sets.
-        perms:    (K, n) integer index maps; ordering k aligns pred[j] with
-                  gt[perms[k, j]].
-
-        Returns (costs (P, G), best (P, G)), where best is the index of the
-        first ordering attaining the minimum.  Each cost adds
-        term = |dx| + |dy| over point index j in order, so entry (p, g) does
-        not depend on the other pairs in the stacks.
-        """
-        *_, costs, best, run = bind_manhattan(pred_pts, gt_pts, perms)
-        run()
-        return costs, best
-
-    def chamfer_matrix(a, b, cutoff=np.inf):
-        """Symmetric mean Chamfer distance of every pair of two point-set stacks.
-
-        a: (P, n, 2) and b: (G, m, 2), checked by ``_pure.check_chamfer_inputs``.
-        Returns (P, G): for each pair, the squared distances are dx*dx + dy*dy,
-        each direction sums the sqrt of its nearest ones left to right, divides
-        by its count, and the two are averaged.
-
-        A pair is +inf instead when cutoff * cutoff is a finite normal double
-        and its bounding boxes' gap (gx, gy), 0 on an axis where they overlap,
-        has gx*gx + gy*gy >= cutoff * cutoff: its distance is at least that
-        gap, up to rounding.  The default, ``inf``, computes every pair.
-        """
-        *_, out, run = bind_chamfer(a, b, cutoff)
-        run()
-        return out
-
-    def focal_cost_table(scores, gamma, alpha):
-        """(P, 3) table of ``_pure.focal_cost`` for every entry of scores (P, 3),
-        entry by entry with scalar ``log`` and ``pow``: numpy's vectorized
-        ``log`` and ``power`` may round differently in the last ulp."""
-        _, out, run = bind_focal(scores, gamma, alpha)
-        run()
-        return out.reshape(-1, 3)
-
-    return manhattan_matrix, chamfer_matrix, focal_cost_table
-
-
 try:
     _lib = build(SOURCE.with_name("__pycache__"))
     _dll = None if _lib is None else load(_lib)
@@ -340,8 +321,8 @@ BACKEND = "pure" if _dll is None else "compiled"
 #: The clone of each cloned C loop that the loader picked for this CPU
 #: ("avx512f", "avx2" or "default"); None on the numpy backend.
 ISA = None if _dll is None else _dll.kernel_isa().decode()
-*_, json_tokens, _bind_loss, _bind_adam, _bind_match = _binders(_dll)
-manhattan_matrix, chamfer_matrix, focal_cost_table = _entries(_dll)
+(manhattan_matrix, chamfer_matrix, focal_cost_table, json_tokens, _bind_loss, _bind_adam,
+ _bind_match) = _binders(_dll)
 
 
 def min_manhattan_over_perms(pred_pts, gt_pts, perms):

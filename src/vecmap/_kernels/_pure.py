@@ -12,8 +12,8 @@ focal term and its gradient from the numpy logs and powers of
 of one check, :func:`check_loss_inputs`; ``adam_into`` takes one fit step.
 The C loops of ``kernels.c`` do the same operations in the same order, so
 both backends return the same floats and the same argmin ties.  Nothing
-here picks a backend: the binders of ``vecmap._kernels`` run a
-``check_*`` once, then the library or the ``*_into`` body on the checked
+here picks a backend: the entries and binders of ``vecmap._kernels`` run
+a ``check_*`` once, then the library or the ``*_into`` body on the checked
 inputs.
 """
 
@@ -49,8 +49,8 @@ _MANHATTAN_BLOCK = 1 << 15
 
 
 def manhattan_into(pred, gts, perms, costs, best):
-    """``vecmap._kernels.manhattan_matrix`` on checked inputs, into costs and
-    best (P, G)."""
+    """:func:`match_cost_into`'s Manhattan search for one group of ground
+    truth sharing its orderings, on checked inputs, into costs and best (P, G)."""
     (P, n), G, K = pred.shape[:2], len(gts), len(perms)
     # Row j holds point j of every (prediction, ground truth, ordering)
     # triple, column p * G * K + g * K + k, so the adds below run over rows.

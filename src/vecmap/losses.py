@@ -81,11 +81,11 @@ class BoundLoss:
     with ``aligned`` (len(rows), n, 2), and ``scores`` is (P, 3) with every
     value in [0, 1].  It keeps those already contiguous in the kernels'
     dtypes as its buffers, so a caller updates ``points`` and ``scores`` in
-    place, as with ``matching.BoundMatcher``.
+    place, as with ``matching.BoundMatcher``, and ``fit``'s matcher refills
+    the pair buffers ``rows``, ``classes`` and ``aligned`` in place.
 
-    A call copies valid pairs of the bound shapes into the pair buffers,
-    unchecked, runs both kernels raw on the predictions' current contents
-    and returns the :class:`LossBreakdown`.  It refills the gradients, the
+    :meth:`run` runs both kernels raw on the buffers' current contents and
+    returns the :class:`LossBreakdown`.  It refills the gradients, the
     bound outputs ``d_points`` (P, n, 2), ``d_scores`` (P, 3) and
     ``d_logits`` = ``d_scores * s * (1 - s)``, wrt the logits whose sigmoids
     the scores ``s`` are.  The assignment is frozen; the Manhattan term uses
@@ -102,11 +102,6 @@ class BoundLoss:
                                           FOCAL_GAMMA, FOCAL_ALPHA, weights.lambda_cls,
                                           weights.alpha_p2p, weights.beta_dir)
         self.weights = weights
-
-    def __call__(self, rows, classes, aligned) -> LossBreakdown:
-        for buf, new in zip((self.rows, self.classes, self.aligned), (rows, classes, aligned)):
-            np.copyto(buf, new)
-        return self.run()
 
     def run(self) -> LossBreakdown:
         """The loss of the bound buffers' contents; refills the gradients."""

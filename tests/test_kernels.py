@@ -39,9 +39,11 @@ from vecmap.geometry import ElementKind, permutation_group
 
 
 def _entries(dll):
-    """The three matrix entries of ``vecmap._kernels._entries(dll)`` by name:
+    """The three matrix entries of ``vecmap._kernels._binders(dll)`` by name:
     the library's, or the numpy bodies' with ``dll`` None."""
-    return {entry.__name__: entry for entry in kernels._entries(dll)}
+    binders = kernels._binders(dll)
+    return {name: getattr(binders, name)
+            for name in ("manhattan_matrix", "chamfer_matrix", "focal_cost_table")}
 
 
 #: The numpy bodies, whichever backend was loaded.
@@ -455,22 +457,25 @@ def _assert_tie_break_parity(entries):
 
 
 def _assert_manhattan_pad_parity(dll, rng):
-    """The library ``dll``'s bound Manhattan run equals numpy's under ``==``
-    for every count in ``_PAD_PREDS``: on predictions far from a ground
-    truth at the origin, where a zero pad lane would cost least if it were
-    ever read out, and on a binding refilled in place across calls, as
-    ``fit`` reruns its matcher."""
-    bind_c, bind_pure = (kernels._binders(lib).manhattan for lib in (dll, None))
+    """The library ``dll``'s Manhattan matrix equals numpy's under ``==`` for
+    every count in ``_PAD_PREDS``: from the one-shot entries, on predictions
+    far from a ground truth at the origin, where a zero pad lane would cost
+    least if it were ever read out, and from the ``match`` binder with no
+    scores, refilled in place across calls, as ``fit`` reruns its matcher."""
+    entry_c, entry_pure = (_entries(lib)["manhattan_matrix"] for lib in (dll, None))
+    bind_c, bind_pure = (kernels._binders(lib).match for lib in (dll, None))
     perms = _orderings(ElementKind.POLYGON, 5)
     for n_preds in _PAD_PREDS:
         far = 1000 + rng.uniform(size=(n_preds, 5, 2))
         for pred, gts in ((far, np.zeros((2, 5, 2))), (-far, np.zeros((1, 5, 2)))):
-            got, want = (_bound_run(bind, pred, gts, perms) for bind in (bind_c, bind_pure))
+            got, want = (entry(pred, gts, perms) for entry in (entry_c, entry_pure))
             for got_part, want_part in zip(got, want):
                 np.testing.assert_array_equal(got_part, want_part)
             assert (got[0] >= 5 * 2000).all()  # each point at least 1000 off in x and y
-        pred_c, gts_c, costs_c, best_c, run_c = bind_c(far, np.zeros((3, 5, 2)), perms)
-        pred_p, gts_p, costs_p, best_p, run_p = bind_pure(far.copy(), np.zeros((3, 5, 2)), perms)
+        pred_c, gts_c, costs_c, best_c, run_c = _bound_manhattan(
+            bind_c, far, np.zeros((3, 5, 2)), perms)
+        pred_p, gts_p, costs_p, best_p, run_p = _bound_manhattan(
+            bind_pure, far.copy(), np.zeros((3, 5, 2)), perms)
         for _ in range(4):
             pred_c[...] = pred_p[...] = np.round(rng.uniform(size=pred_c.shape) * 4) / 4
             gts_c[...] = gts_p[...] = np.round(rng.uniform(size=gts_c.shape) * 4) / 4
@@ -480,11 +485,16 @@ def _assert_manhattan_pad_parity(dll, rng):
             np.testing.assert_array_equal(best_c, best_p)
 
 
-def _bound_run(bind, pred, gts, perms):
-    """(costs, best) of one bound run of ``bind``."""
-    *_, costs, best, run = bind(pred, gts, perms)
-    run()
-    return costs, best
+def _bound_manhattan(bind_match, pred, gts, perms):
+    """``bind_match`` with no scores, as ``manhattan_matrix`` binds it: every
+    ground truth searched over ``perms``, each shown in its stored order (the
+    map after them).  Returns (pred, gts, costs, best, cost runner)."""
+    (K, n), G = perms.shape, len(gts)
+    pred, gts, shown, _, costs, best, *_, run, _ = bind_match(
+        pred, None, gts, np.zeros(G), np.concatenate([perms, np.arange(n)[None]]),
+        np.zeros(G), np.full(G, K), 0.0, 0.5)
+    shown[...] = K
+    return pred, gts, costs, best, run
 
 
 def _assert_chamfer_parity(entries, n, rng):
@@ -518,12 +528,12 @@ def test_manhattan_scratch_starts_on_64_bytes(c_library):
     # Odd-sized allocations kept alive between binds move where the heap
     # puts the next buffer; each bound scratch must still start on a
     # 64-byte boundary, which keeps the kernel's speed the same per call.
-    bind = kernels._binders(c_library).manhattan
+    bind = kernels._binders(c_library).match
     perms = _orderings(None, 3)
     held = []
     for n_preds in range(1, 71):
         held.append(np.empty(n_preds % 13 + 1))
-        *_, run = bind(np.zeros((n_preds, 3, 2)), np.zeros((1, 3, 2)), perms)
+        *_, run = _bound_manhattan(bind, np.zeros((n_preds, 3, 2)), np.zeros((1, 3, 2)), perms)
         scratch = run.bufs[-1]
         assert scratch.ctypes.data % 64 == 0
         assert len(scratch) == 7 * ((n_preds + 7) // 8 * 8)  # 2 * n * S + S

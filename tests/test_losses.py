@@ -460,8 +460,9 @@ _WEIGHTS = st.sampled_from(
 
 def test_bound_loss_reads_predictions_updated_in_place(rng):
     # Bound to the caller's points and scores, the loss copies neither: a
-    # call takes only the pairs, reads the predictions' current contents,
-    # and equals a fresh BoundLoss on them.
+    # run after the pairs are refilled in place, as fit's matcher refills
+    # them, reads every buffer's current contents and equals a fresh
+    # BoundLoss on them.
     P, n, M = 5, 6, 3
     points, scores = rng.uniform(size=(P, n, 2)), rng.uniform(size=(P, 3))
     loss = BoundLoss(points, scores, np.arange(M), np.zeros(M, dtype=np.int64),
@@ -471,7 +472,8 @@ def test_bound_loss_reads_predictions_updated_in_place(rng):
         points[...], scores[...] = rng.uniform(size=points.shape), rng.uniform(size=scores.shape)
         rows, classes = np.sort(rng.choice(P, M, replace=False)), rng.integers(0, 3, M)
         aligned = rng.uniform(size=(M, n, 2))
-        breakdown = loss(rows, classes, aligned)
+        loss.rows[...], loss.classes[...], loss.aligned[...] = rows, classes, aligned
+        breakdown = loss.run()
         want = BoundLoss(points.copy(), scores.copy(), rows, classes, aligned)
         assert breakdown == want.run()
         assert np.array_equal(loss.d_points, want.d_points)

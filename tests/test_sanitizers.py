@@ -7,12 +7,12 @@ the production flags plus the sanitizers into a temporary directory.  Each
 test runs the entries in a subprocess, with the sanitizer runtimes
 preloaded (ASan refuses to start in a Python not built with it otherwise):
 ``json_tokens`` on every prefix of one ground-truth file and one prediction
-file, and the matcher's, Chamfer, loss and Adam entries at their edge
-shapes.  Every input, output and scratch buffer is its own block of
-exactly its size from the sanitized ``malloc``, so a read or write one
-byte past any of them is reported.  Whole paths, ``fit`` in both modes and
+file, and the matcher's, Chamfer, focal table, loss and Adam entries at
+their edge shapes.  Every input, output and scratch buffer is its own
+block of exactly its size from the sanitized ``malloc``, so a read or
+write one byte past any of them is reported.  Whole paths, ``fit`` in both modes and
 ``hierarchical_match`` under both position costs, run with ``_kernels``'
-binders and entries rebound to the sanitized library, on numpy's buffers.
+entries and binders rebound to the sanitized library, on numpy's buffers.
 Any report or a nonzero exit fails a test, as do results that differ from
 the production library's.  The tests skip only when ``cc`` or a sanitizer
 runtime is missing, and say which.
@@ -122,6 +122,11 @@ for entry, c in pickle.loads(Path(sys.argv[2]).read_bytes()):
         args = (c["a"], c["b"], P, n, G, m, c["cutoff"], nan(P, G), nan(m), nan(4 * (P + G)))
         _, after = call(dll.chamfer_matrix, *args)
         outputs.append((after[7],))
+    elif entry == "focal":
+        flat = c["scores"].reshape(-1)
+        _, after = call(dll.focal_cost_table, flat, len(flat), c["gamma"], c["alpha"],
+                        _pure.FOCAL_EPS, nan(len(flat)))
+        outputs.append((after[5].reshape(-1, 3),))
     elif entry == "loss":
         (P, n), M = c["points"].shape[:2], len(c["rows"])
         logs_powers = np.empty((6, P, 3))
@@ -144,8 +149,8 @@ Path(sys.argv[3]).write_bytes(pickle.dumps(outputs))
 """
 
 
-#: Run as ``python -c PATHS LIBRARY TESTS OUT``: points ``_kernels``' binders
-#: and entries at the library, runs ``_whole_paths`` of this module (in
+#: Run as ``python -c PATHS LIBRARY TESTS OUT``: points ``_kernels``' entries
+#: and binders at the library, runs ``_whole_paths`` of this module (in
 #: directory TESTS) and pickles its results.
 PATHS = """
 import pickle, sys
@@ -160,13 +165,15 @@ Path(sys.argv[3]).write_bytes(pickle.dumps(_whole_paths()))
 """
 
 def _rebound(dll) -> dict:
-    """The binders and entries of ``_kernels`` that the package calls, by
-    name, on library ``dll``."""
-    b = kernels._binders(dll)
-    values = (b.match, b.json_tokens, b.loss, b.adam, *kernels._entries(dll))
-    names = ("_bind_match", "json_tokens", "_bind_loss", "_bind_adam", "manhattan_matrix",
-             "chamfer_matrix", "focal_cost_table")
-    return dict(zip(names, values))
+    """The entries and binders of ``_kernels`` that the package calls, by
+    name, on library ``dll``: each ``Binders`` field under its own name, the
+    binders under ``_bind_*``."""
+    names = {"loss": "_bind_loss", "adam": "_bind_adam", "match": "_bind_match"}
+    rebound = {names.get(field, field): value
+               for field, value in kernels._binders(dll)._asdict().items()}
+    # A name the module lacks would be set where nothing reads it.
+    assert all(hasattr(kernels, name) for name in rebound), sorted(rebound)
+    return rebound
 
 
 def _whole_paths() -> list:
@@ -260,7 +267,8 @@ def _numeric_cases() -> list[tuple[str, dict]]:
     reversed polyline shown, and on two polygons, one searched over its
     group and one in its shown order alone; Chamfer of
     single points with the cutoff off and on, the loss with no pair and
-    with every prediction paired, and Adam on one entry."""
+    with every prediction paired, Adam on one entry, and the standalone
+    focal table on 3 x P scores for P = 0, 1 and 7."""
     rng = np.random.default_rng(5)
     cases = []
 
@@ -293,6 +301,8 @@ def _numeric_cases() -> list[tuple[str, dict]]:
         cases.append(("adam", dict(params=rng.uniform(size=1), grads=rng.normal(size=1),
                                    m=rng.normal(size=1), v=rng.uniform(size=1), clip=clip,
                                    b1=0.9, b2=0.999, lr=0.01, eps=1e-8, c1=0.1, c2=0.002)))
+    for P in (0, 1, 7):
+        cases.append(("focal", dict(scores=rng.uniform(size=(P, 3)), gamma=2.0, alpha=0.25)))
     return cases
 
 
@@ -310,9 +320,9 @@ def _want(binders, entry, c) -> tuple:
         pairs()
         return table, manhattan, best, total, orderings, costs, pair_classes, aligned
     if entry == "chamfer":
-        *_, out, run = binders.chamfer(c["a"], c["b"], c["cutoff"])
-        run()
-        return (out,)
+        return (binders.chamfer_matrix(c["a"], c["b"], c["cutoff"]),)
+    if entry == "focal":
+        return (binders.focal_cost_table(c["scores"], c["gamma"], c["alpha"]),)
     if entry == "loss":
         *_, p2p, dir_, d_points, loss, d_scores, d_logits, run = binders.loss(
             c["points"], c["scores"], c["rows"], c["classes"], c["aligned"], c["gamma"],
